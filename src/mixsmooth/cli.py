@@ -40,6 +40,7 @@ from .polyapprox import (
     taylor_polynomial,
 )
 from .verifier import (
+    SUITE_DIMS,
     SUITE_NAMES,
     VerifierSettings,
     _jsonable,
@@ -212,6 +213,19 @@ def _merge_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 # Shared helpers
 
 
+def _validate(cfg: RunConfig) -> None:
+    """Reject out-of-range values that need no function to check."""
+    if cfg.hsamples < 2:
+        raise ConfigError("--hsamples must be at least 2")
+    if cfg.splits < 1:
+        raise ConfigError("--splits must be at least 1")
+    if any(v < 0 for v in cfg.r):
+        raise ConfigError("--r entries must be non-negative")
+    # a difference takes any step; a modulus takes step bounds
+    if cfg.command == "compute" and cfg.op != "difference" and any(v < 0 for v in cfg.t):
+        raise ConfigError("--t step bounds must be non-negative")
+
+
 def _resolve_box(cfg: RunConfig, dim: int) -> Box:
     if not cfg.box:
         return Box.unit(dim)
@@ -365,6 +379,11 @@ def cmd_compute(cfg: RunConfig) -> int:
     else:
         p = _require_p(cfg)
         t = _require_t(cfg, fn.dim)
+        if cfg.op in ("total-omega", "total-w") and any(v < 1 for v in r):
+            raise ConfigError("total moduli need every --r entry >= 1")
+        mean = cfg.op in ("modulus-mean", "total-w") and p != math.inf
+        if mean and any(ti <= 0 for ti, ri in zip(t, r) if ri > 0):
+            raise ConfigError("the mean modulus needs --t > 0 on every axis with --r > 0")
         record["p"] = _p_str(p)
         record["t"] = list(t)
         record["h_samples"] = cfg.hsamples
@@ -405,6 +424,14 @@ def cmd_approx(cfg: RunConfig) -> int:
     if cfg.op == "best":
         r = _require_r(cfg, fn.dim)
         p = _require_p(cfg)
+        if any(ri < 1 for ri in r):
+            raise ConfigError("--r degree bounds must be at least 1")
+        for n, ri in zip(grid, r):
+            if n < 2 * ri:
+                raise ConfigError(
+                    f"--grid {n} is underdetermined for degree bound {ri}; "
+                    f"use at least {2 * ri} points per axis"
+                )
         result = best_approx(g, r, p, seed=cfg.seed)
         record.update(
             {
@@ -441,6 +468,8 @@ def cmd_approx(cfg: RunConfig) -> int:
         record.update({"p": _p_str(p), "beta": beta, "error": err})
     else:  # piecewise
         p = _require_p(cfg)
+        if any(n % cfg.splits for n in grid):
+            raise ConfigError(f"--splits {cfg.splits} must divide every --grid entry")
         pw, err = piecewise_constant_approx(g, cfg.splits, p)
         record.update(
             {
@@ -468,14 +497,28 @@ def cmd_verify(cfg: RunConfig) -> int:
         raise ConfigError(f"--suite must be one of {SUITE_NAMES}")
     settings = _settings(cfg)
     kwargs: dict = {"jobs": cfg.jobs}
+    dim = 2
     if cfg.fn:
-        kwargs["names"] = [ _require_fn(cfg).name ]
+        fn = _require_fn(cfg)
+        dim = fn.dim
+        members = [s for s in SUITE_DIMS if cfg.suite in (s, "all")]
+        if members and not any(dim in SUITE_DIMS[s] for s in members):
+            covered = sorted({d for s in members for d in SUITE_DIMS[s]})
+            raise ConfigError(
+                f"suite {cfg.suite!r} has no checks for {fn.name}, a function of "
+                f"dimension {dim}; it covers dimensions {covered}"
+            )
+        kwargs["names"] = [fn.name]
     if cfg.r:
-        dim = 2 if not cfg.fn else get_function(cfg.fn).dim
-        kwargs["orders"] = (_require_r(cfg, dim),)
+        r = _require_r(cfg, dim)
+        if any(v < 1 for v in r):
+            raise ConfigError("verify needs every --r entry >= 1")
+        kwargs["orders"] = (r,)
     if cfg.p is not None:
-        kwargs["p_values"] = (cfg.p,)
+        kwargs["p_values"] = (_require_p(cfg),)
     reports = run_suite(cfg.suite, settings, **kwargs)
+    if not reports:
+        raise ConfigError(f"the selection has no checks in suite {cfg.suite!r}")
     records = [rep.to_record() for rep in reports]
     hard = [r for r in records if r["passed"] is not None]
     failed = [r for r in records if r["passed"] is False]
@@ -583,6 +626,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _merge_flags(cfg, args)
         if cfg.format and cfg.format not in ("json", "csv"):
             raise ConfigError(f"unknown output format {cfg.format!r}")
+        _validate(cfg)
         handler = {
             "compute": cmd_compute,
             "approx": cmd_approx,

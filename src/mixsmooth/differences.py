@@ -15,6 +15,22 @@ The supremum over steps is approximated by a finite symmetric grid and
 is therefore a *lower* estimate of the true supremum; callers that put
 a modulus on the right-hand side of an inequality should inflate it by
 the measured refinement gap (see the verifier's tolerance policy).
+
+Every difference field comes from one engine, ``_fields``.  It takes a
+whole list of step vectors and, chunk by chunk, builds each step's
+shrunken midpoint grid with array arithmetic (the grids are ragged:
+each step keeps its own shape), adds the stencil offsets ``j*h`` and
+calls ``f`` once on the whole cloud of at most ``_CHUNK_POINTS``
+points.  The sweeps reduce every step's ``|difference|`` for every
+exponent from that one field, and ``difference_field`` is the one-step
+case.  Each point, stencil sum and per-step quadrature sum is computed
+with the same operations in the same order as a step-by-step loop, so
+the values are bit-identical to evaluating one step at a time.
+
+A sup sweep with an odd number ``2m - 1`` of step samples contains the
+sweep with ``m`` samples: ``linspace(-t, t, m)`` equals
+``linspace(-t, t, 2m - 1)[::2]`` bit for bit.  ``nested=True`` returns
+that coarse supremum too, read off the even-indexed nodes.
 """
 
 from __future__ import annotations
@@ -22,20 +38,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .domain import (
     Box,
     GridFunction,
-    _quasinorm_from_abs,
-    grid_points,
-    lp_quasinorm,
     nonempty_axis_subsets,
     normalize_grid,
     restrict_order,
-    shrink_domain,
 )
 
 __all__ = [
@@ -52,6 +64,11 @@ __all__ = [
     "total_mean_terms",
     "lower_whitney_constant",
 ]
+
+# Points per call of f: all stencil offsets of the steps in one chunk.  A
+# step whose cloud alone is larger is evaluated a few offsets at a time.
+# Larger caps gained no speed and raised the peak memory of a sweep.
+_CHUNK_POINTS = 1 << 13
 
 
 def _stencil(r: Sequence[int]) -> list[tuple[float, tuple[int, ...]]]:
@@ -91,6 +108,143 @@ def mixed_difference(f: Callable, r: Sequence[int], h: Sequence[float], x) -> np
     return float(acc[0]) if single else acc
 
 
+@dataclass(frozen=True)
+class _Chunk:
+    """Difference fields of some steps, stored back to back.
+
+    Step ``steps[k]`` owns ``values[bounds[k]:bounds[k+1]]``, its grid
+    over the box ``[lo[k], hi[k]]`` of shape ``shape[k]`` in row-major
+    order, with cell volume ``cell_volume[k]``.
+    """
+
+    steps: np.ndarray
+    values: np.ndarray
+    bounds: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    shape: np.ndarray
+    cell_volume: np.ndarray
+
+
+def _fields(
+    f: Callable, r: Sequence[int], steps: np.ndarray, box: Box, density
+) -> Iterator[_Chunk]:
+    """Mixed differences of order ``r`` for every row of ``steps``.
+
+    Each step's domain is ``box`` shrunk by the total shift ``r*h``; a
+    step whose domain is empty appears in no chunk.  The midpoint grid
+    on it keeps the per-axis resolution density of ``density`` (points
+    proportional to the surviving side length, at least one per axis).
+    Steps are grouped, smallest grid first, into chunks of at most
+    ``_CHUNK_POINTS`` stencil points, and ``f`` is called once per chunk
+    (a step with more points alone gets a chunk and several calls).
+    """
+    dim = box.dim
+    steps = np.asarray(steps, float)
+    if len(r) != dim or steps.ndim != 2 or steps.shape[1] != dim:
+        raise ValueError("order and steps must match the box dimension")
+    density = np.asarray(normalize_grid(density, dim))
+    stencil = _stencil(r)
+    offsets = np.array([o for _, o in stencil], float).reshape(len(stencil), dim)
+    shift = np.asarray(r) * steps
+    lo = np.asarray(box.lower) + np.maximum(0.0, -shift)
+    hi = np.asarray(box.upper) - np.maximum(0.0, shift)
+    live = np.flatnonzero(np.all(hi > lo, axis=1))
+    lo, hi, steps = lo[live], hi[live], steps[live]
+    size = hi - lo
+    shape = np.maximum(1, np.ceil(density * (size / box.size) - 1e-9)).astype(np.int64)
+    width = size / shape
+    npts = np.prod(shape, axis=1)
+    # equal-sized grids side by side let _block_sums sum them as matrix rows
+    order = np.argsort(npts, kind="stable")
+    starts, total = [], 0
+    for k, n in enumerate((npts[order] * len(stencil)).tolist()):
+        if total == 0 or total + n > _CHUNK_POINTS:
+            starts.append(k)
+            total = 0
+        total += n
+    starts.append(order.size)
+    for a, b in zip(starts, starts[1:]):
+        sel = order[a:b]
+        counts = npts[sel]
+        bounds = np.zeros(sel.size + 1, np.int64)
+        np.cumsum(counts, out=bounds[1:])
+        # per axis: each point's midpoint coordinate and its step's shift,
+        # from its row-major index q within its own grid
+        q = np.arange(bounds[-1]) - np.repeat(bounds[:-1], counts)
+        coords, shifts = [None] * dim, [None] * dim
+        for i in reversed(range(dim)):
+            q, k = np.divmod(q, np.repeat(shape[sel, i], counts))
+            coords[i] = np.repeat(lo[sel, i], counts) + (k + 0.5) * np.repeat(
+                width[sel, i], counts
+            )
+            shifts[i] = np.repeat(steps[sel, i], counts)
+        values = np.zeros(bounds[-1])
+        # a step whose cloud alone exceeds the cap takes a few offsets per call
+        per_call = max(1, _CHUNK_POINTS // bounds[-1])
+        for j in range(0, len(stencil), per_call):
+            cloud = np.empty((len(stencil[j : j + per_call]), bounds[-1], dim))
+            for i in range(dim):
+                axis = cloud[..., i]
+                np.multiply(offsets[j : j + per_call, i, None], shifts[i], out=axis)
+                axis += coords[i]
+            evals = np.asarray(f(cloud), float)
+            if evals.shape != cloud.shape[:-1]:
+                raise ValueError(
+                    f"function returned shape {evals.shape}, expected {cloud.shape[:-1]}"
+                )
+            for (w, _), column in zip(stencil[j : j + per_call], evals):
+                values = values + w * column
+        if not np.all(np.isfinite(values)):
+            raise ValueError("grid values must all be finite")
+        yield _Chunk(
+            steps=live[sel],
+            values=values,
+            bounds=bounds,
+            lo=lo[sel],
+            hi=hi[sel],
+            shape=shape[sel],
+            cell_volume=np.prod(width[sel], axis=1),
+        )
+
+
+def _block_sums(x: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Sum of each block ``x[bounds[k]:bounds[k+1]]``.
+
+    A run of equal-length blocks is summed as the rows of one matrix,
+    which numpy sums exactly as it sums each block on its own
+    (``np.add.reduceat`` does not: it adds the first element last).
+    """
+    counts = np.diff(bounds)
+    out = np.empty(counts.size)
+    edges = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), counts.size]
+    for u, v in zip(edges, edges[1:]):
+        block = x[bounds[u] : bounds[v]].reshape(v - u, int(counts[u]))
+        out[u:v] = block.sum(axis=1)
+    return out
+
+
+def _step_norms(chunks: Iterable[_Chunk], n_steps: int, ps: Sequence[float]) -> np.ndarray:
+    """Per exponent and step: ``sum |D|^p * cell_volume``, or ``max |D|``
+    for p = inf; 0 for a step whose domain is empty."""
+    out = np.zeros((len(ps), n_steps))
+    for ch in chunks:
+        a = np.abs(ch.values)
+        for j, p in enumerate(ps):
+            if p == math.inf:
+                out[j, ch.steps] = np.maximum.reduceat(a, ch.bounds[:-1])
+            else:
+                out[j, ch.steps] = _block_sums(a**p, ch.bounds) * ch.cell_volume
+    return out
+
+
+def _step_product(axis_nodes: Sequence[np.ndarray]) -> np.ndarray:
+    """Every step of a tensor node grid, shape ``(n, d)``, in
+    ``itertools.product`` order."""
+    mesh = np.meshgrid(*axis_nodes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
 def difference_field(
     f: Callable,
     r: Sequence[int],
@@ -106,20 +260,11 @@ def difference_field(
     surviving side length, at least one per axis).
     """
     r = tuple(int(v) for v in r)
-    hv = np.asarray(h, float)
-    density = normalize_grid(density, box.dim)
-    sub = shrink_domain(box, np.asarray(r) * hv)
-    if sub is None:
-        return None
-    ratio = sub.size / box.size
-    shape = tuple(
-        max(1, int(math.ceil(density[i] * ratio[i] - 1e-9))) for i in range(box.dim)
-    )
-    pts = grid_points(sub, shape)
-    vals = np.zeros(shape)
-    for w, offset in _stencil(r):
-        vals = vals + w * np.asarray(f(pts + np.asarray(offset) * hv), float)
-    return GridFunction(sub, vals)
+    steps = np.asarray(h, float).reshape(1, -1)
+    for ch in _fields(f, r, steps, box, density):
+        sub = Box(tuple(ch.lo[0]), tuple(ch.hi[0]))
+        return GridFunction(sub, ch.values.reshape(tuple(ch.shape[0])))
+    return None
 
 
 @dataclass(frozen=True)
@@ -156,18 +301,21 @@ class ModulusRequest:
         object.__setattr__(self, "t", t)
 
 
-def _sup_axis_nodes(ri: int, ti: float, m: int) -> np.ndarray:
+def _sup_axis_nodes(ri: int, ti: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Step candidates on one axis for the sup modulus.
 
     Inactive axes (ri == 0) contribute the single step 0.  Active axes
     use a symmetric uniform grid including both endpoints; the exact
     zero step is dropped there because the difference vanishes
-    identically.
+    identically.  The second array marks the nodes at even positions of
+    the grid, which for odd m are the nodes of the grid with (m+1)/2
+    samples.
     """
     if ri == 0:
-        return np.zeros(1)
+        return np.zeros(1), np.ones(1, bool)
     nodes = np.linspace(-ti, ti, m)
-    return nodes[nodes != 0.0]
+    keep = nodes != 0.0
+    return nodes[keep], (np.arange(m) % 2 == 0)[keep]
 
 
 def sup_modulus_sweep(
@@ -179,32 +327,40 @@ def sup_modulus_sweep(
     density,
     h_samples: int,
     p_values: Iterable[float],
-) -> dict[float, float]:
+    nested: bool = False,
+):
     """Sup-type modulus for several exponents in one sweep over steps.
 
     Returns a dict mapping each p to the maximum over the step grid of
     the L_p quasi-norm of the difference field.  The difference field
     for a given step does not depend on p, so sharing the sweep is
     exact, not an approximation.
+
+    With ``nested=True`` (odd ``h_samples`` only) the result is a pair
+    ``(sup, coarse)``: ``coarse`` is the sweep with ``(h_samples+1)//2``
+    samples, whose nodes are every other node of this one, so it is
+    bit-identical to sweeping them separately.
     """
     r = tuple(int(v) for v in r)
     t = tuple(float(v) for v in t)
     ps = [float(p) for p in p_values]
-    out = {p: 0.0 for p in ps}
-    axis_nodes = [_sup_axis_nodes(ri, ti, h_samples) for ri, ti in zip(r, t)]
-    if any(n.size == 0 for n in axis_nodes):
+    if nested and h_samples % 2 == 0:
+        raise ValueError("a nested coarse sweep needs an odd h_samples")
+    axes = [_sup_axis_nodes(ri, ti, h_samples) for ri, ti in zip(r, t)]
+    steps = _step_product([nodes for nodes, _ in axes])
+    coarse = _step_product([even for _, even in axes]).all(axis=1)
+    norms = _step_norms(_fields(f, r, steps, box, density), len(steps), ps)
+
+    def sup(mask):
+        out = {}
+        for p, col in zip(ps, norms):
+            top = float(col[mask].max(initial=0.0))
+            out[p] = top if p == math.inf else top ** (1.0 / p)
         return out
-    for combo in itertools.product(*axis_nodes):
-        field = difference_field(f, r, combo, box, density)
-        if field is None:
-            continue
-        a = np.abs(field.values)
-        cv = field.cell_volume
-        for p in ps:
-            v = _quasinorm_from_abs(a, cv, p)
-            if v > out[p]:
-                out[p] = v
-    return out
+
+    if nested:
+        return sup(slice(None)), sup(coarse)
+    return sup(slice(None))
 
 
 def mean_modulus_sweep(
@@ -229,34 +385,30 @@ def mean_modulus_sweep(
     ps = [float(p) for p in p_values]
     if any(p == math.inf for p in ps):
         raise ValueError("mean modulus is defined for finite p; use the sup form")
+    if not all(p > 0 for p in ps):
+        raise ValueError("exponent p must be positive")
     active = [i for i, ri in enumerate(r) if ri > 0]
     for i in active:
         if t[i] <= 0:
             raise ValueError(f"step bound t[{i}] must be positive on an active axis")
-    if not active:
-        field = difference_field(f, r, np.zeros(len(r)), box, density)
-        return {p: lp_quasinorm(field, p) for p in ps}
     nodes = []
-    steps = []
-    for i in active:
-        w = 2.0 * t[i] / h_samples
-        nodes.append(-t[i] + (np.arange(h_samples) + 0.5) * w)
-        steps.append(w)
-    h_weight = float(np.prod(steps))
-    volume = float(np.prod([2.0 * t[i] for i in active]))
-    acc = {p: 0.0 for p in ps}
-    h_full = np.zeros(len(r))
-    for combo in itertools.product(*nodes):
-        for i, hi in zip(active, combo):
-            h_full[i] = hi
-        field = difference_field(f, r, h_full, box, density)
-        if field is None:
+    for ri, ti in zip(r, t):
+        if ri == 0:
+            nodes.append(np.zeros(1))
             continue
-        a = np.abs(field.values)
-        cv = field.cell_volume
-        for p in ps:
-            acc[p] += float((a**p).sum() * cv) * h_weight
-    return {p: (acc[p] / volume) ** (1.0 / p) for p in ps}
+        w = 2.0 * ti / h_samples
+        nodes.append(-ti + (np.arange(h_samples) + 0.5) * w)
+    h_weight = float(np.prod([2.0 * t[i] / h_samples for i in active]))
+    volume = float(np.prod([2.0 * t[i] for i in active]))
+    steps = _step_product(nodes)
+    norms = _step_norms(_fields(f, r, steps, box, density), len(steps), ps)
+    out = {}
+    for p, col in zip(ps, norms):
+        acc = 0.0
+        for v in (col * h_weight).tolist():  # in step order, as the rule reads
+            acc += v
+        out[p] = (acc / volume) ** (1.0 / p)
+    return out
 
 
 def modulus_sup(req: ModulusRequest, f: Callable) -> float:
@@ -305,10 +457,16 @@ def total_sup_terms(
     density,
     h_samples: int,
     p_values: Iterable[float],
-) -> dict[tuple[int, ...], dict[float, float]]:
-    """Per-axis-subset sup moduli, keyed by subset then exponent."""
+    nested: bool = False,
+):
+    """Per-axis-subset sup moduli, keyed by subset then exponent.
+
+    With ``nested=True`` the result is a pair ``(terms, coarse_terms)``,
+    the coarse terms read off every other step node as in
+    :func:`sup_modulus_sweep`.
+    """
     r = _check_total_order(r, box.dim)
-    return {
+    sweeps = {
         e: sup_modulus_sweep(
             f,
             restrict_order(r, e),
@@ -317,9 +475,13 @@ def total_sup_terms(
             density=density,
             h_samples=h_samples,
             p_values=p_values,
+            nested=nested,
         )
         for e in nonempty_axis_subsets(box.dim)
     }
+    if nested:
+        return {e: s[0] for e, s in sweeps.items()}, {e: s[1] for e, s in sweeps.items()}
+    return sweeps
 
 
 def total_mean_terms(

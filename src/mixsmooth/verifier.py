@@ -77,6 +77,7 @@ __all__ = [
     "suite_constant_lemma",
     "run_suite",
     "SUITE_NAMES",
+    "SUITE_DIMS",
 ]
 
 
@@ -118,7 +119,12 @@ class VerifierSettings:
 
 
 def _p_str(p: float) -> str:
-    return "inf" if p == math.inf else f"{float(p):g}"
+    """Exponent as text that reads back to the same float: ``inf``, the
+    short ``:g`` form when it round-trips, else ``repr``."""
+    if p == math.inf:
+        return "inf"
+    text = f"{float(p):g}"
+    return text if float(text) == float(p) else repr(float(p))
 
 
 def _jsonable(value):
@@ -191,13 +197,18 @@ def _rel_gap(coarse: float, fine: float, floor: float) -> float:
 
 
 def _sup_terms_with_gap(f, r, t, box, settings: VerifierSettings, p_values):
+    """Sup terms at ``h_samples`` and, refined, at ``2*h_samples - 1``.
+
+    The refined step grid contains the coarse one, so one refined sweep
+    yields both: the coarse terms are read off its even-indexed nodes.
+    """
     density = settings.grid_for(box)
-    coarse = total_sup_terms(
-        f, r, t, box, density=density, h_samples=settings.h_samples, p_values=p_values
-    )
     if not settings.refine_h:
+        coarse = total_sup_terms(
+            f, r, t, box, density=density, h_samples=settings.h_samples, p_values=p_values
+        )
         return coarse, coarse
-    fine = total_sup_terms(
+    fine, coarse = total_sup_terms(
         f,
         r,
         t,
@@ -205,6 +216,7 @@ def _sup_terms_with_gap(f, r, t, box, settings: VerifierSettings, p_values):
         density=density,
         h_samples=2 * settings.h_samples - 1,
         p_values=p_values,
+        nested=True,
     )
     return coarse, fine
 
@@ -767,11 +779,8 @@ def constant_bound_report(
     moduli = []
     for e in ((0,), (1,)):
         order = restrict_order((1, 1), e)
-        coarse = sup_modulus_sweep(
-            fn, order, t, box, density=density, h_samples=settings.h_samples, p_values=[p]
-        )[p]
         if settings.refine_h:
-            fine = sup_modulus_sweep(
+            fine, coarse = sup_modulus_sweep(
                 fn,
                 order,
                 t,
@@ -779,10 +788,14 @@ def constant_bound_report(
                 density=density,
                 h_samples=2 * settings.h_samples - 1,
                 p_values=[p],
-            )[p]
+                nested=True,
+            )
+            moduli.append((coarse[p], fine[p]))
         else:
-            fine = coarse
-        moduli.append((coarse, fine))
+            coarse = sup_modulus_sweep(
+                fn, order, t, box, density=density, h_samples=settings.h_samples, p_values=[p]
+            )[p]
+            moduli.append((coarse, coarse))
     scale = float(np.abs(g.values).max(initial=0.0))
     floor = _floor(policy, scale) ** min(p, 1.0)
     right_raw = 2.0 * sum(c**p for c, _ in moduli)
@@ -971,11 +984,31 @@ def _d2_names() -> list[str]:
     return [e.name for e in corpus_entries(dim=2)]
 
 
+# Dimensions of the functions each corpus suite checks.  A 3-d step sweep
+# at the default resolution is thousands of times the work of a 2-d one,
+# so the sweep suites stop at d = 2; the constant-lemma form is 2-d.
+SUITE_DIMS = {
+    "whitney": (1, 2),
+    "equivalence": (1, 2),
+    "superadditivity": (1, 2),
+    "taylor": (1, 2),
+    "marchaud": (1, 2),
+    "constant-lemma": (2,),
+}
+
+
+def _orders_for(dim: int, orders) -> list[tuple[int, ...]]:
+    """The given orders of length ``dim``; by default all ones and all twos."""
+    if orders is None:
+        return [(1,) * dim, (2,) * dim]
+    return [tuple(r) for r in orders if len(r) == dim]
+
+
 def suite_whitney(
     settings: VerifierSettings,
     *,
     names: Sequence[str] | None = None,
-    orders: Sequence[Sequence[int]] = ((1, 1), (2, 2)),
+    orders: Sequence[Sequence[int]] | None = None,
     p_values: Sequence[float] = (0.5, 1.0, 2.0, math.inf),
     jobs: int = 1,
 ) -> list[InequalityReport]:
@@ -983,14 +1016,14 @@ def suite_whitney(
     tasks = []
     for name in names:
         fn = get_function(name)
+        if fn.dim not in SUITE_DIMS["whitney"]:
+            continue
         box = Box.unit(fn.dim)
-        for r in orders:
-            if len(r) != fn.dim:
-                continue
+        for r in _orders_for(fn.dim, orders):
             for p in p_values:
-                key = (name, tuple(r), _p_str(p))
+                key = (name, r, _p_str(p))
                 tasks.append(
-                    (key, lambda fn=fn, r=tuple(r), p=p, box=box: list(
+                    (key, lambda fn=fn, r=r, p=p, box=box: list(
                         whitney_report(fn, r, p, box, settings)
                     ))
                 )
@@ -1001,7 +1034,7 @@ def suite_equivalence(
     settings: VerifierSettings,
     *,
     names: Sequence[str] | None = None,
-    orders: Sequence[Sequence[int]] = ((1, 1), (2, 2)),
+    orders: Sequence[Sequence[int]] | None = None,
     p_values: Sequence[float] = (0.5, 1.0, 2.0, math.inf),
     t_factor: float = 0.5,
     jobs: int = 1,
@@ -1010,15 +1043,15 @@ def suite_equivalence(
     tasks = []
     for name in names:
         fn = get_function(name)
+        if fn.dim not in SUITE_DIMS["equivalence"]:
+            continue
         box = Box.unit(fn.dim)
         t = tuple(t_factor * s for s in box.size)
-        for r in orders:
-            if len(r) != fn.dim:
-                continue
+        for r in _orders_for(fn.dim, orders):
             for p in p_values:
-                key = (name, tuple(r), _p_str(p))
+                key = (name, r, _p_str(p))
                 tasks.append(
-                    (key, lambda fn=fn, r=tuple(r), t=t, p=p, box=box: list(
+                    (key, lambda fn=fn, r=r, t=t, p=p, box=box: list(
                         equivalence_report(fn, r, t, p, box, settings)
                     ))
                 )
@@ -1029,7 +1062,7 @@ def suite_superadditivity(
     settings: VerifierSettings,
     *,
     names: Sequence[str] | None = None,
-    orders: Sequence[Sequence[int]] = ((1, 1), (2, 2)),
+    orders: Sequence[Sequence[int]] | None = None,
     p_values: Sequence[float] = (0.5, 1.0, 2.0),
     t_factor: float = 0.125,
     splits: int = 2,
@@ -1039,17 +1072,17 @@ def suite_superadditivity(
     tasks = []
     for name in names:
         fn = get_function(name)
+        if fn.dim not in SUITE_DIMS["superadditivity"]:
+            continue
         box = Box.unit(fn.dim)
         t = tuple(t_factor * s for s in box.size)
-        for r in orders:
-            if len(r) != fn.dim:
-                continue
+        for r in _orders_for(fn.dim, orders):
             for p in p_values:
                 if p == math.inf:
                     continue
-                key = (name, tuple(r), _p_str(p))
+                key = (name, r, _p_str(p))
                 tasks.append(
-                    (key, lambda fn=fn, r=tuple(r), t=t, p=p, box=box: superadditivity_report(
+                    (key, lambda fn=fn, r=r, t=t, p=p, box=box: superadditivity_report(
                         fn, r, t, p, box, splits, settings
                     ))
                 )
@@ -1060,7 +1093,7 @@ def suite_taylor(
     settings: VerifierSettings,
     *,
     names: Sequence[str] | None = None,
-    orders: Sequence[Sequence[int]] = ((1, 1), (2, 2)),
+    orders: Sequence[Sequence[int]] | None = None,
     p_values: Sequence[float] = (2.0, math.inf),
     deltas: Sequence[float] = (0.25, 0.125, 0.0625),
     jobs: int = 1,
@@ -1070,17 +1103,15 @@ def suite_taylor(
     tasks = []
     for name in sorted(names):
         fn = get_function(name)
-        if not fn.has_derivatives:
+        if not fn.has_derivatives or fn.dim not in SUITE_DIMS["taylor"]:
             continue
-        for r in orders:
-            if len(r) != fn.dim:
-                continue
+        for r in _orders_for(fn.dim, orders):
             for p in p_values:
                 if not p >= 1:
                     continue
-                key = (name, tuple(r), _p_str(p))
+                key = (name, r, _p_str(p))
                 tasks.append(
-                    (key, lambda fn=fn, r=tuple(r), p=p: taylor_report(
+                    (key, lambda fn=fn, r=r, p=p: taylor_report(
                         fn, r, p, deltas, settings
                     ))
                 )
@@ -1091,23 +1122,32 @@ def suite_marchaud(
     settings: VerifierSettings,
     *,
     names: Sequence[str] | None = None,
-    k: Sequence[int] = (1, 2),
-    r: Sequence[int] = (2, 2),
+    k: Sequence[int] | None = None,
+    r: Sequence[int] | None = None,
     axis: int = 0,
-    t: Sequence[float] = (0.125, 0.125),
+    t: Sequence[float] | None = None,
     p_values: Sequence[float] = (0.5, 2.0),
     jobs: int = 1,
 ) -> list[InequalityReport]:
+    """Marchaud reports; by default r = (2, ..., 2), k = r but 1 on
+    ``axis``, and every step bound 1/8, at each function's dimension."""
     if names is None:
         names = ["exp_sum_2d", "sin_prod_2d", "holder_half_2d", "spline_prod_2d"]
     tasks = []
     for name in sorted(names):
         fn = get_function(name)
+        if fn.dim not in SUITE_DIMS["marchaud"]:
+            continue
         box = Box.unit(fn.dim)
+        r_fn = tuple(r) if r is not None else (2,) * fn.dim
+        k_fn = tuple(k) if k is not None else tuple(
+            1 if j == axis else v for j, v in enumerate(r_fn)
+        )
+        t_fn = tuple(t) if t is not None else (0.125,) * fn.dim
         for p in p_values:
             key = (name, _p_str(p))
             tasks.append(
-                (key, lambda fn=fn, p=p, box=box: marchaud_report(
+                (key, lambda fn=fn, p=p, box=box, k=k_fn, r=r_fn, t=t_fn: marchaud_report(
                     fn, k, r, axis, t, p, box, settings
                 ))
             )
@@ -1125,7 +1165,7 @@ def suite_constant_lemma(
     tasks = []
     for name in names:
         fn = get_function(name)
-        if fn.dim != 2:
+        if fn.dim not in SUITE_DIMS["constant-lemma"]:
             continue
         box = Box.unit(2)
         for p in p_values:
@@ -1155,7 +1195,7 @@ def run_suite(
     settings: VerifierSettings,
     *,
     names: Sequence[str] | None = None,
-    orders: Sequence[Sequence[int]] = ((1, 1), (2, 2)),
+    orders: Sequence[Sequence[int]] | None = None,
     p_values: Sequence[float] = (0.5, 1.0, 2.0, math.inf),
     jobs: int = 1,
 ) -> list[InequalityReport]:

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from mixsmooth.cli import RunConfig, main
@@ -210,10 +211,13 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
 
 
 def test_exit_code_1_on_numeric_failure(capsys):
-    # underdetermined grid for the requested degree
-    code = main(["approx", "best", "--fn", "square_1d", "--r", "8", "--p", "2", "--grid", "4"])
+    # exp overflows on this box: valid flags, non-finite samples
+    with np.errstate(over="ignore"):
+        code = main(
+            ["approx", "best", "--fn", "exp_sum_1d", "--box", "0,1000", "--r", "2", "--p", "2"]
+        )
     assert code == 1
-    capsys.readouterr()
+    assert "numeric failure" in capsys.readouterr().err
 
 
 def test_p_zero_rejected_as_config_error(capsys):
@@ -222,3 +226,65 @@ def test_p_zero_rejected_as_config_error(capsys):
     )
     assert code == 2
     capsys.readouterr()
+
+
+def _config_error(capsys, args):
+    code = main(args)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "numeric failure" not in err
+    return err
+
+
+def test_hsamples_below_two_is_config_error(capsys):
+    err = _config_error(capsys, ["verify", "--suite", "whitney", "--fn", "const_2d", "--hsamples", "1"])
+    assert "--hsamples" in err
+
+
+def test_negative_step_bound_is_config_error(capsys):
+    args = ["compute", "modulus-sup", "--fn", "linear_1d", "--r", "1", "--p", "1"]
+    assert "--t" in _config_error(capsys, args + ["--t", "-0.5"])
+    # a difference step may be negative
+    assert main(["compute", "difference", "--fn", "linear_1d", "--r", "1", "--t=-0.25"]) == 0
+    capsys.readouterr()
+
+
+def test_zero_splits_is_config_error(capsys):
+    args = ["approx", "piecewise", "--fn", "linear_1d", "--p", "1", "--grid", "8"]
+    assert "--splits" in _config_error(capsys, args + ["--splits", "0"])
+    assert "--splits" in _config_error(capsys, args + ["--splits", "3"])
+
+
+def test_underdetermined_grid_is_config_error(capsys):
+    err = _config_error(
+        capsys, ["approx", "best", "--fn", "exp_sum_2d", "--r", "2,2", "--grid", "3", "--p", "1"]
+    )
+    assert "underdetermined" in err
+
+
+def test_verify_rejects_a_function_no_suite_covers(capsys):
+    assert "dimension 3" in _config_error(capsys, ["verify", "--suite", "all", "--fn", "exp_sum_3d"])
+    assert "dimension 1" in _config_error(
+        capsys, ["verify", "--suite", "constant-lemma", "--fn", "exp_sum_1d"]
+    )
+    # no derivative data, so the Taylor suite has nothing to check
+    assert "no checks" in _config_error(capsys, ["verify", "--suite", "taylor", "--fn", "holder_half_2d"])
+
+
+def test_verify_whitney_on_a_1d_function_derives_orders(tmp_path):
+    code, doc = run_json(
+        tmp_path,
+        ["verify", "--suite", "whitney", "--fn", "exp_sum_1d", "--grid", "16", "--hsamples", "7"],
+    )
+    assert code == 0
+    assert {tuple(r["params"]["r"]) for r in doc["records"]} == {(1,), (2,)}
+    assert doc["summary"]["hard_checks"] == 8 and doc["summary"]["failed"] == 0
+
+
+def test_config_roundtrip_keeps_every_digit_of_p():
+    for p in (0.123456789, 1.0 / 3.0, 0.5, 1.0, 2.0, 1e-7, math.inf):
+        cfg = RunConfig(command="approx", op="constant", fn="linear_1d", p=p)
+        assert RunConfig.from_ini(cfg.to_ini()) == cfg
+    # short forms are unchanged
+    assert [RunConfig(p=p).to_strings()["p"] for p in (0.5, 1.0, math.inf)] == ["0.5", "1", "inf"]
+    assert RunConfig(p=0.123456789).to_strings()["p"] == "0.123456789"

@@ -1,21 +1,33 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from mixsmooth.corpus import corpus_entries
+from mixsmooth import differences
+from mixsmooth.corpus import corpus_entries, get_function
 from mixsmooth.differences import (
     ModulusRequest,
     difference_field,
     lower_whitney_constant,
+    mean_modulus_sweep,
     mixed_difference,
     modulus_mean,
     modulus_sup,
+    sup_modulus_sweep,
     total_modulus_mean,
     total_modulus_sup,
     total_sup_terms,
 )
-from mixsmooth.domain import Box, lp_quasinorm, sample_on_grid
+from mixsmooth.domain import (
+    Box,
+    GridFunction,
+    grid_points,
+    lp_quasinorm,
+    normalize_grid,
+    sample_on_grid,
+    shrink_domain,
+)
 from mixsmooth.polyapprox import TensorPolynomial
 
 
@@ -265,3 +277,163 @@ def test_total_mean_d1_reduces_to_single_mean_term():
         ModulusRequest(r=(2,), t=(0.3,), p=1.0, box=box, h_samples=8, density=32), f
     )
     assert total == pytest.approx(single, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# The batched step-sweep engine against the per-step loop it replaced
+
+
+def _loop_field(f, r, h, box, density):
+    """One difference field, one step at a time (the per-step definition)."""
+    hv = np.asarray(h, float)
+    density = normalize_grid(density, box.dim)
+    sub = shrink_domain(box, np.asarray(r) * hv)
+    if sub is None:
+        return None
+    ratio = sub.size / box.size
+    shape = tuple(
+        max(1, int(math.ceil(density[i] * ratio[i] - 1e-9))) for i in range(box.dim)
+    )
+    pts = grid_points(sub, shape)
+    vals = np.zeros(shape)
+    for combo in itertools.product(*(range(ri + 1) for ri in r)):
+        w = 1.0
+        for ri, j in zip(r, combo):
+            w *= ((-1.0) ** (ri - j)) * math.comb(ri, j)
+        vals = vals + w * np.asarray(f(pts + np.asarray(combo) * hv), float)
+    return GridFunction(sub, vals)
+
+
+def _loop_sup(f, r, t, box, density, m, ps):
+    out = {p: 0.0 for p in ps}
+    axes = []
+    for ri, ti in zip(r, t):
+        nodes = np.linspace(-ti, ti, m) if ri else np.zeros(1)
+        axes.append(nodes[nodes != 0.0] if ri else nodes)
+    for combo in itertools.product(*axes):
+        field = _loop_field(f, r, combo, box, density)
+        if field is not None:
+            for p in ps:
+                out[p] = max(out[p], lp_quasinorm(field, p))
+    return out
+
+
+def _loop_mean(f, r, t, box, density, m, ps):
+    active = [i for i, ri in enumerate(r) if ri > 0]
+    nodes = [-t[i] + (np.arange(m) + 0.5) * (2.0 * t[i] / m) for i in active]
+    h_weight = float(np.prod([2.0 * t[i] / m for i in active]))
+    volume = float(np.prod([2.0 * t[i] for i in active]))
+    acc = {p: 0.0 for p in ps}
+    for combo in itertools.product(*nodes):
+        h = np.zeros(len(r))
+        h[active] = combo
+        field = _loop_field(f, r, h, box, density)
+        if field is not None:
+            for p in ps:
+                acc[p] += lp_quasinorm(field, p) ** p * h_weight
+    return {p: (acc[p] / volume) ** (1.0 / p) for p in ps}
+
+
+ENGINE_CASES = [
+    # (corpus name, order with a zero on some axis or not, box, step bounds)
+    ("sin_prod_1d", (2,), Box((0.2,), (1.7,)), (0.9,)),
+    ("holder_half_1d", (1,), Box.unit(1), (1.0,)),  # steps up to the side
+    ("trig_rand_2d_a", (1, 1), Box((0.0, 0.0), (1.0, 0.5)), (0.5, 0.25)),
+    ("holder_half_2d", (2, 0), Box((0.0, 0.0), (1.0, 0.5)), (0.6, 0.3)),
+    ("spline_prod_2d", (0, 3), Box.unit(2), (0.2, 0.4)),  # 3 * 0.4 > 1
+    ("exp_sum_3d", (1, 0, 2), Box((0.0, -0.5, 0.0), (1.0, 0.0, 0.8)), (0.3, 0.2, 0.5)),
+]
+
+
+@pytest.mark.parametrize("name, r, box, t", ENGINE_CASES)
+def test_engine_matches_per_step_loop(name, r, box, t):
+    f = get_function(name)
+    ps = [0.5, 1.0, 2.0, math.inf]
+    for m, density in ((5, 7), (4, (9, 6, 5)[: box.dim])):
+        sup = sup_modulus_sweep(f, r, t, box, density=density, h_samples=m, p_values=ps)
+        want = _loop_sup(f, r, t, box, density, m, ps)
+        mean = mean_modulus_sweep(f, r, t, box, density=density, h_samples=m, p_values=ps[:3])
+        want_mean = _loop_mean(f, r, t, box, density, m, ps[:3])
+        for p in ps:
+            assert want[p] > 0.0
+            assert sup[p] == pytest.approx(want[p], rel=1e-12, abs=0.0)
+        for p in ps[:3]:
+            assert mean[p] == pytest.approx(want_mean[p], rel=1e-12, abs=0.0)
+
+
+def test_engine_field_matches_per_step_loop_including_empty():
+    f = get_function("exp_sum_2d")
+    box = Box((0.0, 0.0), (1.0, 0.5))
+    for h in ((0.3, -0.1), (-0.45, 0.2), (0.0, 0.26), (1.2, 0.1)):
+        got = difference_field(f, (1, 2), h, box, (11, 7))
+        want = _loop_field(f, (1, 2), h, box, (11, 7))
+        if want is None:
+            assert got is None
+            continue
+        assert got.box == want.box
+        np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=0.0)
+
+
+def test_sweep_of_only_empty_steps_is_zero():
+    f = get_function("exp_sum_1d")
+    out = sup_modulus_sweep(
+        f, (2,), (0.9,), Box.unit(1), density=8, h_samples=2, p_values=[1.0, math.inf]
+    )
+    assert out == {1.0: 0.0, math.inf: 0.0}
+
+
+def test_linspace_nesting_premise():
+    # the coarse sup is read off the refined sweep on this identity
+    for m in range(2, 41):
+        for t in (1.0, 0.5, 0.3, 0.125, 1.0 / 3.0):
+            assert np.array_equal(np.linspace(-t, t, m), np.linspace(-t, t, 2 * m - 1)[::2])
+
+
+def test_nested_coarse_sup_equals_a_separate_coarse_sweep():
+    ps = [0.5, 1.0, 2.0, math.inf]
+    box = Box((0.0, 0.0), (1.0, 0.5))
+    for name, r in (("trig_rand_2d_b", (1, 1)), ("holder_half_2d", (2, 0)), ("cubic_2d", (1, 2))):
+        f = get_function(name)
+        for m in (2, 4, 5, 9):
+            fine, coarse = sup_modulus_sweep(
+                f, r, (0.5, 0.25), box, density=9, h_samples=2 * m - 1, p_values=ps, nested=True
+            )
+            assert fine == sup_modulus_sweep(
+                f, r, (0.5, 0.25), box, density=9, h_samples=2 * m - 1, p_values=ps
+            )
+            assert coarse == sup_modulus_sweep(
+                f, r, (0.5, 0.25), box, density=9, h_samples=m, p_values=ps
+            )
+    fine, coarse = total_sup_terms(
+        f, (1, 1), (0.5, 0.25), box, density=9, h_samples=9, p_values=ps, nested=True
+    )
+    assert coarse == total_sup_terms(f, (1, 1), (0.5, 0.25), box, density=9, h_samples=5, p_values=ps)
+    with pytest.raises(ValueError):
+        sup_modulus_sweep(f, (1, 1), (0.5, 0.25), box, density=9, h_samples=4, p_values=ps, nested=True)
+
+
+def test_f_calls_per_sweep_at_most_the_chunks():
+    entry = get_function("exp_sum_2d")
+    sizes = []
+
+    def counted(X):
+        sizes.append(X.size // X.shape[-1])
+        return entry(X)
+
+    box = Box.unit(2)
+    cap = differences._CHUNK_POINTS
+    for r, density, m in (((1, 1), 16, 17), ((2, 0), 16, 9), ((2, 2), 64, 17)):
+        stencil = (r[0] + 1) * (r[1] + 1)
+        n_steps = (m - 1) ** sum(1 for v in r if v)  # odd m: the zero step is dropped
+        for sweep in (sup_modulus_sweep, mean_modulus_sweep):
+            sizes.clear()
+            sweep(counted, r, (0.5, 0.5), box, density=density, h_samples=m, p_values=[1.0])
+            # no call exceeds the cap, except one holding a single larger field
+            assert max(sizes) <= max(cap, density**2)
+            if stencil * density**2 <= cap:
+                # every step fits a chunk; greedy packing puts more than the
+                # cap into any two neighbouring chunks
+                assert len(sizes) <= 2 * math.ceil(sum(sizes) / cap) + 1
+                assert len(sizes) < n_steps / 4
+            else:
+                assert len(sizes) < n_steps * stencil / 2
