@@ -37,6 +37,8 @@ print("E(x^2) by affine, p = 1:", res.error, " (closed form 1/16 = 0.0625)")
 g_lin = sample_on_grid(lambda X: X[..., 0], box1, 256)
 res = best_approx(g_lin, (1,), math.inf)
 print("E(x) by constants, p = inf:", res.error, " constant:", res.polynomial.coeffs[0])
+print("  exchange steps:", res.diagnostics["iterations"],
+      " certified lower bound:", res.diagnostics["lower_bound"])
 
 # Below p = 1 the objective is nonconvex; the solver runs a seeded
 # multi-start descent on a smoothed objective and reports the spread of

@@ -11,9 +11,11 @@ matched to the convexity of each exponent regime:
                 equations);
 * 1 <= p < inf  iteratively reweighted least squares started from the
                 p = 2 solution;
-* p = inf       Lawson's algorithm, a sequence of weighted least-squares
-                problems driving the maximum residual down, with the
-                weighted error as an optimality certificate;
+* p = inf       Stiefel's exchange method, the simplex method on the dual
+                of the discrete minimax linear program: references of
+                prod(r) + 1 nodes are exchanged until the maximum
+                residual meets the reference's levelled error, which is
+                a lower bound on the optimum and certifies it;
 * 0 < p < 1     multi-start majorize-minimize descent on the smoothed
                 objective sum (res^2 + eps^2)^(p/2) with a decreasing
                 eps schedule; the returned value is an upper bound on
@@ -299,12 +301,17 @@ def best_approx(
     c_flat = c2.reshape(-1)
 
     if p == math.inf:
-        c, err, iters, conv = _lawson(design, target, c_flat, max_iter)
+        c, err, lower, iters, conv = _exchange(design, target, c_flat, max_iter)
         return finish(
             c.reshape(c2.shape),
             err,
             conv,
-            {"method": "lawson", "iterations": iters},
+            {
+                "method": "exchange",
+                "iterations": iters,
+                "lower_bound": lower,
+                "gap": (err - lower) / err if err > 0 else 0.0,
+            },
         )
 
     if p >= 1.0:
@@ -389,32 +396,100 @@ def _irls(design, target, c0, p, cv, eps, max_iter):
     return c, obj, it, converged
 
 
-def _lawson(design, target, c0, max_iter):
-    """Lawson iteration for discrete minimax; weighted error certifies optimality."""
-    n = target.size
-    w = np.full(n, 1.0 / n)
-    best_c = c0.copy()
-    best_max = float(np.abs(target - design @ best_c).max())
+def _start_reference(design, res):
+    """Deterministic starting reference for the exchange method.
+
+    Takes k = prod(r) nodes greedily by p = 2 residual size times the
+    part of their design row not yet spanned (so the rows are
+    independent), then the largest remaining residual.  The k + 1 rows
+    have a one-dimensional left null space; its signs make the
+    reference's weights nonnegative, i.e. a feasible dual basis.
+    """
+    k = design.shape[1]
+    size = np.abs(res)
+    top = float(size.max(initial=0.0))
+    weight = size + (1e-3 * top if top > 0 else 1.0)
+    rows = design.copy()
+    ref = []
+    for _ in range(k):
+        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+        i = int(np.argmax(weight * norms))
+        q = rows[i] / norms[i]
+        rows -= np.outer(rows @ q, q)
+        ref.append(i)
+    size[ref] = -1.0
+    ref.append(int(np.argmax(size)))
+    ref = np.array(ref)
+    null = np.linalg.svd(design[ref])[0][:, -1]
+    return ref, np.where(null < 0, -1.0, 1.0)
+
+
+# Relative size of the right-hand-side perturbation that breaks the
+# degenerate (zero-weight) references tensor grids produce in bulk.
+_PERTURB = 1e-9
+
+
+def _exchange(design, target, c0, max_iter):
+    """Stiefel's exchange method for min_c max_i |t_i - (D c)_i|.
+
+    This is the simplex method on the dual linear program
+
+        max sum_i lam_i s_i t_i  s.t.  sum_i lam_i s_i D_i = 0,
+                                       sum_i lam_i = 1,  lam >= 0,
+
+    whose bases are references: k + 1 nodes R with signs s.  The
+    levelled system ``s_i (t_i - D_i c) = z`` on R gives the primal
+    coefficients c and the level z; with nonnegative weights lam, z is a
+    lower bound on the optimum, so ``max |t - Dc| <= z`` certifies c.
+    Otherwise the node of largest residual enters and the ratio test
+    picks the node that leaves.  The ratio test runs on weights for a
+    slightly perturbed right-hand side, so every exchange raises the
+    perturbed objective and degenerate references cannot cycle; the
+    certificate is checked on the unperturbed weights.  Returns
+    ``(c, max residual, lower bound, exchanges, converged)`` with the
+    best iterate seen.
+    """
+    k = design.shape[1]
+    m = k + 1
+    floor = 64.0 * np.finfo(float).eps * float(np.abs(target).max(initial=0.0))
+    res = target - design @ c0
+    best_c, best_max = c0, float(np.abs(res).max())
+    ref, sig = _start_reference(design, res)
+    basis = np.ones((m, m))
+    basis[:k] = (design[ref] * sig[:, None]).T
+    unit = np.zeros(m)
+    unit[k] = 1.0
+    # distinct, irregular weights (golden-ratio fractions), so perturbed
+    # ratios do not tie where the grid's symmetry makes the true ones tie
+    spread = 0.5 + (np.arange(1, m + 1) * 0.6180339887498949) % 1.0
+    # columns: perturbed weights, entering column
+    rhs = np.zeros((m, 2))
+    rhs[:, 0] = unit + _PERTURB * (basis @ spread)
+    z = 0.0
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        c = _weighted_lstsq(design, target, w)
+        basis[:k] = (design[ref] * sig[:, None]).T
+        y = np.linalg.solve(basis.T, sig * target[ref])
+        c, z = y[:k], float(y[k])
         res = target - design @ c
-        max_res = float(np.abs(res).max())
-        if max_res < best_max:
-            best_max = max_res
-            best_c = c
-        weighted_err = math.sqrt(float((w * res**2).sum()))
-        # weighted RMS error lower-bounds the minimax value
-        if best_max <= weighted_err * (1.0 + 1e-9) + 1e-300:
-            converged = True
+        j = int(np.argmax(np.abs(res)))
+        if abs(res[j]) < best_max:
+            best_c, best_max = c, float(abs(res[j]))
+        if best_max <= z * (1.0 + 1e-12) + floor:
+            converged = bool(np.linalg.solve(basis, unit).min() >= -1e-12)
             break
-        w = w * np.maximum(np.abs(res), 1e-300)
-        total = w.sum()
-        if not np.isfinite(total) or total <= 0:
-            break
-        w = w / total
-    return best_c, best_max, it, converged
+        s = 1.0 if res[j] > 0 else -1.0
+        rhs[:k, 1] = s * design[j]
+        rhs[k, 1] = 1.0
+        sol = np.linalg.solve(basis, rhs)
+        mu = sol[:, 1]
+        ok = np.flatnonzero(mu > 1e-9 * np.abs(mu).max())
+        ratios = np.maximum(sol[ok, 0], 0.0) / mu[ok]
+        ties = ok[ratios <= ratios.min() * (1.0 + 1e-12)]
+        leave = ties[np.argmin(ref[ties])]  # Bland: smallest node index
+        ref[leave], sig[leave] = j, s
+    return best_c, best_max, min(max(z, 0.0), best_max), it, converged
 
 
 def _smoothed_descent(design, target, c0, p, eps, cv, max_stage_iter):
@@ -547,30 +622,54 @@ def taylor_remainder_bound(
 
 
 def best_constant(g: GridFunction, p: float) -> tuple[float, float]:
-    """Best constant in the L_p sense by scanning the sample values.
+    """Best constant in the discrete L_p sense and its quasi-norm error.
 
-    Scans grid points y, computes ``integral of |f - f(y)|^p`` by
-    quadrature, and returns the value at the minimizing point together
-    with the achieved quasi-norm error.  For ties the first minimizer
-    in row-major order wins, so results are reproducible.
+    * p = 2: the mean;  p = inf: the midrange;
+    * other p > 1: the root of the derivative of the convex objective
+      ``sum |f - beta|^p``, by bisection between the extreme values;
+    * p <= 1: the objective is concave between consecutive sample
+      values, so a minimizer is a sample value; all of them are scanned
+      and for ties the first in row-major order wins.
     """
     if not p > 0:
         raise ValueError("exponent p must be positive")
     v = g.values.reshape(-1)
-    cv = g.cell_volume
-    n = v.size
-    scores = np.empty(n)
-    chunk = max(1, int(2**22 // max(n, 1)))
-    for start in range(0, n, chunk):
-        block = v[start : start + chunk]
-        diffs = np.abs(v[None, :] - block[:, None])
-        if p == math.inf:
-            scores[start : start + chunk] = diffs.max(axis=1)
-        else:
-            scores[start : start + chunk] = (diffs**p).sum(axis=1) * cv
-    beta = float(v[int(np.argmin(scores))])
+    if p == 2.0:
+        beta = float(v.mean())
+    elif p == math.inf:
+        beta = 0.5 * (float(v.max()) + float(v.min()))
+    elif p > 1.0:
+        beta = _convex_constant(v, p)
+    else:
+        n = v.size
+        scores = np.empty(n)
+        chunk = max(1, int(2**22 // max(n, 1)))
+        for start in range(0, n, chunk):
+            diffs = np.abs(v[None, :] - v[start : start + chunk, None])
+            scores[start : start + chunk] = (diffs**p).sum(axis=1) * g.cell_volume
+        beta = float(v[int(np.argmin(scores))])
     residual = GridFunction(g.box, g.values - beta)
     return beta, lp_quasinorm(residual, p)
+
+
+def _convex_constant(v: np.ndarray, p: float) -> float:
+    """Minimizer of ``sum |v - beta|^p`` for 1 < p < inf.
+
+    The derivative ``-p sum sign(v - beta) |v - beta|^(p-1)`` increases
+    in beta and changes sign in [min v, max v]; bisection stops at a
+    bracket of a few ulps of the data scale, where the flat minimum no
+    longer moves the objective.
+    """
+    lo, hi = float(v.min()), float(v.max())
+    tol = 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        d = v - mid
+        if float((np.sign(d) * np.abs(d) ** (p - 1.0)).sum()) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)

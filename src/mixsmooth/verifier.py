@@ -114,6 +114,11 @@ class VerifierSettings:
     refine_h: bool = True
     policy: TolerancePolicy = field(default_factory=TolerancePolicy)
 
+    def __post_init__(self):
+        # a single step node (-t) samples no modulus worth reporting
+        if self.h_samples < 2:
+            raise ValueError("h_samples must be at least 2")
+
     def grid_for(self, box: Box) -> tuple[int, ...]:
         return normalize_grid(self.grid, box.dim)
 
@@ -282,6 +287,8 @@ def whitney_report(
             "h_gap": _rel_gap(core["omega"], core["omega_fine"], floor),
             "solver": core["diagnostics"].get("method"),
             "solver_converged": core["converged"],
+            "solver_lower_bound": core["diagnostics"].get("lower_bound"),
+            "solver_gap": core["diagnostics"].get("gap"),
         },
     )
     ratio = None

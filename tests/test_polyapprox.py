@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre as npleg
 
 from mixsmooth.corpus import corpus_entries, get_function
 from mixsmooth.domain import Box, GridFunction, lp_quasinorm, sample_on_grid
@@ -76,10 +77,104 @@ def test_best_approx_matches_dense_lstsq_oracle():
 
 
 def test_best_approx_minimax_constant_is_midrange():
+    # samples (i + 1/2)/128: midrange exactly 1/2, error (127/128)/2
     g = sample_on_grid(lambda X: X[..., 0], Box.unit(1), 128)
     res = best_approx(g, (1,), math.inf)
-    assert res.polynomial.coeffs[0] == pytest.approx(0.5, abs=1.0 / 128)
-    assert res.error == pytest.approx(0.5, abs=1.0 / 128)
+    assert res.converged
+    assert res.polynomial.coeffs[0] == pytest.approx(0.5, abs=1e-15)
+    assert res.error == pytest.approx(127.0 / 256.0, rel=1e-15)
+
+
+# Discrete minimax problems for the exchange solver: d = 1 up to r = 6,
+# symmetric 2-D functions at r = (4, 4) (degenerate references in bulk),
+# exact fits (const_*, bilinear_2d, low-degree 1-D members) and d = 3.
+MINIMAX_CASES = (
+    [(e.name, 64, (r,)) for e in corpus_entries(dim=1) for r in range(1, 7)]
+    + [
+        (name, 32, (4, 4))
+        for name in ("holder_half_2d", "holder_one_2d", "holder_threehalf_2d", "spline_taper_2d")
+    ]
+    + [("spline_taper_2d", 64, (4, 4))]
+    + [
+        (name, 24, r)
+        for name in ("exp_sum_2d", "trig_rand_2d_a", "bilinear_2d", "const_2d")
+        for r in ((1, 1), (2, 2), (2, 3))
+    ]
+    + [("exp_sum_3d", 8, (2, 2, 2))]
+)
+
+
+def _minimax(case):
+    name, grid, r = case
+    g = sample_on_grid(get_function(name), Box.unit(len(r)), grid)
+    res = best_approx(g, r, math.inf)
+    floor = 1e-13 * max(1.0, float(np.abs(g.values).max()))
+    return g, res, floor
+
+
+def _case_id(case):
+    name, grid, r = case
+    return f"{name}-{grid}-r{''.join(map(str, r))}"
+
+
+@pytest.mark.parametrize("case", MINIMAX_CASES, ids=_case_id)
+def test_exchange_certificate_brackets_the_error(case):
+    g, res, floor = _minimax(case)
+    diag = res.diagnostics
+    assert res.converged and diag["method"] == "exchange"
+    lower = diag["lower_bound"]
+    assert 0.0 <= lower <= res.error <= lower * (1.0 + 1e-12) + floor
+    # the reported error is the polynomial's own maximum residual
+    resid = np.abs(g.values - res.polynomial(g.midpoints())).max()
+    assert res.error == pytest.approx(resid, rel=1e-9, abs=floor)
+
+
+def _legendre_design(g, r):
+    """Tensor Legendre design on the grid midpoints, rows in C order."""
+    design = np.ones((1, 1))
+    for i, ri in enumerate(r):
+        lo, hi = g.box.lower[i], g.box.upper[i]
+        x = lo + (np.arange(g.spec[i]) + 0.5) * (hi - lo) / g.spec[i]
+        V = npleg.legvander((2.0 * x - lo - hi) / (hi - lo), ri - 1)
+        design = np.einsum("ia,jb->ijab", design, V).reshape(
+            design.shape[0] * V.shape[0], -1
+        )
+    return design
+
+
+@pytest.mark.parametrize("case", MINIMAX_CASES, ids=_case_id)
+def test_exchange_matches_linear_programming_oracle(case):
+    optimize = pytest.importorskip("scipy.optimize")
+    g, res, floor = _minimax(case)
+    D = _legendre_design(g, case[2])
+    t = g.values.reshape(-1)
+    n, k = D.shape
+    # min z  subject to  -z <= t - D c <= z
+    ones = np.ones((n, 1))
+    lp = optimize.linprog(
+        np.r_[np.zeros(k), 1.0],
+        A_ub=np.block([[-D, -ones], [D, -ones]]),
+        b_ub=np.r_[-t, t],
+        bounds=[(None, None)] * (k + 1),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert lp.status == 0
+    oracle = float(np.abs(t - D @ lp.x[:k]).max())
+    # the oracle's residual is achieved, so the certified lower bound
+    # lies below it and the exchange solver does no worse
+    assert res.diagnostics["lower_bound"] <= oracle * (1.0 + 1e-12) + floor
+    assert res.error <= oracle * (1.0 + 1e-12) + floor
+    assert oracle <= res.error * (1.0 + 1e-6) + floor
+
+
+def test_exchange_cap_returns_best_iterate_unconverged():
+    g = sample_on_grid(get_function("spline_taper_2d"), Box.unit(2), 32)
+    capped = best_approx(g, (4, 4), math.inf, max_iter=2)
+    assert not capped.converged and capped.diagnostics["iterations"] == 2
+    proj = best_approx(g, (4, 4), 2.0).polynomial
+    start = np.abs(g.values - proj(g.midpoints())).max()
+    assert capped.diagnostics["lower_bound"] <= capped.error <= start + 1e-12
 
 
 def test_best_approx_l1_constant_is_median_like():
@@ -188,6 +283,29 @@ def test_best_constant_examples():
     beta, err = best_constant(g, 1.0)
     assert beta == pytest.approx(0.5, abs=1e-3)
     assert err == pytest.approx(0.25, abs=1e-3)
+
+
+def test_best_constant_exact_for_p_above_one():
+    g = GridFunction(Box.unit(1), np.array([0.0, 0.0, 1.0]))
+    beta, err = best_constant(g, 2.0)
+    assert beta == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert err == pytest.approx(math.sqrt(2.0 / 9.0), rel=1e-14)
+    beta, err = best_constant(g, math.inf)
+    assert (beta, err) == (0.5, 0.5)
+    # p = 3: 2 b^3 + (1 - b)^3 is least at b = 1 / (1 + sqrt 2)
+    beta, _ = best_constant(g, 3.0)
+    assert beta == pytest.approx(1.0 / (1.0 + math.sqrt(2.0)), rel=1e-12)
+
+
+def test_best_constant_p3_matches_dense_search():
+    g = sample_on_grid(get_function("exp_sum_2d"), Box.unit(2), 16)
+    beta, err = best_constant(g, 3.0)
+    v = g.values.reshape(-1)
+    grid = np.linspace(v.min(), v.max(), 20001)
+    objective = (np.abs(v[None, :] - grid[:, None]) ** 3).sum(axis=1) * g.cell_volume
+    i = int(np.argmin(objective))
+    assert err <= objective[i] ** (1.0 / 3.0) * (1.0 + 1e-12)
+    assert beta == pytest.approx(grid[i], abs=2.0 * (grid[1] - grid[0]))
 
 
 def test_best_constant_brute_force_value_scan():

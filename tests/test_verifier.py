@@ -45,6 +45,19 @@ def test_whitney_hard_check_holds_across_p():
     for p in (0.5, 1.0, 2.0, math.inf):
         rep_a, _ = whitney_report(fn, (1, 1), p, Box.unit(2), SMALL)
         assert rep_a.passed, (p, rep_a.left, rep_a.right)
+        lower, gap = rep_a.details["solver_lower_bound"], rep_a.details["solver_gap"]
+        if p == math.inf:
+            # the exchange solver's certificate brackets the reported error
+            assert lower <= rep_a.right <= lower * (1.0 + 1e-12) + 1e-13
+            assert 0.0 <= gap <= 1e-12
+        else:
+            assert lower is None and gap is None
+
+
+def test_settings_reject_fewer_than_two_step_samples():
+    with pytest.raises(ValueError, match="h_samples"):
+        VerifierSettings(h_samples=1)
+    assert VerifierSettings(h_samples=2).h_samples == 2
 
 
 def test_whitney_ratio_stable_under_refinement():
