@@ -19,7 +19,6 @@ The package computes, on axis-aligned boxes and for any exponent
 from .domain import (
     Box,
     GridFunction,
-    box_size,
     grid_axes,
     grid_points,
     lp_quasinorm,
@@ -57,7 +56,6 @@ from .polyapprox import (
     TensorPolynomial,
     best_approx,
     best_constant,
-    eval_poly,
     piecewise_constant_approx,
     taylor_polynomial,
     taylor_remainder_bound,

@@ -40,7 +40,7 @@ from .polyapprox import (
     taylor_polynomial,
 )
 from .verifier import (
-    SUITE_DIMS,
+    _SUITES,
     SUITE_NAMES,
     VerifierSettings,
     _jsonable,
@@ -95,7 +95,6 @@ class RunConfig:
     hsamples: int = 9
     splits: int = 2
     seed: int = 0
-    jobs: int = 1
     out: str = ""
     format: str = "json"
 
@@ -114,7 +113,6 @@ class RunConfig:
             "hsamples": str(self.hsamples),
             "splits": str(self.splits),
             "seed": str(self.seed),
-            "jobs": str(self.jobs),
             "out": self.out,
             "format": self.format,
         }
@@ -136,7 +134,7 @@ class RunConfig:
                 kw[key] = _floats(raw)
             elif key == "p":
                 kw[key] = _p_parse(raw)
-            elif key in ("hsamples", "splits", "seed", "jobs"):
+            elif key in ("hsamples", "splits", "seed"):
                 kw[key] = int(raw)
         try:
             return cls(**kw)
@@ -196,7 +194,7 @@ def _merge_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
         updates["box"] = _floats(args.box)
     if args.grid is not None:
         updates["grid"] = _ints(args.grid)
-    for key in ("hsamples", "splits", "seed", "jobs"):
+    for key in ("hsamples", "splits", "seed"):
         value = getattr(args, key)
         if value is not None:
             updates[key] = value
@@ -496,14 +494,15 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.suite not in SUITE_NAMES:
         raise ConfigError(f"--suite must be one of {SUITE_NAMES}")
     settings = _settings(cfg)
-    kwargs: dict = {"jobs": cfg.jobs}
+    kwargs: dict = {}
     dim = 2
     if cfg.fn:
         fn = _require_fn(cfg)
         dim = fn.dim
-        members = [s for s in SUITE_DIMS if cfg.suite in (s, "all")]
-        if members and not any(dim in SUITE_DIMS[s] for s in members):
-            covered = sorted({d for s in members for d in SUITE_DIMS[s]})
+        covered = sorted(
+            {d for s, row in _SUITES.items() if cfg.suite in (s, "all") for d in row.dims}
+        )
+        if covered and dim not in covered:
             raise ConfigError(
                 f"suite {cfg.suite!r} has no checks for {fn.name}, a function of "
                 f"dimension {dim}; it covers dimensions {covered}"
@@ -590,7 +589,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="report file path (default stdout)")
         sp.add_argument("--format", default=None, choices=["json", "csv"])
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--jobs", type=int, default=None)
         sp.add_argument("--grid", default=None, help="grid points per axis, N or N,N,...")
         sp.add_argument("--hsamples", type=int, default=None, help="step samples per axis")
         sp.add_argument("--splits", type=int, default=None, help="per-axis subdivision count")

@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "Box",
     "GridFunction",
-    "box_size",
     "shrink_domain",
     "sample_on_grid",
     "lp_quasinorm",
@@ -85,11 +84,6 @@ class Box:
         lo = np.asarray(self.lower) - slack
         hi = np.asarray(self.upper) + slack
         return np.all((pts >= lo) & (pts <= hi), axis=-1)
-
-
-def box_size(box: Box) -> np.ndarray:
-    """Size vector of a box (per-axis side lengths)."""
-    return box.size
 
 
 def shrink_domain(box: Box, shift: Sequence[float]) -> Box | None:

@@ -53,7 +53,6 @@ __all__ = [
     "DerivativeBundle",
     "PiecewiseConstant",
     "BestApproxResult",
-    "eval_poly",
     "best_approx",
     "taylor_polynomial",
     "taylor_remainder_bound",
@@ -138,11 +137,6 @@ class TensorPolynomial:
     def random(cls, degrees: Sequence[int], rng: np.random.Generator, scale: float = 1.0):
         shape = tuple(int(d) for d in degrees)
         return cls(rng.standard_normal(shape) * scale)
-
-
-def eval_poly(phi: TensorPolynomial, x) -> np.ndarray:
-    """Evaluate a tensor polynomial at one point or a batch of points."""
-    return phi(x)
 
 
 # ---------------------------------------------------------------------------

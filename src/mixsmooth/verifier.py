@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,15 +68,8 @@ __all__ = [
     "constant_bound_report",
     "estimate_constants",
     "suite_identities",
-    "suite_whitney",
-    "suite_equivalence",
-    "suite_superadditivity",
-    "suite_taylor",
-    "suite_marchaud",
-    "suite_constant_lemma",
     "run_suite",
     "SUITE_NAMES",
-    "SUITE_DIMS",
 ]
 
 
@@ -250,6 +242,83 @@ def _whitney_core(fn, r, p_values, box, settings):
     return out
 
 
+def _coarse_grid_empty(r, t, box: Box, h_samples: int) -> bool:
+    """True when no step of the coarse grid leaves a nonempty shrunken domain.
+
+    On axis i every sweep samples the nonzero nodes of
+    ``linspace(-t_i, t_i, h_samples)``, and a node empties the domain
+    when the shift ``r_i h_i`` leaves no room on that axis (the sides
+    move as the step engine moves them).  Every axis subset then samples
+    nothing exactly when no node on any axis leaves room.
+    """
+    for ri, ti, lo, hi in zip(r, t, box.lower, box.upper):
+        nodes = np.linspace(-ti, ti, h_samples)
+        shift = ri * nodes[nodes != 0.0]
+        if np.any(hi - np.maximum(0.0, shift) > lo + np.maximum(0.0, -shift)):
+            return False
+    return True
+
+
+def _whitney_pairs(
+    fn, r, p_values, box, settings
+) -> list[tuple[InequalityReport, InequalityReport]]:
+    """The two Whitney reports for each p, from one sweep and one sample."""
+    name = getattr(fn, "name", getattr(fn, "__name__", "f"))
+    ps = [float(p) for p in p_values]
+    cores = _whitney_core(fn, tuple(int(v) for v in r), ps, box, settings)
+    # with no coarse step sampled the coarse modulus is 0 by construction
+    unsampled = _coarse_grid_empty(r, box.size, box, settings.h_samples)
+    policy = settings.policy
+    pairs = []
+    for p in ps:
+        core = cores[p]
+        floor = _floor(policy, core["norm"])
+        const = lower_whitney_constant(r, p, box.dim)
+        left = core["omega_fine"]
+        right = core["error"]
+        vac = left <= floor and right <= floor
+        rep_a = InequalityReport(
+            check="whitney-lower",
+            function=name,
+            params=_base_params(box, settings, r=list(r), p=_p_str(p)),
+            left=left,
+            right=right,
+            explicit_constant=const,
+            vacuous=vac,
+            passed=True if vac else left <= const * right * (1.0 + policy.hard_rel) + floor,
+            details={
+                "h_gap": _rel_gap(core["omega"], core["omega_fine"], floor),
+                "solver": core["diagnostics"].get("method"),
+                "solver_converged": core["converged"],
+                "solver_lower_bound": core["diagnostics"].get("lower_bound"),
+                "solver_gap": core["diagnostics"].get("gap"),
+            },
+        )
+        ratio = None
+        passed_b: bool | None = None
+        vac_b = core["omega"] <= floor and core["error"] <= floor
+        if core["omega"] > floor:
+            ratio = core["error"] / core["omega"]
+        elif core["error"] > floor and not unsampled:
+            passed_b = False  # modulus at noise level but the error is not
+        details_b = {"solver_converged": core["converged"]}
+        if unsampled:
+            details_b["coarse_grid_empty"] = True
+        rep_b = InequalityReport(
+            check="whitney-ratio",
+            function=name,
+            params=rep_a.params,
+            left=core["error"],
+            right=core["omega"],
+            empirical_constant=ratio,
+            vacuous=vac_b,
+            passed=passed_b,
+            details=details_b,
+        )
+        pairs.append((rep_a, rep_b))
+    return pairs
+
+
 def whitney_report(
     fn: CorpusFunction | Callable,
     r: Sequence[int],
@@ -262,54 +331,11 @@ def whitney_report(
     Report A (hard): the total modulus at the box size is at most the
     explicit stencil constant times the best-approximation error.
     Report B (empirical): the ratio error / total modulus, for which no
-    theoretical constant is available.
+    theoretical constant is available.  When no step of the coarse grid
+    leaves a nonempty domain, report B is unresolved (``passed`` and
+    the ratio are None, ``details["coarse_grid_empty"]`` is set).
     """
-    name = getattr(fn, "name", getattr(fn, "__name__", "f"))
-    core = _whitney_core(fn, tuple(int(v) for v in r), [float(p)], box, settings)[
-        float(p)
-    ]
-    policy = settings.policy
-    floor = _floor(policy, core["norm"])
-    const = lower_whitney_constant(r, p, box.dim)
-    left = core["omega_fine"]
-    right = core["error"]
-    vac = left <= floor and right <= floor
-    rep_a = InequalityReport(
-        check="whitney-lower",
-        function=name,
-        params=_base_params(box, settings, r=list(r), p=_p_str(p)),
-        left=left,
-        right=right,
-        explicit_constant=const,
-        vacuous=vac,
-        passed=True if vac else left <= const * right * (1.0 + policy.hard_rel) + floor,
-        details={
-            "h_gap": _rel_gap(core["omega"], core["omega_fine"], floor),
-            "solver": core["diagnostics"].get("method"),
-            "solver_converged": core["converged"],
-            "solver_lower_bound": core["diagnostics"].get("lower_bound"),
-            "solver_gap": core["diagnostics"].get("gap"),
-        },
-    )
-    ratio = None
-    passed_b: bool | None = None
-    vac_b = core["omega"] <= floor and core["error"] <= floor
-    if core["omega"] > floor:
-        ratio = core["error"] / core["omega"]
-    elif core["error"] > floor:
-        passed_b = False  # modulus at noise level but the error is not
-    rep_b = InequalityReport(
-        check="whitney-ratio",
-        function=name,
-        params=rep_a.params,
-        left=core["error"],
-        right=core["omega"],
-        empirical_constant=ratio,
-        vacuous=vac_b,
-        passed=passed_b,
-        details={"solver_converged": core["converged"]},
-    )
-    return rep_a, rep_b
+    return _whitney_pairs(fn, r, [p], box, settings)[0]
 
 
 def estimate_constants(
@@ -374,6 +400,7 @@ def estimate_constants(
 
 
 def _equivalence_core(fn, r, t, p_values, box, settings):
+    g = sample_on_grid(fn, box, settings.grid_for(box))
     sup_c, sup_f = _sup_terms_with_gap(fn, r, t, box, settings, p_values)
     mean_terms = total_mean_terms(
         fn,
@@ -391,8 +418,59 @@ def _equivalence_core(fn, r, t, p_values, box, settings):
             "W": sum(mean_terms[e][p] for e in mean_terms),
             "Omega": sum(sup_c[e][p] for e in sup_c),
             "Omega_fine": sum(sup_f[e][p] for e in sup_f),
+            "norm": lp_quasinorm(g, p),
         }
     return out
+
+
+def _equivalence_pairs(
+    fn, r, t, p_values, box, settings
+) -> list[tuple[InequalityReport, InequalityReport]]:
+    """The two mean-vs-sup reports for each p, from one set of sweeps."""
+    name = getattr(fn, "name", getattr(fn, "__name__", "f"))
+    ps = [float(p) for p in p_values]
+    cores = _equivalence_core(fn, tuple(r), tuple(t), ps, box, settings)
+    policy = settings.policy
+    pairs = []
+    for p in ps:
+        core = cores[p]
+        floor = _floor(policy, core["norm"])
+        gap = _rel_gap(core["Omega"], core["Omega_fine"], floor)
+        vac = core["W"] <= floor and core["Omega_fine"] <= floor
+        params = _base_params(box, settings, r=list(r), t=list(map(float, t)), p=_p_str(p))
+        rep_hard = InequalityReport(
+            check="equivalence-mean-le-sup",
+            function=name,
+            params=params,
+            left=core["W"],
+            right=core["Omega_fine"],
+            explicit_constant=1.0,
+            vacuous=vac,
+            passed=True
+            if vac
+            else core["W"]
+            <= core["Omega_fine"] * (1.0 + gap) * (1.0 + policy.mean_sup_rel) + floor,
+            details={"h_gap": gap, "omega_coarse": core["Omega"]},
+        )
+        ratio = None
+        passed_ratio: bool | None = None
+        if core["W"] > floor:
+            ratio = core["Omega"] / core["W"]
+        elif core["Omega"] > floor:
+            passed_ratio = False  # sup side above noise while the mean vanished
+        rep_ratio = InequalityReport(
+            check="equivalence-ratio",
+            function=name,
+            params=params,
+            left=core["Omega"],
+            right=core["W"],
+            empirical_constant=ratio,
+            vacuous=vac,
+            passed=passed_ratio,
+            details={},
+        )
+        pairs.append((rep_hard, rep_ratio))
+    return pairs
 
 
 def equivalence_report(
@@ -410,46 +488,7 @@ def equivalence_report(
     inflated by its step-grid refinement gap since it sits on the
     right.  Direction 2 records the empirical ratio sup/mean.
     """
-    name = getattr(fn, "name", getattr(fn, "__name__", "f"))
-    core = _equivalence_core(fn, tuple(r), tuple(t), [float(p)], box, settings)[float(p)]
-    policy = settings.policy
-    scale = lp_quasinorm(sample_on_grid(fn, box, settings.grid_for(box)), p)
-    floor = _floor(policy, scale)
-    gap = _rel_gap(core["Omega"], core["Omega_fine"], floor)
-    vac = core["W"] <= floor and core["Omega_fine"] <= floor
-    params = _base_params(box, settings, r=list(r), t=list(map(float, t)), p=_p_str(p))
-    rep_hard = InequalityReport(
-        check="equivalence-mean-le-sup",
-        function=name,
-        params=params,
-        left=core["W"],
-        right=core["Omega_fine"],
-        explicit_constant=1.0,
-        vacuous=vac,
-        passed=True
-        if vac
-        else core["W"]
-        <= core["Omega_fine"] * (1.0 + gap) * (1.0 + policy.mean_sup_rel) + floor,
-        details={"h_gap": gap, "omega_coarse": core["Omega"]},
-    )
-    ratio = None
-    passed_ratio: bool | None = None
-    if core["W"] > floor:
-        ratio = core["Omega"] / core["W"]
-    elif core["Omega"] > floor:
-        passed_ratio = False  # sup side above noise while the mean vanished
-    rep_ratio = InequalityReport(
-        check="equivalence-ratio",
-        function=name,
-        params=params,
-        left=core["Omega"],
-        right=core["W"],
-        empirical_constant=ratio,
-        vacuous=vac,
-        passed=passed_ratio,
-        details={},
-    )
-    return rep_hard, rep_ratio
+    return _equivalence_pairs(fn, r, t, [p], box, settings)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -969,41 +1008,6 @@ def suite_identities(
 # Suites over the corpus
 
 
-def _run_tasks(tasks, jobs: int):
-    """Run (key, thunk) pairs, serially or in a thread pool; sort by key."""
-    if jobs <= 1:
-        results = [(key, thunk()) for key, thunk in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [(key, pool.submit(thunk)) for key, thunk in tasks]
-            results = [(key, f.result()) for key, f in futures]
-    results.sort(key=lambda kv: kv[0])
-    out = []
-    for _, reports in results:
-        if isinstance(reports, InequalityReport):
-            out.append(reports)
-        else:
-            out.extend(reports)
-    return out
-
-
-def _d2_names() -> list[str]:
-    return [e.name for e in corpus_entries(dim=2)]
-
-
-# Dimensions of the functions each corpus suite checks.  A 3-d step sweep
-# at the default resolution is thousands of times the work of a 2-d one,
-# so the sweep suites stop at d = 2; the constant-lemma form is 2-d.
-SUITE_DIMS = {
-    "whitney": (1, 2),
-    "equivalence": (1, 2),
-    "superadditivity": (1, 2),
-    "taylor": (1, 2),
-    "marchaud": (1, 2),
-    "constant-lemma": (2,),
-}
-
-
 def _orders_for(dim: int, orders) -> list[tuple[int, ...]]:
     """The given orders of length ``dim``; by default all ones and all twos."""
     if orders is None:
@@ -1011,190 +1015,85 @@ def _orders_for(dim: int, orders) -> list[tuple[int, ...]]:
     return [tuple(r) for r in orders if len(r) == dim]
 
 
-def suite_whitney(
-    settings: VerifierSettings,
-    *,
-    names: Sequence[str] | None = None,
-    orders: Sequence[Sequence[int]] | None = None,
-    p_values: Sequence[float] = (0.5, 1.0, 2.0, math.inf),
-    jobs: int = 1,
-) -> list[InequalityReport]:
-    names = sorted(names if names is not None else _d2_names())
-    tasks = []
-    for name in names:
-        fn = get_function(name)
-        if fn.dim not in SUITE_DIMS["whitney"]:
-            continue
-        box = Box.unit(fn.dim)
-        for r in _orders_for(fn.dim, orders):
-            for p in p_values:
-                key = (name, r, _p_str(p))
-                tasks.append(
-                    (key, lambda fn=fn, r=r, p=p, box=box: list(
-                        whitney_report(fn, r, p, box, settings)
-                    ))
-                )
-    return _run_tasks(tasks, jobs)
+def _marchaud_case(dim: int, orders) -> list[tuple]:
+    """Marchaud's one (k, r, t) at ``dim``: r = (2, ..., 2), k = r but 1
+    on axis 0, every step bound 1/8; requested orders do not apply."""
+    r = (2,) * dim
+    return [((1,) + r[1:], r, (0.125,) * dim)]
 
 
-def suite_equivalence(
-    settings: VerifierSettings,
-    *,
-    names: Sequence[str] | None = None,
-    orders: Sequence[Sequence[int]] | None = None,
-    p_values: Sequence[float] = (0.5, 1.0, 2.0, math.inf),
-    t_factor: float = 0.5,
-    jobs: int = 1,
-) -> list[InequalityReport]:
-    names = sorted(names if names is not None else _d2_names())
-    tasks = []
-    for name in names:
-        fn = get_function(name)
-        if fn.dim not in SUITE_DIMS["equivalence"]:
-            continue
-        box = Box.unit(fn.dim)
-        t = tuple(t_factor * s for s in box.size)
-        for r in _orders_for(fn.dim, orders):
-            for p in p_values:
-                key = (name, r, _p_str(p))
-                tasks.append(
-                    (key, lambda fn=fn, r=r, t=t, p=p, box=box: list(
-                        equivalence_report(fn, r, t, p, box, settings)
-                    ))
-                )
-    return _run_tasks(tasks, jobs)
+class _Suite(NamedTuple):
+    """One row of the suite table.
+
+    ``dims`` are the dimensions of the functions the suite checks,
+    ``names`` its default functions, ``ps`` the exponents it takes from
+    the requested ones, and ``orders`` the orders it checks at a
+    function's dimension.  ``report(fn, order, ps, box, settings)`` runs
+    one (function, order) for all its exponents and returns one list of
+    reports per exponent.  A row with no ``dims`` checks no function:
+    its ``report(settings)`` runs once.
+    """
+
+    dims: tuple[int, ...]
+    report: Callable[..., list]
+    names: tuple[str, ...] = ()
+    ps: Callable[[list[float]], list[float]] = list
+    orders: Callable[[int, Sequence | None], list] = _orders_for
+    needs_derivatives: bool = False
 
 
-def suite_superadditivity(
-    settings: VerifierSettings,
-    *,
-    names: Sequence[str] | None = None,
-    orders: Sequence[Sequence[int]] | None = None,
-    p_values: Sequence[float] = (0.5, 1.0, 2.0),
-    t_factor: float = 0.125,
-    splits: int = 2,
-    jobs: int = 1,
-) -> list[InequalityReport]:
-    names = sorted(names if names is not None else _d2_names())
-    tasks = []
-    for name in names:
-        fn = get_function(name)
-        if fn.dim not in SUITE_DIMS["superadditivity"]:
-            continue
-        box = Box.unit(fn.dim)
-        t = tuple(t_factor * s for s in box.size)
-        for r in _orders_for(fn.dim, orders):
-            for p in p_values:
-                if p == math.inf:
-                    continue
-                key = (name, r, _p_str(p))
-                tasks.append(
-                    (key, lambda fn=fn, r=r, t=t, p=p, box=box: superadditivity_report(
-                        fn, r, t, p, box, splits, settings
-                    ))
-                )
-    return _run_tasks(tasks, jobs)
+_D2_NAMES = tuple(e.name for e in corpus_entries(dim=2))
 
+# A 3-d step sweep at the default resolution is thousands of times the
+# work of a 2-d one, so the sweep suites stop at d = 2; the constant-lemma
+# form is 2-d.  "all" runs the rows in this order.
+_SUITES: dict[str, _Suite] = {
+    "identities": _Suite(dims=(), report=suite_identities),
+    "whitney": _Suite(dims=(1, 2), names=_D2_NAMES, report=_whitney_pairs),
+    "equivalence": _Suite(
+        dims=(1, 2),
+        names=_D2_NAMES,
+        report=lambda fn, r, ps, box, s: _equivalence_pairs(
+            fn, r, tuple(0.5 * v for v in box.size), ps, box, s
+        ),
+    ),
+    "superadditivity": _Suite(
+        dims=(1, 2),
+        names=_D2_NAMES,
+        ps=lambda ps: [p for p in ps if p != math.inf],
+        report=lambda fn, r, ps, box, s: [
+            superadditivity_report(fn, r, tuple(0.125 * v for v in box.size), p, box, 2, s)
+            for p in ps
+        ],
+    ),
+    "taylor": _Suite(
+        dims=(1, 2),
+        names=_D2_NAMES,
+        ps=lambda ps: [p for p in ps if p >= 1],
+        report=lambda fn, r, ps, box, s: [
+            [taylor_report(fn, r, p, (0.25, 0.125, 0.0625), s)] for p in ps
+        ],
+        needs_derivatives=True,
+    ),
+    "marchaud": _Suite(
+        dims=(1, 2),
+        names=("exp_sum_2d", "sin_prod_2d", "holder_half_2d", "spline_prod_2d"),
+        ps=lambda ps: [p for p in ps if p != math.inf][:2] or [2.0],
+        orders=_marchaud_case,
+        report=lambda fn, krt, ps, box, s: [
+            [marchaud_report(fn, krt[0], krt[1], 0, krt[2], p, box, s)] for p in ps
+        ],
+    ),
+    "constant-lemma": _Suite(
+        dims=(2,),
+        names=_D2_NAMES,
+        ps=lambda ps: [p for p in ps if p != math.inf and p <= 1] or [1.0],
+        orders=lambda dim, orders: [()],
+        report=lambda fn, _, ps, box, s: [[constant_bound_report(fn, p, box, s)] for p in ps],
+    ),
+}
 
-def suite_taylor(
-    settings: VerifierSettings,
-    *,
-    names: Sequence[str] | None = None,
-    orders: Sequence[Sequence[int]] | None = None,
-    p_values: Sequence[float] = (2.0, math.inf),
-    deltas: Sequence[float] = (0.25, 0.125, 0.0625),
-    jobs: int = 1,
-) -> list[InequalityReport]:
-    if names is None:
-        names = [e.name for e in corpus_entries(dim=2) if e.has_derivatives]
-    tasks = []
-    for name in sorted(names):
-        fn = get_function(name)
-        if not fn.has_derivatives or fn.dim not in SUITE_DIMS["taylor"]:
-            continue
-        for r in _orders_for(fn.dim, orders):
-            for p in p_values:
-                if not p >= 1:
-                    continue
-                key = (name, r, _p_str(p))
-                tasks.append(
-                    (key, lambda fn=fn, r=r, p=p: taylor_report(
-                        fn, r, p, deltas, settings
-                    ))
-                )
-    return _run_tasks(tasks, jobs)
-
-
-def suite_marchaud(
-    settings: VerifierSettings,
-    *,
-    names: Sequence[str] | None = None,
-    k: Sequence[int] | None = None,
-    r: Sequence[int] | None = None,
-    axis: int = 0,
-    t: Sequence[float] | None = None,
-    p_values: Sequence[float] = (0.5, 2.0),
-    jobs: int = 1,
-) -> list[InequalityReport]:
-    """Marchaud reports; by default r = (2, ..., 2), k = r but 1 on
-    ``axis``, and every step bound 1/8, at each function's dimension."""
-    if names is None:
-        names = ["exp_sum_2d", "sin_prod_2d", "holder_half_2d", "spline_prod_2d"]
-    tasks = []
-    for name in sorted(names):
-        fn = get_function(name)
-        if fn.dim not in SUITE_DIMS["marchaud"]:
-            continue
-        box = Box.unit(fn.dim)
-        r_fn = tuple(r) if r is not None else (2,) * fn.dim
-        k_fn = tuple(k) if k is not None else tuple(
-            1 if j == axis else v for j, v in enumerate(r_fn)
-        )
-        t_fn = tuple(t) if t is not None else (0.125,) * fn.dim
-        for p in p_values:
-            key = (name, _p_str(p))
-            tasks.append(
-                (key, lambda fn=fn, p=p, box=box, k=k_fn, r=r_fn, t=t_fn: marchaud_report(
-                    fn, k, r, axis, t, p, box, settings
-                ))
-            )
-    return _run_tasks(tasks, jobs)
-
-
-def suite_constant_lemma(
-    settings: VerifierSettings,
-    *,
-    names: Sequence[str] | None = None,
-    p_values: Sequence[float] = (0.5, 1.0),
-    jobs: int = 1,
-) -> list[InequalityReport]:
-    names = sorted(names if names is not None else _d2_names())
-    tasks = []
-    for name in names:
-        fn = get_function(name)
-        if fn.dim not in SUITE_DIMS["constant-lemma"]:
-            continue
-        box = Box.unit(2)
-        for p in p_values:
-            key = (name, _p_str(p))
-            tasks.append(
-                (key, lambda fn=fn, p=p, box=box: constant_bound_report(
-                    fn, p, box, settings
-                ))
-            )
-    return _run_tasks(tasks, jobs)
-
-
-SUITE_NAMES = (
-    "whitney",
-    "marchaud",
-    "equivalence",
-    "superadditivity",
-    "taylor",
-    "constant-lemma",
-    "identities",
-    "all",
-)
+SUITE_NAMES = (*_SUITES, "all")
 
 
 def run_suite(
@@ -1204,59 +1103,33 @@ def run_suite(
     names: Sequence[str] | None = None,
     orders: Sequence[Sequence[int]] | None = None,
     p_values: Sequence[float] = (0.5, 1.0, 2.0, math.inf),
-    jobs: int = 1,
 ) -> list[InequalityReport]:
-    """Run one named verification suite (or all of them) over the corpus."""
+    """Run one named verification suite (or all of them) over the corpus.
+
+    A suite expands into one case per (function, order, exponent) and
+    reports them sorted by function name, order and exponent text.  The
+    exponents of one (function, order) are run together, so the Whitney
+    and equivalence reports share one sweep across them.  ``names``,
+    ``orders`` and ``p_values`` narrow the selection; the identities
+    take none of them.
+    """
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
-    finite_p = [p for p in p_values if p != math.inf]
-    if suite == "identities":
-        return suite_identities(settings)
-    if suite == "whitney":
-        return suite_whitney(
-            settings, names=names, orders=orders, p_values=p_values, jobs=jobs
-        )
-    if suite == "equivalence":
-        return suite_equivalence(
-            settings, names=names, orders=orders, p_values=p_values, jobs=jobs
-        )
-    if suite == "superadditivity":
-        return suite_superadditivity(
-            settings, names=names, orders=orders, p_values=finite_p, jobs=jobs
-        )
-    if suite == "taylor":
-        return suite_taylor(
-            settings,
-            names=names,
-            orders=orders,
-            p_values=[p for p in p_values if p >= 1],
-            jobs=jobs,
-        )
-    if suite == "marchaud":
-        marchaud_p = [p for p in p_values if p != math.inf][:2] or [2.0]
-        return suite_marchaud(settings, names=names, p_values=marchaud_p, jobs=jobs)
-    if suite == "constant-lemma":
-        return suite_constant_lemma(
-            settings, names=names, p_values=[p for p in finite_p if p <= 1] or [1.0], jobs=jobs
-        )
     reports: list[InequalityReport] = []
-    for sub in (
-        "identities",
-        "whitney",
-        "equivalence",
-        "superadditivity",
-        "taylor",
-        "marchaud",
-        "constant-lemma",
-    ):
-        reports.extend(
-            run_suite(
-                sub,
-                settings,
-                names=names,
-                orders=orders,
-                p_values=p_values,
-                jobs=jobs,
-            )
-        )
+    for row in _SUITES.values() if suite == "all" else [_SUITES[suite]]:
+        if not row.dims:
+            reports.extend(row.report(settings))
+            continue
+        ps = row.ps(list(p_values))
+        cases = []
+        for name in sorted(row.names if names is None else names):
+            fn = get_function(name)
+            if fn.dim not in row.dims or (row.needs_derivatives and not fn.has_derivatives):
+                continue
+            box = Box.unit(fn.dim)
+            for order in row.orders(fn.dim, orders):
+                per_p = row.report(fn, order, ps, box, settings) if ps else []
+                cases.extend(((name, order, _p_str(p)), reps) for p, reps in zip(ps, per_p))
+        cases.sort(key=lambda case: case[0])
+        reports.extend(rep for _, reps in cases for rep in reps)
     return reports

@@ -288,3 +288,26 @@ def test_config_roundtrip_keeps_every_digit_of_p():
     # short forms are unchanged
     assert [RunConfig(p=p).to_strings()["p"] for p in (0.5, 1.0, math.inf)] == ["0.5", "1", "inf"]
     assert RunConfig(p=0.123456789).to_strings()["p"] == "0.123456789"
+
+
+def test_jobs_flag_and_config_key_are_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "identities", "--jobs", "2"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs" in err and "Traceback" not in err
+    path = tmp_path / "jobs.cfg"
+    path.write_text("[run]\ncommand = verify\nsuite = identities\n\n[verify]\njobs = 2\n")
+    assert "unknown config keys: ['jobs']" in _config_error(capsys, ["verify", "--config", str(path)])
+
+
+def test_verify_whitney_exits_zero_when_the_coarse_step_grid_samples_nothing(tmp_path):
+    code, doc = run_json(
+        tmp_path,
+        ["verify", "--suite", "whitney", "--fn", "exp_sum_2d", "--grid", "12", "--hsamples", "5"],
+    )
+    assert code == 0
+    unresolved = [r for r in doc["records"] if r["details"].get("coarse_grid_empty")]
+    assert len(unresolved) == 4
+    assert all(r["check"] == "whitney-ratio" and r["params"]["r"] == [2, 2] for r in unresolved)
+    assert all(r["passed"] is None and r["empirical_constant"] is None for r in unresolved)

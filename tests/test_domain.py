@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from mixsmooth.domain import (
     Box,
     GridFunction,
-    box_size,
     grid_points,
     lp_quasinorm,
     nonempty_axis_subsets,
@@ -19,9 +18,9 @@ from mixsmooth.domain import (
 
 
 def test_box_size_examples():
-    assert np.allclose(box_size(Box.unit(2)), [1.0, 1.0])
-    assert np.allclose(box_size(Box((0.0, 0.0), (1.0, 0.5))), [1.0, 0.5])
-    assert np.allclose(box_size(Box((-1.0,), (1.0,))), [2.0])
+    assert np.allclose(Box.unit(2).size, [1.0, 1.0])
+    assert np.allclose(Box((0.0, 0.0), (1.0, 0.5)).size, [1.0, 0.5])
+    assert np.allclose(Box((-1.0,), (1.0,)).size, [2.0])
 
 
 def test_box_validation():

@@ -11,7 +11,6 @@ from mixsmooth.polyapprox import (
     TensorPolynomial,
     best_approx,
     best_constant,
-    eval_poly,
     piecewise_constant_approx,
     taylor_polynomial,
     taylor_remainder_bound,
@@ -20,12 +19,12 @@ from mixsmooth.polyapprox import (
 
 def test_eval_poly_examples():
     zero = TensorPolynomial(np.zeros((2, 2)))
-    assert eval_poly(zero, np.array([0.3, 0.4])) == 0.0
+    assert zero(np.array([0.3, 0.4])) == 0.0
     line = TensorPolynomial(np.array([1.0, 2.0]))
-    assert eval_poly(line, np.array([0.25])) == pytest.approx(1.5)
+    assert line(np.array([0.25])) == pytest.approx(1.5)
     xy = TensorPolynomial(np.array([[0.0, 0.0], [0.0, 1.0]]))
     pts = np.array([[2.0, 3.0], [0.5, 0.5]])
-    assert np.allclose(eval_poly(xy, pts), [6.0, 0.25])
+    assert np.allclose(xy(pts), [6.0, 0.25])
 
 
 def test_polynomial_derivative_exact():

@@ -270,6 +270,75 @@ def test_run_suite_unknown_name():
         run_suite("nope", SMALL)
 
 
+BOX2 = Box.unit(2)
+
+# Each suite's report calls for exp_sum_2d at r = (1, 1), as its table row
+# should make them, and the exponents it keeps from (inf, 2, 1, 0.5) in the
+# order the suite sorts them (by their text).
+TABLE_CASES = {
+    "whitney": (
+        (0.5, 1.0, 2.0, math.inf),
+        lambda fn, p: whitney_report(fn, (1, 1), p, BOX2, SMALL),
+    ),
+    "equivalence": (
+        (0.5, 1.0, 2.0, math.inf),
+        lambda fn, p: equivalence_report(fn, (1, 1), (0.5, 0.5), p, BOX2, SMALL),
+    ),
+    "superadditivity": (
+        (0.5, 1.0, 2.0),
+        lambda fn, p: superadditivity_report(fn, (1, 1), (0.125, 0.125), p, BOX2, 2, SMALL),
+    ),
+    "taylor": (
+        (1.0, 2.0, math.inf),
+        lambda fn, p: [taylor_report(fn, (1, 1), p, (0.25, 0.125, 0.0625), SMALL)],
+    ),
+    # the first two finite exponents requested; orders do not apply
+    "marchaud": (
+        (1.0, 2.0),
+        lambda fn, p: [marchaud_report(fn, (1, 2), (2, 2), 0, (0.125, 0.125), p, BOX2, SMALL)],
+    ),
+    "constant-lemma": (
+        (0.5, 1.0),
+        lambda fn, p: [constant_bound_report(fn, p, BOX2, SMALL)],
+    ),
+}
+
+
+def _dump(reports):
+    return [json.dumps(r.to_record(), sort_keys=True) for r in reports]
+
+
+@pytest.mark.parametrize("suite", sorted(TABLE_CASES))
+def test_run_suite_row_matches_direct_report_calls(suite):
+    ps, report = TABLE_CASES[suite]
+    got = run_suite(
+        suite, SMALL, names=["exp_sum_2d"], orders=((1, 1),), p_values=(math.inf, 2.0, 1.0, 0.5)
+    )
+    fn = get_function("exp_sum_2d")
+    want = [rep for p in ps for rep in report(fn, p)]
+    assert _dump(got) == _dump(want)
+
+
+def test_run_suite_identities_row_is_the_identity_suite():
+    got = run_suite("identities", SMALL, names=["exp_sum_2d"])
+    assert _dump(got) == _dump(suite_identities(SMALL))
+
+
+def test_whitney_ratio_unresolved_when_no_coarse_step_samples_a_domain():
+    # at r = 2 every nonzero coarse node (+-0.5, +-1) of 5 empties the domain
+    fn = get_function("exp_sum_2d")
+    coarse = VerifierSettings(grid=12, h_samples=5)
+    rep_a, rep_b = whitney_report(fn, (2, 2), 1.0, Box.unit(2), coarse)
+    assert rep_b.right == 0.0 and rep_b.left > 0.0
+    assert rep_b.passed is None and rep_b.empirical_constant is None
+    assert rep_b.details["coarse_grid_empty"] is True
+    assert rep_a.passed and rep_a.left > 0.0  # the refined grid samples
+    # a coarse grid that samples leaves the record as it was
+    _, rep_b = whitney_report(fn, (1, 1), 1.0, Box.unit(2), coarse)
+    assert rep_b.passed is None and rep_b.empirical_constant > 0.0
+    assert "coarse_grid_empty" not in rep_b.details
+
+
 def test_run_suite_whitney_subset_deterministic_records():
     reports = run_suite(
         "whitney",
