@@ -7,8 +7,8 @@ The package computes, on axis-aligned boxes and for any exponent
   built from them, per axis subset and in total;
 * best approximation by tensor polynomials of fixed per-axis degree,
   with exponent-appropriate solvers (projection, reweighted least
-  squares, a minimax weight iteration, and smoothed multi-start descent
-  for the nonconvex p < 1 range);
+  squares, Stiefel's exchange method for p = inf, and smoothed
+  multi-start descent for the nonconvex p < 1 range);
 * exact rational-arithmetic identities linking differences and
   polynomials (unit decomposition, reproduction formula, step halving);
 * a verifier that measures both sides of every supported inequality on

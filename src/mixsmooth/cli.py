@@ -18,21 +18,21 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
 from . import __version__
 from .corpus import corpus_entries, get_function
 from .differences import (
-    ModulusRequest,
     difference_field,
-    modulus_mean,
-    modulus_sup,
+    mean_modulus_sweep,
+    sup_modulus_sweep,
     total_mean_terms,
     total_sup_terms,
 )
-from .domain import Box, lp_quasinorm, sample_on_grid
+from .domain import Box, GridFunction, lp_quasinorm, sample_on_grid
 from .polyapprox import (
     best_approx,
     best_constant,
@@ -78,68 +78,44 @@ def _p_parse(text: str) -> float | None:
     return float(text)
 
 
+def _key(default, doc: str):
+    """A `RunConfig` field that is also a command-line flag with this help."""
+    return field(default=default, metadata={"help": doc})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved run parameters; round-trips losslessly through the file format."""
+    """Resolved run parameters; round-trips losslessly through the file format.
+
+    Each field is one config-file key and, apart from ``command`` and
+    ``op`` (positional arguments), one ``--flag`` of every subcommand.
+    """
 
     command: str = ""
     op: str = ""
-    suite: str = "all"
-    fn: str = ""
-    tag: str = ""
-    r: tuple[int, ...] = ()
-    p: float | None = None
-    t: tuple[float, ...] = ()
-    box: tuple[float, ...] = ()
-    grid: tuple[int, ...] = (32,)
-    hsamples: int = 9
-    splits: int = 2
-    seed: int = 0
-    out: str = ""
-    format: str = "json"
+    suite: str = _key("all", "verification suite: " + ", ".join(SUITE_NAMES))
+    fn: str = _key("", "corpus function name")
+    tag: str = _key("", "smoothness tag filter (corpus)")
+    r: tuple[int, ...] = _key((), "difference/degree orders, N or N,N,...")
+    p: float | None = _key(None, "exponent, a number or 'inf'")
+    t: tuple[float, ...] = _key((), "step bounds, F or F,F,...")
+    box: tuple[float, ...] = _key((), "box bounds a,b per axis")
+    grid: tuple[int, ...] = _key((32,), "grid points per axis, N or N,N,...")
+    hsamples: int = _key(9, "step samples per axis")
+    splits: int = _key(2, "per-axis subdivision count")
+    seed: int = _key(0, "random seed (non-negative)")
+    out: str = _key("", "report file path (default stdout)")
+    format: str = _key("json", "report format: json or csv")
 
     def to_strings(self) -> dict[str, str]:
-        return {
-            "command": self.command,
-            "op": self.op,
-            "suite": self.suite,
-            "fn": self.fn,
-            "tag": self.tag,
-            "r": ",".join(str(v) for v in self.r),
-            "p": "" if self.p is None else _p_str(self.p),
-            "t": ",".join(repr(v) for v in self.t),
-            "box": ",".join(repr(v) for v in self.box),
-            "grid": ",".join(str(v) for v in self.grid),
-            "hsamples": str(self.hsamples),
-            "splits": str(self.splits),
-            "seed": str(self.seed),
-            "out": self.out,
-            "format": self.format,
-        }
+        return {key: codec[1](getattr(self, key)) for key, codec in _CODEC_OF.items()}
 
     @classmethod
     def from_strings(cls, data: dict[str, str]) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - set(_CODEC_OF)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kw = {}
-        for key, raw in data.items():
-            raw = raw.strip()
-            if key in ("command", "op", "suite", "fn", "tag", "out", "format"):
-                kw[key] = raw
-            elif key in ("r", "grid"):
-                kw[key] = _ints(raw)
-            elif key in ("t", "box"):
-                kw[key] = _floats(raw)
-            elif key == "p":
-                kw[key] = _p_parse(raw)
-            elif key in ("hsamples", "splits", "seed"):
-                kw[key] = int(raw)
-        try:
-            return cls(**kw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls(**{key: _decode(key, raw) for key, raw in data.items()})
 
     def to_ini(self) -> str:
         lines = ["[run]"]
@@ -149,7 +125,8 @@ class RunConfig:
 
     @classmethod
     def from_ini(cls, text: str) -> "RunConfig":
-        parser = configparser.ConfigParser()
+        # values are read raw: a '%' in a path is text, not interpolation
+        parser = configparser.ConfigParser(interpolation=None)
         try:
             parser.read_string(text)
         except configparser.Error as exc:
@@ -163,6 +140,25 @@ class RunConfig:
         return cls.from_strings(data)
 
 
+# (parse, format) per field type: a flag and its config key share the parse
+_CODECS = {
+    str: (str, str),
+    int: (int, str),
+    tuple[int, ...]: (_ints, lambda v: ",".join(str(x) for x in v)),
+    tuple[float, ...]: (_floats, lambda v: ",".join(repr(x) for x in v)),
+    float | None: (_p_parse, lambda v: "" if v is None else _p_str(v)),
+}
+_CODEC_OF = {key: _CODECS[kind] for key, kind in get_type_hints(RunConfig).items()}
+_FLAG_KEYS = [f for f in fields(RunConfig) if "help" in f.metadata]
+
+
+def _decode(key: str, text: str):
+    try:
+        return _CODEC_OF[key][0](text.strip())
+    except ValueError as exc:
+        raise ConfigError(f"bad value {text!r} for {key}: {exc}") from exc
+
+
 def _load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -173,38 +169,8 @@ def _load_config(path: str) -> RunConfig:
 
 def _merge_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     """Apply explicitly-given CLI flags on top of the config file values."""
-    updates = {}
-    mapping = {
-        "suite": args.suite,
-        "fn": args.fn,
-        "tag": args.tag,
-        "out": args.out,
-        "format": args.format,
-    }
-    for key, value in mapping.items():
-        if value is not None:
-            updates[key] = value
-    if args.r is not None:
-        updates["r"] = _ints(args.r)
-    if args.p is not None:
-        updates["p"] = _p_parse(args.p)
-    if args.t is not None:
-        updates["t"] = _floats(args.t)
-    if args.box is not None:
-        updates["box"] = _floats(args.box)
-    if args.grid is not None:
-        updates["grid"] = _ints(args.grid)
-    for key in ("hsamples", "splits", "seed"):
-        value = getattr(args, key)
-        if value is not None:
-            updates[key] = value
-    command = getattr(args, "command", None)
-    if command:
-        updates["command"] = command
-    op = getattr(args, "op", None)
-    if op:
-        updates["op"] = op
-    return replace(cfg, **updates)
+    given = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    return replace(cfg, **{k: _decode(k, v) for k, v in given.items() if v is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +179,22 @@ def _merge_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 def _validate(cfg: RunConfig) -> None:
     """Reject out-of-range values that need no function to check."""
+    if cfg.format and cfg.format not in ("json", "csv"):
+        raise ConfigError(f"unknown output format {cfg.format!r}")
+    if cfg.suite not in SUITE_NAMES:
+        raise ConfigError(f"--suite must be one of {SUITE_NAMES}")
+    if any(n < 1 for n in cfg.grid):
+        raise ConfigError("grid entries must be positive")
     if cfg.hsamples < 2:
         raise ConfigError("--hsamples must be at least 2")
+    if cfg.seed < 0:
+        raise ConfigError("--seed must be non-negative")
     if cfg.splits < 1:
         raise ConfigError("--splits must be at least 1")
     if any(v < 0 for v in cfg.r):
         raise ConfigError("--r entries must be non-negative")
+    if not all(math.isfinite(v) for v in cfg.t):
+        raise ConfigError("--t entries must be finite")
     # a difference takes any step; a modulus takes step bounds
     if cfg.command == "compute" and cfg.op != "difference" and any(v < 0 for v in cfg.t):
         raise ConfigError("--t step bounds must be non-negative")
@@ -240,17 +216,6 @@ def _resolve_box(cfg: RunConfig, dim: int) -> Box:
         raise ConfigError(str(exc)) from exc
 
 
-def _resolve_grid(cfg: RunConfig, dim: int) -> tuple[int, ...]:
-    grid = cfg.grid
-    if len(grid) == 1:
-        grid = grid * dim
-    if len(grid) != dim:
-        raise ConfigError(f"--grid needs 1 or {dim} entries")
-    if any(n < 1 for n in grid):
-        raise ConfigError("grid entries must be positive")
-    return grid
-
-
 def _require_fn(cfg: RunConfig):
     if not cfg.fn:
         raise ConfigError("--fn is required (see `mixsmooth corpus` for names)")
@@ -260,26 +225,17 @@ def _require_fn(cfg: RunConfig):
         raise ConfigError(str(exc)) from exc
 
 
-def _require_r(cfg: RunConfig, dim: int) -> tuple[int, ...]:
-    if not cfg.r:
-        raise ConfigError("--r is required for this operation")
-    r = cfg.r
-    if len(r) == 1:
-        r = r * dim
-    if len(r) != dim:
-        raise ConfigError(f"--r needs 1 or {dim} entries")
-    return r
-
-
-def _require_t(cfg: RunConfig, dim: int) -> tuple[float, ...]:
-    if not cfg.t:
-        raise ConfigError("--t is required for this operation")
-    t = cfg.t
-    if len(t) == 1:
-        t = t * dim
-    if len(t) != dim:
-        raise ConfigError(f"--t needs 1 or {dim} entries")
-    return t
+def _per_axis(cfg: RunConfig, key: str, dim: int) -> tuple:
+    """The ``r``, ``t`` or ``grid`` entries for a ``dim``-d function: one
+    value for every axis, or one value per axis."""
+    values = getattr(cfg, key)
+    if not values:
+        raise ConfigError(f"--{key} is required for this operation")
+    if len(values) == 1:
+        values = values * dim
+    if len(values) != dim:
+        raise ConfigError(f"--{key} needs 1 or {dim} entries")
+    return values
 
 
 def _require_p(cfg: RunConfig) -> float:
@@ -339,11 +295,6 @@ def _emit(cfg: RunConfig, doc: dict) -> None:
         sys.stdout.write(text)
 
 
-def _settings(cfg: RunConfig) -> VerifierSettings:
-    grid = cfg.grid[0] if len(cfg.grid) == 1 else cfg.grid
-    return VerifierSettings(grid=grid, h_samples=cfg.hsamples, seed=cfg.seed)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -353,8 +304,8 @@ def cmd_compute(cfg: RunConfig) -> int:
         raise ConfigError(f"compute operation must be one of {COMPUTE_OPS}")
     fn = _require_fn(cfg)
     box = _resolve_box(cfg, fn.dim)
-    grid = _resolve_grid(cfg, fn.dim)
-    r = _require_r(cfg, fn.dim)
+    grid = _per_axis(cfg, "grid", fn.dim)
+    r = _per_axis(cfg, "r", fn.dim)
     record: dict = {
         "op": cfg.op,
         "function": fn.name,
@@ -363,41 +314,36 @@ def cmd_compute(cfg: RunConfig) -> int:
         "grid": list(grid),
     }
     if cfg.op == "difference":
-        t = _require_t(cfg, fn.dim)
+        t = _per_axis(cfg, "t", fn.dim)
         record["h"] = list(t)
-        field = difference_field(fn, r, t, box, grid)
-        if field is None:
+        diff = difference_field(fn, r, t, box, grid)
+        if diff is None:
             record["empty_domain"] = True
             record["value"] = None
         else:
             record["empty_domain"] = False
-            record["value"] = float(np.abs(field.values).max())
-            record["domain"] = [list(field.box.lower), list(field.box.upper)]
-            record["field_shape"] = list(field.spec)
+            record["value"] = float(np.abs(diff.values).max())
+            record["domain"] = [list(diff.box.lower), list(diff.box.upper)]
+            record["field_shape"] = list(diff.spec)
     else:
         p = _require_p(cfg)
-        t = _require_t(cfg, fn.dim)
-        if cfg.op in ("total-omega", "total-w") and any(v < 1 for v in r):
+        t = _per_axis(cfg, "t", fn.dim)
+        total = cfg.op in ("total-omega", "total-w")
+        if total and any(v < 1 for v in r):
             raise ConfigError("total moduli need every --r entry >= 1")
+        # the p-mean modulus at p = inf is the sup modulus
         mean = cfg.op in ("modulus-mean", "total-w") and p != math.inf
         if mean and any(ti <= 0 for ti, ri in zip(t, r) if ri > 0):
             raise ConfigError("the mean modulus needs --t > 0 on every axis with --r > 0")
         record["p"] = _p_str(p)
         record["t"] = list(t)
         record["h_samples"] = cfg.hsamples
-        if cfg.op in ("modulus-sup", "modulus-mean"):
-            req = ModulusRequest(
-                r=r, t=t, p=p, box=box, h_samples=cfg.hsamples, density=grid
-            )
-            value = modulus_sup(req, fn) if cfg.op == "modulus-sup" else modulus_mean(req, fn)
-            record["value"] = value
+        sweep = dict(density=grid, h_samples=cfg.hsamples, p_values=[p])
+        if not total:
+            modulus = mean_modulus_sweep if mean else sup_modulus_sweep
+            record["value"] = modulus(fn, r, t, box, **sweep)[float(p)]
         else:
-            terms_fn = total_sup_terms if cfg.op == "total-omega" else total_mean_terms
-            if cfg.op == "total-w" and p == math.inf:
-                terms_fn = total_sup_terms
-            terms = terms_fn(
-                fn, r, t, box, density=grid, h_samples=cfg.hsamples, p_values=[p]
-            )
+            terms = (total_mean_terms if mean else total_sup_terms)(fn, r, t, box, **sweep)
             record["terms"] = {
                 ",".join(map(str, e)): terms[e][float(p)] for e in sorted(terms)
             }
@@ -411,7 +357,7 @@ def cmd_approx(cfg: RunConfig) -> int:
         raise ConfigError(f"approx operation must be one of {APPROX_OPS}")
     fn = _require_fn(cfg)
     box = _resolve_box(cfg, fn.dim)
-    grid = _resolve_grid(cfg, fn.dim)
+    grid = _per_axis(cfg, "grid", fn.dim)
     g = sample_on_grid(fn, box, grid)
     record: dict = {
         "op": cfg.op,
@@ -420,7 +366,7 @@ def cmd_approx(cfg: RunConfig) -> int:
         "grid": list(grid),
     }
     if cfg.op == "best":
-        r = _require_r(cfg, fn.dim)
+        r = _per_axis(cfg, "r", fn.dim)
         p = _require_p(cfg)
         if any(ri < 1 for ri in r):
             raise ConfigError("--r degree bounds must be at least 1")
@@ -442,15 +388,13 @@ def cmd_approx(cfg: RunConfig) -> int:
             }
         )
     elif cfg.op == "taylor":
-        r = _require_r(cfg, fn.dim)
-        p = cfg.p if cfg.p is not None else math.inf
+        r = _per_axis(cfg, "r", fn.dim)
+        p = math.inf if cfg.p is None else _require_p(cfg)
         if not fn.has_derivatives:
             raise ConfigError(f"corpus entry {fn.name!r} has no derivative data")
         bundle = fn.bundle(r, box.lower)
         poly = taylor_polynomial(bundle, r)
         resid = g.values - poly(g.midpoints())
-        from .domain import GridFunction
-
         record.update(
             {
                 "r": list(r),
@@ -491,9 +435,6 @@ def _coeff_list(coeffs: np.ndarray) -> list[dict]:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.suite not in SUITE_NAMES:
-        raise ConfigError(f"--suite must be one of {SUITE_NAMES}")
-    settings = _settings(cfg)
     kwargs: dict = {}
     dim = 2
     if cfg.fn:
@@ -509,12 +450,15 @@ def cmd_verify(cfg: RunConfig) -> int:
             )
         kwargs["names"] = [fn.name]
     if cfg.r:
-        r = _require_r(cfg, dim)
+        r = _per_axis(cfg, "r", dim)
         if any(v < 1 for v in r):
             raise ConfigError("verify needs every --r entry >= 1")
         kwargs["orders"] = (r,)
     if cfg.p is not None:
         kwargs["p_values"] = (_require_p(cfg),)
+    settings = VerifierSettings(
+        grid=_per_axis(cfg, "grid", dim), h_samples=cfg.hsamples, seed=cfg.seed
+    )
     reports = run_suite(cfg.suite, settings, **kwargs)
     if not reports:
         raise ConfigError(f"the selection has no checks in suite {cfg.suite!r}")
@@ -586,19 +530,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp):
         sp.add_argument("--config", default=None, help="config file (key = value sections)")
-        sp.add_argument("--out", default=None, help="report file path (default stdout)")
-        sp.add_argument("--format", default=None, choices=["json", "csv"])
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--grid", default=None, help="grid points per axis, N or N,N,...")
-        sp.add_argument("--hsamples", type=int, default=None, help="step samples per axis")
-        sp.add_argument("--splits", type=int, default=None, help="per-axis subdivision count")
-        sp.add_argument("--p", default=None, help="exponent, a number or 'inf'")
-        sp.add_argument("--r", default=None, help="difference/degree orders, N or N,N,...")
-        sp.add_argument("--t", default=None, help="step bounds, F or F,F,...")
-        sp.add_argument("--box", default=None, help="box bounds a,b per axis")
-        sp.add_argument("--suite", default=None, choices=list(SUITE_NAMES))
-        sp.add_argument("--fn", default=None, help="corpus function name")
-        sp.add_argument("--tag", default=None, help="smoothness tag filter (corpus)")
+        # flags stay text here; _merge_flags parses them as the config file's values
+        for f in _FLAG_KEYS:
+            sp.add_argument(f"--{f.name}", default=None, help=f.metadata["help"])
 
     sp = sub.add_parser("compute", help="moduli and difference fields")
     sp.add_argument("op", choices=list(COMPUTE_OPS))
@@ -622,8 +556,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _load_config(args.config) if args.config else RunConfig()
         cfg = _merge_flags(cfg, args)
-        if cfg.format and cfg.format not in ("json", "csv"):
-            raise ConfigError(f"unknown output format {cfg.format!r}")
         _validate(cfg)
         handler = {
             "compute": cmd_compute,

@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mixsmooth.cli import RunConfig, main
+from mixsmooth.cli import APPROX_OPS, COMPUTE_OPS, RunConfig, _build_parser, main
+from mixsmooth.verifier import SUITE_NAMES
 
 
 def run_json(tmp_path, args, name="report.json"):
@@ -311,3 +318,119 @@ def test_verify_whitney_exits_zero_when_the_coarse_step_grid_samples_nothing(tmp
     assert len(unresolved) == 4
     assert all(r["check"] == "whitney-ratio" and r["params"]["r"] == [2, 2] for r in unresolved)
     assert all(r["passed"] is None and r["empirical_constant"] is None for r in unresolved)
+
+
+@pytest.mark.parametrize(
+    "args, needle",
+    [
+        (["verify", "--suite", "whitney", "--fn", "exp_sum_2d", "--seed", "-1",
+          "--grid", "8", "--hsamples", "3"], "--seed"),
+        (["verify", "--grid", "0"], "grid entries must be positive"),
+        (["verify", "--suite", "whitney", "--fn", "exp_sum_2d", "--grid", "8,8,8"],
+         "--grid needs 1 or 2 entries"),
+        (["compute", "modulus-mean", "--fn", "exp_sum_1d", "--r", "1", "--p", "2",
+          "--t", "inf"], "--t entries must be finite"),
+        (["approx", "taylor", "--fn", "exp_sum_1d", "--r", "2", "--p", "-1"], "--p must be positive"),
+    ],
+)
+def test_parameter_errors_are_config_errors(capsys, args, needle):
+    assert needle in _config_error(capsys, args)
+
+
+def test_malformed_flag_and_config_values_are_config_errors(tmp_path, capsys):
+    err = _config_error(
+        capsys, ["compute", "modulus-sup", "--fn", "exp_sum_1d", "--r", "1,a", "--t", "0.1", "--p", "2"]
+    )
+    assert "bad value '1,a' for r" in err
+    assert "bad value 'x' for seed" in _config_error(capsys, ["verify", "--suite", "identities", "--seed", "x"])
+    path = tmp_path / "bad.cfg"
+    path.write_text("[run]\nhsamples = x\n")
+    assert "bad value 'x' for hsamples" in _config_error(capsys, ["verify", "--config", str(path)])
+
+
+def test_config_values_are_read_raw(tmp_path):
+    cfg = RunConfig(command="corpus", out=str(tmp_path / "100%.json"))
+    assert RunConfig.from_ini(cfg.to_ini()) == cfg
+    path = tmp_path / "run.cfg"
+    path.write_text(cfg.to_ini())
+    assert main(["corpus", "--config", str(path)]) == 0
+    assert json.loads((tmp_path / "100%.json").read_text())["config"]["out"] == cfg.out
+
+
+def test_every_flag_mirrors_a_config_key():
+    keys = {f"--{key}" for key in RunConfig().to_strings()} - {"--command", "--op"}
+    parser = _build_parser()
+    (commands,) = [a for a in parser._actions if a.dest == "command"]
+    for sub in commands.choices.values():
+        flags = {o for a in sub._actions for o in a.option_strings if o.startswith("--")}
+        assert flags - {"--help"} == keys | {"--config"}
+
+
+# Fuzzing: --fn names a function, and each other flag is absent or one
+# text of a kind (valid, negative or zero, empty, inf/nan, malformed).
+# Sizes stay small: grid <= 8, at most 5 step samples, and verify only
+# on 1-d functions.
+_VALID = {
+    "r": ["1", "2"],
+    "p": ["0.5", "1", "2"],
+    "t": ["0.1", "0.25"],
+    "grid": ["4", "8"],
+    "hsamples": ["2", "3", "5"],
+    "splits": ["1", "2"],
+    "seed": ["0", "7"],
+    "suite": ["whitney", "taylor", "marchaud", "constant-lemma"],
+    "tag": ["analytic"],
+    "format": ["json", "csv"],
+}
+_ODD = ["0", "-1", "-0.5,1", "", "inf", "nan", "1,a", "x"]
+
+
+@st.composite
+def _command_lines(draw):
+    command = draw(st.sampled_from(["compute", "approx", "verify", "corpus"]))
+    ops = {"compute": COMPUTE_OPS, "approx": APPROX_OPS}.get(command, ())
+    head = [command] + ([draw(st.sampled_from(ops))] if ops else [])
+    if command == "verify":
+        fn = draw(st.sampled_from(["exp_sum_1d", "holder_half_1d"]))
+    else:
+        fn = draw(st.sampled_from(["linear_1d", "exp_sum_2d", "sin_prod_2d", "nope"]))
+    boxes = ["0,1", "0,1000"] if fn.endswith("_1d") else ["0,1,0,2", "0,1000,0,1"]
+    flags = {**_VALID, "box": boxes}
+    # half the runs have no odd flag, so that they get past the checks
+    odd = draw(st.sets(st.sampled_from(sorted(flags)), max_size=2)) if draw(st.booleans()) else ()
+    values = {"fn": fn}
+    for key, valid in flags.items():
+        text = draw(st.sampled_from(_ODD if key in odd else [None] + valid))
+        if text is not None:
+            values[key] = text
+    if command == "verify":
+        # no suite means all, whose exact identities take 1.5 s a run
+        values.setdefault("suite", draw(st.sampled_from(_VALID["suite"])))
+    return head, values
+
+
+def _exit_code(args):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_command_lines())
+def test_fuzz_cli_exits_0_1_or_2_without_a_traceback(case):
+    head, values = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out = str(Path(tmp) / "report")
+        flags = [f"--{key}={text}" for key, text in values.items()]
+        code = _exit_code(head + flags + ["--out", out])
+        assert code in (0, 1, 2)
+        # the same values from a config file parse the same way
+        path = Path(tmp) / "run.cfg"
+        lines = [f"{key} = {text}" for key, text in values.items()]
+        path.write_text("\n".join(["[run]", f"out = {out}", *lines]) + "\n")
+        assert _exit_code(head + ["--config", str(path)]) == code
