@@ -19,7 +19,6 @@ The package computes, on axis-aligned boxes and for any exponent
 from .domain import (
     Box,
     GridFunction,
-    grid_axes,
     grid_points,
     lp_quasinorm,
     nonempty_axis_subsets,
@@ -60,7 +59,7 @@ from .polyapprox import (
     taylor_polynomial,
     taylor_remainder_bound,
 )
-from .corpus import CorpusFunction, corpus_entries, corpus_names, get_function
+from .corpus import CorpusFunction, corpus_entries, get_function
 from .verifier import (
     InequalityReport,
     TolerancePolicy,

@@ -28,7 +28,7 @@ import numpy as np
 
 from .polyapprox import DerivativeBundle, TensorPolynomial
 
-__all__ = ["CorpusFunction", "corpus_entries", "corpus_names", "get_function"]
+__all__ = ["CorpusFunction", "corpus_entries", "get_function"]
 
 _TAGS = ("member-of-Pr", "analytic", "finitely-smooth", "holder-singular")
 
@@ -55,12 +55,6 @@ class CorpusFunction:
     @property
     def has_derivatives(self) -> bool:
         return self.derivative is not None
-
-    def in_space(self, r: Sequence[int]) -> bool:
-        """Whether this entry lies in the tensor-polynomial space of bound r."""
-        if self.poly_space is None:
-            return False
-        return all(s <= int(ri) for s, ri in zip(self.poly_space, r))
 
     def bundle(self, r: Sequence[int], x0: Sequence[float]) -> DerivativeBundle:
         if self.derivative is None:
@@ -314,10 +308,6 @@ def corpus_entries(dim: int | None = None, tag: str | None = None) -> list[Corpu
             continue
         out.append(e)
     return out
-
-
-def corpus_names(dim: int | None = None) -> list[str]:
-    return [e.name for e in corpus_entries(dim=dim)]
 
 
 def get_function(name: str) -> CorpusFunction:

@@ -29,7 +29,6 @@ __all__ = [
     "nonempty_axis_subsets",
     "restrict_order",
     "normalize_grid",
-    "grid_axes",
     "grid_points",
 ]
 
@@ -115,19 +114,13 @@ def normalize_grid(spec, dim: int) -> tuple[int, ...]:
     return shape
 
 
-def grid_axes(box: Box, spec) -> list[np.ndarray]:
-    """Per-axis midpoint coordinates of the uniform tensor grid."""
+def grid_points(box: Box, spec) -> np.ndarray:
+    """All grid midpoints, shape ``spec + (dim,)``, row-major by axis order."""
     shape = normalize_grid(spec, box.dim)
     axes = []
     for a, b, n in zip(box.lower, box.upper, shape):
         w = (b - a) / n
         axes.append(a + (np.arange(n) + 0.5) * w)
-    return axes
-
-
-def grid_points(box: Box, spec) -> np.ndarray:
-    """All grid midpoints, shape ``spec + (dim,)``, row-major by axis order."""
-    axes = grid_axes(box, spec)
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 

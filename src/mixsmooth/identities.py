@@ -348,34 +348,25 @@ def _reproduction_terms(
     h_list: Sequence[Sequence[float]],
     x_spec,
 ):
-    """Yield per-step (residual values, difference-sum values, scale, count)."""
+    """Yield per step (sample points, step, reproduction residual values)."""
     r = decomp.r
     d = len(r)
     x = grid_points(box, normalize_grid(x_spec, d)).reshape(-1, d)
     a_float = {k: float(c) for k, c in decomp.a.items()}
-    b_float = {e: float(c) for e, c in decomp.b.items()}
-    total_valid = 0
-    total_skipped = 0
+    sampled = False
     for h in h_list:
         hv = np.asarray(h, float)
         mask = _valid_sample_mask(x, hv, r, box)
-        total_skipped += int((~mask).sum())
         if not mask.any():
             continue
         pts = x[mask]
-        total_valid += pts.shape[0]
+        sampled = True
         fx = np.asarray(f(pts), float)
         recon = np.zeros_like(fx)
-        scale = np.abs(fx).max(initial=0.0)
         for k, c in a_float.items():
-            vals = np.asarray(f(pts + np.asarray(k) * hv), float)
-            scale = max(scale, np.abs(vals).max(initial=0.0))
-            recon += c * vals
-        diff_sum = np.zeros_like(fx)
-        for e, c in b_float.items():
-            diff_sum += c * mixed_difference(f, restrict_order(r, e), hv, pts)
-        yield fx - recon, diff_sum, scale, pts.shape[0]
-    if total_valid == 0:
+            recon += c * np.asarray(f(pts + np.asarray(k) * hv), float)
+        yield pts, hv, fx - recon
+    if not sampled:
         raise ValueError("every sample point violated the domain for every step")
 
 
@@ -394,7 +385,7 @@ def reproduction_residual(
     """
     decomp = unit_decomposition(r)
     worst = 0.0
-    for residual, _diff, _scale, _n in _reproduction_terms(f, decomp, box, h_list, x_spec):
+    for _, _, residual in _reproduction_terms(f, decomp, box, h_list, x_spec):
         worst = max(worst, float(np.abs(residual).max()))
     return worst
 
@@ -413,10 +404,12 @@ def reproduction_identity_gap(
     for any f, polynomial or not.
     """
     decomp = unit_decomposition(r)
+    b_float = {e: float(c) for e, c in decomp.b.items()}
     worst = 0.0
-    for residual, diff_sum, _scale, _n in _reproduction_terms(
-        f, decomp, box, h_list, x_spec
-    ):
+    for pts, hv, residual in _reproduction_terms(f, decomp, box, h_list, x_spec):
+        diff_sum = np.zeros_like(residual)
+        for e, c in b_float.items():
+            diff_sum += c * mixed_difference(f, restrict_order(decomp.r, e), hv, pts)
         worst = max(worst, float(np.abs(residual - diff_sum).max()))
     return worst
 

@@ -130,10 +130,6 @@ class TensorPolynomial:
         return TensorPolynomial(c)
 
     @classmethod
-    def zero(cls, degrees: Sequence[int]) -> "TensorPolynomial":
-        return cls(np.zeros(tuple(int(d) for d in degrees)))
-
-    @classmethod
     def random(cls, degrees: Sequence[int], rng: np.random.Generator, scale: float = 1.0):
         shape = tuple(int(d) for d in degrees)
         return cls(rng.standard_normal(shape) * scale)
@@ -228,6 +224,10 @@ class BestApproxResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+# random starts of the 0 < p < 1 descent, besides the p = 2 projection
+_N_STARTS = 8
+
+
 def _weighted_lstsq(design: np.ndarray, target: np.ndarray, weights: np.ndarray):
     sw = np.sqrt(weights)
     sol, *_ = np.linalg.lstsq(design * sw[:, None], target * sw, rcond=None)
@@ -240,7 +240,6 @@ def best_approx(
     p: float,
     *,
     seed: int = 0,
-    n_starts: int = 8,
     max_iter: int = 500,
 ) -> BestApproxResult:
     """Best tensor-polynomial approximation of grid samples in L_p.
@@ -324,7 +323,7 @@ def best_approx(
     err2 = math.sqrt(float((res2**2).sum() * cv))
     amp = 0.5 * (err2 + 1e-3 * max(scale, 1e-30))
     starts = [c_flat]
-    for _ in range(n_starts):
+    for _ in range(_N_STARTS):
         starts.append(c_flat + rng.standard_normal(c_flat.shape) * amp)
     best_c = None
     best_obj = math.inf

@@ -193,53 +193,37 @@ def _rel_gap(coarse: float, fine: float, floor: float) -> float:
     return max(0.0, (fine - coarse) / coarse)
 
 
-def _sup_terms_with_gap(f, r, t, box, settings: VerifierSettings, p_values):
-    """Sup terms at ``h_samples`` and, refined, at ``2*h_samples - 1``.
+def _with_gap(sweep, f, r, t, box, settings: VerifierSettings, ps):
+    """``(coarse, fine)``: ``sweep`` at ``h_samples`` and, refined, at
+    ``2*h_samples - 1`` (the coarse one again without ``refine_h``).
 
+    ``sweep`` is :func:`total_sup_terms` or :func:`sup_modulus_sweep`.
     The refined step grid contains the coarse one, so one refined sweep
-    yields both: the coarse terms are read off its even-indexed nodes.
+    yields both: the coarse values are read off its even-indexed nodes.
     """
     density = settings.grid_for(box)
     if not settings.refine_h:
-        coarse = total_sup_terms(
-            f, r, t, box, density=density, h_samples=settings.h_samples, p_values=p_values
-        )
+        coarse = sweep(f, r, t, box, density=density, h_samples=settings.h_samples, p_values=ps)
         return coarse, coarse
-    fine, coarse = total_sup_terms(
+    fine, coarse = sweep(
         f,
         r,
         t,
         box,
         density=density,
         h_samples=2 * settings.h_samples - 1,
-        p_values=p_values,
+        p_values=ps,
         nested=True,
     )
     return coarse, fine
 
 
+def _name(fn) -> str:
+    return getattr(fn, "name", getattr(fn, "__name__", "f"))
+
+
 # ---------------------------------------------------------------------------
 # Whitney: total modulus vs best approximation error
-
-
-def _whitney_core(fn, r, p_values, box, settings):
-    g = sample_on_grid(fn, box, settings.grid_for(box))
-    t = tuple(box.size)
-    terms_c, terms_f = _sup_terms_with_gap(fn, r, t, box, settings, p_values)
-    out = {}
-    for p in p_values:
-        fit = best_approx(g, r, p, seed=settings.seed)
-        omega_c = sum(terms_c[e][float(p)] for e in terms_c)
-        omega_f = sum(terms_f[e][float(p)] for e in terms_f)
-        out[float(p)] = {
-            "error": fit.error,
-            "converged": fit.converged,
-            "diagnostics": fit.diagnostics,
-            "omega": omega_c,
-            "omega_fine": omega_f,
-            "norm": lp_quasinorm(g, p),
-        }
-    return out
 
 
 def _coarse_grid_empty(r, t, box: Box, h_samples: int) -> bool:
@@ -263,53 +247,55 @@ def _whitney_pairs(
     fn, r, p_values, box, settings
 ) -> list[tuple[InequalityReport, InequalityReport]]:
     """The two Whitney reports for each p, from one sweep and one sample."""
-    name = getattr(fn, "name", getattr(fn, "__name__", "f"))
+    r = tuple(int(v) for v in r)
     ps = [float(p) for p in p_values]
-    cores = _whitney_core(fn, tuple(int(v) for v in r), ps, box, settings)
+    g = sample_on_grid(fn, box, settings.grid_for(box))
+    terms_c, terms_f = _with_gap(total_sup_terms, fn, r, tuple(box.size), box, settings, ps)
     # with no coarse step sampled the coarse modulus is 0 by construction
     unsampled = _coarse_grid_empty(r, box.size, box, settings.h_samples)
     policy = settings.policy
     pairs = []
     for p in ps:
-        core = cores[p]
-        floor = _floor(policy, core["norm"])
+        fit = best_approx(g, r, p, seed=settings.seed)
+        error = fit.error
+        omega = sum(terms_c[e][p] for e in terms_c)
+        omega_fine = sum(terms_f[e][p] for e in terms_f)
+        floor = _floor(policy, lp_quasinorm(g, p))
         const = lower_whitney_constant(r, p, box.dim)
-        left = core["omega_fine"]
-        right = core["error"]
-        vac = left <= floor and right <= floor
+        vac = omega_fine <= floor and error <= floor
         rep_a = InequalityReport(
             check="whitney-lower",
-            function=name,
+            function=_name(fn),
             params=_base_params(box, settings, r=list(r), p=_p_str(p)),
-            left=left,
-            right=right,
+            left=omega_fine,
+            right=error,
             explicit_constant=const,
             vacuous=vac,
-            passed=True if vac else left <= const * right * (1.0 + policy.hard_rel) + floor,
+            passed=True if vac else omega_fine <= const * error * (1.0 + policy.hard_rel) + floor,
             details={
-                "h_gap": _rel_gap(core["omega"], core["omega_fine"], floor),
-                "solver": core["diagnostics"].get("method"),
-                "solver_converged": core["converged"],
-                "solver_lower_bound": core["diagnostics"].get("lower_bound"),
-                "solver_gap": core["diagnostics"].get("gap"),
+                "h_gap": _rel_gap(omega, omega_fine, floor),
+                "solver": fit.diagnostics.get("method"),
+                "solver_converged": fit.converged,
+                "solver_lower_bound": fit.diagnostics.get("lower_bound"),
+                "solver_gap": fit.diagnostics.get("gap"),
             },
         )
         ratio = None
         passed_b: bool | None = None
-        vac_b = core["omega"] <= floor and core["error"] <= floor
-        if core["omega"] > floor:
-            ratio = core["error"] / core["omega"]
-        elif core["error"] > floor and not unsampled:
+        vac_b = omega <= floor and error <= floor
+        if omega > floor:
+            ratio = error / omega
+        elif error > floor and not unsampled:
             passed_b = False  # modulus at noise level but the error is not
-        details_b = {"solver_converged": core["converged"]}
+        details_b = {"solver_converged": fit.converged}
         if unsampled:
             details_b["coarse_grid_empty"] = True
         rep_b = InequalityReport(
             check="whitney-ratio",
-            function=name,
+            function=_name(fn),
             params=rep_a.params,
-            left=core["error"],
-            right=core["omega"],
+            left=error,
+            right=omega,
             empirical_constant=ratio,
             vacuous=vac_b,
             passed=passed_b,
@@ -399,71 +385,52 @@ def estimate_constants(
 # Mean vs sup equivalence
 
 
-def _equivalence_core(fn, r, t, p_values, box, settings):
-    g = sample_on_grid(fn, box, settings.grid_for(box))
-    sup_c, sup_f = _sup_terms_with_gap(fn, r, t, box, settings, p_values)
-    mean_terms = total_mean_terms(
-        fn,
-        r,
-        t,
-        box,
-        density=settings.grid_for(box),
-        h_samples=settings.h_samples,
-        p_values=p_values,
-    )
-    out = {}
-    for p in p_values:
-        p = float(p)
-        out[p] = {
-            "W": sum(mean_terms[e][p] for e in mean_terms),
-            "Omega": sum(sup_c[e][p] for e in sup_c),
-            "Omega_fine": sum(sup_f[e][p] for e in sup_f),
-            "norm": lp_quasinorm(g, p),
-        }
-    return out
-
-
 def _equivalence_pairs(
     fn, r, t, p_values, box, settings
 ) -> list[tuple[InequalityReport, InequalityReport]]:
     """The two mean-vs-sup reports for each p, from one set of sweeps."""
-    name = getattr(fn, "name", getattr(fn, "__name__", "f"))
+    r, t = tuple(r), tuple(t)
     ps = [float(p) for p in p_values]
-    cores = _equivalence_core(fn, tuple(r), tuple(t), ps, box, settings)
+    g = sample_on_grid(fn, box, settings.grid_for(box))
+    sup_c, sup_f = _with_gap(total_sup_terms, fn, r, t, box, settings, ps)
+    mean_terms = total_mean_terms(
+        fn, r, t, box, density=settings.grid_for(box), h_samples=settings.h_samples, p_values=ps
+    )
     policy = settings.policy
     pairs = []
     for p in ps:
-        core = cores[p]
-        floor = _floor(policy, core["norm"])
-        gap = _rel_gap(core["Omega"], core["Omega_fine"], floor)
-        vac = core["W"] <= floor and core["Omega_fine"] <= floor
+        mean = sum(mean_terms[e][p] for e in mean_terms)
+        omega = sum(sup_c[e][p] for e in sup_c)
+        omega_fine = sum(sup_f[e][p] for e in sup_f)
+        floor = _floor(policy, lp_quasinorm(g, p))
+        gap = _rel_gap(omega, omega_fine, floor)
+        vac = mean <= floor and omega_fine <= floor
         params = _base_params(box, settings, r=list(r), t=list(map(float, t)), p=_p_str(p))
         rep_hard = InequalityReport(
             check="equivalence-mean-le-sup",
-            function=name,
+            function=_name(fn),
             params=params,
-            left=core["W"],
-            right=core["Omega_fine"],
+            left=mean,
+            right=omega_fine,
             explicit_constant=1.0,
             vacuous=vac,
             passed=True
             if vac
-            else core["W"]
-            <= core["Omega_fine"] * (1.0 + gap) * (1.0 + policy.mean_sup_rel) + floor,
-            details={"h_gap": gap, "omega_coarse": core["Omega"]},
+            else mean <= omega_fine * (1.0 + gap) * (1.0 + policy.mean_sup_rel) + floor,
+            details={"h_gap": gap, "omega_coarse": omega},
         )
         ratio = None
         passed_ratio: bool | None = None
-        if core["W"] > floor:
-            ratio = core["Omega"] / core["W"]
-        elif core["Omega"] > floor:
+        if mean > floor:
+            ratio = omega / mean
+        elif omega > floor:
             passed_ratio = False  # sup side above noise while the mean vanished
         rep_ratio = InequalityReport(
             check="equivalence-ratio",
-            function=name,
+            function=_name(fn),
             params=params,
-            left=core["Omega"],
-            right=core["W"],
+            left=omega,
+            right=mean,
             empirical_constant=ratio,
             vacuous=vac,
             passed=passed_ratio,
@@ -522,84 +489,82 @@ def superadditivity_report(
     subset plus one aggregated total-modulus report with the empirical
     constant.
     """
-    if p == math.inf:
+    return _superadditivity(fn, r, t, [p], box, m, settings)[0]
+
+
+def _superadditivity(fn, r, t, p_values, box, m, settings) -> list[list[InequalityReport]]:
+    """The superadditivity reports for each p, from one set of sweeps."""
+    ps = [float(p) for p in p_values]
+    if math.inf in ps:
         raise ValueError("superadditivity is a statement about finite p")
     if m < 2:
         raise ValueError("the subdivision must have m >= 2 pieces per axis")
-    name = getattr(fn, "name", getattr(fn, "__name__", "f"))
     r = tuple(int(v) for v in r)
     t = tuple(float(v) for v in t)
-    p = float(p)
     policy = settings.policy
     density = settings.grid_for(box)
     parent_c = total_mean_terms(
-        fn, r, t, box, density=density, h_samples=settings.h_samples, p_values=[p]
+        fn, r, t, box, density=density, h_samples=settings.h_samples, p_values=ps
     )
     parent_f = total_mean_terms(
-        fn, r, t, box, density=density, h_samples=2 * settings.h_samples, p_values=[p]
+        fn, r, t, box, density=density, h_samples=2 * settings.h_samples, p_values=ps
     ) if settings.refine_h else parent_c
     child_density = tuple(max(2, int(math.ceil(n / m))) for n in density)
-    children = []
-    for sub in _split_boxes(box, m):
-        children.append(
-            total_mean_terms(
-                fn,
-                r,
-                t,
-                sub,
-                density=child_density,
-                h_samples=settings.h_samples,
-                p_values=[p],
-            )
+    children = [
+        total_mean_terms(
+            fn, r, t, sub, density=child_density, h_samples=settings.h_samples, p_values=ps
         )
-    scale = lp_quasinorm(sample_on_grid(fn, box, density), p)
-    floor = _floor(policy, scale) ** min(p, 1.0)
-    params = _base_params(
-        box, settings, r=list(r), t=list(t), p=_p_str(p), splits=m
-    )
-    reports = []
-    total_left = 0.0
-    total_right = 0.0
-    for e in nonempty_axis_subsets(box.dim):
-        w_parent = parent_c[e][p]
-        w_fine = parent_f[e][p]
-        gap = _rel_gap(w_parent, w_fine, floor)
-        left = sum(child[e][p] ** p for child in children)
-        right = max(w_parent, w_fine) ** p
-        total_left += left
-        total_right += right
-        vac = left <= floor and right <= floor
+        for sub in _split_boxes(box, m)
+    ]
+    g = sample_on_grid(fn, box, density)
+    out = []
+    for p in ps:
+        floor = _floor(policy, lp_quasinorm(g, p)) ** min(p, 1.0)
+        params = _base_params(box, settings, r=list(r), t=list(t), p=_p_str(p), splits=m)
+        reports = []
+        total_left = 0.0
+        total_right = 0.0
+        for e in nonempty_axis_subsets(box.dim):
+            w_parent = parent_c[e][p]
+            w_fine = parent_f[e][p]
+            gap = _rel_gap(w_parent, w_fine, floor)
+            left = sum(child[e][p] ** p for child in children)
+            right = max(w_parent, w_fine) ** p
+            total_left += left
+            total_right += right
+            vac = left <= floor and right <= floor
+            reports.append(
+                InequalityReport(
+                    check="superadditivity-term",
+                    function=_name(fn),
+                    params={**params, "subset": list(e)},
+                    left=left,
+                    right=right,
+                    explicit_constant=1.0,
+                    vacuous=vac,
+                    passed=True
+                    if vac
+                    else left
+                    <= right * (1.0 + gap) ** p * (1.0 + policy.superadd_rel) + floor,
+                    details={"h_gap": gap},
+                )
+            )
+        vac = total_left <= floor and total_right <= floor
         reports.append(
             InequalityReport(
-                check="superadditivity-term",
-                function=name,
-                params={**params, "subset": list(e)},
-                left=left,
-                right=right,
-                explicit_constant=1.0,
+                check="superadditivity-total",
+                function=_name(fn),
+                params=params,
+                left=total_left,
+                right=total_right,
+                empirical_constant=(total_left / total_right) if total_right > floor else None,
                 vacuous=vac,
-                passed=True
-                if vac
-                else left
-                <= right * (1.0 + gap) ** p * (1.0 + policy.superadd_rel) + floor,
-                details={"h_gap": gap},
+                passed=None,
+                details={},
             )
         )
-    vac = total_left <= floor and total_right <= floor
-    reports.append(
-        InequalityReport(
-            check="superadditivity-total",
-            function=name,
-            params=params,
-            left=total_left,
-            right=total_right,
-            empirical_constant=(total_left / total_right) if total_right > floor else None,
-            vacuous=vac,
-            passed=None,
-            details={},
-        )
-    )
-    return reports
+        out.append(reports)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +600,13 @@ def marchaud_report(
     is used.  The constant is empirical; stability under doubling the
     integration grid is recorded when ``u_refine`` is set.
     """
-    name = getattr(fn, "name", getattr(fn, "__name__", "f"))
+    return _marchaud(fn, k, r, axis, t, [p], box, settings, u_refine=u_refine)[0]
+
+
+def _marchaud(
+    fn, k, r, axis, t, p_values, box, settings, *, u_refine=True
+) -> list[InequalityReport]:
+    """The Marchaud report for each p, from one sweep per step bound."""
     k = tuple(int(v) for v in k)
     r = tuple(int(v) for v in r)
     t = tuple(float(v) for v in t)
@@ -652,71 +623,71 @@ def marchaud_report(
     if not t[i] < delta_i:
         raise ValueError("t_axis must be smaller than the box side")
     density = settings.grid_for(box)
-    p = float(p)
+    ps = [float(p) for p in p_values]
 
     def omega(order, tvec):
         return sup_modulus_sweep(
-            fn,
-            order,
-            tvec,
-            box,
-            density=density,
-            h_samples=settings.h_samples,
-            p_values=[p],
-        )[p]
+            fn, order, tvec, box, density=density, h_samples=settings.h_samples, p_values=ps
+        )
 
-    left = omega(k, t)
-    norm = lp_quasinorm(sample_on_grid(fn, box, density), p)
+    lefts = omega(k, t)
+    g = sample_on_grid(fn, box, density)
+    norms = {p: lp_quasinorm(g, p) for p in ps}
 
-    def bracket(min_nodes):
+    def rights(min_nodes):
+        """Per p, the right side from ``min_nodes`` or more u nodes; the node count."""
         mids, weights = _geometric_nodes(t[i], delta_i, min_nodes=min_nodes)
-        integral = 0.0
+        integrals = dict.fromkeys(ps, 0.0)
         for u, w in zip(mids, weights):
             tu = list(t)
             tu[i] = float(u)
-            om = omega(r, tu)
+            oms = omega(r, tu)
+            for p in ps:
+                if p >= 1:
+                    integrals[p] += w * oms[p] / u ** (k[i] + 1)
+                else:
+                    integrals[p] += w * oms[p] ** p / u ** (k[i] * p + 1)
+        out = {}
+        for p in ps:
             if p >= 1:
-                integral += w * om / u ** (k[i] + 1)
+                out[p] = t[i] ** k[i] * (integrals[p] + norms[p] / delta_i ** k[i])
             else:
-                integral += w * om**p / u ** (k[i] * p + 1)
-        if p >= 1:
-            return integral + norm / delta_i ** k[i], len(mids)
-        return integral + norm**p / delta_i ** (k[i] * p), len(mids)
+                bracket = integrals[p] + norms[p] ** p / delta_i ** (k[i] * p)
+                out[p] = (t[i] ** (k[i] * p) * bracket) ** (1.0 / p)
+        return out, len(mids)
 
-    br, n_nodes = bracket(24)
-    if p >= 1:
-        right = t[i] ** k[i] * br
+    rights_c, n_nodes = rights(24)
+    rights_f, n_fine = rights(48) if u_refine else ({}, None)
+    reports = []
+    for p in ps:
+        left, right = lefts[p], rights_c[p]
         constant = left / right if right > 0 else None
-    else:
-        right = (t[i] ** (k[i] * p) * br) ** (1.0 / p)
-        constant = left / right if right > 0 else None
-    details = {"u_nodes": n_nodes, "form": "p>=1" if p >= 1 else "p<1"}
-    if u_refine:
-        br2, n2 = bracket(48)
-        if p >= 1:
-            right2 = t[i] ** k[i] * br2
-        else:
-            right2 = (t[i] ** (k[i] * p) * br2) ** (1.0 / p)
-        c2 = left / right2 if right2 > 0 else None
-        details["u_nodes_fine"] = n2
-        details["constant_fine"] = c2
-        if constant and c2:
-            details["u_refine_ratio"] = c2 / constant
-    floor = _floor(settings.policy, norm)
-    vac = left <= floor and right <= floor
-    return InequalityReport(
-        check="marchaud",
-        function=name,
-        params=_base_params(
-            box, settings, k=list(k), r=list(r), axis=i, t=list(t), p=_p_str(p)
-        ),
-        left=left,
-        right=right,
-        empirical_constant=None if vac else constant,
-        vacuous=vac,
-        passed=None,
-        details=details,
-    )
+        details = {"u_nodes": n_nodes, "form": "p>=1" if p >= 1 else "p<1"}
+        if u_refine:
+            right2 = rights_f[p]
+            c2 = left / right2 if right2 > 0 else None
+            details["u_nodes_fine"] = n_fine
+            details["constant_fine"] = c2
+            if constant and c2:
+                details["u_refine_ratio"] = c2 / constant
+        floor = _floor(settings.policy, norms[p])
+        vac = left <= floor and right <= floor
+        reports.append(
+            InequalityReport(
+                check="marchaud",
+                function=_name(fn),
+                params=_base_params(
+                    box, settings, k=list(k), r=list(r), axis=i, t=list(t), p=_p_str(p)
+                ),
+                left=left,
+                right=right,
+                empirical_constant=None if vac else constant,
+                vacuous=vac,
+                passed=None,
+                details=details,
+            )
+        )
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -810,65 +781,58 @@ def constant_bound_report(
     The |Q| normalization mirrors the unit-square form of the display
     and is recorded in the metadata.
     """
+    return _constant_bound(fn, [p], box, settings)[0]
+
+
+def _constant_bound(fn, p_values, box, settings) -> list[InequalityReport]:
+    """The constant-lemma report for each p, from one sweep per axis."""
     if box.dim != 2:
         raise ValueError("the explicit constant form is two-dimensional")
-    name = getattr(fn, "name", getattr(fn, "__name__", "f"))
-    p = float(p)
-    if p == math.inf:
+    ps = [float(p) for p in p_values]
+    if math.inf in ps:
         raise ValueError("the best-constant bound is a statement about finite p")
     policy = settings.policy
-    density = settings.grid_for(box)
-    g = sample_on_grid(fn, box, density)
-    beta, err = best_constant(g, p)
-    left = err**p / box.volume
+    g = sample_on_grid(fn, box, settings.grid_for(box))
     t = tuple(box.size)
-    moduli = []
-    for e in ((0,), (1,)):
-        order = restrict_order((1, 1), e)
-        if settings.refine_h:
-            fine, coarse = sup_modulus_sweep(
-                fn,
-                order,
-                t,
-                box,
-                density=density,
-                h_samples=2 * settings.h_samples - 1,
-                p_values=[p],
-                nested=True,
-            )
-            moduli.append((coarse[p], fine[p]))
-        else:
-            coarse = sup_modulus_sweep(
-                fn, order, t, box, density=density, h_samples=settings.h_samples, p_values=[p]
-            )[p]
-            moduli.append((coarse, coarse))
+    sweeps = [
+        _with_gap(sup_modulus_sweep, fn, restrict_order((1, 1), e), t, box, settings, ps)
+        for e in ((0,), (1,))
+    ]
     scale = float(np.abs(g.values).max(initial=0.0))
-    floor = _floor(policy, scale) ** min(p, 1.0)
-    right_raw = 2.0 * sum(c**p for c, _ in moduli)
-    gaps = [_rel_gap(c, f, _floor(policy, scale)) for c, f in moduli]
-    right = 2.0 * sum((c * (1.0 + gp)) ** p for (c, _), gp in zip(moduli, gaps))
-    hard = p <= 1.0
-    vac = left <= floor and right <= floor
-    passed: bool | None = None
-    if hard:
-        passed = True if vac else left <= right * (1.0 + policy.hard_rel) + floor
-    return InequalityReport(
-        check="constant-lemma",
-        function=name,
-        params=_base_params(box, settings, p=_p_str(p)),
-        left=left,
-        right=right,
-        explicit_constant=2.0 if hard else None,
-        empirical_constant=(left / right_raw) if right_raw > floor else None,
-        vacuous=vac,
-        passed=passed,
-        details={
-            "beta": beta,
-            "h_gaps": gaps,
-            "normalization": "both sides per unit volume of the box",
-            "mode": "hard" if hard else "ratio-only",
-        },
-    )
+    reports = []
+    for p in ps:
+        beta, err = best_constant(g, p)
+        left = err**p / box.volume
+        moduli = [(coarse[p], fine[p]) for coarse, fine in sweeps]
+        floor = _floor(policy, scale) ** min(p, 1.0)
+        right_raw = 2.0 * sum(c**p for c, _ in moduli)
+        gaps = [_rel_gap(c, f, _floor(policy, scale)) for c, f in moduli]
+        right = 2.0 * sum((c * (1.0 + gp)) ** p for (c, _), gp in zip(moduli, gaps))
+        hard = p <= 1.0
+        vac = left <= floor and right <= floor
+        passed: bool | None = None
+        if hard:
+            passed = True if vac else left <= right * (1.0 + policy.hard_rel) + floor
+        reports.append(
+            InequalityReport(
+                check="constant-lemma",
+                function=_name(fn),
+                params=_base_params(box, settings, p=_p_str(p)),
+                left=left,
+                right=right,
+                explicit_constant=2.0 if hard else None,
+                empirical_constant=(left / right_raw) if right_raw > floor else None,
+                vacuous=vac,
+                passed=passed,
+                details={
+                    "beta": beta,
+                    "h_gaps": gaps,
+                    "normalization": "both sides per unit volume of the box",
+                    "mode": "hard" if hard else "ratio-only",
+                },
+            )
+        )
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -1061,10 +1025,9 @@ _SUITES: dict[str, _Suite] = {
         dims=(1, 2),
         names=_D2_NAMES,
         ps=lambda ps: [p for p in ps if p != math.inf],
-        report=lambda fn, r, ps, box, s: [
-            superadditivity_report(fn, r, tuple(0.125 * v for v in box.size), p, box, 2, s)
-            for p in ps
-        ],
+        report=lambda fn, r, ps, box, s: _superadditivity(
+            fn, r, tuple(0.125 * v for v in box.size), ps, box, 2, s
+        ),
     ),
     "taylor": _Suite(
         dims=(1, 2),
@@ -1081,7 +1044,7 @@ _SUITES: dict[str, _Suite] = {
         ps=lambda ps: [p for p in ps if p != math.inf][:2] or [2.0],
         orders=_marchaud_case,
         report=lambda fn, krt, ps, box, s: [
-            [marchaud_report(fn, krt[0], krt[1], 0, krt[2], p, box, s)] for p in ps
+            [rep] for rep in _marchaud(fn, krt[0], krt[1], 0, krt[2], ps, box, s)
         ],
     ),
     "constant-lemma": _Suite(
@@ -1089,7 +1052,7 @@ _SUITES: dict[str, _Suite] = {
         names=_D2_NAMES,
         ps=lambda ps: [p for p in ps if p != math.inf and p <= 1] or [1.0],
         orders=lambda dim, orders: [()],
-        report=lambda fn, _, ps, box, s: [[constant_bound_report(fn, p, box, s)] for p in ps],
+        report=lambda fn, _, ps, box, s: [[rep] for rep in _constant_bound(fn, ps, box, s)],
     ),
 }
 
@@ -1108,8 +1071,9 @@ def run_suite(
 
     A suite expands into one case per (function, order, exponent) and
     reports them sorted by function name, order and exponent text.  The
-    exponents of one (function, order) are run together, so the Whitney
-    and equivalence reports share one sweep across them.  ``names``,
+    exponents of one (function, order) are run together, so every sweep
+    row (all but the identities and Taylor) shares one sweep across
+    them.  ``names``,
     ``orders`` and ``p_values`` narrow the selection; the identities
     take none of them.
     """

@@ -28,13 +28,13 @@ from mixsmooth.identities import (
 from mixsmooth.polyapprox import TensorPolynomial, best_approx, best_constant
 from mixsmooth.verifier import (
     VerifierSettings,
-    constant_bound_report,
-    equivalence_report,
+    _constant_bound,
+    _equivalence_pairs,
+    _marchaud,
+    _superadditivity,
+    _whitney_pairs,
     estimate_constants,
-    marchaud_report,
-    superadditivity_report,
     taylor_report,
-    whitney_report,
 )
 
 D2_NAMES = [e.name for e in corpus_entries(dim=2)]
@@ -170,25 +170,21 @@ def test_criterion_4_closed_form_oracles():
 
 @pytest.fixture(scope="module")
 def hard_sweep():
-    """All hard-check reports on the shipped d=2 corpus at grid 64, 17 steps."""
+    """All hard-check reports on the shipped d=2 corpus at grid 64, 17 steps.
+
+    Each builder returns one entry per exponent, in the order given, from
+    one set of sweeps for all of them.
+    """
     data = {"whitney": [], "equivalence": [], "superadd": [], "constant": []}
     t_delta = tuple(BOX2.size)
+    finite = [p for p in P_VALUES if p != math.inf]
     for name in D2_NAMES:
         fn = get_function(name)
         for r in ORDERS:
-            for p in P_VALUES:
-                data["whitney"].append(whitney_report(fn, r, p, BOX2, HARD))
-                data["equivalence"].append(
-                    equivalence_report(fn, r, t_delta, p, BOX2, HARD)
-                )
-                if p != math.inf:
-                    data["superadd"].append(
-                        superadditivity_report(
-                            fn, r, (0.125, 0.125), p, BOX2, 2, HARD
-                        )
-                    )
-        for p in (0.5, 1.0):
-            data["constant"].append(constant_bound_report(fn, p, BOX2, HARD))
+            data["whitney"] += _whitney_pairs(fn, r, P_VALUES, BOX2, HARD)
+            data["equivalence"] += _equivalence_pairs(fn, r, t_delta, P_VALUES, BOX2, HARD)
+            data["superadd"] += _superadditivity(fn, r, (0.125, 0.125), finite, BOX2, 2, HARD)
+        data["constant"] += _constant_bound(fn, (0.5, 1.0), BOX2, HARD)
     return data
 
 
@@ -268,10 +264,9 @@ def test_criterion_6_empirical_constants(hard_sweep):
     march_settings = VerifierSettings(grid=48, h_samples=9)
     for name in ("exp_sum_2d", "sin_prod_2d", "holder_half_2d", "spline_prod_2d"):
         fn = get_function(name)
-        for p in (0.5, 2.0):
-            rep = marchaud_report(
-                fn, (1, 2), (2, 2), 0, (0.125, 0.125), p, BOX2, march_settings
-            )
+        ps = (0.5, 2.0)
+        reps = _marchaud(fn, (1, 2), (2, 2), 0, (0.125, 0.125), ps, BOX2, march_settings)
+        for p, rep in zip(ps, reps):
             c = rep.empirical_constant
             if rep.vacuous:
                 continue

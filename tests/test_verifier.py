@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,11 @@ from mixsmooth.corpus import get_function
 from mixsmooth.domain import Box
 from mixsmooth.verifier import (
     VerifierSettings,
+    _constant_bound,
+    _equivalence_pairs,
+    _marchaud,
+    _superadditivity,
+    _whitney_pairs,
     constant_bound_report,
     equivalence_report,
     estimate_constants,
@@ -278,28 +284,28 @@ BOX2 = Box.unit(2)
 TABLE_CASES = {
     "whitney": (
         (0.5, 1.0, 2.0, math.inf),
-        lambda fn, p: whitney_report(fn, (1, 1), p, BOX2, SMALL),
+        lambda fn, p, s: whitney_report(fn, (1, 1), p, BOX2, s),
     ),
     "equivalence": (
         (0.5, 1.0, 2.0, math.inf),
-        lambda fn, p: equivalence_report(fn, (1, 1), (0.5, 0.5), p, BOX2, SMALL),
+        lambda fn, p, s: equivalence_report(fn, (1, 1), (0.5, 0.5), p, BOX2, s),
     ),
     "superadditivity": (
         (0.5, 1.0, 2.0),
-        lambda fn, p: superadditivity_report(fn, (1, 1), (0.125, 0.125), p, BOX2, 2, SMALL),
+        lambda fn, p, s: superadditivity_report(fn, (1, 1), (0.125, 0.125), p, BOX2, 2, s),
     ),
     "taylor": (
         (1.0, 2.0, math.inf),
-        lambda fn, p: [taylor_report(fn, (1, 1), p, (0.25, 0.125, 0.0625), SMALL)],
+        lambda fn, p, s: [taylor_report(fn, (1, 1), p, (0.25, 0.125, 0.0625), s)],
     ),
     # the first two finite exponents requested; orders do not apply
     "marchaud": (
         (1.0, 2.0),
-        lambda fn, p: [marchaud_report(fn, (1, 2), (2, 2), 0, (0.125, 0.125), p, BOX2, SMALL)],
+        lambda fn, p, s: [marchaud_report(fn, (1, 2), (2, 2), 0, (0.125, 0.125), p, BOX2, s)],
     ),
     "constant-lemma": (
         (0.5, 1.0),
-        lambda fn, p: [constant_bound_report(fn, p, BOX2, SMALL)],
+        lambda fn, p, s: [constant_bound_report(fn, p, BOX2, s)],
     ),
 }
 
@@ -308,15 +314,64 @@ def _dump(reports):
     return [json.dumps(r.to_record(), sort_keys=True) for r in reports]
 
 
-@pytest.mark.parametrize("suite", sorted(TABLE_CASES))
-def test_run_suite_row_matches_direct_report_calls(suite):
+@pytest.mark.parametrize(
+    "suite, refine_h",
+    [pytest.param(suite, True, id=suite) for suite in sorted(TABLE_CASES)]
+    + [pytest.param(suite, False, id=f"{suite}-unrefined") for suite in sorted(TABLE_CASES)],
+)
+def test_run_suite_row_matches_direct_report_calls(suite, refine_h):
+    settings = replace(SMALL, refine_h=refine_h)
     ps, report = TABLE_CASES[suite]
     got = run_suite(
-        suite, SMALL, names=["exp_sum_2d"], orders=((1, 1),), p_values=(math.inf, 2.0, 1.0, 0.5)
+        suite, settings, names=["exp_sum_2d"], orders=((1, 1),), p_values=(math.inf, 2.0, 1.0, 0.5)
     )
     fn = get_function("exp_sum_2d")
-    want = [rep for p in ps for rep in report(fn, p)]
+    want = [rep for p in ps for rep in report(fn, p, settings)]
     assert _dump(got) == _dump(want)
+
+
+class _Counting:
+    """A corpus function that counts the calls made to it."""
+
+    def __init__(self, name):
+        self.fn = get_function(name)
+        self.name = name
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.fn(x)
+
+
+# Each p-list builder at a few exponents, as the suite rows call it.  The
+# mean side of equivalence takes its sup form at p = inf, one more sweep.
+BUILDER_CASES = {
+    "whitney": ((0.5, 2.0, math.inf), lambda fn, ps: _whitney_pairs(fn, (1, 1), ps, BOX2, SMALL)),
+    "equivalence": (
+        (0.5, 1.0, 2.0),
+        lambda fn, ps: _equivalence_pairs(fn, (1, 1), (0.5, 0.5), ps, BOX2, SMALL),
+    ),
+    "superadditivity": (
+        (0.5, 1.0, 2.0),
+        lambda fn, ps: _superadditivity(fn, (1, 1), (0.125, 0.125), ps, BOX2, 2, SMALL),
+    ),
+    "marchaud": (
+        (0.5, 2.0),
+        lambda fn, ps: _marchaud(fn, (1, 2), (2, 2), 0, (0.125, 0.125), ps, BOX2, SMALL),
+    ),
+    "constant-lemma": ((0.5, 1.0), lambda fn, ps: _constant_bound(fn, ps, BOX2, SMALL)),
+}
+
+
+@pytest.mark.parametrize("check", sorted(BUILDER_CASES))
+def test_p_list_builder_samples_f_as_often_as_for_one_p(check):
+    # the sweeps and the floor's sample serve every exponent at once
+    ps, build = BUILDER_CASES[check]
+    one, every = _Counting("exp_sum_2d"), _Counting("exp_sum_2d")
+    build(one, ps[:1])
+    reports = build(every, ps)
+    assert len(reports) == len(ps)
+    assert every.calls == one.calls > 0
 
 
 def test_run_suite_identities_row_is_the_identity_suite():
