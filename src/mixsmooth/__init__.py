@@ -9,8 +9,9 @@ The package computes, on axis-aligned boxes and for any exponent
   with exponent-appropriate solvers (projection, reweighted least
   squares, Stiefel's exchange method for p = inf, and smoothed
   multi-start descent for the nonconvex p < 1 range);
-* exact rational-arithmetic identities linking differences and
-  polynomials (unit decomposition, reproduction formula, step halving);
+* exact identities linking differences and polynomials, in closed
+  form with integer and rational coefficients (unit decomposition,
+  reproduction formula, step halving);
 * a verifier that measures both sides of every supported inequality on
   a shipped corpus, estimates the constants empirically, and hard-fails
   only where an explicit constant is known.
@@ -38,11 +39,8 @@ from .differences import (
     total_modulus_sup,
 )
 from .identities import (
-    RationalMultiPoly,
     UnitDecomposition,
     annihilation_residual,
-    expand_Ae,
-    expand_Pe,
     halving_identity,
     reproduction_identity_gap,
     reproduction_residual,

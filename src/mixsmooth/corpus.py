@@ -298,7 +298,7 @@ _CORPUS = _build_corpus()
 
 def corpus_entries(dim: int | None = None, tag: str | None = None) -> list[CorpusFunction]:
     """Corpus entries sorted by name, optionally filtered by dimension and tag."""
-    tag_norm = tag.replace("ö", "o").lower() if tag else None
+    tag_norm = tag.lower() if tag else None
     out = []
     for name in sorted(_CORPUS):
         e = _CORPUS[name]

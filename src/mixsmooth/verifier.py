@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -330,9 +330,6 @@ def estimate_constants(
     p: float,
     grids: Sequence[int],
     seed: int = 0,
-    *,
-    box: Box | None = None,
-    settings: VerifierSettings | None = None,
 ) -> dict:
     """Aggregate upper-Whitney ratios across a corpus and a grid ladder.
 
@@ -342,15 +339,13 @@ def estimate_constants(
     """
     if not names:
         raise ValueError("corpus selection is empty")
-    base = settings or VerifierSettings(seed=seed)
     levels = []
     for grid in grids:
         level = {"grid": int(grid), "ratios": {}, "vacuous": []}
-        s = replace(base, grid=int(grid), seed=seed, refine_h=False)
+        s = VerifierSettings(grid=int(grid), seed=seed, refine_h=False)
         for name in sorted(names):
             fn = get_function(name)
-            b = box or Box.unit(fn.dim)
-            _, rep_b = whitney_report(fn, r, p, b, s)
+            _, rep_b = whitney_report(fn, r, p, Box.unit(fn.dim), s)
             if rep_b.vacuous:
                 level["vacuous"].append(name)
             elif rep_b.empirical_constant is not None:
@@ -391,16 +386,21 @@ def _equivalence_pairs(
     """The two mean-vs-sup reports for each p, from one set of sweeps."""
     r, t = tuple(r), tuple(t)
     ps = [float(p) for p in p_values]
-    g = sample_on_grid(fn, box, settings.grid_for(box))
+    density = settings.grid_for(box)
+    g = sample_on_grid(fn, box, density)
     sup_c, sup_f = _with_gap(total_sup_terms, fn, r, t, box, settings, ps)
-    mean_terms = total_mean_terms(
-        fn, r, t, box, density=settings.grid_for(box), h_samples=settings.h_samples, p_values=ps
-    )
+    finite = [p for p in ps if p != math.inf]
+    mean_terms = {}
+    if finite:
+        mean_terms = total_mean_terms(
+            fn, r, t, box, density=density, h_samples=settings.h_samples, p_values=finite
+        )
     policy = settings.policy
     pairs = []
     for p in ps:
-        mean = sum(mean_terms[e][p] for e in mean_terms)
         omega = sum(sup_c[e][p] for e in sup_c)
+        # at p = inf the mean modulus is the sup modulus: the coarse sweep
+        mean = omega if p == math.inf else sum(mean_terms[e][p] for e in mean_terms)
         omega_fine = sum(sup_f[e][p] for e in sup_f)
         floor = _floor(policy, lp_quasinorm(g, p))
         gap = _rel_gap(omega, omega_fine, floor)
@@ -588,8 +588,6 @@ def marchaud_report(
     p: float,
     box: Box,
     settings: VerifierSettings = VerifierSettings(),
-    *,
-    u_refine: bool = True,
 ) -> InequalityReport:
     """Bound a lower-order modulus by the step integral of a higher one.
 
@@ -597,15 +595,13 @@ def marchaud_report(
     integral over step sizes from t_axis to the box side runs on a
     geometric grid (ratio at most 2^(1/4), at least 24 cells) with
     arithmetic midpoints; for p < 1 the p-th-power form of both sides
-    is used.  The constant is empirical; stability under doubling the
-    integration grid is recorded when ``u_refine`` is set.
+    is used.  The constant is empirical; its stability under doubling
+    the integration grid is recorded.
     """
-    return _marchaud(fn, k, r, axis, t, [p], box, settings, u_refine=u_refine)[0]
+    return _marchaud(fn, k, r, axis, t, [p], box, settings)[0]
 
 
-def _marchaud(
-    fn, k, r, axis, t, p_values, box, settings, *, u_refine=True
-) -> list[InequalityReport]:
+def _marchaud(fn, k, r, axis, t, p_values, box, settings) -> list[InequalityReport]:
     """The Marchaud report for each p, from one sweep per step bound."""
     k = tuple(int(v) for v in k)
     r = tuple(int(v) for v in r)
@@ -657,19 +653,21 @@ def _marchaud(
         return out, len(mids)
 
     rights_c, n_nodes = rights(24)
-    rights_f, n_fine = rights(48) if u_refine else ({}, None)
+    rights_f, n_fine = rights(48)
     reports = []
     for p in ps:
         left, right = lefts[p], rights_c[p]
         constant = left / right if right > 0 else None
-        details = {"u_nodes": n_nodes, "form": "p>=1" if p >= 1 else "p<1"}
-        if u_refine:
-            right2 = rights_f[p]
-            c2 = left / right2 if right2 > 0 else None
-            details["u_nodes_fine"] = n_fine
-            details["constant_fine"] = c2
-            if constant and c2:
-                details["u_refine_ratio"] = c2 / constant
+        right2 = rights_f[p]
+        c2 = left / right2 if right2 > 0 else None
+        details = {
+            "u_nodes": n_nodes,
+            "form": "p>=1" if p >= 1 else "p<1",
+            "u_nodes_fine": n_fine,
+            "constant_fine": c2,
+        }
+        if constant and c2:
+            details["u_refine_ratio"] = c2 / constant
         floor = _floor(settings.policy, norms[p])
         vac = left <= floor and right <= floor
         reports.append(
@@ -839,17 +837,17 @@ def _constant_bound(fn, p_values, box, settings) -> list[InequalityReport]:
 # Identity suite (exact arithmetic checks wrapped as reports)
 
 
+# (dimension, order) of the random tensor polynomials whose differences
+# the annihilation check samples
+_ANNIHILATION_CASES = ((1, (3,)), (2, (2, 3)), (3, (2, 2, 2)))
+
+
 def suite_identities(
     settings: VerifierSettings = VerifierSettings(),
     *,
     max_dim: int = 3,
     max_order: int = 4,
     halving_orders: int = 10,
-    annihilation_cases: Sequence[tuple[int, tuple[int, ...]]] = (
-        (1, (3,)),
-        (2, (2, 3)),
-        (3, (2, 2, 2)),
-    ),
     n_random: int = 50,
 ) -> list[InequalityReport]:
     """Exact-arithmetic checks: decompositions, halving, reproduction, annihilation."""
@@ -880,8 +878,7 @@ def suite_identities(
     halving_ok = True
     degrees = []
     for kk in range(1, halving_orders + 1):
-        poly = halving_identity(kk)
-        deg = poly.degrees()[0]
+        deg = max(j for (j,) in halving_identity(kk))
         degrees.append(deg)
         if deg != kk - 1:
             halving_ok = False
@@ -934,7 +931,7 @@ def suite_identities(
 
     annih_pass = True
     worst = 0.0
-    for d, r in annihilation_cases:
+    for d, r in _ANNIHILATION_CASES:
         box = Box.unit(d)
         h_nodes = np.linspace(-0.2, 0.2, 5)
         for idx in range(n_random):
@@ -957,7 +954,7 @@ def suite_identities(
         InequalityReport(
             check="identity-annihilation",
             function="-",
-            params={"cases": [list(map(str, c)) for c in annihilation_cases], "random": n_random},
+            params={"cases": [list(map(str, c)) for c in _ANNIHILATION_CASES], "random": n_random},
             left=worst,
             right=1e-9,
             vacuous=False,

@@ -146,12 +146,6 @@ def test_corpus_listing_and_filters(tmp_path, capsys):
     assert doc["records"] == []
 
 
-def test_corpus_unicode_tag_alias(tmp_path):
-    code, doc = run_json(tmp_path, ["corpus", "--tag", "Hölder-singular"])
-    assert code == 0
-    assert len(doc["records"]) >= 3
-
-
 def test_csv_format(tmp_path):
     out = tmp_path / "rep.csv"
     code = main(

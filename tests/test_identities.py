@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,42 +8,13 @@ import pytest
 from mixsmooth.differences import mixed_difference
 from mixsmooth.domain import Box, grid_points, nonempty_axis_subsets, restrict_order
 from mixsmooth.identities import (
-    RationalMultiPoly,
     annihilation_residual,
-    expand_Ae,
-    expand_Pe,
     halving_identity,
     reproduction_identity_gap,
     reproduction_residual,
     unit_decomposition,
-    univariate_divmod,
 )
 from mixsmooth.polyapprox import TensorPolynomial
-
-
-def poly_from_terms(dim, terms):
-    return RationalMultiPoly(dim, {k: Fraction(c) for k, c in terms.items()})
-
-
-def test_rational_poly_arithmetic_is_exact():
-    x = RationalMultiPoly.variable(0, 1)
-    third = RationalMultiPoly.constant(1, Fraction(1, 3))
-    p = (x + third) * (x - third)
-    assert p == poly_from_terms(1, {(2,): 1, (0,): Fraction(-1, 9)})
-    assert (p - p).is_zero
-    assert p.evaluate([Fraction(1, 3)]) == 0
-
-
-def test_expand_Pe_and_Ae_examples():
-    assert expand_Pe((1,), (0,)) == poly_from_terms(1, {(1,): 1, (0,): -1})
-    assert expand_Ae((1,), (0,)) == poly_from_terms(1, {(1,): 1})
-    assert expand_Pe((2,), (0,)) == poly_from_terms(1, {(2,): 1, (1,): -2, (0,): 1})
-    assert expand_Ae((2,), (0,)) == poly_from_terms(1, {(2,): 1, (1,): -2})
-    p = expand_Pe((1, 1), (0, 1))
-    assert p == poly_from_terms(
-        2, {(1, 1): 1, (1, 0): -1, (0, 1): -1, (0, 0): 1}
-    )
-    assert len(p) == 4
 
 
 def test_unit_decomposition_known_small_cases():
@@ -60,12 +32,21 @@ def test_unit_decomposition_known_small_cases():
 
 
 def test_unit_decomposition_exact_for_all_small_orders():
+    # Independent oracle: both sides have degree <= r_i on axis i, so
+    # agreeing on a tensor grid of r_i + 1 distinct rationals per axis
+    # proves the polynomial identity.
     for dim in (1, 2, 3):
         for r in itertools.product(range(1, 5), repeat=dim):
             decomp = unit_decomposition(r)
-            # construction already verifies; assert the invariant again
-            assert decomp.as_polynomial() == 1
-            assert all(all(1 <= v for v in k) for k in decomp.a)
+            assert all(all(1 <= v <= ri for v, ri in zip(k, r)) for k in decomp.a)
+            nodes = [[Fraction(j, 2) - Fraction(1, 3) for j in range(ri + 1)] for ri in r]
+            for x in itertools.product(*nodes):
+                total = Fraction(0)
+                for k, c in decomp.a.items():
+                    total += c * math.prod(xi**ki for xi, ki in zip(x, k))
+                for e, c in decomp.b.items():
+                    total += c * math.prod((x[i] - 1) ** r[i] for i in e)
+                assert total == 1, (r, x)
 
 
 def test_reproduction_residual_member_and_affine():
@@ -148,25 +129,18 @@ def test_decomposition_operator_identity_consistency():
 
 
 def test_halving_identity_small_orders():
-    p1 = halving_identity(1)
-    assert p1 == RationalMultiPoly(1, {(0,): Fraction(-1, 2)})
-    p2 = halving_identity(2)
-    assert p2 == RationalMultiPoly(1, {(0,): Fraction(-3, 4), (1,): Fraction(-1, 4)})
+    assert halving_identity(1) == {(0,): Fraction(-1, 2)}
+    assert halving_identity(2) == {(0,): Fraction(-3, 4), (1,): Fraction(-1, 4)}
     for k in range(1, 7):
-        poly = halving_identity(k)
-        assert poly.degrees()[0] == k - 1
+        assert list(halving_identity(k)) == [(j,) for j in range(k)]
 
 
 def test_halving_identity_exact_through_ten():
+    # Independent oracle: both sides have degree <= 2k, so agreeing at
+    # 2k + 1 distinct rationals proves the identity.
     for k in range(1, 11):
-        halving_identity(k)  # raises on any inexactness
-
-
-def test_univariate_divmod_remainder():
-    x = RationalMultiPoly.variable(0, 1)
-    num = x**3 - 1
-    quo, rem = univariate_divmod(num, x - 1)
-    assert rem.is_zero
-    assert quo == poly_from_terms(1, {(2,): 1, (1,): 1, (0,): 1})
-    quo, rem = univariate_divmod(x**2, x - 1)
-    assert rem == poly_from_terms(1, {(0,): 1})
+        witness = halving_identity(k)
+        for n in range(2 * k + 1):
+            x = Fraction(2 * n + 1, 7)
+            p = sum(c * x**j for (j,), c in witness.items())
+            assert (x - 1) ** k == Fraction(1, 2**k) * (x * x - 1) ** k + p * (x - 1) ** (k + 1)

@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,9 +158,7 @@ def test_superadditivity_rejects_inf_p():
 def test_marchaud_kink_stability_and_integral_oracle():
     fn = get_function("abs_kink_1d")
     settings = VerifierSettings(grid=128, h_samples=9)
-    rep = marchaud_report(
-        fn, (1,), (2,), 0, (1.0 / 16.0,), 2.0, Box.unit(1), settings, u_refine=True
-    )
+    rep = marchaud_report(fn, (1,), (2,), 0, (1.0 / 16.0,), 2.0, Box.unit(1), settings)
     c = rep.empirical_constant
     assert c is not None and np.isfinite(c) and c > 0
     # doubling the u grid moves the constant by at most 15 percent
@@ -190,9 +190,7 @@ def test_marchaud_kink_stability_and_integral_oracle():
 def test_marchaud_trivial_for_annihilated_member():
     # constants are annihilated on the left; the right keeps its norm term
     fn = get_function("const_2d")
-    rep = marchaud_report(
-        fn, (1, 2), (2, 2), 0, (0.125, 0.125), 2.0, Box.unit(2), SMALL, u_refine=False
-    )
+    rep = marchaud_report(fn, (1, 2), (2, 2), 0, (0.125, 0.125), 2.0, Box.unit(2), SMALL)
     assert rep.left <= 1e-9
     assert rep.right > 0
     assert rep.empirical_constant == pytest.approx(0.0, abs=1e-9)
@@ -343,12 +341,11 @@ class _Counting:
         return self.fn(x)
 
 
-# Each p-list builder at a few exponents, as the suite rows call it.  The
-# mean side of equivalence takes its sup form at p = inf, one more sweep.
+# Each p-list builder at a few exponents, as the suite rows call it.
 BUILDER_CASES = {
     "whitney": ((0.5, 2.0, math.inf), lambda fn, ps: _whitney_pairs(fn, (1, 1), ps, BOX2, SMALL)),
     "equivalence": (
-        (0.5, 1.0, 2.0),
+        (0.5, 1.0, 2.0, math.inf),
         lambda fn, ps: _equivalence_pairs(fn, (1, 1), (0.5, 0.5), ps, BOX2, SMALL),
     ),
     "superadditivity": (
@@ -418,3 +415,18 @@ def test_zero_function_trivial_reports():
     for r in reports:
         if r.check == "superadditivity-term":
             assert r.vacuous and r.passed
+
+
+def test_every_name_the_benchmark_traces_exists():
+    # perfbench/ is not a package, so its tracer is loaded by file path;
+    # it resolves its targets by name and lists a missing one as absent
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        assert tracer.absent == []
+    finally:
+        tracer.uninstall()
