@@ -60,7 +60,6 @@ from .polyapprox import (
 from .corpus import CorpusFunction, corpus_entries, get_function
 from .verifier import (
     InequalityReport,
-    TolerancePolicy,
     VerifierSettings,
     constant_bound_report,
     equivalence_report,

@@ -114,43 +114,23 @@ def _sin_prod(dim):
     )
 
 
-def _cos_wave(name, freqs, phase=0.3):
-    freqs = tuple(float(v) for v in freqs)
-    dim = len(freqs)
-
-    def deriv(s):
-        s = tuple(s)
-        amp = 1.0
-        for i in range(dim):
-            amp *= (2.0 * math.pi * freqs[i]) ** s[i]
-        shift = sum(s) * math.pi / 2.0
-
-        def g(X):
-            X = np.asarray(X, float)
-            theta = 2.0 * math.pi * sum(freqs[i] * X[..., i] for i in range(dim))
-            return amp * np.cos(theta + phase + shift)
-
-        return g
-
-    return CorpusFunction(
-        name=name,
-        dim=dim,
-        f=deriv((0,) * dim),
-        tag="analytic",
-        derivative=deriv,
-        description=f"plane cosine wave with frequency vector {freqs}",
-    )
-
-
-def _trig_random(name, dim, seed, max_freq=2):
+def _trig_random(seed, dim):
+    """Seeded terms ``(amplitude, frequency vector, phase)`` over every
+    nonzero frequency vector with entries up to 2."""
     rng = np.random.default_rng(seed)
     terms = []
-    for fm in np.ndindex(*((max_freq + 1,) * dim)):
+    for fm in np.ndindex(*((3,) * dim)):
         if all(v == 0 for v in fm):
             continue
         amp = float(rng.standard_normal()) / (1.0 + sum(fm))
         phase = float(rng.uniform(0.0, 2.0 * math.pi))
         terms.append((amp, tuple(float(v) for v in fm), phase))
+    return terms
+
+
+def _trig_sum(name, terms, description):
+    """Sum of ``amp * cos(2 pi <fm, x> + phase)`` over the terms."""
+    dim = len(terms[0][1])
 
     def deriv(s):
         s = tuple(s)
@@ -174,7 +154,7 @@ def _trig_random(name, dim, seed, max_freq=2):
         f=deriv((0,) * dim),
         tag="analytic",
         derivative=deriv,
-        description=f"random trigonometric polynomial, seed {seed}",
+        description=description,
     )
 
 
@@ -252,9 +232,17 @@ def _build_corpus() -> dict[str, CorpusFunction]:
     entries.append(_poly_entry("cubic_2d", rng.standard_normal((4, 4)) * 0.5, 2))
     entries.append(_exp_sum(2))
     entries.append(_sin_prod(2))
-    entries.append(_cos_wave("cos_ripple_2d", (1.0, 2.0)))
-    entries.append(_trig_random("trig_rand_2d_a", 2, seed=8571))
-    entries.append(_trig_random("trig_rand_2d_b", 2, seed=9038))
+    entries.append(
+        _trig_sum(
+            "cos_ripple_2d",
+            [(1.0, (1.0, 2.0), 0.3)],
+            "plane cosine wave with frequency vector (1.0, 2.0)",
+        )
+    )
+    for name, seed in (("trig_rand_2d_a", 8571), ("trig_rand_2d_b", 9038)):
+        entries.append(
+            _trig_sum(name, _trig_random(seed, 2), f"random trigonometric polynomial, seed {seed}")
+        )
     entries.append(_holder("holder_half_2d", 2, 0.5, (0.37, 0.61)))
     entries.append(_holder("holder_one_2d", 2, 1.0, (0.37, 0.61)))
     entries.append(_holder("holder_threehalf_2d", 2, 1.5, (0.37, 0.61)))

@@ -550,7 +550,7 @@ def total_modulus_mean(
     return float(sum(v[float(p)] for v in terms.values()))
 
 
-def lower_whitney_constant(r: Sequence[int], p: float, dim: int | None = None) -> float:
+def lower_whitney_constant(r: Sequence[int], p: float) -> float:
     """Explicit constant bounding the total modulus by any approximation error.
 
     For each nonempty axis subset e the difference expansion gives
@@ -561,16 +561,12 @@ def lower_whitney_constant(r: Sequence[int], p: float, dim: int | None = None) -
     K_e over all nonempty subsets.
     """
     r = tuple(int(v) for v in r)
-    if dim is None:
-        dim = len(r)
-    if len(r) != dim:
-        raise ValueError("order length must equal dim")
     if any(v < 1 for v in r):
         raise ValueError("orders must satisfy r_i >= 1")
     if not p > 0:
         raise ValueError("exponent p must be positive")
     total = 0.0
-    for e in nonempty_axis_subsets(dim):
+    for e in nonempty_axis_subsets(len(r)):
         if p >= 1:
             k = 1.0
             for i in e:

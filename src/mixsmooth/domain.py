@@ -77,11 +77,12 @@ class Box:
     def cube(cls, a: float, b: float, dim: int) -> "Box":
         return cls((float(a),) * dim, (float(b),) * dim)
 
-    def contains(self, points: np.ndarray, slack: float = 1e-12) -> np.ndarray:
-        """Componentwise membership test for points of shape ``(..., dim)``."""
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """Componentwise membership test for points of shape ``(..., dim)``,
+        with a slack of 1e-12 on every side."""
         pts = np.asarray(points, float)
-        lo = np.asarray(self.lower) - slack
-        hi = np.asarray(self.upper) + slack
+        lo = np.asarray(self.lower) - 1e-12
+        hi = np.asarray(self.upper) + 1e-12
         return np.all((pts >= lo) & (pts <= hi), axis=-1)
 
 

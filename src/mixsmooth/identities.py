@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .domain import Box, grid_points, nonempty_axis_subsets, normalize_grid, restrict_order
-from .differences import difference_field, mixed_difference
+from .differences import _fields, mixed_difference
 
 __all__ = [
     "UnitDecomposition",
@@ -205,6 +205,8 @@ def reproduction_identity_gap(
 def annihilation_residual(phi, axes: Iterable[int], h, box: Box, grid) -> float:
     """Max sampled |mixed difference of phi| for the order zeroed off ``axes``.
 
+    ``h`` is one step or a stack of steps, shape ``(n, d)``; the maximum
+    runs over every step, from one pass of the difference engine.
     ``phi`` is a tensor polynomial; its degree bounds give the order r,
     so the contract is a residual at rounding level (<= 1e-9 * max|phi|).
     """
@@ -212,10 +214,11 @@ def annihilation_residual(phi, axes: Iterable[int], h, box: Box, grid) -> float:
     if not e:
         raise ValueError("axis subset must be nonempty")
     r_e = restrict_order(phi.degrees, e)
-    field = difference_field(phi, r_e, h, box, grid)
-    if field is None:
-        return 0.0
-    return float(np.abs(field.values).max())
+    steps = np.atleast_2d(np.asarray(h, float))
+    return max(
+        (float(np.abs(ch.values).max()) for ch in _fields(phi, r_e, steps, box, grid)),
+        default=0.0,
+    )
 
 
 def halving_identity(k: int) -> dict[tuple[int], Fraction]:

@@ -130,9 +130,8 @@ class TensorPolynomial:
         return TensorPolynomial(c)
 
     @classmethod
-    def random(cls, degrees: Sequence[int], rng: np.random.Generator, scale: float = 1.0):
-        shape = tuple(int(d) for d in degrees)
-        return cls(rng.standard_normal(shape) * scale)
+    def random(cls, degrees: Sequence[int], rng: np.random.Generator):
+        return cls(rng.standard_normal(tuple(int(d) for d in degrees)))
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +208,6 @@ def _design_matrix(bases: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _objective(res_flat: np.ndarray, cell_volume: float, p: float) -> float:
-    if p == math.inf:
-        return float(np.abs(res_flat).max()) if res_flat.size else 0.0
     return float((np.abs(res_flat) ** p).sum() * cell_volume)
 
 
@@ -224,8 +221,12 @@ class BestApproxResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+# iteration cap of IRLS and of the exchange method
+_MAX_ITER = 500
 # random starts of the 0 < p < 1 descent, besides the p = 2 projection
 _N_STARTS = 8
+# iteration cap of each smoothed-descent stage of the 0 < p < 1 descent
+_STAGE_ITER = 100
 
 
 def _weighted_lstsq(design: np.ndarray, target: np.ndarray, weights: np.ndarray):
@@ -240,7 +241,6 @@ def best_approx(
     p: float,
     *,
     seed: int = 0,
-    max_iter: int = 500,
 ) -> BestApproxResult:
     """Best tensor-polynomial approximation of grid samples in L_p.
 
@@ -248,7 +248,8 @@ def best_approx(
     error is the discrete quasi-norm of the residual; for the nonconvex
     regime 0 < p < 1 it is an upper bound on the discrete optimum.
     Non-convergence within the iteration budget is flagged in the
-    result, not raised.
+    result, not raised; for 0 < p < 1 ``converged`` says whether the
+    returned start's last (finest eps) descent stage met its stop test.
     """
     r = tuple(int(v) for v in r)
     if len(r) != g.box.dim:
@@ -294,7 +295,7 @@ def best_approx(
     c_flat = c2.reshape(-1)
 
     if p == math.inf:
-        c, err, lower, iters, conv = _exchange(design, target, c_flat, max_iter)
+        c, err, lower, iters, conv = _exchange(design, target, c_flat)
         return finish(
             c.reshape(c2.shape),
             err,
@@ -309,7 +310,7 @@ def best_approx(
 
     if p >= 1.0:
         eps = 1e-10 * max(scale, 1e-30)
-        c, obj, iters, conv = _irls(design, target, c_flat, p, cv, eps, max_iter)
+        c, obj, iters, conv = _irls(design, target, c_flat, p, cv, eps)
         return finish(
             c.reshape(c2.shape),
             obj ** (1.0 / p),
@@ -327,6 +328,7 @@ def best_approx(
         starts.append(c_flat + rng.standard_normal(c_flat.shape) * amp)
     best_c = None
     best_obj = math.inf
+    best_stopped = False
     per_start = []
     total_iters = 0
     eps_ladder = [10.0**-k for k in range(2, 9)]
@@ -334,20 +336,19 @@ def best_approx(
     for c0 in starts:
         c = c0.copy()
         for eps_rel in eps_ladder:
-            c, iters = _smoothed_descent(
-                design, target, c, p, eps_rel * eps_scale, cv, max_stage_iter=100
-            )
+            c, iters, stopped = _smoothed_descent(design, target, c, p, eps_rel * eps_scale, cv)
             total_iters += iters
         obj = _objective(target - design @ c, cv, p)
         per_start.append(obj ** (1.0 / p))
         if obj < best_obj:
             best_obj = obj
             best_c = c
+            best_stopped = stopped
     spread = max(per_start) - min(per_start)
     return finish(
         best_c.reshape(c2.shape),
         best_obj ** (1.0 / p),
-        True,
+        best_stopped,
         {
             "method": "smoothed-multistart",
             "iterations": total_iters,
@@ -358,7 +359,7 @@ def best_approx(
     )
 
 
-def _irls(design, target, c0, p, cv, eps, max_iter):
+def _irls(design, target, c0, p, cv, eps):
     """Reweighted least squares for 1 <= p < inf, with descent safeguard."""
     c = c0.copy()
     res = target - design @ c
@@ -366,7 +367,7 @@ def _irls(design, target, c0, p, cv, eps, max_iter):
     floor = 1e-30
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         w = np.maximum(np.abs(res), eps) ** (p - 2.0)
         c_new = _weighted_lstsq(design, target, w)
         # damp toward the previous iterate if the true objective got worse
@@ -422,7 +423,7 @@ def _start_reference(design, res):
 _PERTURB = 1e-9
 
 
-def _exchange(design, target, c0, max_iter):
+def _exchange(design, target, c0):
     """Stiefel's exchange method for min_c max_i |t_i - (D c)_i|.
 
     This is the simplex method on the dual linear program
@@ -461,7 +462,7 @@ def _exchange(design, target, c0, max_iter):
     z = 0.0
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         basis[:k] = (design[ref] * sig[:, None]).T
         y = np.linalg.solve(basis.T, sig * target[ref])
         c, z = y[:k], float(y[k])
@@ -485,22 +486,25 @@ def _exchange(design, target, c0, max_iter):
     return best_c, best_max, min(max(z, 0.0), best_max), it, converged
 
 
-def _smoothed_descent(design, target, c0, p, eps, cv, max_stage_iter):
-    """Majorize-minimize on sum (res^2 + eps^2)^(p/2); monotone for p < 2."""
+def _smoothed_descent(design, target, c0, p, eps, cv):
+    """Majorize-minimize on sum (res^2 + eps^2)^(p/2); monotone for p < 2.
+
+    Returns ``(c, iterations, stopped)``: ``stopped`` is True when the
+    relative decrease met the stop test within ``_STAGE_ITER`` steps.
+    """
     c = c0.copy()
     res = target - design @ c
     obj = float(((res**2 + eps**2) ** (p / 2.0)).sum() * cv)
     it = 0
-    for it in range(1, max_stage_iter + 1):
+    for it in range(1, _STAGE_ITER + 1):
         w = (res**2 + eps**2) ** (p / 2.0 - 1.0)
         c = _weighted_lstsq(design, target, w)
         res = target - design @ c
         new_obj = float(((res**2 + eps**2) ** (p / 2.0)).sum() * cv)
         if abs(obj - new_obj) <= 1e-10 * max(new_obj, 1e-30):
-            obj = new_obj
-            break
+            return c, it, True
         obj = new_obj
-    return c, it
+    return c, it, False
 
 
 # ---------------------------------------------------------------------------
@@ -540,12 +544,6 @@ class DerivativeBundle:
         for e in nonempty_axis_subsets(len(r)):
             mixed[e] = factory(restrict_order(r, e))
         return cls(x0=x0, point_derivs=dict(point), mixed_derivs=dict(mixed))
-
-    @classmethod
-    def from_polynomial(
-        cls, phi: TensorPolynomial, x0: Sequence[float], r: Sequence[int]
-    ) -> "DerivativeBundle":
-        return cls.from_factory(lambda s: phi.derivative(s), x0, r)
 
 
 def taylor_polynomial(bundle: DerivativeBundle, k: Sequence[int]) -> TensorPolynomial:

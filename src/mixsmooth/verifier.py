@@ -57,7 +57,6 @@ from .identities import (
 from .polyapprox import TensorPolynomial, best_approx, taylor_polynomial, taylor_remainder_bound, best_constant
 
 __all__ = [
-    "TolerancePolicy",
     "VerifierSettings",
     "InequalityReport",
     "whitney_report",
@@ -73,27 +72,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TolerancePolicy:
-    """Slack applied to hard inequality checks.
-
-    ``abs_floor`` (times max(1, data scale)) is both the additive noise
-    floor and the vacuousness threshold; the relative slacks absorb the
-    quadrature differences between the independently meshed sides.
-    """
-
-    hard_rel: float = 5e-2
-    mean_sup_rel: float = 1e-3
-    superadd_rel: float = 1e-2
-    abs_floor: float = 1e-9
-
-    def to_dict(self) -> dict:
-        return {
-            "hard_rel": self.hard_rel,
-            "mean_sup_rel": self.mean_sup_rel,
-            "superadd_rel": self.superadd_rel,
-            "abs_floor": self.abs_floor,
-        }
+# Slack of the hard checks, echoed in every report.  ``abs_floor`` (times
+# max(1, data scale)) is both the additive noise floor and the vacuousness
+# threshold; the relative slacks absorb the quadrature differences between
+# the independently meshed sides.
+_TOLERANCES = {"hard_rel": 5e-2, "mean_sup_rel": 1e-3, "superadd_rel": 1e-2, "abs_floor": 1e-9}
 
 
 @dataclass(frozen=True)
@@ -104,7 +87,6 @@ class VerifierSettings:
     h_samples: int = 9
     seed: int = 0
     refine_h: bool = True
-    policy: TolerancePolicy = field(default_factory=TolerancePolicy)
 
     def __post_init__(self):
         # a single step node (-t) samples no modulus worth reporting
@@ -171,8 +153,18 @@ class InequalityReport:
         }
 
 
-def _floor(policy: TolerancePolicy, scale: float) -> float:
-    return policy.abs_floor * max(1.0, scale)
+def _floor(scale: float) -> float:
+    return _TOLERANCES["abs_floor"] * max(1.0, scale)
+
+
+def _verdict(left: float, right: float, bound: float, floor: float) -> tuple[bool, bool]:
+    """``(vacuous, passed)`` of the hard check ``left <= bound``.
+
+    Vacuous when both sides are at the noise floor, and then passed;
+    otherwise passed when ``left <= bound + floor``.
+    """
+    vacuous = left <= floor and right <= floor
+    return vacuous, vacuous or left <= bound + floor
 
 
 def _base_params(box: Box, settings: VerifierSettings, **extra) -> dict:
@@ -181,7 +173,7 @@ def _base_params(box: Box, settings: VerifierSettings, **extra) -> dict:
         "grid": list(settings.grid_for(box)),
         "h_samples": settings.h_samples,
         "seed": settings.seed,
-        "tolerances": settings.policy.to_dict(),
+        "tolerances": dict(_TOLERANCES),
     }
     out.update(extra)
     return out
@@ -253,16 +245,17 @@ def _whitney_pairs(
     terms_c, terms_f = _with_gap(total_sup_terms, fn, r, tuple(box.size), box, settings, ps)
     # with no coarse step sampled the coarse modulus is 0 by construction
     unsampled = _coarse_grid_empty(r, box.size, box, settings.h_samples)
-    policy = settings.policy
     pairs = []
     for p in ps:
         fit = best_approx(g, r, p, seed=settings.seed)
         error = fit.error
         omega = sum(terms_c[e][p] for e in terms_c)
         omega_fine = sum(terms_f[e][p] for e in terms_f)
-        floor = _floor(policy, lp_quasinorm(g, p))
-        const = lower_whitney_constant(r, p, box.dim)
-        vac = omega_fine <= floor and error <= floor
+        floor = _floor(lp_quasinorm(g, p))
+        const = lower_whitney_constant(r, p)
+        vac, passed = _verdict(
+            omega_fine, error, const * error * (1.0 + _TOLERANCES["hard_rel"]), floor
+        )
         rep_a = InequalityReport(
             check="whitney-lower",
             function=_name(fn),
@@ -271,7 +264,7 @@ def _whitney_pairs(
             right=error,
             explicit_constant=const,
             vacuous=vac,
-            passed=True if vac else omega_fine <= const * error * (1.0 + policy.hard_rel) + floor,
+            passed=passed,
             details={
                 "h_gap": _rel_gap(omega, omega_fine, floor),
                 "solver": fit.diagnostics.get("method"),
@@ -395,16 +388,20 @@ def _equivalence_pairs(
         mean_terms = total_mean_terms(
             fn, r, t, box, density=density, h_samples=settings.h_samples, p_values=finite
         )
-    policy = settings.policy
     pairs = []
     for p in ps:
         omega = sum(sup_c[e][p] for e in sup_c)
         # at p = inf the mean modulus is the sup modulus: the coarse sweep
         mean = omega if p == math.inf else sum(mean_terms[e][p] for e in mean_terms)
         omega_fine = sum(sup_f[e][p] for e in sup_f)
-        floor = _floor(policy, lp_quasinorm(g, p))
+        floor = _floor(lp_quasinorm(g, p))
         gap = _rel_gap(omega, omega_fine, floor)
-        vac = mean <= floor and omega_fine <= floor
+        vac, passed = _verdict(
+            mean,
+            omega_fine,
+            omega_fine * (1.0 + gap) * (1.0 + _TOLERANCES["mean_sup_rel"]),
+            floor,
+        )
         params = _base_params(box, settings, r=list(r), t=list(map(float, t)), p=_p_str(p))
         rep_hard = InequalityReport(
             check="equivalence-mean-le-sup",
@@ -414,9 +411,7 @@ def _equivalence_pairs(
             right=omega_fine,
             explicit_constant=1.0,
             vacuous=vac,
-            passed=True
-            if vac
-            else mean <= omega_fine * (1.0 + gap) * (1.0 + policy.mean_sup_rel) + floor,
+            passed=passed,
             details={"h_gap": gap, "omega_coarse": omega},
         )
         ratio = None
@@ -501,7 +496,6 @@ def _superadditivity(fn, r, t, p_values, box, m, settings) -> list[list[Inequali
         raise ValueError("the subdivision must have m >= 2 pieces per axis")
     r = tuple(int(v) for v in r)
     t = tuple(float(v) for v in t)
-    policy = settings.policy
     density = settings.grid_for(box)
     parent_c = total_mean_terms(
         fn, r, t, box, density=density, h_samples=settings.h_samples, p_values=ps
@@ -519,7 +513,7 @@ def _superadditivity(fn, r, t, p_values, box, m, settings) -> list[list[Inequali
     g = sample_on_grid(fn, box, density)
     out = []
     for p in ps:
-        floor = _floor(policy, lp_quasinorm(g, p)) ** min(p, 1.0)
+        floor = _floor(lp_quasinorm(g, p)) ** min(p, 1.0)
         params = _base_params(box, settings, r=list(r), t=list(t), p=_p_str(p), splits=m)
         reports = []
         total_left = 0.0
@@ -532,7 +526,9 @@ def _superadditivity(fn, r, t, p_values, box, m, settings) -> list[list[Inequali
             right = max(w_parent, w_fine) ** p
             total_left += left
             total_right += right
-            vac = left <= floor and right <= floor
+            vac, passed = _verdict(
+                left, right, right * (1.0 + gap) ** p * (1.0 + _TOLERANCES["superadd_rel"]), floor
+            )
             reports.append(
                 InequalityReport(
                     check="superadditivity-term",
@@ -542,10 +538,7 @@ def _superadditivity(fn, r, t, p_values, box, m, settings) -> list[list[Inequali
                     right=right,
                     explicit_constant=1.0,
                     vacuous=vac,
-                    passed=True
-                    if vac
-                    else left
-                    <= right * (1.0 + gap) ** p * (1.0 + policy.superadd_rel) + floor,
+                    passed=passed,
                     details={"h_gap": gap},
                 )
             )
@@ -668,7 +661,7 @@ def _marchaud(fn, k, r, axis, t, p_values, box, settings) -> list[InequalityRepo
         }
         if constant and c2:
             details["u_refine_ratio"] = c2 / constant
-        floor = _floor(settings.policy, norms[p])
+        floor = _floor(norms[p])
         vac = left <= floor and right <= floor
         reports.append(
             InequalityReport(
@@ -713,7 +706,6 @@ def taylor_report(
         raise ValueError(f"corpus entry {fn.name!r} carries no derivative data")
     r = tuple(int(v) for v in r)
     deltas = [float(d) for d in deltas]
-    policy = settings.policy
     x0 = (0.0,) * fn.dim
     bundle = fn.bundle(r, x0)
     taylor = taylor_polynomial(bundle, r)
@@ -729,7 +721,7 @@ def taylor_report(
         right = taylor_remainder_bound(bundle, r, p, box, density=grid)
         lefts.append(left)
         rights.append(right)
-        floor = _floor(policy, floor_scale)
+        floor = _floor(floor_scale)
         constants.append(left / right if right > floor else None)
     ratios = []
     ok = True
@@ -740,7 +732,7 @@ def taylor_report(
     for q in ratios:
         if not (0.25 <= q <= 4.0):
             ok = False
-    vac = all(c is None for c in constants) or max(lefts) <= _floor(policy, floor_scale)
+    vac = all(c is None for c in constants) or max(lefts) <= _floor(floor_scale)
     return InequalityReport(
         check="taylor",
         function=fn.name,
@@ -789,7 +781,6 @@ def _constant_bound(fn, p_values, box, settings) -> list[InequalityReport]:
     ps = [float(p) for p in p_values]
     if math.inf in ps:
         raise ValueError("the best-constant bound is a statement about finite p")
-    policy = settings.policy
     g = sample_on_grid(fn, box, settings.grid_for(box))
     t = tuple(box.size)
     sweeps = [
@@ -802,15 +793,12 @@ def _constant_bound(fn, p_values, box, settings) -> list[InequalityReport]:
         beta, err = best_constant(g, p)
         left = err**p / box.volume
         moduli = [(coarse[p], fine[p]) for coarse, fine in sweeps]
-        floor = _floor(policy, scale) ** min(p, 1.0)
+        floor = _floor(scale) ** min(p, 1.0)
         right_raw = 2.0 * sum(c**p for c, _ in moduli)
-        gaps = [_rel_gap(c, f, _floor(policy, scale)) for c, f in moduli]
+        gaps = [_rel_gap(c, f, _floor(scale)) for c, f in moduli]
         right = 2.0 * sum((c * (1.0 + gp)) ** p for (c, _), gp in zip(moduli, gaps))
         hard = p <= 1.0
-        vac = left <= floor and right <= floor
-        passed: bool | None = None
-        if hard:
-            passed = True if vac else left <= right * (1.0 + policy.hard_rel) + floor
+        vac, passed = _verdict(left, right, right * (1.0 + _TOLERANCES["hard_rel"]), floor)
         reports.append(
             InequalityReport(
                 check="constant-lemma",
@@ -821,7 +809,7 @@ def _constant_bound(fn, p_values, box, settings) -> list[InequalityReport]:
                 explicit_constant=2.0 if hard else None,
                 empirical_constant=(left / right_raw) if right_raw > floor else None,
                 vacuous=vac,
-                passed=passed,
+                passed=passed if hard else None,
                 details={
                     "beta": beta,
                     "h_gaps": gaps,
@@ -933,7 +921,7 @@ def suite_identities(
     worst = 0.0
     for d, r in _ANNIHILATION_CASES:
         box = Box.unit(d)
-        h_nodes = np.linspace(-0.2, 0.2, 5)
+        steps = [(float(h0),) * d for h0 in np.linspace(-0.2, 0.2, 5) if h0 != 0.0]
         for idx in range(n_random):
             phi = TensorPolynomial.random(r, rng)
             g = sample_on_grid(phi, box, 8)
@@ -941,15 +929,10 @@ def suite_identities(
                 np.abs(phi.coeffs).max()
             )
             for e in nonempty_axis_subsets(d):
-                for h0 in h_nodes:
-                    if h0 == 0.0:
-                        continue
-                    h = (float(h0),) * d
-                    resid = annihilation_residual(phi, e, h, box, 8)
-                    rel = resid / scale
-                    worst = max(worst, rel)
-                    if rel > 1e-9:
-                        annih_pass = False
+                rel = annihilation_residual(phi, e, steps, box, 8) / scale
+                worst = max(worst, rel)
+                if rel > 1e-9:
+                    annih_pass = False
     reports.append(
         InequalityReport(
             check="identity-annihilation",

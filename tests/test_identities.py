@@ -109,6 +109,32 @@ def test_annihilation_examples_and_property():
                 assert resid <= 1e-9 * scale
 
 
+class _CountingPoly:
+    """A tensor polynomial that counts its calls."""
+
+    def __init__(self, phi):
+        self.phi, self.degrees, self.calls = phi, phi.degrees, 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.phi(x)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_annihilation_residual_of_a_step_stack_is_the_max_over_steps(dim):
+    rng = np.random.default_rng(11)
+    box = Box.unit(dim)
+    steps = [(h0,) * dim for h0 in (-0.2, -0.1, 0.1, 0.2)]
+    for _ in range(5):
+        phi = TensorPolynomial.random((2, 3, 2)[:dim], rng)
+        for e in nonempty_axis_subsets(dim):
+            each, stack = _CountingPoly(phi), _CountingPoly(phi)
+            want = max(annihilation_residual(each, e, h, box, 8) for h in steps)
+            assert annihilation_residual(stack, e, steps, box, 8) == want
+            if dim == 2:
+                assert stack.calls < each.calls
+
+
 def test_decomposition_operator_identity_consistency():
     # f(x) - sum a_k f(x+kh) equals sum b_e Delta^{r(e)} f(x) at every sample
     rng = np.random.default_rng(5)

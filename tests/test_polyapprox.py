@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
+from mixsmooth import polyapprox
 from mixsmooth.corpus import corpus_entries, get_function
 from mixsmooth.domain import Box, GridFunction, lp_quasinorm, sample_on_grid
 from mixsmooth.polyapprox import (
@@ -167,9 +168,10 @@ def test_exchange_matches_linear_programming_oracle(case):
     assert oracle <= res.error * (1.0 + 1e-6) + floor
 
 
-def test_exchange_cap_returns_best_iterate_unconverged():
+def test_exchange_cap_returns_best_iterate_unconverged(monkeypatch):
     g = sample_on_grid(get_function("spline_taper_2d"), Box.unit(2), 32)
-    capped = best_approx(g, (4, 4), math.inf, max_iter=2)
+    monkeypatch.setattr(polyapprox, "_MAX_ITER", 2)
+    capped = best_approx(g, (4, 4), math.inf)
     assert not capped.converged and capped.diagnostics["iterations"] == 2
     proj = best_approx(g, (4, 4), 2.0).polynomial
     start = np.abs(g.values - proj(g.midpoints())).max()
@@ -211,6 +213,14 @@ def test_best_approx_small_p_internal_consistency():
     assert res.error <= lp_quasinorm(resid, 0.5) + 1e-12
 
 
+def test_small_p_converged_reports_the_stage_stop_test(monkeypatch):
+    g = sample_on_grid(get_function("holder_half_2d"), Box.unit(2), 16)
+    assert best_approx(g, (2, 2), 0.5).converged
+    # one step per stage cannot meet the relative-decrease stop test
+    monkeypatch.setattr(polyapprox, "_STAGE_ITER", 1)
+    assert not best_approx(g, (2, 2), 0.5).converged
+
+
 def test_best_approx_rejects_underdetermined_grid():
     g = sample_on_grid(lambda X: X[..., 0], Box.unit(1), 3)
     with pytest.raises(ValueError):
@@ -220,7 +230,7 @@ def test_best_approx_rejects_underdetermined_grid():
 def test_taylor_polynomial_examples():
     # linear function reproduced exactly at order 2
     lin = TensorPolynomial(np.array([0.5, 2.0]))
-    bundle = DerivativeBundle.from_polynomial(lin, (0.3,), (2,))
+    bundle = DerivativeBundle.from_factory(lin.derivative, (0.3,), (2,))
     assert np.allclose(taylor_polynomial(bundle, (2,)).coeffs, lin.coeffs, atol=1e-12)
 
     exp_bundle = DerivativeBundle.from_factory(
@@ -239,7 +249,7 @@ def test_taylor_polynomial_examples():
 def test_taylor_polynomial_reproduces_members_coefficientwise():
     rng = np.random.default_rng(6)
     phi = TensorPolynomial.random((3, 2), rng)
-    bundle = DerivativeBundle.from_polynomial(phi, (0.4, 0.7), (3, 2))
+    bundle = DerivativeBundle.from_factory(phi.derivative, (0.4, 0.7), (3, 2))
     got = taylor_polynomial(bundle, (3, 2))
     assert np.allclose(got.coeffs, phi.coeffs, atol=1e-12)
 
@@ -247,7 +257,7 @@ def test_taylor_polynomial_reproduces_members_coefficientwise():
 def test_taylor_remainder_bracket_oracles():
     rng = np.random.default_rng(7)
     phi = TensorPolynomial.random((2, 2), rng)
-    bundle = DerivativeBundle.from_polynomial(phi, (0.0, 0.0), (2, 2))
+    bundle = DerivativeBundle.from_factory(phi.derivative, (0.0, 0.0), (2, 2))
     assert taylor_remainder_bound(bundle, (2, 2), 1.0, Box.unit(2), 16) <= 1e-12
 
     delta = 0.5

@@ -15,6 +15,7 @@ from mixsmooth.verifier import (
     _equivalence_pairs,
     _marchaud,
     _superadditivity,
+    _verdict,
     _whitney_pairs,
     constant_bound_report,
     equivalence_report,
@@ -255,6 +256,24 @@ def test_constant_bound_ratio_mode_above_one():
     assert rep.passed is None
     assert rep.empirical_constant is not None
     assert rep.details["mode"] == "ratio-only"
+
+
+_FLOOR = 1e-9
+_EDGE = 0.75 + _FLOOR  # bound 0.75 plus the floor, as the verdict adds them
+
+
+@pytest.mark.parametrize(
+    "left, right, bound, expected",
+    [
+        (_FLOOR, _FLOOR, 0.0, (True, True)),  # both sides at the floor: vacuous
+        (_FLOOR, 1.0, 0.0, (False, True)),  # left within the additive floor
+        (_EDGE, 1.0, 0.75, (False, True)),  # left == bound + floor passes
+        (np.nextafter(_EDGE, math.inf), 1.0, 0.75, (False, False)),
+        (np.nextafter(_FLOOR, math.inf), _FLOOR, 0.0, (False, False)),
+    ],
+)
+def test_hard_check_verdict_at_its_boundaries(left, right, bound, expected):
+    assert _verdict(left, right, bound, _FLOOR) == expected
 
 
 def test_identity_suite_all_green():
