@@ -41,8 +41,9 @@ print("  exchange steps:", res.diagnostics["iterations"],
       " certified lower bound:", res.diagnostics["lower_bound"])
 
 # Below p = 1 the objective is nonconvex; the solver runs a seeded
-# multi-start descent on a smoothed objective and reports the spread of
-# the local minima it found.
+# multi-start descent on a smoothed objective, all starts advancing
+# together with each step solved from the current residual, and reports
+# the spread of the local minima it found.
 g_sing = sample_on_grid(lambda X: np.abs(X[..., 0] - 0.37) ** 0.5, box1, 128)
 res = best_approx(g_sing, (2,), 0.5, seed=42)
 print("\n|x - 0.37|^(1/2) by affine, p = 1/2:")

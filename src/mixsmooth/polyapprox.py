@@ -18,8 +18,11 @@ matched to the convexity of each exponent regime:
                 a lower bound on the optimum and certifies it;
 * 0 < p < 1     multi-start majorize-minimize descent on the smoothed
                 objective sum (res^2 + eps^2)^(p/2) with a decreasing
-                eps schedule; the returned value is an upper bound on
-                the discrete optimum and the spread of local minima is
+                eps schedule; the starts advance together, one step of
+                each per round, and each step is solved from the current
+                residual by the weighted normal equations, built axis by
+                axis; the returned value is an upper bound on the
+                discrete optimum and the spread of local minima is
                 reported.
 
 Also here: anisotropic Taylor polynomials from a derivative bundle, the
@@ -229,12 +232,6 @@ _N_STARTS = 8
 _STAGE_ITER = 100
 
 
-def _weighted_lstsq(design: np.ndarray, target: np.ndarray, weights: np.ndarray):
-    sw = np.sqrt(weights)
-    sol, *_ = np.linalg.lstsq(design * sw[:, None], target * sw, rcond=None)
-    return sol
-
-
 def best_approx(
     g: GridFunction,
     r: Sequence[int],
@@ -290,6 +287,33 @@ def best_approx(
         err = math.sqrt(_objective(res.reshape(-1), cv, 2.0))
         return finish(c2, err, True, {"method": "projection", "iterations": 0})
 
+    if p < 1.0:
+        # multi-start smoothed descent, every start advancing in lockstep
+        rng = np.random.default_rng(seed)
+        err2 = math.sqrt(float(((values - recon2) ** 2).sum() * cv))
+        amp = 0.5 * (err2 + 1e-3 * max(scale, 1e-30))
+        starts = [c2]
+        for _ in range(_N_STARTS):
+            starts.append(c2 + rng.standard_normal(c2.shape) * amp)
+        coeffs, objs, iters, stopped = _lockstep_descent(
+            bases, values, np.stack(starts), p, cv, max(scale, 1e-30)
+        )
+        best = int(np.argmin(objs))
+        per_start = [float(obj) ** (1.0 / p) for obj in objs]
+        return finish(
+            coeffs[best],
+            per_start[best],
+            bool(stopped[best]),
+            {
+                "method": "smoothed-multistart",
+                "iterations": int(iters.sum()),
+                "starts": len(starts),
+                "start_errors": per_start,
+                "start_spread": max(per_start) - min(per_start),
+                "start_iterations": iters.tolist(),
+            },
+        )
+
     design = _design_matrix(bases)
     target = values.reshape(-1)
     c_flat = c2.reshape(-1)
@@ -308,54 +332,13 @@ def best_approx(
             },
         )
 
-    if p >= 1.0:
-        eps = 1e-10 * max(scale, 1e-30)
-        c, obj, iters, conv = _irls(design, target, c_flat, p, cv, eps)
-        return finish(
-            c.reshape(c2.shape),
-            obj ** (1.0 / p),
-            conv,
-            {"method": "irls", "iterations": iters},
-        )
-
-    # 0 < p < 1: multi-start smoothed descent
-    rng = np.random.default_rng(seed)
-    res2 = target - design @ c_flat
-    err2 = math.sqrt(float((res2**2).sum() * cv))
-    amp = 0.5 * (err2 + 1e-3 * max(scale, 1e-30))
-    starts = [c_flat]
-    for _ in range(_N_STARTS):
-        starts.append(c_flat + rng.standard_normal(c_flat.shape) * amp)
-    best_c = None
-    best_obj = math.inf
-    best_stopped = False
-    per_start = []
-    total_iters = 0
-    eps_ladder = [10.0**-k for k in range(2, 9)]
-    eps_scale = max(scale, 1e-30)
-    for c0 in starts:
-        c = c0.copy()
-        for eps_rel in eps_ladder:
-            c, iters, stopped = _smoothed_descent(design, target, c, p, eps_rel * eps_scale, cv)
-            total_iters += iters
-        obj = _objective(target - design @ c, cv, p)
-        per_start.append(obj ** (1.0 / p))
-        if obj < best_obj:
-            best_obj = obj
-            best_c = c
-            best_stopped = stopped
-    spread = max(per_start) - min(per_start)
+    eps = 1e-10 * max(scale, 1e-30)
+    c, obj, iters, conv = _irls(design, target, c_flat, p, cv, eps)
     return finish(
-        best_c.reshape(c2.shape),
-        best_obj ** (1.0 / p),
-        best_stopped,
-        {
-            "method": "smoothed-multistart",
-            "iterations": total_iters,
-            "starts": len(starts),
-            "start_errors": per_start,
-            "start_spread": spread,
-        },
+        c.reshape(c2.shape),
+        obj ** (1.0 / p),
+        conv,
+        {"method": "irls", "iterations": iters},
     )
 
 
@@ -369,7 +352,8 @@ def _irls(design, target, c0, p, cv, eps):
     it = 0
     for it in range(1, _MAX_ITER + 1):
         w = np.maximum(np.abs(res), eps) ** (p - 2.0)
-        c_new = _weighted_lstsq(design, target, w)
+        sw = np.sqrt(w)
+        c_new, *_ = np.linalg.lstsq(design * sw[:, None], target * sw, rcond=None)
         # damp toward the previous iterate if the true objective got worse
         step = 1.0
         for _ in range(30):
@@ -486,25 +470,114 @@ def _exchange(design, target, c0):
     return best_c, best_max, min(max(z, 0.0), best_max), it, converged
 
 
-def _smoothed_descent(design, target, c0, p, eps, cv):
-    """Majorize-minimize on sum (res^2 + eps^2)^(p/2); monotone for p < 2.
+def _contract_stack(stack: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
+    """``out[b, s] = sum_k stack[b, k] prod_i M_i[k_i, s_i]`` along every axis.
 
-    Returns ``(c, iterations, stopped)``: ``stopped`` is True when the
-    relative decrease met the stop test within ``_STAGE_ITER`` steps.
+    One matmul per axis on a reshaped view, with the stack axis and the
+    axes already contracted in front, so nothing is transposed.
     """
-    c = c0.copy()
-    res = target - design @ c
-    obj = float(((res**2 + eps**2) ** (p / 2.0)).sum() * cv)
-    it = 0
-    for it in range(1, _STAGE_ITER + 1):
-        w = (res**2 + eps**2) ** (p / 2.0 - 1.0)
-        c = _weighted_lstsq(design, target, w)
-        res = target - design @ c
-        new_obj = float(((res**2 + eps**2) ** (p / 2.0)).sum() * cv)
-        if abs(obj - new_obj) <= 1e-10 * max(new_obj, 1e-30):
-            return c, it, True
-        obj = new_obj
-    return c, it, False
+    lead = stack.shape[0]
+    out = stack
+    for i, m in enumerate(mats):
+        n, k = m.shape
+        if i == len(mats) - 1:
+            out = out.reshape(lead, n) @ m
+        else:
+            out = np.matmul(m.T, out.reshape(lead, n, -1))
+        lead *= k
+    return out.reshape(stack.shape[0], *(m.shape[1] for m in mats))
+
+
+def _lockstep_descent(bases, values, starts, p, cv, eps_scale):
+    """Majorize-minimize on sum (res^2 + eps^2)^(p/2) from every start at once.
+
+    ``starts`` is an (S, r_1, ..., r_d) stack of coefficient tensors in
+    the orthonormal axis bases.  Each start runs its own eps ladder
+    ``10^-2 ... 10^-8 * eps_scale``; a stage ends when the relative
+    decrease of the smoothed objective meets the stop test or after
+    ``_STAGE_ITER`` steps.  One tick takes one step of every start still
+    on its ladder: the weighted normal equations, built axis by axis,
+    are solved for the step from the current residual, so the Gram's
+    conditioning scales the step and not the iterate.  The working
+    stack shrinks only when a start leaves its ladder.
+
+    Returns ``(coeffs, objective, iterations, stopped)`` per start: the
+    final coefficients, the unsmoothed objective ``sum |res|^p * cv``,
+    the steps taken over all stages, and whether the last stage met its
+    stop test.
+    """
+    ladder = np.array([10.0**-k * eps_scale for k in range(2, 9)])
+    size = starts.shape[0]
+    r = starts.shape[1:]
+    k = starts[0].size
+    dim = len(r)
+    # the Gram's axes come out as (a_1, b_1, ..., a_d, b_d)
+    perm = (0, *range(1, 2 * dim + 1, 2), *range(2, 2 * dim + 1, 2))
+    prods = [(B[:, :, None] * B[:, None, :]).reshape(B.shape[0], -1) for B in bases]
+    rows = [B.T for B in bases]
+    tail = (1,) * values.ndim
+
+    out_c = np.empty_like(starts)
+    out_obj = np.empty(size)
+    out_iters = np.zeros(size, dtype=int)
+    out_stopped = np.zeros(size, dtype=bool)
+
+    live = np.arange(size)
+    c = starts.copy()
+    res = values - _contract_stack(c, rows)
+    stage = np.zeros(size, dtype=int)
+    steps = np.zeros(size, dtype=int)
+    eps = np.full(size, ladder[0])
+    prev = np.zeros(size)
+
+    def smoothed(res, eps, u=None, v=None):
+        # u = res^2 + eps^2 and v = u^(p/2): the objective and, as v / u,
+        # the next weights, from one power; u and v may be reused buffers
+        u = np.square(res, out=u)
+        u += (eps**2).reshape(-1, *tail)
+        v = np.power(u, p / 2.0, out=v)
+        return u, v, v.reshape(v.shape[0], -1).sum(axis=1) * cv
+
+    u, v, obj = smoothed(res, eps)
+    while True:
+        stop = (steps > 0) & (np.abs(prev - obj) <= 1e-10 * np.maximum(obj, 1e-30))
+        ended = stop | (steps >= _STAGE_ITER)
+        if ended.any():
+            out_iters[live[ended]] += steps[ended]
+            out_stopped[live[ended]] = stop[ended]
+            stage[ended] += 1
+            steps[ended] = 0
+            done = stage == len(ladder)
+            moved = ended & ~done
+            if moved.any():
+                eps[moved] = ladder[stage[moved]]
+                u[moved], v[moved], obj[moved] = smoothed(res[moved], eps[moved])
+            if done.any():
+                out_c[live[done]] = c[done]
+                final = np.abs(res[done]) ** p
+                out_obj[live[done]] = final.reshape(final.shape[0], -1).sum(axis=1) * cv
+                keep = ~done
+                if not keep.any():
+                    break
+                live, c, obj, stage, steps, eps = (
+                    a[keep] for a in (live, c, obj, stage, steps, eps)
+                )
+                # one S-wide array at a time, so the copies do not pile up
+                res = res[keep]
+                u = u[keep]
+                v = v[keep]
+        w = np.divide(v, u, out=u)
+        n_live = live.size
+        gram = _contract_stack(w, prods)
+        gram = gram.reshape(n_live, *(x for ri in r for x in (ri, ri)))
+        gram = gram.transpose(perm).reshape(n_live, k, k)
+        rhs = _contract_stack(w * res, bases).reshape(n_live, k, 1)
+        c += np.linalg.solve(gram, rhs).reshape(c.shape)
+        np.subtract(values, _contract_stack(c, rows), out=res)
+        prev = obj
+        steps += 1
+        u, v, obj = smoothed(res, eps, w, v)
+    return out_c, out_obj, out_iters, out_stopped
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +707,8 @@ def best_constant(g: GridFunction, p: float) -> tuple[float, float]:
     else:
         n = v.size
         scores = np.empty(n)
-        chunk = max(1, int(2**22 // max(n, 1)))
+        # rows of the n x n difference table per pass: 2^16 doubles, cache-sized
+        chunk = max(1, int(2**16 // max(n, 1)))
         for start in range(0, n, chunk):
             diffs = np.abs(v[None, :] - v[start : start + chunk, None])
             scores[start : start + chunk] = (diffs**p).sum(axis=1) * g.cell_volume

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,6 +222,98 @@ def test_small_p_converged_reports_the_stage_stop_test(monkeypatch):
     assert not best_approx(g, (2, 2), 0.5).converged
 
 
+def _oracle_weighted_lstsq(design, target, weights):
+    sw = np.sqrt(weights)
+    sol, *_ = np.linalg.lstsq(design * sw[:, None], target * sw, rcond=None)
+    return sol
+
+
+def _oracle_smoothed_descent(design, target, c0, p, eps, cv):
+    c = c0.copy()
+    res = target - design @ c
+    obj = float(((res**2 + eps**2) ** (p / 2.0)).sum() * cv)
+    it = 0
+    for it in range(1, polyapprox._STAGE_ITER + 1):
+        w = (res**2 + eps**2) ** (p / 2.0 - 1.0)
+        c = _oracle_weighted_lstsq(design, target, w)
+        res = target - design @ c
+        new_obj = float(((res**2 + eps**2) ** (p / 2.0)).sum() * cv)
+        if abs(obj - new_obj) <= 1e-10 * max(new_obj, 1e-30):
+            return c, it, True
+        obj = new_obj
+    return c, it, False
+
+
+def _oracle_multistart(g, r, p, seed):
+    """The 0 < p < 1 solver as it was before its starts ran in lockstep:
+    one start after another, one SVD least-squares solve per step.
+    Returns ``(error, converged, start_errors, start_iterations)``."""
+    bases = [
+        polyapprox._axis_basis(g.box.lower[i], g.box.upper[i], g.spec[i], r[i])[0]
+        for i in range(g.box.dim)
+    ]
+    cv = g.cell_volume
+    c2 = polyapprox._contract_rows(g.values, [B * cw for B, cw in zip(bases, g.cell_widths)])
+    scale = float(np.abs(g.values).max(initial=0.0))
+    design = polyapprox._design_matrix(bases)
+    target = g.values.reshape(-1)
+    c_flat = c2.reshape(-1)
+
+    rng = np.random.default_rng(seed)
+    res2 = target - design @ c_flat
+    err2 = math.sqrt(float((res2**2).sum() * cv))
+    amp = 0.5 * (err2 + 1e-3 * max(scale, 1e-30))
+    starts = [c_flat]
+    for _ in range(polyapprox._N_STARTS):
+        starts.append(c_flat + rng.standard_normal(c_flat.shape) * amp)
+    best_obj = math.inf
+    best_stopped = False
+    per_start = []
+    start_iters = []
+    eps_ladder = [10.0**-k for k in range(2, 9)]
+    eps_scale = max(scale, 1e-30)
+    for c0 in starts:
+        c = c0.copy()
+        start_iters.append(0)
+        for eps_rel in eps_ladder:
+            c, iters, stopped = _oracle_smoothed_descent(
+                design, target, c, p, eps_rel * eps_scale, cv
+            )
+            start_iters[-1] += iters
+        obj = polyapprox._objective(target - design @ c, cv, p)
+        per_start.append(obj ** (1.0 / p))
+        if obj < best_obj:
+            best_obj = obj
+            best_stopped = stopped
+    return best_obj ** (1.0 / p), best_stopped, per_start, start_iters
+
+
+LOCKSTEP_CASES = [
+    ("holder_half_1d", 64, (2,)),
+    ("holder_half_2d", 16, (1, 1)),
+    ("holder_half_2d", 16, (2, 2)),
+    ("holder_half_2d", 64, (1, 1)),
+    ("holder_half_2d", 64, (2, 2)),
+    ("exp_sum_3d", 8, (2, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("seed", (0, 7))
+@pytest.mark.parametrize("case", LOCKSTEP_CASES, ids=_case_id)
+def test_lockstep_descent_matches_per_start_oracle(case, seed):
+    name, grid, r = case
+    g = sample_on_grid(get_function(name), Box.unit(len(r)), grid)
+    res = best_approx(g, r, 0.5, seed=seed)
+    error, converged, start_errors, start_iters = _oracle_multistart(g, r, 0.5, seed)
+    diag = res.diagnostics
+    # the same work: every start takes as many steps as it did alone
+    assert diag["start_iterations"] == start_iters
+    assert diag["iterations"] == sum(start_iters)
+    assert res.converged == converged
+    assert diag["start_errors"] == pytest.approx(start_errors, rel=1e-9, abs=1e-12)
+    assert res.error <= error * (1.0 + 1e-9) + 1e-12
+
+
 def test_best_approx_rejects_underdetermined_grid():
     g = sample_on_grid(lambda X: X[..., 0], Box.unit(1), 3)
     with pytest.raises(ValueError):
@@ -327,6 +420,26 @@ def test_best_constant_brute_force_value_scan():
         lp_quasinorm(GridFunction(g.box, g.values - b), 1.0) for b in values
     )
     assert err == pytest.approx(brute, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", (0.5, 1.0))
+def test_best_constant_scan_is_exact_in_small_memory(p):
+    g = sample_on_grid(get_function("holder_half_2d"), Box.unit(2), 64)
+    tracemalloc.start()
+    try:
+        got = best_constant(g, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the whole n x n table at once (128 MB here) picks the same value
+    v = g.values.reshape(-1)
+    table = v[None, :] - v[:, None]
+    np.abs(table, out=table)
+    table **= p
+    scores = table.sum(axis=1) * g.cell_volume
+    beta = float(v[int(np.argmin(scores))])
+    assert got == (beta, lp_quasinorm(GridFunction(g.box, g.values - beta), p))
+    assert peak < 8 * 2**20
 
 
 def test_piecewise_constant_examples():
