@@ -17,15 +17,21 @@ a modulus on the right-hand side of an inequality should inflate it by
 the measured refinement gap (see the verifier's tolerance policy).
 
 Every difference field comes from one engine, ``_fields``.  It takes a
-whole list of step vectors and, chunk by chunk, builds each step's
-shrunken midpoint grid with array arithmetic (the grids are ragged:
-each step keeps its own shape), adds the stencil offsets ``j*h`` and
-calls ``f`` once on the whole cloud of at most ``_CHUNK_POINTS``
-points.  The sweeps reduce every step's ``|difference|`` for every
-exponent from that one field, and ``difference_field`` is the one-step
-case.  Each point, stencil sum and per-step quadrature sum is computed
-with the same operations in the same order as a step-by-step loop, so
-the values are bit-identical to evaluating one step at a time.
+whole list of step vectors, orders them by grid size and then by grid
+shape, and, chunk by chunk, calls ``f`` once on the cloud of at most
+``_CHUNK_POINTS`` points formed by every stencil offset ``j*h`` of
+every step's shrunken midpoint grid.  A grid is a tensor product: the
+axis-i coordinate of a cloud point, ``lo_i + (k_i + 0.5)*width_i +
+j_i*h_i``, depends only on that step's axis-i values.  So each run of
+equal-shape steps in a chunk is filled with one broadcast add per axis,
+of a per-step midpoint table and a per-offset shift table, with no
+per-point index arithmetic (the grids are ragged across runs: each
+step keeps its own shape).  The sweeps reduce every step's
+``|difference|`` for every exponent from that one field, and
+``difference_field`` is the one-step case.  Each point, stencil sum and
+per-step quadrature sum is computed with the same operations in the
+same order as a step-by-step loop, so the values are bit-identical to
+evaluating one step at a time.
 
 A sup sweep with an odd number ``2m - 1`` of step samples contains the
 sweep with ``m`` samples: ``linspace(-t, t, m)`` equals
@@ -35,6 +41,7 @@ that coarse supremum too, read off the even-indexed nodes.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -67,7 +74,10 @@ __all__ = [
 
 # Points per call of f: all stencil offsets of the steps in one chunk.  A
 # step whose cloud alone is larger is evaluated a few offsets at a time.
-# Larger caps gained no speed and raised the peak memory of a sweep.
+# Larger caps gained no speed and raised the peak memory of a sweep: on
+# the benchmark's sweep-fine workload (2-core host, seeds 1-4, one run
+# each) 2^13, 2^14 and 2^15 took a median wall_s of 3.72, 3.99 and
+# 3.81 s at a peak RSS of 44.4, 45.2 and 49.0 MB.
 _CHUNK_POINTS = 1 << 13
 
 
@@ -98,6 +108,8 @@ def mixed_difference(f: Callable, r: Sequence[int], h: Sequence[float], x) -> np
     of ``f``.  Order zero on every axis reduces to ``f(x)``.
     """
     r = tuple(int(v) for v in r)
+    if any(v < 0 for v in r):
+        raise ValueError("difference orders must be non-negative")
     hv = np.asarray(h, float)
     x = np.asarray(x, float)
     single = x.ndim == 1
@@ -135,14 +147,19 @@ def _fields(
     step whose domain is empty appears in no chunk.  The midpoint grid
     on it keeps the per-axis resolution density of ``density`` (points
     proportional to the surviving side length, at least one per axis).
-    Steps are grouped, smallest grid first, into chunks of at most
-    ``_CHUNK_POINTS`` stencil points, and ``f`` is called once per chunk
-    (a step with more points alone gets a chunk and several calls).
+    Steps are ordered by ``(number of points, shape)``, smallest grid
+    first, and grouped in that order into chunks of at most
+    ``_CHUNK_POINTS`` stencil points; ``f`` is called once per chunk (a
+    step with more points alone gets a chunk and several calls).  The
+    order puts equal shapes side by side, and each run of them in a
+    chunk fills its part of the cloud with one broadcast add per axis.
     """
     dim = box.dim
     steps = np.asarray(steps, float)
     if len(r) != dim or steps.ndim != 2 or steps.shape[1] != dim:
         raise ValueError("order and steps must match the box dimension")
+    if any(v < 0 for v in r):
+        raise ValueError("difference orders must be non-negative")
     density = np.asarray(normalize_grid(density, dim))
     stencil = _stencil(r)
     offsets = np.array([o for _, o in stencil], float).reshape(len(stencil), dim)
@@ -150,61 +167,74 @@ def _fields(
     lo = np.asarray(box.lower) + np.maximum(0.0, -shift)
     hi = np.asarray(box.upper) - np.maximum(0.0, shift)
     live = np.flatnonzero(np.all(hi > lo, axis=1))
-    lo, hi, steps = lo[live], hi[live], steps[live]
-    size = hi - lo
+    size = hi[live] - lo[live]
     shape = np.maximum(1, np.ceil(density * (size / box.size) - 1e-9)).astype(np.int64)
-    width = size / shape
     npts = np.prod(shape, axis=1)
-    # equal-sized grids side by side let _block_sums sum them as matrix rows
-    order = np.argsort(npts, kind="stable")
-    starts, total = [], 0
-    for k, n in enumerate((npts[order] * len(stencil)).tolist()):
-        if total == 0 or total + n > _CHUNK_POINTS:
-            starts.append(k)
-            total = 0
-        total += n
-    starts.append(order.size)
+    # Smallest grid first, as _block_sums wants equal sizes side by side;
+    # among equal sizes, equal shapes side by side form the broadcast runs.
+    order = np.lexsort((*shape.T[::-1], npts))
+    live, shape = live[order], shape[order]
+    lo, hi, steps = lo[live], hi[live], steps[live]
+    width = (hi - lo) / shape
+    # The midpoint lo + (k + 0.5) * width of every (step, axis, k) and the
+    # shift offset * h of every (stencil offset, step, axis).  A run reads
+    # both, for one axis, as views with unit axes added, which broadcast
+    # over its block of the cloud: (offset, step, k_1, ..., k_d).
+    mid = lo[:, :, None] + (np.arange(shape.max(initial=1)) + 0.5) * width[:, :, None]
+    move = offsets[:, None, :] * steps
+    new_axes = (None,) * dim
+    cell_volume = np.prod(width, axis=1)
+    cum = np.zeros(live.size + 1, np.int64)
+    np.cumsum(npts[order], out=cum[1:])
+    offset_of = cum.tolist()
+    new_run = np.ones(live.size, bool)
+    new_run[1:] = np.any(shape[1:] != shape[:-1], axis=1)
+    run_starts = np.flatnonzero(new_run).tolist()
+    run_grids = [tuple(g) for g in shape[run_starts].tolist()]
+    # greedy packing: a chunk takes the next steps while their clouds fit
+    # the cap, and at least one step
+    room = _CHUNK_POINTS // len(stencil)
+    starts = [0]
+    while starts[-1] < live.size:
+        a = starts[-1]
+        starts.append(max(a + 1, bisect.bisect_right(offset_of, offset_of[a] + room) - 1))
     for a, b in zip(starts, starts[1:]):
-        sel = order[a:b]
-        counts = npts[sel]
-        bounds = np.zeros(sel.size + 1, np.int64)
-        np.cumsum(counts, out=bounds[1:])
-        # per axis: each point's midpoint coordinate and its step's shift,
-        # from its row-major index q within its own grid
-        q = np.arange(bounds[-1]) - np.repeat(bounds[:-1], counts)
-        coords, shifts = [None] * dim, [None] * dim
-        for i in reversed(range(dim)):
-            q, k = np.divmod(q, np.repeat(shape[sel, i], counts))
-            coords[i] = np.repeat(lo[sel, i], counts) + (k + 0.5) * np.repeat(
-                width[sel, i], counts
-            )
-            shifts[i] = np.repeat(steps[sel, i], counts)
-        values = np.zeros(bounds[-1])
+        bounds = cum[a : b + 1] - cum[a]
+        n_pts = int(bounds[-1])
+        first = bisect.bisect_right(run_starts, a) - 1
+        last = bisect.bisect_left(run_starts, b)
+        edges = [a, *run_starts[first + 1 : last], b]
+        values = np.zeros(n_pts)
         # a step whose cloud alone exceeds the cap takes a few offsets per call
-        per_call = max(1, _CHUNK_POINTS // bounds[-1])
+        per_call = max(1, _CHUNK_POINTS // n_pts)
         for j in range(0, len(stencil), per_call):
-            cloud = np.empty((len(stencil[j : j + per_call]), bounds[-1], dim))
-            for i in range(dim):
-                axis = cloud[..., i]
-                np.multiply(offsets[j : j + per_call, i, None], shifts[i], out=axis)
-                axis += coords[i]
+            js = slice(j, j + per_call)
+            cloud = np.empty((len(stencil[js]), n_pts, dim))
+            for grid, u, v in zip(run_grids[first:last], edges, edges[1:]):
+                # splitting one axis of a basic slice is a view, so the
+                # writes below land in the cloud
+                block = cloud[:, offset_of[u] - offset_of[a] : offset_of[v] - offset_of[a]]
+                block = block.reshape(cloud.shape[0], v - u, *grid, dim)
+                for i in range(dim):
+                    k = (None, slice(u, v), i, *new_axes[:i], slice(grid[i]), *new_axes[i + 1 :])
+                    np.add(move[(js, slice(u, v), i, *new_axes)], mid[k], out=block[..., i])
             evals = np.asarray(f(cloud), float)
             if evals.shape != cloud.shape[:-1]:
                 raise ValueError(
                     f"function returned shape {evals.shape}, expected {cloud.shape[:-1]}"
                 )
-            for (w, _), column in zip(stencil[j : j + per_call], evals):
-                values = values + w * column
+            for (w, _), column in zip(stencil[js], evals):
+                values += w * column
         if not np.all(np.isfinite(values)):
             raise ValueError("grid values must all be finite")
         yield _Chunk(
-            steps=live[sel],
+            steps=live[a:b],
             values=values,
             bounds=bounds,
-            lo=lo[sel],
-            hi=hi[sel],
-            shape=shape[sel],
-            cell_volume=np.prod(width[sel], axis=1),
+            lo=lo[a:b],
+            hi=hi[a:b],
+            shape=shape[a:b],
+            cell_volume=cell_volume[a:b],
         )
 
 
@@ -267,6 +297,29 @@ def difference_field(
     return None
 
 
+def _check_sweep_args(
+    r: Sequence[int], t: Sequence[float], box: Box, h_samples: int, p_values: Iterable[float]
+) -> tuple[tuple[int, ...], tuple[float, ...], list[float]]:
+    """``(r, t, ps)`` as ints, floats and a float list, once they pass the
+    checks every sweep needs: one order and one step bound per axis of
+    ``box``, orders and bounds non-negative, at least two step samples
+    and every exponent positive."""
+    r = tuple(int(v) for v in r)
+    t = tuple(float(v) for v in t)
+    ps = [float(p) for p in p_values]
+    if len(r) != box.dim or len(t) != box.dim:
+        raise ValueError("r and t must match the box dimension")
+    if any(v < 0 for v in r):
+        raise ValueError("difference orders must be non-negative")
+    if not all(v >= 0 for v in t):
+        raise ValueError("step bounds must be non-negative")
+    if h_samples < 2:
+        raise ValueError("h_samples must be at least 2")
+    if not all(p > 0 for p in ps):
+        raise ValueError("exponent p must be positive")
+    return r, t, ps
+
+
 @dataclass(frozen=True)
 class ModulusRequest:
     """Parameters of one modulus evaluation.
@@ -285,18 +338,7 @@ class ModulusRequest:
     density: tuple[int, ...] | int = 32
 
     def __post_init__(self):
-        r = tuple(int(v) for v in self.r)
-        t = tuple(float(v) for v in self.t)
-        if len(r) != self.box.dim or len(t) != self.box.dim:
-            raise ValueError("r and t must match the box dimension")
-        if any(v < 0 for v in r):
-            raise ValueError("difference orders must be non-negative")
-        if any(v < 0 for v in t):
-            raise ValueError("step bounds must be non-negative")
-        if self.h_samples < 2:
-            raise ValueError("h_samples must be at least 2")
-        if not self.p > 0:
-            raise ValueError("exponent p must be positive")
+        r, t, _ = _check_sweep_args(self.r, self.t, self.box, self.h_samples, [self.p])
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "t", t)
 
@@ -341,9 +383,7 @@ def sup_modulus_sweep(
     samples, whose nodes are every other node of this one, so it is
     bit-identical to sweeping them separately.
     """
-    r = tuple(int(v) for v in r)
-    t = tuple(float(v) for v in t)
-    ps = [float(p) for p in p_values]
+    r, t, ps = _check_sweep_args(r, t, box, h_samples, p_values)
     if nested and h_samples % 2 == 0:
         raise ValueError("a nested coarse sweep needs an odd h_samples")
     axes = [_sup_axis_nodes(ri, ti, h_samples) for ri, ti in zip(r, t)]
@@ -380,13 +420,9 @@ def mean_modulus_sweep(
     genuine mean (integral divided by the step-box volume); axes with
     order zero carry no step variable and average out exactly.
     """
-    r = tuple(int(v) for v in r)
-    t = tuple(float(v) for v in t)
-    ps = [float(p) for p in p_values]
+    r, t, ps = _check_sweep_args(r, t, box, h_samples, p_values)
     if any(p == math.inf for p in ps):
         raise ValueError("mean modulus is defined for finite p; use the sup form")
-    if not all(p > 0 for p in ps):
-        raise ValueError("exponent p must be positive")
     active = [i for i, ri in enumerate(r) if ri > 0]
     for i in active:
         if t[i] <= 0:

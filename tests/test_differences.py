@@ -7,6 +7,7 @@ import pytest
 from mixsmooth import differences
 from mixsmooth.corpus import corpus_entries, get_function
 from mixsmooth.differences import (
+    _step_product,
     ModulusRequest,
     difference_field,
     lower_whitney_constant,
@@ -283,17 +284,23 @@ def test_total_mean_d1_reduces_to_single_mean_term():
 # The batched step-sweep engine against the per-step loop it replaced
 
 
-def _loop_field(f, r, h, box, density):
-    """One difference field, one step at a time (the per-step definition)."""
-    hv = np.asarray(h, float)
+def _grid_shape(r, h, box, density):
+    """Shape of the midpoint grid of step h, or None when its domain is empty."""
     density = normalize_grid(density, box.dim)
-    sub = shrink_domain(box, np.asarray(r) * hv)
+    sub = shrink_domain(box, np.asarray(r) * np.asarray(h, float))
     if sub is None:
         return None
     ratio = sub.size / box.size
-    shape = tuple(
-        max(1, int(math.ceil(density[i] * ratio[i] - 1e-9))) for i in range(box.dim)
-    )
+    return tuple(max(1, int(math.ceil(density[i] * ratio[i] - 1e-9))) for i in range(box.dim))
+
+
+def _loop_field(f, r, h, box, density):
+    """One difference field, one step at a time (the per-step definition)."""
+    hv = np.asarray(h, float)
+    shape = _grid_shape(r, hv, box, density)
+    if shape is None:
+        return None
+    sub = shrink_domain(box, np.asarray(r) * hv)
     pts = grid_points(sub, shape)
     vals = np.zeros(shape)
     for combo in itertools.product(*(range(ri + 1) for ri in r)):
@@ -412,7 +419,7 @@ def test_nested_coarse_sup_equals_a_separate_coarse_sweep():
         sup_modulus_sweep(f, (1, 1), (0.5, 0.25), box, density=9, h_samples=4, p_values=ps, nested=True)
 
 
-def test_f_calls_per_sweep_at_most_the_chunks():
+def test_f_calls_per_sweep_at_most_the_chunks(monkeypatch):
     entry = get_function("exp_sum_2d")
     sizes = []
 
@@ -421,19 +428,267 @@ def test_f_calls_per_sweep_at_most_the_chunks():
         return entry(X)
 
     box = Box.unit(2)
+    t = (0.5, 0.5)
     cap = differences._CHUNK_POINTS
     for r, density, m in (((1, 1), 16, 17), ((2, 0), 16, 9), ((2, 2), 64, 17)):
         stencil = (r[0] + 1) * (r[1] + 1)
         n_steps = (m - 1) ** sum(1 for v in r if v)  # odd m: the zero step is dropped
-        for sweep in (sup_modulus_sweep, mean_modulus_sweep):
+        for sweep, nodes in ((sup_modulus_sweep, _sup_nodes), (mean_modulus_sweep, _mean_nodes)):
             sizes.clear()
-            sweep(counted, r, (0.5, 0.5), box, density=density, h_samples=m, p_values=[1.0])
+            sweep(counted, r, t, box, density=density, h_samples=m, p_values=[1.0])
+            got = list(sizes)
+            # same work: the same f calls, point for point, as the oracle,
+            # and every live step's grid once per stencil offset
+            sizes.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(differences, "_fields", _oracle_fields)
+                sweep(counted, r, t, box, density=density, h_samples=m, p_values=[1.0])
+            assert got == sizes
+            grids = [_grid_shape(r, h, box, density) for h in itertools.product(*nodes(r, t, m))]
+            assert sum(got) == stencil * sum(math.prod(g) for g in grids if g is not None)
             # no call exceeds the cap, except one holding a single larger field
-            assert max(sizes) <= max(cap, density**2)
+            assert max(got) <= max(cap, density**2)
             if stencil * density**2 <= cap:
                 # every step fits a chunk; greedy packing puts more than the
                 # cap into any two neighbouring chunks
-                assert len(sizes) <= 2 * math.ceil(sum(sizes) / cap) + 1
-                assert len(sizes) < n_steps / 4
+                assert len(got) <= 2 * math.ceil(sum(got) / cap) + 1
+                assert len(got) < n_steps / 4
             else:
-                assert len(sizes) < n_steps * stencil / 2
+                assert len(got) < n_steps * stencil / 2
+
+
+# ---------------------------------------------------------------------------
+# The broadcast cloud builder against the per-point builder it replaced
+
+
+def _oracle_fields(f, r, steps, box, density):
+    """The per-point chunk builder the broadcast one replaced, verbatim:
+    every point's grid index comes from divmod on its row-major index."""
+    dim = box.dim
+    steps = np.asarray(steps, float)
+    if len(r) != dim or steps.ndim != 2 or steps.shape[1] != dim:
+        raise ValueError("order and steps must match the box dimension")
+    density = np.asarray(normalize_grid(density, dim))
+    stencil = differences._stencil(r)
+    offsets = np.array([o for _, o in stencil], float).reshape(len(stencil), dim)
+    shift = np.asarray(r) * steps
+    lo = np.asarray(box.lower) + np.maximum(0.0, -shift)
+    hi = np.asarray(box.upper) - np.maximum(0.0, shift)
+    live = np.flatnonzero(np.all(hi > lo, axis=1))
+    lo, hi, steps = lo[live], hi[live], steps[live]
+    size = hi - lo
+    shape = np.maximum(1, np.ceil(density * (size / box.size) - 1e-9)).astype(np.int64)
+    width = size / shape
+    npts = np.prod(shape, axis=1)
+    # equal-sized grids side by side let _block_sums sum them as matrix rows
+    order = np.argsort(npts, kind="stable")
+    starts, total = [], 0
+    for k, n in enumerate((npts[order] * len(stencil)).tolist()):
+        if total == 0 or total + n > differences._CHUNK_POINTS:
+            starts.append(k)
+            total = 0
+        total += n
+    starts.append(order.size)
+    for a, b in zip(starts, starts[1:]):
+        sel = order[a:b]
+        counts = npts[sel]
+        bounds = np.zeros(sel.size + 1, np.int64)
+        np.cumsum(counts, out=bounds[1:])
+        # per axis: each point's midpoint coordinate and its step's shift,
+        # from its row-major index q within its own grid
+        q = np.arange(bounds[-1]) - np.repeat(bounds[:-1], counts)
+        coords, shifts = [None] * dim, [None] * dim
+        for i in reversed(range(dim)):
+            q, k = np.divmod(q, np.repeat(shape[sel, i], counts))
+            coords[i] = np.repeat(lo[sel, i], counts) + (k + 0.5) * np.repeat(
+                width[sel, i], counts
+            )
+            shifts[i] = np.repeat(steps[sel, i], counts)
+        values = np.zeros(bounds[-1])
+        # a step whose cloud alone exceeds the cap takes a few offsets per call
+        per_call = max(1, differences._CHUNK_POINTS // bounds[-1])
+        for j in range(0, len(stencil), per_call):
+            cloud = np.empty((len(stencil[j : j + per_call]), bounds[-1], dim))
+            for i in range(dim):
+                axis = cloud[..., i]
+                np.multiply(offsets[j : j + per_call, i, None], shifts[i], out=axis)
+                axis += coords[i]
+            evals = np.asarray(f(cloud), float)
+            if evals.shape != cloud.shape[:-1]:
+                raise ValueError(
+                    f"function returned shape {evals.shape}, expected {cloud.shape[:-1]}"
+                )
+            for (w, _), column in zip(stencil[j : j + per_call], evals):
+                values = values + w * column
+        if not np.all(np.isfinite(values)):
+            raise ValueError("grid values must all be finite")
+        yield differences._Chunk(
+            steps=live[sel],
+            values=values,
+            bounds=bounds,
+            lo=lo[sel],
+            hi=hi[sel],
+            shape=shape[sel],
+            cell_volume=np.prod(width[sel], axis=1),
+        )
+
+
+def _per_step(chunks):
+    """Each live step's field, shape, box and cell volume, as bytes."""
+    out = {}
+    for ch in chunks:
+        for k, step in enumerate(ch.steps.tolist()):
+            out[step] = (
+                ch.values[ch.bounds[k] : ch.bounds[k + 1]].tobytes(),
+                ch.shape[k].tobytes(),
+                ch.lo[k].tobytes(),
+                ch.hi[k].tobytes(),
+                ch.cell_volume[k : k + 1].tobytes(),
+            )
+    return out
+
+
+def _sup_nodes(r, t, m):
+    """Per-axis step nodes of a sup sweep with m samples."""
+    return [differences._sup_axis_nodes(ri, ti, m)[0] for ri, ti in zip(r, t)]
+
+
+def _mean_nodes(r, t, m):
+    """Per-axis step nodes of a mean sweep with m cells."""
+    return [
+        -ti + (np.arange(m) + 0.5) * (2.0 * ti / m) if ri else np.zeros(1) for ri, ti in zip(r, t)
+    ]
+
+
+def _random_steps(rng, r, t, n, values=None):
+    """n steps with |h_i| <= t_i (0 where r_i = 0), drawn from ``values``
+    times t_i when given, so that equal-size grids of different shapes
+    interleave in step order."""
+    cols = []
+    for ri, ti in zip(r, t):
+        if not ri:
+            cols.append(np.zeros(n))
+        elif values is None:
+            cols.append(rng.uniform(-ti, ti, n))
+        else:
+            cols.append(rng.choice(values, n) * ti)
+    return np.stack(cols, axis=1)
+
+
+# (corpus name, order, box, step bound, density): d = 1, 2 and 3, zero
+# orders, anisotropic boxes, and bounds that empty some domains
+ORACLE_CASES = [
+    ("sin_prod_1d", (2,), Box((0.2,), (1.7,)), (0.9,), 7),
+    ("exp_sum_1d", (0,), Box.unit(1), (0.5,), 33),
+    ("trig_rand_2d_a", (1, 1), Box.unit(2), (1.0, 1.0), 16),
+    ("trig_rand_2d_b", (1, 1), Box((0.0, 0.0), (1.0, 0.5)), (0.5, 0.25), (16, 8)),
+    ("holder_half_2d", (2, 0), Box((0.0, 0.0), (1.0, 0.5)), (0.6, 0.3), 9),
+    ("spline_prod_2d", (0, 3), Box.unit(2), (0.2, 0.4), 12),
+    ("cubic_2d", (2, 2), Box.unit(2), (0.3, 0.3), 64),  # clouds beyond the cap
+    ("exp_sum_3d", (1, 0, 2), Box((0.0, -0.5, 0.0), (1.0, 0.0, 0.8)), (0.3, 0.2, 0.5), (9, 6, 5)),
+    ("exp_sum_3d", (1, 1, 1), Box.unit(3), (0.6, 0.6, 0.6), 8),
+]
+
+
+@pytest.mark.parametrize("name, r, box, t, density", ORACLE_CASES)
+def test_fields_bit_identical_to_per_point_oracle(name, r, box, t, density):
+    f = get_function(name)
+    rng = np.random.default_rng(len(name) + sum(r))
+    # quarter steps make equal-size grids of different shapes, such as
+    # (8, 16) and (16, 8) at density 16, interleave in step order
+    quarters = np.array([-1.0, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0])
+    step_lists = [
+        _random_steps(rng, r, t, 40),
+        _random_steps(rng, r, t, 60, quarters),
+        _step_product(_sup_nodes(r, t, 9)),
+        _step_product(_mean_nodes(r, t, 4)),
+    ]
+    stencil = len(differences._stencil(r))
+    largest = 0
+    for steps in step_lists:
+        chunks = list(differences._fields(f, r, steps, box, density))
+        oracle = list(_oracle_fields(f, r, steps, box, density))
+        assert _per_step(chunks) == _per_step(oracle)
+        assert [c.bounds[-1] for c in chunks] == [c.bounds[-1] for c in oracle]
+        largest = max([largest, *(int(c.bounds[-1]) * stencil for c in chunks)])
+    # a step whose cloud exceeds the cap is covered wherever the full grid does
+    full = math.prod(normalize_grid(density, box.dim)) * stencil
+    assert (largest > differences._CHUNK_POINTS) == (full > differences._CHUNK_POINTS)
+
+
+@pytest.mark.parametrize("name, r, box, t, density", ORACLE_CASES)
+def test_sweeps_equal_the_per_point_oracle(monkeypatch, name, r, box, t, density):
+    f = get_function(name)
+    ps = [0.5, 1.0, 2.0, math.inf]
+    kw = dict(density=density, h_samples=5, p_values=ps)
+
+    def sweeps():
+        return (
+            sup_modulus_sweep(f, r, t, box, nested=True, **kw),
+            mean_modulus_sweep(f, r, t, box, **{**kw, "p_values": ps[:3]}),
+        )
+
+    got = sweeps()
+    monkeypatch.setattr(differences, "_fields", _oracle_fields)
+    assert got == sweeps()
+
+
+def test_interleaved_equal_size_shapes_share_a_chunk():
+    # (8, 16) and (16, 8) grids alternate in step order; the engine still
+    # packs them, by size, into the oracle's chunks
+    box = Box.unit(2)
+    steps = np.array([[0.5, 0.0], [0.0, 0.5], [0.5, 0.01], [0.01, 0.5]] * 3)
+    f = get_function("cubic_2d")
+    got = list(differences._fields(f, (1, 1), steps, box, 16))
+    want = list(_oracle_fields(f, (1, 1), steps, box, 16))
+    assert [c.bounds.tolist() for c in got] == [c.bounds.tolist() for c in want]
+    assert _per_step(got) == _per_step(want)
+    assert {tuple(s) for c in got for s in c.shape.tolist()} == {(8, 16), (16, 8)}
+
+
+# ---------------------------------------------------------------------------
+# Malformed sweep arguments are rejected, not swept
+
+
+def _sweep_call(kind, r=(1, 1), t=(0.2, 0.2), h_samples=5, p_values=(1.0,)):
+    f = get_function("exp_sum_2d")
+    box = Box.unit(2)
+    if kind == "sup":
+        return sup_modulus_sweep(f, r, t, box, density=8, h_samples=h_samples, p_values=p_values)
+    if kind == "mean":
+        return mean_modulus_sweep(f, r, t, box, density=8, h_samples=h_samples, p_values=p_values)
+    return [
+        ModulusRequest(r=r, t=t, p=p, box=box, h_samples=h_samples, density=8) for p in p_values
+    ]
+
+
+MALFORMED = [
+    dict(h_samples=0),
+    dict(h_samples=-3),
+    dict(h_samples=1),
+    dict(p_values=(0.0,)),
+    dict(p_values=(-1.0,)),
+    dict(p_values=(math.nan,)),
+    dict(p_values=(1.0, -2.0)),
+    dict(r=(-1, 1)),
+    dict(t=(-0.1, 0.2)),
+    dict(t=(math.nan, 0.2)),
+    dict(t=(0.2,)),
+]
+
+
+@pytest.mark.parametrize("kind", ["sup", "mean", "request"])
+@pytest.mark.parametrize("bad", MALFORMED, ids=lambda b: "-".join(f"{k}={v}" for k, v in b.items()))
+def test_malformed_sweep_arguments_are_rejected(kind, bad):
+    with pytest.raises(ValueError):
+        _sweep_call(kind, **bad)
+
+
+def test_negative_orders_are_rejected_by_every_difference():
+    f = get_function("exp_sum_2d")
+    with pytest.raises(ValueError):
+        difference_field(f, (-1, 1), (0.1, 0.1), Box.unit(2), 8)
+    with pytest.raises(ValueError):
+        mixed_difference(f, (-1, 1), (0.1, 0.1), np.array([0.3, 0.3]))
+    with pytest.raises(ValueError):
+        list(differences._fields(f, (-1, 1), np.array([[0.1, 0.1]]), Box.unit(2), 8))
