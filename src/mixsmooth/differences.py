@@ -20,18 +20,27 @@ Every difference field comes from one engine, ``_fields``.  It takes a
 whole list of step vectors, orders them by grid size and then by grid
 shape, and, chunk by chunk, calls ``f`` once on the cloud of at most
 ``_CHUNK_POINTS`` points formed by every stencil offset ``j*h`` of
-every step's shrunken midpoint grid.  A grid is a tensor product: the
-axis-i coordinate of a cloud point, ``lo_i + (k_i + 0.5)*width_i +
-j_i*h_i``, depends only on that step's axis-i values.  So each run of
-equal-shape steps in a chunk is filled with one broadcast add per axis,
-of a per-step midpoint table and a per-offset shift table, with no
-per-point index arithmetic (the grids are ragged across runs: each
-step keeps its own shape).  The sweeps reduce every step's
-``|difference|`` for every exponent from that one field, and
+every step's shrunken midpoint grid.  The cloud is stored coordinate
+by coordinate, as a ``(d, offsets, points)`` buffer, and ``f`` gets its
+transposed view of shape ``(offsets, points, d)``, in which every
+coordinate plane ``X[..., i]`` is contiguous.  A grid is a tensor
+product: the axis-i coordinate of a cloud point, ``lo_i + (k_i +
+0.5)*width_i + j_i*h_i``, depends only on that step's axis-i values.
+So for each run of equal-shape steps in a chunk, plane i is filled by
+adding the per-offset shift to the per-step midpoint once for every
+``(offset, step, k_i)`` and broadcasting that small table over the
+other axes, with no per-point index arithmetic (the grids are ragged
+across runs: each step keeps its own shape).  The sweeps reduce every
+step's ``|difference|`` for every exponent from that one field, and
 ``difference_field`` is the one-step case.  Each point, stencil sum and
 per-step quadrature sum is computed with the same operations in the
 same order as a step-by-step loop, so the values are bit-identical to
 evaluating one step at a time.
+
+The contract on ``f``, here and in every sweep: it receives a float
+array of shape ``(..., d)`` that need not be C-contiguous and returns
+one value per point, of shape ``(...)``, that does not depend on the
+memory layout of its argument.
 
 A sup sweep with an odd number ``2m - 1`` of step samples contains the
 sweep with ``m`` samples: ``linspace(-t, t, m)`` equals
@@ -150,9 +159,14 @@ def _fields(
     Steps are ordered by ``(number of points, shape)``, smallest grid
     first, and grouped in that order into chunks of at most
     ``_CHUNK_POINTS`` stencil points; ``f`` is called once per chunk (a
-    step with more points alone gets a chunk and several calls).  The
-    order puts equal shapes side by side, and each run of them in a
-    chunk fills its part of the cloud with one broadcast add per axis.
+    step with more points alone gets a chunk and several calls, each on
+    a few stencil offsets).  Each call's cloud is a ``(d, offsets,
+    points)`` buffer, and ``f`` gets its ``(offsets, points, d)``
+    transposed view, not C-contiguous, whose coordinate planes
+    ``X[..., i]`` are.  The order puts equal shapes side by side, and
+    each run of them in a chunk fills its part of plane i by
+    broadcasting the table ``shift + midpoint`` of its ``(offset, step,
+    k_i)`` triples, the one add each point coordinate takes.
     """
     dim = box.dim
     steps = np.asarray(steps, float)
@@ -177,15 +191,15 @@ def _fields(
     lo, hi, steps = lo[live], hi[live], steps[live]
     width = (hi - lo) / shape
     # The midpoint lo + (k + 0.5) * width of every (step, axis, k) and the
-    # shift offset * h of every (stencil offset, step, axis).  A run reads
-    # both, for one axis, as views with unit axes added, which broadcast
-    # over its block of the cloud: (offset, step, k_1, ..., k_d).
+    # shift offset * h of every (stencil offset, step, axis).  A run adds
+    # its rows of both into one (offset, step, axis, k) table and reads
+    # axis i of it with unit axes added, which broadcasts over its block
+    # of plane i of the cloud: (offset, step, k_1, ..., k_d).
     mid = lo[:, :, None] + (np.arange(shape.max(initial=1)) + 0.5) * width[:, :, None]
     move = offsets[:, None, :] * steps
     new_axes = (None,) * dim
     cell_volume = np.prod(width, axis=1)
-    cum = np.zeros(live.size + 1, np.int64)
-    np.cumsum(npts[order], out=cum[1:])
+    cum = np.concatenate(([0], np.cumsum(npts[order])))
     offset_of = cum.tolist()
     new_run = np.ones(live.size, bool)
     new_run[1:] = np.any(shape[1:] != shape[:-1], axis=1)
@@ -209,19 +223,18 @@ def _fields(
         per_call = max(1, _CHUNK_POINTS // n_pts)
         for j in range(0, len(stencil), per_call):
             js = slice(j, j + per_call)
-            cloud = np.empty((len(stencil[js]), n_pts, dim))
+            cloud = np.empty((dim, len(stencil[js]), n_pts))
             for grid, u, v in zip(run_grids[first:last], edges, edges[1:]):
-                # splitting one axis of a basic slice is a view, so the
-                # writes below land in the cloud
-                block = cloud[:, offset_of[u] - offset_of[a] : offset_of[v] - offset_of[a]]
-                block = block.reshape(cloud.shape[0], v - u, *grid, dim)
+                # a reshaped basic slice is a view: the writes land in the cloud
+                run = cloud[:, :, offset_of[u] - offset_of[a] : offset_of[v] - offset_of[a]]
+                run = run.reshape(*cloud.shape[:2], v - u, *grid)
+                table = move[js, u:v, :, None] + mid[u:v, :, : max(grid)]
                 for i in range(dim):
-                    k = (None, slice(u, v), i, *new_axes[:i], slice(grid[i]), *new_axes[i + 1 :])
-                    np.add(move[(js, slice(u, v), i, *new_axes)], mid[k], out=block[..., i])
-            evals = np.asarray(f(cloud), float)
-            if evals.shape != cloud.shape[:-1]:
+                    run[i] = table[(..., i, *new_axes[:i], slice(grid[i]), *new_axes[i + 1 :])]
+            evals = np.asarray(f(cloud.transpose(1, 2, 0)), float)
+            if evals.shape != cloud.shape[1:]:
                 raise ValueError(
-                    f"function returned shape {evals.shape}, expected {cloud.shape[:-1]}"
+                    f"function returned shape {evals.shape}, expected {cloud.shape[1:]}"
                 )
             for (w, _), column in zip(stencil[js], evals):
                 values += w * column
@@ -502,6 +515,7 @@ def total_sup_terms(
     :func:`sup_modulus_sweep`.
     """
     r = _check_total_order(r, box.dim)
+    ps = [float(p) for p in p_values]  # every subset sweeps every exponent
     sweeps = {
         e: sup_modulus_sweep(
             f,
@@ -510,7 +524,7 @@ def total_sup_terms(
             box,
             density=density,
             h_samples=h_samples,
-            p_values=p_values,
+            p_values=ps,
             nested=nested,
         )
         for e in nonempty_axis_subsets(box.dim)

@@ -707,11 +707,18 @@ def best_constant(g: GridFunction, p: float) -> tuple[float, float]:
     else:
         n = v.size
         scores = np.empty(n)
-        # rows of the n x n difference table per pass: 2^16 doubles, cache-sized
+        # rows of the n x n difference table per pass: 2^16 doubles, cache-sized.
+        # One buffer serves every pass: a fresh 512 KB temporary sits at the
+        # allocator's mmap threshold, so whether each pass faults in new pages
+        # would depend on what unrelated earlier calls allocated and freed.
         chunk = max(1, int(2**16 // max(n, 1)))
+        table = np.empty((min(chunk, n), n))
         for start in range(0, n, chunk):
-            diffs = np.abs(v[None, :] - v[start : start + chunk, None])
-            scores[start : start + chunk] = (diffs**p).sum(axis=1) * g.cell_volume
+            diffs = table[: min(chunk, n - start)]
+            np.subtract(v[None, :], v[start : start + chunk, None], out=diffs)
+            np.abs(diffs, out=diffs)
+            diffs **= p
+            scores[start : start + chunk] = diffs.sum(axis=1) * g.cell_volume
         beta = float(v[int(np.argmin(scores))])
     residual = GridFunction(g.box, g.values - beta)
     return beta, lp_quasinorm(residual, p)

@@ -163,6 +163,21 @@ def test_total_modulus_bilinear_per_term_oracles():
     assert total == pytest.approx(sum(v[math.inf] for v in terms.values()), rel=1e-14)
 
 
+def test_total_sup_terms_sweeps_every_subset_from_a_generator():
+    ps = [0.5, 1.0, 2.0, math.inf]
+    for name, r in (("exp_sum_2d", (1, 1)), ("exp_sum_3d", (1, 2, 1))):
+        f = get_function(name)
+        box = Box.unit(f.dim)
+        kw = dict(density=8, h_samples=5)
+        t = (0.5,) * f.dim
+        got = total_sup_terms(f, r, t, box, p_values=(p for p in ps), **kw)
+        assert got == total_sup_terms(f, r, t, box, p_values=ps, **kw)
+        assert len(got) == 2**f.dim - 1
+        assert all(sorted(terms) == ps for terms in got.values())
+        got = total_sup_terms(f, r, t, box, p_values=(p for p in ps), nested=True, **kw)
+        assert got == total_sup_terms(f, r, t, box, p_values=ps, nested=True, **kw)
+
+
 def test_total_modulus_requires_positive_orders():
     with pytest.raises(ValueError):
         total_modulus_sup(
@@ -644,6 +659,39 @@ def test_interleaved_equal_size_shapes_share_a_chunk():
     assert [c.bounds.tolist() for c in got] == [c.bounds.tolist() for c in want]
     assert _per_step(got) == _per_step(want)
     assert {tuple(s) for c in got for s in c.shape.tolist()} == {(8, 16), (16, 8)}
+
+
+# (corpus name, order, box, step bound, density): d = 1, 2 and 3, and
+# cubic_2d's clouds beyond the cap, which take a few offsets per call
+LAYOUT_CASES = [
+    ("sin_prod_1d", (2,), Box((0.2,), (1.7,)), (0.9,), 33),
+    ("trig_rand_2d_b", (1, 1), Box((0.0, 0.0), (1.0, 0.5)), (0.5, 0.25), (16, 8)),
+    ("cubic_2d", (2, 2), Box.unit(2), (0.3, 0.3), 64),
+    ("exp_sum_3d", (1, 0, 2), Box((0.0, -0.5, 0.0), (1.0, 0.0, 0.8)), (0.3, 0.2, 0.5), (9, 6, 5)),
+]
+
+
+@pytest.mark.parametrize("name, r, box, t, density", LAYOUT_CASES)
+def test_f_gets_contiguous_coordinate_planes(name, r, box, t, density):
+    entry = get_function(name)
+    stencil = len(differences._stencil(r))
+    calls = []
+
+    def recording(X):
+        calls.append((X.shape, [X[..., i].flags.c_contiguous for i in range(X.shape[-1])]))
+        return entry(X)
+
+    steps = _step_product(_sup_nodes(r, t, 5))
+    offsets_per_call = set()
+    for chunk in differences._fields(recording, r, steps, box, density):
+        # the calls of one chunk: (offsets, points, d), every offset once
+        assert all(shape[1:] == (chunk.bounds[-1], box.dim) for shape, _ in calls)
+        assert sum(shape[0] for shape, _ in calls) == stencil
+        assert all(all(planes) for _, planes in calls)
+        offsets_per_call.update(shape[0] for shape, _ in calls)
+        calls.clear()
+    if math.prod(normalize_grid(density, box.dim)) * stencil > differences._CHUNK_POINTS:
+        assert any(1 < k < stencil for k in offsets_per_call)
 
 
 # ---------------------------------------------------------------------------
