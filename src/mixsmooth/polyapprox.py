@@ -25,6 +25,12 @@ matched to the convexity of each exponent regime:
                 discrete optimum and the spread of local minima is
                 reported.
 
+Every regime does its tensor-product algebra with one contraction,
+``_contract_stack``, one matrix per axis: the projection, the monomial
+output, the descent's normal equations, and the dense design of IRLS
+and the exchange method (the identity stack contracted, which is the
+Kronecker product of the axis bases).
+
 Also here: anisotropic Taylor polynomials from a derivative bundle, the
 matching mixed-derivative remainder bracket, and the best-constant /
 piecewise-constant approximants used to reduce low-order smoothness to
@@ -98,39 +104,19 @@ class TensorPolynomial:
         x = np.asarray(x, float)
         single = x.ndim == 1
         pts = x[None, :] if single else x
-        flat = pts.reshape(-1, self.dim)
-        res = nppoly.polyval(flat[:, 0], self.coeffs, tensor=True)
+        res = nppoly.polyval(pts[..., 0], self.coeffs, tensor=True)
         for i in range(1, self.dim):
-            res = nppoly.polyval(flat[:, i], res, tensor=False)
-        res = res.reshape(pts.shape[:-1])
+            res = nppoly.polyval(pts[..., i], res, tensor=False)
         return float(res[0]) if single else res
 
     def derivative(self, order: Sequence[int]) -> "TensorPolynomial":
         """Exact mixed derivative; orders past the degree give the zero polynomial."""
-        c = np.asarray(self.coeffs, float)
+        c = self.coeffs
         for axis, m in enumerate(order):
-            m = int(m)
-            if m == 0:
-                continue
-            n = c.shape[axis]
-            if m >= n:
-                shape = list(c.shape)
-                shape[axis] = 1
-                c = np.zeros(shape)
-                continue
-            # factors[k] = (k+m)! / k! for the shifted coefficient c[k+m]
-            factors = np.ones(n - m)
-            for k in range(n - m):
-                acc = 1.0
-                for t in range(1, m + 1):
-                    acc *= k + t
-                factors[k] = acc
-            sl = [slice(None)] * c.ndim
-            sl[axis] = slice(m, None)
-            c = c[tuple(sl)] * factors.reshape(
-                [-1 if ax == axis else 1 for ax in range(c.ndim)]
-            )
-        return TensorPolynomial(c)
+            c = nppoly.polyder(c, int(m), axis=axis)
+        # past the degree polyder gives c[:1] * 0, -0.0 for negative c;
+        # adding +0.0 turns it into +0.0 and leaves every other value
+        return TensorPolynomial(c + 0.0)
 
     @classmethod
     def random(cls, degrees: Sequence[int], rng: np.random.Generator):
@@ -170,44 +156,16 @@ def _axis_basis(a: float, b: float, n: int, r: int):
         unit[m] = 1.0
         leg2mono[: m + 1, m] = npleg.leg2poly(unit)
     # u = alpha*x + beta -> monomial-in-x
-    alpha = 2.0 / (b - a)
-    beta = -(a + b) / (b - a)
-    lin = np.zeros((r, r))
-    for m in range(r):
+    return B, _substitution(r, 2.0 / (b - a), -(a + b) / (b - a)) @ leg2mono @ rinv
+
+
+def _substitution(n: int, alpha: float, beta: float) -> np.ndarray:
+    """(n, n) matrix whose column m holds the x-monomial coefficients of (alpha*x + beta)^m."""
+    L = np.zeros((n, n))
+    for m in range(n):
         for j in range(m + 1):
-            lin[j, m] = math.comb(m, j) * alpha**j * beta ** (m - j)
-    M = lin @ leg2mono @ rinv
-    return B, M
-
-
-def _fold(tensor: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Apply ``out[m] = sum_s M[m, s] T[s]`` along every axis in order.
-
-    Each contracted axis is appended at the end, so after all d folds
-    the axis order is restored.
-    """
-    out = tensor
-    for m in mats:
-        out = np.tensordot(out, m, axes=([0], [1]))
-    return out
-
-
-def _contract_rows(tensor: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
-    """``out[s] = sum_k T[k] M[k, s]`` applied along every axis in order."""
-    out = tensor
-    for m in mats:
-        out = np.tensordot(out, m, axes=([0], [0]))
-    return out
-
-
-def _design_matrix(bases: Sequence[np.ndarray]) -> np.ndarray:
-    """Flattened tensor design matrix, rows in C (row-major) cell order."""
-    M = bases[0]
-    for B in bases[1:]:
-        M = (M[:, None, :, None] * B[None, :, None, :]).reshape(
-            M.shape[0] * B.shape[0], M.shape[1] * B.shape[1]
-        )
-    return M
+            L[j, m] = math.comb(m, j) * alpha**j * beta ** (m - j)
+    return L
 
 
 def _objective(res_flat: np.ndarray, cell_volume: float, p: float) -> float:
@@ -270,27 +228,25 @@ def best_approx(
         monos.append(M)
     cv = g.cell_volume
     values = g.values
-    cws = g.cell_widths
+    rows = [B.T for B in bases]
 
     # exact discrete projection: contraction with each axis basis, weighted
-    weighted = [B * cw for B, cw in zip(bases, cws)]
-    c2 = _contract_rows(values, weighted)
-    recon2 = _fold(c2, bases)
+    weighted = [B * cw for B, cw in zip(bases, g.cell_widths)]
+    c2 = _contract_stack(values[None], weighted)[0]
+    res2 = values - _contract_stack(c2[None], rows)[0]
+    err2 = math.sqrt(_objective(res2.reshape(-1), cv, 2.0))
     scale = float(np.abs(values).max(initial=0.0))
 
     def finish(c, err, converged, diag):
-        mono = _fold(c, monos)
+        mono = _contract_stack(c[None], [M.T for M in monos])[0]
         return BestApproxResult(TensorPolynomial(mono), float(err), converged, diag)
 
     if p == 2.0:
-        res = values - recon2
-        err = math.sqrt(_objective(res.reshape(-1), cv, 2.0))
-        return finish(c2, err, True, {"method": "projection", "iterations": 0})
+        return finish(c2, err2, True, {"method": "projection", "iterations": 0})
 
     if p < 1.0:
         # multi-start smoothed descent, every start advancing in lockstep
         rng = np.random.default_rng(seed)
-        err2 = math.sqrt(float(((values - recon2) ** 2).sum() * cv))
         amp = 0.5 * (err2 + 1e-3 * max(scale, 1e-30))
         starts = [c2]
         for _ in range(_N_STARTS):
@@ -314,7 +270,9 @@ def best_approx(
             },
         )
 
-    design = _design_matrix(bases)
+    # the dense design: column j is the basis tensor of coefficient j
+    eye = np.eye(c2.size).reshape(c2.size, *r)
+    design = np.ascontiguousarray(_contract_stack(eye, rows).reshape(c2.size, -1).T)
     target = values.reshape(-1)
     c_flat = c2.reshape(-1)
 
@@ -346,7 +304,7 @@ def _irls(design, target, c0, p, cv, eps):
     """Reweighted least squares for 1 <= p < inf, with descent safeguard."""
     c = c0.copy()
     res = target - design @ c
-    obj = float((np.abs(res) ** p).sum() * cv)
+    obj = _objective(res, cv, p)
     floor = 1e-30
     converged = False
     it = 0
@@ -359,7 +317,7 @@ def _irls(design, target, c0, p, cv, eps):
         for _ in range(30):
             cand = c + step * (c_new - c)
             res_new = target - design @ cand
-            obj_new = float((np.abs(res_new) ** p).sum() * cv)
+            obj_new = _objective(res_new, cv, p)
             if obj_new <= obj or step < 1e-6:
                 break
             step *= 0.5
@@ -628,7 +586,6 @@ def taylor_polynomial(bundle: DerivativeBundle, k: Sequence[int]) -> TensorPolyn
     k = tuple(int(v) for v in k)
     if any(v < 1 for v in k):
         raise ValueError("taylor order must be >= 1 on every axis")
-    d = len(k)
     shifted = np.zeros(k)
     for s in np.ndindex(k):
         key = tuple(int(v) for v in s)
@@ -639,16 +596,8 @@ def taylor_polynomial(bundle: DerivativeBundle, k: Sequence[int]) -> TensorPolyn
             denom *= math.factorial(v)
         shifted[s] = bundle.point_derivs[key] / denom
     # expand (x - x0)^s into global monomials, one axis at a time
-    mats = []
-    for i in range(d):
-        n = k[i]
-        L = np.zeros((n, n))
-        for s in range(n):
-            for j in range(s + 1):
-                L[j, s] = math.comb(s, j) * (-bundle.x0[i]) ** (s - j)
-        mats.append(L)
-    mono = _fold(shifted, mats)
-    return TensorPolynomial(mono)
+    mats = [_substitution(n, 1.0, -bundle.x0[i]).T for i, n in enumerate(k)]
+    return TensorPolynomial(_contract_stack(shifted[None], mats)[0])
 
 
 def taylor_remainder_bound(

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mixsmooth import identities
 from mixsmooth.differences import mixed_difference
 from mixsmooth.domain import Box, grid_points, nonempty_axis_subsets, restrict_order
 from mixsmooth.identities import (
@@ -133,6 +134,31 @@ def test_annihilation_residual_of_a_step_stack_is_the_max_over_steps(dim):
             assert annihilation_residual(stack, e, steps, box, 8) == want
             if dim == 2:
                 assert stack.calls < each.calls
+
+
+def _oracle_valid_sample_mask(x, h, r, box):
+    """Every stencil offset of every point, each checked against the box."""
+    mask = np.ones(x.shape[0], dtype=bool)
+    for offset in itertools.product(*(range(ri + 1) for ri in r)):
+        mask &= box.contains(x + np.asarray(offset) * h)
+    return mask
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_valid_sample_mask_checks_only_the_end_offsets(dim):
+    rng = np.random.default_rng(dim)
+    box = Box(tuple(rng.uniform(-1.0, 0.0, dim)), tuple(rng.uniform(0.5, 2.0, dim)))
+    lo, hi = np.asarray(box.lower), np.asarray(box.upper)
+    for r in itertools.product(range(4), repeat=dim):
+        for _ in range(5):
+            h = rng.uniform(-0.4, 0.4, dim)
+            x = rng.uniform(lo - 0.2, hi + 0.2, (40, dim))
+            # on and just around the upper slack, for x and for x + r h
+            edge = hi + rng.choice([0.5e-12, 1e-12, 1.5e-12], (40, dim))
+            end = edge - np.asarray(r) * h
+            pts = np.concatenate([x, edge, end, np.where(rng.random((40, dim)) < 0.5, edge, x)])
+            got = identities._valid_sample_mask(pts, h, r, box)
+            assert np.array_equal(got, _oracle_valid_sample_mask(pts, h, r, box))
 
 
 def test_decomposition_operator_identity_consistency():

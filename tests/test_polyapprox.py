@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 import tracemalloc
 
@@ -38,6 +40,65 @@ def test_polynomial_derivative_exact():
     f = TensorPolynomial(np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
     dxx = f.derivative((2, 0))
     assert np.allclose(dxx.coeffs, [[0.0, 2.0]])
+
+
+def _oracle_derivative(coeffs, order):
+    """Mixed derivative by explicit factorial factors, one axis at a time."""
+    c = np.asarray(coeffs, float)
+    for axis, m in enumerate(order):
+        m = int(m)
+        if m == 0:
+            continue
+        n = c.shape[axis]
+        if m >= n:
+            shape = list(c.shape)
+            shape[axis] = 1
+            c = np.zeros(shape)
+            continue
+        # factors[k] = (k+m)! / k! for the shifted coefficient c[k+m]
+        factors = np.ones(n - m)
+        for k in range(n - m):
+            acc = 1.0
+            for t in range(1, m + 1):
+                acc *= k + t
+            factors[k] = acc
+        sl = [slice(None)] * c.ndim
+        sl[axis] = slice(m, None)
+        c = c[tuple(sl)] * factors.reshape([-1 if ax == axis else 1 for ax in range(c.ndim)])
+    return c
+
+
+DEGREE_SHAPES = [(5,), (4, 4), (3, 4), (2, 3, 2), (4,)]
+
+
+@pytest.mark.parametrize("shape", DEGREE_SHAPES, ids=str)
+def test_derivative_matches_factorial_oracle_bit_for_bit(shape):
+    rng = np.random.default_rng(sum(shape))
+    phi = TensorPolynomial.random(shape, rng)
+    for order in itertools.product(range(6), repeat=len(shape)):
+        got = phi.derivative(order).coeffs
+        want = _oracle_derivative(phi.coeffs, order)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        # zero polynomials are +0.0: a -0.0 would reach JSON reports
+        assert not np.signbit(got).any() or all(m < n for m, n in zip(order, shape))
+
+
+@pytest.mark.parametrize("shape", [(5,), (3, 4), (4, 4), (2, 3, 2)], ids=str)
+def test_polynomial_values_do_not_depend_on_layout(shape):
+    rng = np.random.default_rng(len(shape))
+    phi = TensorPolynomial.random(shape, rng)
+    d = len(shape)
+    # the sweeps' layout: a transposed view of a (d, offsets, points) buffer
+    view = rng.uniform(-1.5, 1.5, (d, 3, 50)).transpose(1, 2, 0)
+    dense = np.ascontiguousarray(view)
+    assert d == 1 or not view.flags.c_contiguous
+    got = phi(view)
+    assert got.shape == (3, 50)
+    assert got.tobytes() == phi(dense).tobytes()
+    single = phi(dense[1, 7])
+    assert isinstance(single, float)
+    assert np.float64(single).tobytes() == got[1, 7].tobytes()
 
 
 def test_best_approx_recovers_space_member():
@@ -253,9 +314,11 @@ def _oracle_multistart(g, r, p, seed):
         for i in range(g.box.dim)
     ]
     cv = g.cell_volume
-    c2 = polyapprox._contract_rows(g.values, [B * cw for B, cw in zip(bases, g.cell_widths)])
+    # the solver's projection, so every start is the solver's start
+    weighted = [B * cw for B, cw in zip(bases, g.cell_widths)]
+    c2 = polyapprox._contract_stack(g.values[None], weighted)[0]
     scale = float(np.abs(g.values).max(initial=0.0))
-    design = polyapprox._design_matrix(bases)
+    design = functools.reduce(np.kron, bases)
     target = g.values.reshape(-1)
     c_flat = c2.reshape(-1)
 
@@ -286,6 +349,22 @@ def _oracle_multistart(g, r, p, seed):
             best_obj = obj
             best_stopped = stopped
     return best_obj ** (1.0 / p), best_stopped, per_start, start_iters
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_identity_stack_contraction_is_the_kronecker_design(dim):
+    # best_approx's dense design for IRLS and the exchange method
+    for r in itertools.product(range(1, 5), repeat=dim):
+        bases = [
+            polyapprox._axis_basis(0.1 * i, 1.0 + 0.3 * i, 2 * ri + 1 + i, ri)[0]
+            for i, ri in enumerate(r)
+        ]
+        k = math.prod(r)
+        stack = polyapprox._contract_stack(np.eye(k).reshape(k, *r), [B.T for B in bases])
+        design = stack.reshape(k, -1).T
+        kron = functools.reduce(np.kron, bases)
+        assert design.shape == kron.shape
+        assert design.tobytes() == kron.tobytes()
 
 
 LOCKSTEP_CASES = [
