@@ -273,7 +273,7 @@ def _flatten(record: dict, prefix: str = "") -> dict:
 
 def _render(doc: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if fmt == "csv":
         rows = [_flatten(rec) for rec in doc["records"]]
         columns = sorted({k for row in rows for k in row})
@@ -571,7 +571,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, RuntimeError) as exc:
+    except (ValueError, KeyError, RuntimeError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
 

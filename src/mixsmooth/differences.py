@@ -315,8 +315,8 @@ def _check_sweep_args(
 ) -> tuple[tuple[int, ...], tuple[float, ...], list[float]]:
     """``(r, t, ps)`` as ints, floats and a float list, once they pass the
     checks every sweep needs: one order and one step bound per axis of
-    ``box``, orders and bounds non-negative, at least two step samples
-    and every exponent positive."""
+    ``box``, orders and bounds non-negative, ``2 t_i`` finite, at least
+    two step samples and every exponent positive."""
     r = tuple(int(v) for v in r)
     t = tuple(float(v) for v in t)
     ps = [float(p) for p in p_values]
@@ -324,8 +324,9 @@ def _check_sweep_args(
         raise ValueError("r and t must match the box dimension")
     if any(v < 0 for v in r):
         raise ValueError("difference orders must be non-negative")
-    if not all(v >= 0 for v in t):
-        raise ValueError("step bounds must be non-negative")
+    # NaN fails the first comparison; a bound whose step box 2 t overflows, the second
+    if not all(0 <= 2.0 * v < math.inf for v in t):
+        raise ValueError("step bounds must be non-negative, with 2 t finite")
     if h_samples < 2:
         raise ValueError("h_samples must be at least 2")
     if not all(p > 0 for p in ps):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -120,6 +120,8 @@ def _jsonable(value):
         return v
     if isinstance(value, (np.integer,)):
         return int(value)
+    if isinstance(value, np.bool_):
+        return bool(value)
     return value
 
 
@@ -139,18 +141,7 @@ class InequalityReport:
     details: dict = field(default_factory=dict)
 
     def to_record(self) -> dict:
-        return {
-            "check": self.check,
-            "function": self.function,
-            "params": _jsonable(self.params),
-            "left": _jsonable(self.left),
-            "right": _jsonable(self.right),
-            "explicit_constant": _jsonable(self.explicit_constant),
-            "empirical_constant": _jsonable(self.empirical_constant),
-            "vacuous": self.vacuous,
-            "passed": self.passed,
-            "details": _jsonable(self.details),
-        }
+        return {f.name: _jsonable(getattr(self, f.name)) for f in fields(self)}
 
 
 def _floor(scale: float) -> float:
@@ -317,56 +308,62 @@ def whitney_report(
     return _whitney_pairs(fn, r, [p], box, settings)[0]
 
 
+def _rel_change(old: float, new: float) -> float:
+    return abs(new - old) / max(old, 1e-300)
+
+
 def estimate_constants(
     names: Sequence[str],
     r: Sequence[int],
-    p: float,
+    p_values: Sequence[float],
     grids: Sequence[int],
     seed: int = 0,
-) -> dict:
+) -> list[dict]:
     """Aggregate upper-Whitney ratios across a corpus and a grid ladder.
 
-    Returns per-function ratios at every grid level, the maximum
-    non-vacuous ratio per level, and relative deltas of both between
-    consecutive levels.  Deterministic given the seed.
+    Returns one dict per exponent, in the order of ``p_values``: the
+    per-function ratios at every grid level, the maximum non-vacuous
+    ratio per level, and relative deltas of both between consecutive
+    levels.  Each function is swept once per grid level for all the
+    exponents.  Deterministic given the seed.
     """
     if not names:
         raise ValueError("corpus selection is empty")
-    levels = []
+    ps = [float(p) for p in p_values]
+    ladders: list[list[dict]] = [[] for _ in ps]
     for grid in grids:
-        level = {"grid": int(grid), "ratios": {}, "vacuous": []}
         s = VerifierSettings(grid=int(grid), seed=seed, refine_h=False)
+        levels = [{"grid": int(grid), "ratios": {}, "vacuous": []} for _ in ps]
         for name in sorted(names):
             fn = get_function(name)
-            _, rep_b = whitney_report(fn, r, p, Box.unit(fn.dim), s)
-            if rep_b.vacuous:
-                level["vacuous"].append(name)
-            elif rep_b.empirical_constant is not None:
-                level["ratios"][name] = rep_b.empirical_constant
-        level["max_ratio"] = max(level["ratios"].values(), default=0.0)
-        levels.append(level)
-    deltas = []
-    for a, b in zip(levels, levels[1:]):
-        common = sorted(set(a["ratios"]) & set(b["ratios"]))
-        per_fn = {
-            n: abs(b["ratios"][n] - a["ratios"][n]) / max(a["ratios"][n], 1e-300)
-            for n in common
+            for level, (_, rep_b) in zip(levels, _whitney_pairs(fn, r, ps, Box.unit(fn.dim), s)):
+                if rep_b.vacuous:
+                    level["vacuous"].append(name)
+                elif rep_b.empirical_constant is not None:
+                    level["ratios"][name] = rep_b.empirical_constant
+        for level, ladder in zip(levels, ladders):
+            level["max_ratio"] = max(level["ratios"].values(), default=0.0)
+            ladder.append(level)
+    return [
+        {
+            "r": [int(v) for v in r],
+            "p": _p_str(p),
+            "seed": seed,
+            "levels": ladder,
+            "deltas": [
+                {
+                    "grids": [a["grid"], b["grid"]],
+                    "per_function": {
+                        n: _rel_change(a["ratios"][n], b["ratios"][n])
+                        for n in sorted(set(a["ratios"]) & set(b["ratios"]))
+                    },
+                    "max_ratio_delta": _rel_change(a["max_ratio"], b["max_ratio"]),
+                }
+                for a, b in zip(ladder, ladder[1:])
+            ],
         }
-        max_a, max_b = a["max_ratio"], b["max_ratio"]
-        deltas.append(
-            {
-                "grids": [a["grid"], b["grid"]],
-                "per_function": per_fn,
-                "max_ratio_delta": abs(max_b - max_a) / max(max_a, 1e-300),
-            }
-        )
-    return {
-        "r": list(int(v) for v in r),
-        "p": _p_str(p),
-        "seed": seed,
-        "levels": levels,
-        "deltas": deltas,
-    }
+        for p, ladder in zip(ps, ladders)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -233,8 +233,8 @@ def test_criterion_6_empirical_constants(hard_sweep):
     # upper-Whitney ratio: finite on the corpus, and its aggregate and
     # per-function values move < 10 percent under one grid doubling
     for r in ORDERS:
-        for p in P_VALUES:
-            agg = estimate_constants(D2_NAMES, r, p, grids=[64, 128], seed=7)
+        aggs = estimate_constants(D2_NAMES, r, P_VALUES, grids=[64, 128], seed=7)
+        for p, agg in zip(P_VALUES, aggs):
             if not (agg["levels"][0]["max_ratio"] > 0 and np.isfinite(agg["levels"][0]["max_ratio"])):
                 problems.append(("whitney-ratio-finite", r, p))
             delta = agg["deltas"][0]

@@ -221,6 +221,34 @@ def test_exit_code_1_on_numeric_failure(capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        # the lower Whitney constant overflows at a tiny exponent
+        ["verify", "--suite", "whitney", "--fn", "exp_sum_1d", "--grid", "8", "--hsamples", "3"]
+        + ["--p", "1e-5"],
+        # a step bound whose step box 2 t overflows
+        ["compute", "modulus-mean", "--fn", "exp_sum_1d", "--r", "1", "--p", "1", "--t", "1e308"]
+        + ["--grid", "4", "--hsamples", "5"],
+    ],
+    ids=["tiny-p", "huge-t"],
+)
+def test_overflow_is_a_numeric_failure(args, capsys):
+    with np.errstate(all="ignore"):
+        code = main(args)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("numeric failure: ")
+
+
+def test_tiny_exponent_marchaud_report_is_strict_json(tmp_path):
+    # the right side is a numpy float there, so its vacuous flag is a numpy bool
+    args = ["verify", "--suite", "marchaud", "--fn", "exp_sum_1d", "--grid", "8", "--hsamples", "3"]
+    out = tmp_path / "report.json"
+    assert main(args + ["--p", "1e-5", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert all(type(rec["vacuous"]) is bool for rec in doc["records"])
+
+
 def test_p_zero_rejected_as_config_error(capsys):
     code = main(
         ["compute", "modulus-sup", "--fn", "linear_1d", "--r", "1", "--p", "0", "--t", "0.1"]
@@ -414,6 +442,10 @@ def _exit_code(args):
     return code
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(_command_lines())
 def test_fuzz_cli_exits_0_1_or_2_without_a_traceback(case):
@@ -423,6 +455,9 @@ def test_fuzz_cli_exits_0_1_or_2_without_a_traceback(case):
         flags = [f"--{key}={text}" for key, text in values.items()]
         code = _exit_code(head + flags + ["--out", out])
         assert code in (0, 1, 2)
+        if code == 0 and values.get("format") != "csv":
+            # a report is strict JSON: no NaN or Infinity token
+            json.loads(Path(out).read_text(), parse_constant=_reject_constant)
         # the same values from a config file parse the same way
         path = Path(tmp) / "run.cfg"
         lines = [f"{key} = {text}" for key, text in values.items()]

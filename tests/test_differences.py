@@ -721,6 +721,8 @@ MALFORMED = [
     dict(r=(-1, 1)),
     dict(t=(-0.1, 0.2)),
     dict(t=(math.nan, 0.2)),
+    dict(t=(math.inf, 0.2)),
+    dict(t=(1e308, 0.2)),
     dict(t=(0.2,)),
 ]
 

@@ -1,12 +1,13 @@
 import importlib.util
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mixsmooth import verifier
 from mixsmooth.corpus import get_function
 from mixsmooth.domain import Box
 from mixsmooth.verifier import (
@@ -70,10 +71,7 @@ def test_settings_reject_fewer_than_two_step_samples():
 
 
 def test_whitney_ratio_stable_under_refinement():
-    fn = get_function("sin_prod_2d")
-    out = estimate_constants(
-        ["sin_prod_2d"], (2, 2), 2.0, grids=[16, 32], seed=0
-    )
+    (out,) = estimate_constants(["sin_prod_2d"], (2, 2), [2.0], grids=[16, 32], seed=0)
     ratios = [lvl["ratios"]["sin_prod_2d"] for lvl in out["levels"]]
     assert all(np.isfinite(v) for v in ratios)
     assert out["deltas"][0]["per_function"]["sin_prod_2d"] <= 0.10
@@ -81,11 +79,70 @@ def test_whitney_ratio_stable_under_refinement():
 
 def test_estimate_constants_deterministic():
     names = ["exp_sum_2d", "holder_one_2d", "const_2d"]
-    a = estimate_constants(names, (1, 1), 0.5, grids=[12, 16], seed=7)
-    b = estimate_constants(names, (1, 1), 0.5, grids=[12, 16], seed=7)
+    (a,) = estimate_constants(names, (1, 1), [0.5], grids=[12, 16], seed=7)
+    (b,) = estimate_constants(names, (1, 1), [0.5], grids=[12, 16], seed=7)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
     assert a["levels"][0]["vacuous"] == ["const_2d"]
     assert a["levels"][-1]["max_ratio"] > 0
+
+
+def _estimate_constants_per_p(names, r, p, grids, seed=0):
+    """The single-exponent aggregation that the exponent list replaced,
+    one ``whitney_report`` per (function, grid), kept as the oracle."""
+    levels = []
+    for grid in grids:
+        level = {"grid": int(grid), "ratios": {}, "vacuous": []}
+        s = VerifierSettings(grid=int(grid), seed=seed, refine_h=False)
+        for name in sorted(names):
+            fn = get_function(name)
+            _, rep_b = whitney_report(fn, r, p, Box.unit(fn.dim), s)
+            if rep_b.vacuous:
+                level["vacuous"].append(name)
+            elif rep_b.empirical_constant is not None:
+                level["ratios"][name] = rep_b.empirical_constant
+        level["max_ratio"] = max(level["ratios"].values(), default=0.0)
+        levels.append(level)
+    deltas = []
+    for a, b in zip(levels, levels[1:]):
+        common = sorted(set(a["ratios"]) & set(b["ratios"]))
+        per_fn = {
+            n: abs(b["ratios"][n] - a["ratios"][n]) / max(a["ratios"][n], 1e-300)
+            for n in common
+        }
+        max_a, max_b = a["max_ratio"], b["max_ratio"]
+        deltas.append(
+            {
+                "grids": [a["grid"], b["grid"]],
+                "per_function": per_fn,
+                "max_ratio_delta": abs(max_b - max_a) / max(max_a, 1e-300),
+            }
+        )
+    return {
+        "r": list(int(v) for v in r),
+        "p": verifier._p_str(p),
+        "seed": seed,
+        "levels": levels,
+        "deltas": deltas,
+    }
+
+
+@pytest.mark.parametrize("r", [(1, 1), (2, 2)])
+def test_estimate_constants_equals_the_per_p_aggregation(r, monkeypatch):
+    names = ["const_2d", "exp_sum_2d", "holder_half_2d"]
+    ps, grids = (math.inf, 2.0, 1.0, 0.5), [12, 16]
+    expected = [_estimate_constants_per_p(names, r, p, grids, seed=3) for p in ps]
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return _whitney_pairs(*args)
+
+    monkeypatch.setattr(verifier, "_whitney_pairs", counted)
+    got = estimate_constants(names, r, ps, grids, seed=3)
+    assert len(calls) == len(names) * len(grids)
+    assert len(got) == len(ps)
+    for want, have in zip(expected, got):
+        assert json.dumps(have, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 def test_equivalence_hard_direction_and_ratio():
@@ -423,6 +480,11 @@ def test_run_suite_whitney_subset_deterministic_records():
     assert json.dumps(recs, sort_keys=True)  # records are JSON-serializable
     hard_fail = [r for r in recs if r["passed"] is False]
     assert not hard_fail
+
+
+def test_record_keys_are_the_report_fields_in_order():
+    for rep in run_suite("whitney", SMALL, names=["exp_sum_2d"], orders=((1, 1),), p_values=(1.0,)):
+        assert list(rep.to_record()) == [f.name for f in fields(rep)]
 
 
 def test_zero_function_trivial_reports():
