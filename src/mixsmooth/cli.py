@@ -193,8 +193,9 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("--splits must be at least 1")
     if any(v < 0 for v in cfg.r):
         raise ConfigError("--r entries must be non-negative")
-    if not all(math.isfinite(v) for v in cfg.t):
-        raise ConfigError("--t entries must be finite")
+    # as the sweeps require: a step box 2 t that overflows is no bound
+    if not all(math.isfinite(2.0 * v) for v in cfg.t):
+        raise ConfigError("--t entries must be finite, with 2 t finite")
     # a difference takes any step; a modulus takes step bounds
     if cfg.command == "compute" and cfg.op != "difference" and any(v < 0 for v in cfg.t):
         raise ConfigError("--t step bounds must be non-negative")

@@ -9,7 +9,13 @@ matched to the convexity of each exponent regime:
 * p = 2        exact orthogonal projection in a per-axis
                 orthonormalized basis (thin QR per axis, no normal
                 equations);
-* 1 <= p < inf  iteratively reweighted least squares started from the
+* p = 1         an exact vertex descent (Barrodale and Roberts): the
+                fit interpolates prod(r) nodes, and each exchange
+                releases one of them and moves along that edge to the
+                weighted median of its breakpoints, until the dual
+                system certifies the vertex; the dual point is returned
+                as a lower bound on the optimum;
+* 1 < p < inf   iteratively reweighted least squares started from the
                 p = 2 solution;
 * p = inf       Stiefel's exchange method, the simplex method on the dual
                 of the discrete minimax linear program: references of
@@ -23,13 +29,14 @@ matched to the convexity of each exponent regime:
                 residual by the weighted normal equations, built axis by
                 axis; the returned value is an upper bound on the
                 discrete optimum and the spread of local minima is
-                reported.
+                reported.  That spread is not a certificate: the starts
+                can agree on a local minimum far above the optimum.
 
 Every regime does its tensor-product algebra with one contraction,
 ``_contract_stack``, one matrix per axis: the projection, the monomial
-output, the descent's normal equations, and the dense design of IRLS
-and the exchange method (the identity stack contracted, which is the
-Kronecker product of the axis bases).
+output, the p < 1 descent's normal equations, and the dense design of
+the p = 1 descent, IRLS and the exchange method (the identity stack
+contracted, which is the Kronecker product of the axis bases).
 
 Also here: anisotropic Taylor polynomials from a derivative bundle, the
 matching mixed-derivative remainder bracket, and the best-constant /
@@ -182,7 +189,7 @@ class BestApproxResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-# iteration cap of IRLS and of the exchange method
+# iteration cap of the p = 1 descent, IRLS and the exchange method
 _MAX_ITER = 500
 # random starts of the 0 < p < 1 descent, besides the p = 2 projection
 _N_STARTS = 8
@@ -201,7 +208,9 @@ def best_approx(
 
     Requires at least ``2 r_i`` grid points per axis.  The achieved
     error is the discrete quasi-norm of the residual; for the nonconvex
-    regime 0 < p < 1 it is an upper bound on the discrete optimum.
+    regime 0 < p < 1 it is an upper bound on the discrete optimum.  At
+    p = 1 and p = inf the diagnostics carry ``lower_bound``, a dual
+    lower bound on the optimum, and the relative ``gap`` to it.
     Non-convergence within the iteration budget is flagged in the
     result, not raised; for 0 < p < 1 ``converged`` says whether the
     returned start's last (finest eps) descent stage met its stop test.
@@ -270,24 +279,29 @@ def best_approx(
             },
         )
 
+    if p == 1.0 and np.abs(res2).max() <= 64.0 * np.finfo(float).eps * scale:
+        # a member of the space up to rounding: the projection is exact to rounding
+        err = _objective(res2.reshape(-1), cv, 1.0)
+        return finish(c2, err, True, _certified("vertex-descent", 0, err, 0.0))
+
     # the dense design: column j is the basis tensor of coefficient j
     eye = np.eye(c2.size).reshape(c2.size, *r)
     design = np.ascontiguousarray(_contract_stack(eye, rows).reshape(c2.size, -1).T)
     target = values.reshape(-1)
     c_flat = c2.reshape(-1)
 
+    if p == 1.0:
+        c, err, lower, iters, conv = _vertex_descent(
+            design, target, res2.reshape(-1), scale, cv
+        )
+        return finish(
+            c.reshape(c2.shape), err, conv, _certified("vertex-descent", iters, err, lower)
+        )
+
     if p == math.inf:
         c, err, lower, iters, conv = _exchange(design, target, c_flat)
         return finish(
-            c.reshape(c2.shape),
-            err,
-            conv,
-            {
-                "method": "exchange",
-                "iterations": iters,
-                "lower_bound": lower,
-                "gap": (err - lower) / err if err > 0 else 0.0,
-            },
+            c.reshape(c2.shape), err, conv, _certified("exchange", iters, err, lower)
         )
 
     eps = 1e-10 * max(scale, 1e-30)
@@ -300,8 +314,18 @@ def best_approx(
     )
 
 
+def _certified(method, iters, err, lower):
+    """Diagnostics of a solver that returns a lower bound on the optimum."""
+    return {
+        "method": method,
+        "iterations": iters,
+        "lower_bound": lower,
+        "gap": (err - lower) / err if err > 0 else 0.0,
+    }
+
+
 def _irls(design, target, c0, p, cv, eps):
-    """Reweighted least squares for 1 <= p < inf, with descent safeguard."""
+    """Reweighted least squares for 1 < p < inf, with descent safeguard."""
     c = c0.copy()
     res = target - design @ c
     obj = _objective(res, cv, p)
@@ -341,18 +365,9 @@ def _start_reference(design, res):
     have a one-dimensional left null space; its signs make the
     reference's weights nonnegative, i.e. a feasible dual basis.
     """
-    k = design.shape[1]
     size = np.abs(res)
     top = float(size.max(initial=0.0))
-    weight = size + (1e-3 * top if top > 0 else 1.0)
-    rows = design.copy()
-    ref = []
-    for _ in range(k):
-        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-        i = int(np.argmax(weight * norms))
-        q = rows[i] / norms[i]
-        rows -= np.outer(rows @ q, q)
-        ref.append(i)
+    ref = _independent_rows(design, size + (1e-3 * top if top > 0 else 1.0))
     size[ref] = -1.0
     ref.append(int(np.argmax(size)))
     ref = np.array(ref)
@@ -360,9 +375,36 @@ def _start_reference(design, res):
     return ref, np.where(null < 0, -1.0, 1.0)
 
 
+def _independent_rows(design, weight):
+    """k = design.shape[1] independent rows of the design, picked greedily.
+
+    Each pick maximizes its weight times the norm of the part of its row
+    that the rows already picked do not span, so every pick adds a
+    dimension.  Returns the row indices in the order picked.
+    """
+    rows = design.copy()
+    picked = []
+    for _ in range(design.shape[1]):
+        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+        i = int(np.argmax(weight * norms))
+        q = rows[i] / norms[i]
+        rows -= np.outer(rows @ q, q)
+        picked.append(i)
+    return picked
+
+
 # Relative size of the right-hand-side perturbation that breaks the
 # degenerate (zero-weight) references tensor grids produce in bulk.
 _PERTURB = 1e-9
+# Relative size of the target perturbation on which the p = 1 descent
+# makes its pivot decisions, so that tied breakpoints and extra zero
+# residuals, which symmetric grids produce, cannot make it cycle.
+_L1_PERTURB = 1e-11
+
+
+def _golden_spread(m):
+    """m distinct, irregular weights in [0.5, 1.5) (golden-ratio fractions)."""
+    return 0.5 + (np.arange(1, m + 1) * 0.6180339887498949) % 1.0
 
 
 def _exchange(design, target, c0):
@@ -397,7 +439,7 @@ def _exchange(design, target, c0):
     unit[k] = 1.0
     # distinct, irregular weights (golden-ratio fractions), so perturbed
     # ratios do not tie where the grid's symmetry makes the true ones tie
-    spread = 0.5 + (np.arange(1, m + 1) * 0.6180339887498949) % 1.0
+    spread = _golden_spread(m)
     # columns: perturbed weights, entering column
     rhs = np.zeros((m, 2))
     rhs[:, 0] = unit + _PERTURB * (basis @ spread)
@@ -426,6 +468,72 @@ def _exchange(design, target, c0):
         leave = ties[np.argmin(ref[ties])]  # Bland: smallest node index
         ref[leave], sig[leave] = j, s
     return best_c, best_max, min(max(z, 0.0), best_max), it, converged
+
+
+def _vertex_descent(design, target, res2, scale, cv):
+    """Exact descent over the vertices of min_c sum_i |t_i - (D c)_i| cv.
+
+    Some minimizer interpolates k = prod(r) nodes S with D_S
+    nonsingular: a vertex.  At a vertex the dual system
+    ``D_S^T lam = D^T sign(t - D c)`` (signs taken off S) gives the
+    directional derivatives: releasing node j of S changes the
+    objective at rate ``1 - |lam_j|``, so the vertex is optimal when
+    max |lam| <= 1.  Otherwise the node of largest |lam_j| is released
+    and c moves along that edge, where the objective is convex and
+    piecewise linear in the step; its minimum is the weighted median
+    of the breakpoints ``res_i / d_i`` (weights |d_i|, d = the edge's
+    change of D c), whose node enters S.  This is the Barrodale-Roberts
+    descent.  The start is the k nodes of smallest p = 2 residual
+    ``res2`` with independent rows.
+
+    Pivot decisions run on the target perturbed by a golden-ratio
+    spread of alternating sign, ``_L1_PERTURB * scale`` in size, so
+    every step strictly lowers the perturbed objective and degenerate
+    vertices cannot cycle; the final vertex is then solved against the
+    unperturbed target.  Its certificate is the last dual point,
+    ``y = sign(res)`` off S and ``y_S = -lam``: ``D^T y = 0`` and, scaled
+    by ``1 / max(1, max|lam|)``, |y| <= 1, so ``t . y`` is a lower bound
+    on the unperturbed optimum.  Returns ``(c, sum |res| cv, lower bound,
+    exchanges, converged)``; at the iteration cap the last vertex, the
+    best seen for the perturbed target, is returned unconverged.
+    """
+    size = np.abs(res2)
+    weight = 1.0 / (size + 1e-3 * float(size.max()))
+    basis = np.array(_independent_rows(design, weight))
+    spread = _golden_spread(design.shape[0])
+    spread[1::2] *= -1.0
+    shifted = target + _L1_PERTURB * scale * spread
+    converged = False
+    it = 0
+    while True:
+        inv = np.linalg.inv(design[basis])
+        res = shifted - design @ (inv @ shifted[basis])
+        sgn = np.sign(res)
+        sgn[basis] = 0.0
+        lam = inv.T @ (design.T @ sgn)
+        j = int(np.argmax(np.abs(lam)))
+        slope = abs(lam[j]) - 1.0
+        if slope <= 1e-12:
+            converged = True
+            break
+        if it == _MAX_ITER:
+            break
+        # along the edge the residuals move by -s * d, s > 0
+        d = design @ (inv[:, j] * (1.0 if lam[j] > 0 else -1.0))
+        d[basis] = 0.0
+        ahead = np.flatnonzero(res * d > 0.0)
+        order = ahead[np.argsort(res[ahead] / d[ahead])]
+        # the slope rises by 2 |d_i| at each breakpoint it passes; past
+        # them all it is 1 + sum |d_i| > 0, so some breakpoint ends the step
+        rise = 2.0 * np.cumsum(np.abs(d[order]))
+        basis[j] = order[np.searchsorted(rise, slope)]
+        it += 1
+    c = np.linalg.solve(design[basis], target[basis])
+    err = _objective(target - design @ c, cv, 1.0)
+    # the last dual point is feasible whatever the target, so it bounds
+    # the unperturbed optimum; signs it gets wrong are on zero residuals
+    dual = float(sgn @ target - lam @ target[basis]) / max(1.0, float(np.abs(lam).max()))
+    return c, err, min(max(dual * cv, 0.0), err), it, converged
 
 
 def _contract_stack(stack: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -640,7 +748,8 @@ def best_constant(g: GridFunction, p: float) -> tuple[float, float]:
     * p = 2: the mean;  p = inf: the midrange;
     * other p > 1: the root of the derivative of the convex objective
       ``sum |f - beta|^p``, by bisection between the extreme values;
-    * p <= 1: the objective is concave between consecutive sample
+    * p = 1: the lower median, exact in O(n log n);
+    * p < 1: the objective is concave between consecutive sample
       values, so a minimizer is a sample value; all of them are scanned
       and for ties the first in row-major order wins.
     """
@@ -653,6 +762,10 @@ def best_constant(g: GridFunction, p: float) -> tuple[float, float]:
         beta = 0.5 * (float(v.max()) + float(v.min()))
     elif p > 1.0:
         beta = _convex_constant(v, p)
+    elif p == 1.0:
+        # argsort, not np.partition: the p = 1 descent already pages in
+        # this kernel, and a second one adds a few hundred KB of resident code
+        beta = float(v[np.argsort(v)[(v.size - 1) // 2]])
     else:
         n = v.size
         scores = np.empty(n)

@@ -56,8 +56,9 @@ def test_whitney_hard_check_holds_across_p():
         rep_a, _ = whitney_report(fn, (1, 1), p, Box.unit(2), SMALL)
         assert rep_a.passed, (p, rep_a.left, rep_a.right)
         lower, gap = rep_a.details["solver_lower_bound"], rep_a.details["solver_gap"]
-        if p == math.inf:
-            # the exchange solver's certificate brackets the reported error
+        if p in (1.0, math.inf):
+            # the vertex descent's and the exchange method's certificates
+            # bracket the reported error
             assert lower <= rep_a.right <= lower * (1.0 + 1e-12) + 1e-13
             assert 0.0 <= gap <= 1e-12
         else:
