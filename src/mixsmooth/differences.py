@@ -18,29 +18,51 @@ the measured refinement gap (see the verifier's tolerance policy).
 
 Every difference field comes from one engine, ``_fields``.  It takes a
 whole list of step vectors, orders them by grid size and then by grid
-shape, and, chunk by chunk, calls ``f`` once on the cloud of at most
-``_CHUNK_POINTS`` points formed by every stencil offset ``j*h`` of
-every step's shrunken midpoint grid.  The cloud is stored coordinate
-by coordinate, as a ``(d, offsets, points)`` buffer, and ``f`` gets its
-transposed view of shape ``(offsets, points, d)``, in which every
-coordinate plane ``X[..., i]`` is contiguous.  A grid is a tensor
-product: the axis-i coordinate of a cloud point, ``lo_i + (k_i +
-0.5)*width_i + j_i*h_i``, depends only on that step's axis-i values.
-So for each run of equal-shape steps in a chunk, plane i is filled by
-adding the per-offset shift to the per-step midpoint once for every
-``(offset, step, k_i)`` and broadcasting that small table over the
-other axes, with no per-point index arithmetic (the grids are ragged
-across runs: each step keeps its own shape).  The sweeps reduce every
-step's ``|difference|`` for every exponent from that one field, and
-``difference_field`` is the one-step case.  Each point, stencil sum and
-per-step quadrature sum is computed with the same operations in the
-same order as a step-by-step loop, so the values are bit-identical to
-evaluating one step at a time.
+shape, and groups them into chunks.  A step's cloud is every stencil
+offset ``j*h`` of every point of its shrunken midpoint grid.  A grid
+is a tensor product: the axis-i coordinate of a
+cloud point, ``lo_i + (k_i + 0.5)*width_i + j_i*h_i``, depends only on
+that step's axis-i values.  The engine gets the values of ``f`` at
+those points in one of two ways, and picks one per call:
+
+* **The lattice path.**  Take it when two things hold.  First, every
+  cloud coordinate, computed as the cloud computes it, is bit-equal to a
+  midpoint ``lower_i + (m + 0.5)*(size_i/n_i)`` of the box's own
+  ``density`` grid (as ``grid_points`` computes it).  Second, that grid
+  has fewer points than the cloud, and the cloud takes more than one
+  call of ``f``.  This is the case for sup sweeps whose steps are whole
+  numbers of cells, as on dyadic boxes.  The check runs per axis, once
+  per distinct step value.  ``f`` is then called once on that grid,
+  from a coordinate-major ``(d, points)`` buffer, in calls of at most
+  ``_CHUNK_POINTS`` points.  A chunk holds at most ``_CHUNK_POINTS``
+  field points.  Each (offset, step) block of a chunk is a block of that
+  grid, and each run of equal-shape steps reads its blocks from a
+  strided view of the grid values in one gather.
+* **The cloud path.**  Otherwise a chunk holds at most
+  ``_CHUNK_POINTS`` cloud points, and ``f`` is called once per chunk, on
+  the cloud itself, stored coordinate by coordinate as a ``(d, offsets,
+  points)`` buffer.  ``f`` gets its transposed view of shape ``(offsets,
+  points, d)``, in which every coordinate plane ``X[..., i]`` is
+  contiguous.  For each run of equal-shape steps in a chunk, plane i is
+  filled by adding the per-offset shift to the per-step midpoint once
+  for every ``(offset, step, k_i)`` and broadcasting that small table
+  over the other axes, with no per-point index arithmetic.
+
+The choice rests only on the input, and on the rule below that a value
+of ``f`` does not depend on the call it is computed in; so both paths
+give the same bits.  The sweeps reduce every step's ``|difference|``
+for every exponent from that one field, and ``difference_field`` is the
+one-step case.  Each point, stencil sum and per-step quadrature sum is
+computed with the same operations in the same order as a step-by-step
+loop, so the values are bit-identical to evaluating one step at a time.
 
 The contract on ``f``, here and in every sweep: it receives a float
 array of shape ``(..., d)`` that need not be C-contiguous and returns
-one value per point, of shape ``(...)``, that does not depend on the
-memory layout of its argument.
+one value per point, of shape ``(...)``.  A value depends only on its
+own point: not on the memory layout of the argument, and not on the
+other points of the call.  ``f`` must be defined at every midpoint of
+the box's ``density`` grid, which the lattice path evaluates even where
+no step's cloud reaches.
 
 A sup sweep with an odd number ``2m - 1`` of step samples contains the
 sweep with ``m`` samples: ``linspace(-t, t, m)`` equals
@@ -147,6 +169,102 @@ class _Chunk:
     cell_volume: np.ndarray
 
 
+def _lattice_bases(
+    r: Sequence[int],
+    offsets: np.ndarray,
+    steps: np.ndarray,
+    lo: np.ndarray,
+    width: np.ndarray,
+    shape: np.ndarray,
+    box: Box,
+    density: np.ndarray,
+) -> np.ndarray | None:
+    """Where every stencil offset of every step reads the box's midpoint grid.
+
+    The grid is the one ``grid_points(box, density)`` returns.  The
+    result, shape ``(offsets, steps)``, is the row-major index in it of
+    the first point of each (offset, step) cloud block, which is then a
+    block of the grid of that step's shape.  It is None unless every
+    cloud coordinate, computed as ``_fields`` computes it, is bit-equal
+    to the grid midpoint it lands on.  A coordinate depends on one axis
+    of the step only, so each axis is checked once per distinct step
+    value.  An axis whose steps are all 0 needs no check: there the
+    cloud's ``lo``, ``width`` and midpoints are grid_points' own.
+    """
+    index = offsets.astype(np.int64)
+    bases = np.zeros((len(offsets), len(steps)), np.int64)
+    stride = 1
+    for i in reversed(range(box.dim)):
+        n = int(density[i])
+        x = steps[:, i]
+        if x.any():
+            a = box.lower[i]
+            w = (box.upper[i] - a) / n
+            # one point first, step 0's at offset 0 and k = 0: most step
+            # lists off the grid fail here, before the full check
+            c = lo[0, i] + 0.5 * width[0, i]
+            if c != a + (math.floor((c - a) / w) + 0.5) * w:
+                return None
+            order = np.argsort(x)
+            new = np.empty(x.size, bool)
+            new[0] = True
+            np.not_equal(x[order[1:]], x[order[:-1]], out=new[1:])
+            first = order[new]  # a step with each distinct value, ascending
+            h = x[first]
+            half = np.arange(0.5, n)  # k + 0.5
+            grid = a + half * w  # grid_points' axis i
+            # (offset, distinct step, k): the cloud's o*h + (lo + (k + 0.5) * width)
+            coord = np.arange(r[i] + 1.0)[:, None, None] * h[:, None] + (
+                lo[:, i][first][:, None] + half * width[:, i][first][:, None]
+            )
+            start = np.searchsorted(grid, coord[:, :, 0])
+            on = coord == grid.take(start[:, :, None] + np.arange(n), mode="clip")
+            size = shape[:, i][first]
+            on |= half > size[:, None]  # k past the step's grid
+            if not (on.all() and (start + size).max() <= n):
+                return None
+            bases += (start * stride)[index[:, i, None], np.searchsorted(h, x)]
+        stride *= n
+    return bases
+
+
+def _lattice_values(f: Callable, box: Box, density: np.ndarray) -> np.ndarray:
+    """``f`` at every midpoint of the box's ``density`` grid, shape ``density``.
+
+    The points are a ``(d, points)`` coordinate-major buffer in
+    row-major grid order, and ``f`` gets transposed ``(points, d)``
+    views of at most ``_CHUNK_POINTS`` points, whose coordinate planes
+    are contiguous.
+    """
+    cloud = np.empty((box.dim, *density))
+    for i, (a, b, n) in enumerate(zip(box.lower, box.upper, density.tolist())):
+        # axis i of grid_points, broadcast along the other axes
+        axis = a + (np.arange(n) + 0.5) * ((b - a) / n)
+        cloud[i] = axis.reshape((-1,) + (1,) * (box.dim - 1 - i))
+    cloud = cloud.reshape(box.dim, -1)
+    values = np.empty(cloud.shape[1])
+    for j in range(0, values.size, _CHUNK_POINTS):
+        part = cloud[:, j : j + _CHUNK_POINTS]
+        evals = np.asarray(f(part.T), float)
+        if evals.shape != part.shape[1:]:
+            raise ValueError(f"function returned shape {evals.shape}, expected {part.shape[1:]}")
+        values[j : j + _CHUNK_POINTS] = evals
+    return values.reshape(tuple(density))
+
+
+def _blocks(lattice: np.ndarray, grid: tuple[int, ...]) -> np.ndarray:
+    """Strided view of the blocks of shape ``grid`` of the C-contiguous
+    ``lattice``, indexed by the row-major index of their first point.
+
+    A first point too near the end of a row gives a view that wraps
+    into the next row; callers read only the blocks they have checked.
+    """
+    reach = sum((g - 1) * s for g, s in zip(grid, lattice.strides)) // lattice.itemsize
+    return np.ndarray(
+        (lattice.size - reach, *grid), float, lattice, 0, (lattice.itemsize, *lattice.strides)
+    )
+
+
 def _fields(
     f: Callable, r: Sequence[int], steps: np.ndarray, box: Box, density
 ) -> Iterator[_Chunk]:
@@ -158,11 +276,18 @@ def _fields(
     proportional to the surviving side length, at least one per axis).
     Steps are ordered by ``(number of points, shape)``, smallest grid
     first, and grouped in that order into chunks of at most
-    ``_CHUNK_POINTS`` stencil points; ``f`` is called once per chunk (a
-    step with more points alone gets a chunk and several calls, each on
-    a few stencil offsets).  Each call's cloud is a ``(d, offsets,
-    points)`` buffer, and ``f`` gets its ``(offsets, points, d)``
-    transposed view, not C-contiguous, whose coordinate planes
+    ``_CHUNK_POINTS`` stencil points (field points, on the lattice path).
+
+    When every cloud point is bit-equal to a midpoint of the box's
+    ``density`` grid, that grid has fewer points than the cloud, and the
+    cloud takes more than one call, ``f`` is called on the grid only
+    (:func:`_lattice_values`) and each run of equal-shape steps in a
+    chunk reads its ``(offset, step)`` values as blocks of it, in one
+    gather (:func:`_blocks`).  Otherwise ``f`` is called once per chunk
+    (a step with more points alone gets a chunk and several calls, each
+    on a few stencil offsets).  Each call's cloud is then a ``(d,
+    offsets, points)`` buffer, and ``f`` gets its ``(offsets, points,
+    d)`` transposed view, not C-contiguous, whose coordinate planes
     ``X[..., i]`` are.  The order puts equal shapes side by side, and
     each run of them in a chunk fills its part of plane i by
     broadcasting the table ``shift + midpoint`` of its ``(offset, step,
@@ -190,14 +315,6 @@ def _fields(
     live, shape = live[order], shape[order]
     lo, hi, steps = lo[live], hi[live], steps[live]
     width = (hi - lo) / shape
-    # The midpoint lo + (k + 0.5) * width of every (step, axis, k) and the
-    # shift offset * h of every (stencil offset, step, axis).  A run adds
-    # its rows of both into one (offset, step, axis, k) table and reads
-    # axis i of it with unit axes added, which broadcasts over its block
-    # of plane i of the cloud: (offset, step, k_1, ..., k_d).
-    mid = lo[:, :, None] + (np.arange(shape.max(initial=1)) + 0.5) * width[:, :, None]
-    move = offsets[:, None, :] * steps
-    new_axes = (None,) * dim
     cell_volume = np.prod(width, axis=1)
     cum = np.concatenate(([0], np.cumsum(npts[order])))
     offset_of = cum.tolist()
@@ -205,9 +322,28 @@ def _fields(
     new_run[1:] = np.any(shape[1:] != shape[:-1], axis=1)
     run_starts = np.flatnonzero(new_run).tolist()
     run_grids = [tuple(g) for g in shape[run_starts].tolist()]
+    # The grid pays when it has fewer points than the cloud and the cloud
+    # takes more than one call of f; for a cloud of one call, the check
+    # costs about what the grid saves.
+    bases = None
+    cloud_points = len(stencil) * offset_of[-1]
+    if math.prod(density.tolist()) < cloud_points and cloud_points > _CHUNK_POINTS:
+        bases = _lattice_bases(r, offsets, steps, lo, width, shape, box, density)
+    if bases is not None:
+        lattice = _lattice_values(f, box, density)
+    else:
+        # The midpoint lo + (k + 0.5) * width of every (step, axis, k) and
+        # the shift offset * h of every (stencil offset, step, axis).  A run
+        # adds its rows of both into one (offset, step, axis, k) table and
+        # reads axis i of it with unit axes added, which broadcasts over its
+        # block of plane i of the cloud: (offset, step, k_1, ..., k_d).
+        mid = lo[:, :, None] + (np.arange(shape.max(initial=1)) + 0.5) * width[:, :, None]
+        move = offsets[:, None, :] * steps
+        new_axes = (None,) * dim
     # greedy packing: a chunk takes the next steps while their clouds fit
-    # the cap, and at least one step
-    room = _CHUNK_POINTS // len(stencil)
+    # the cap, and at least one step; on the grid, where the calls of f do
+    # not follow the chunks, while their fields fit it
+    room = _CHUNK_POINTS if bases is not None else _CHUNK_POINTS // len(stencil)
     starts = [0]
     while starts[-1] < live.size:
         a = starts[-1]
@@ -218,26 +354,36 @@ def _fields(
         first = bisect.bisect_right(run_starts, a) - 1
         last = bisect.bisect_left(run_starts, b)
         edges = [a, *run_starts[first + 1 : last], b]
+        runs = list(zip(run_grids[first:last], edges, edges[1:]))
         values = np.zeros(n_pts)
-        # a step whose cloud alone exceeds the cap takes a few offsets per call
-        per_call = max(1, _CHUNK_POINTS // n_pts)
-        for j in range(0, len(stencil), per_call):
-            js = slice(j, j + per_call)
-            cloud = np.empty((dim, len(stencil[js]), n_pts))
-            for grid, u, v in zip(run_grids[first:last], edges, edges[1:]):
-                # a reshaped basic slice is a view: the writes land in the cloud
-                run = cloud[:, :, offset_of[u] - offset_of[a] : offset_of[v] - offset_of[a]]
-                run = run.reshape(*cloud.shape[:2], v - u, *grid)
-                table = move[js, u:v, :, None] + mid[u:v, :, : max(grid)]
-                for i in range(dim):
-                    run[i] = table[(..., i, *new_axes[:i], slice(grid[i]), *new_axes[i + 1 :])]
-            evals = np.asarray(f(cloud.transpose(1, 2, 0)), float)
-            if evals.shape != cloud.shape[1:]:
-                raise ValueError(
-                    f"function returned shape {evals.shape}, expected {cloud.shape[1:]}"
-                )
-            for (w, _), column in zip(stencil[js], evals):
+        if bases is not None:
+            evals = np.empty((len(stencil), n_pts))
+            for grid, u, v in runs:
+                # a reshaped basic slice is a view: the block values land in evals
+                run = evals[:, offset_of[u] - offset_of[a] : offset_of[v] - offset_of[a]]
+                run.reshape(len(stencil), v - u, *grid)[...] = _blocks(lattice, grid)[bases[:, u:v]]
+            for (w, _), column in zip(stencil, evals):
                 values += w * column
+        else:
+            # a step whose cloud alone exceeds the cap takes a few offsets per call
+            per_call = max(1, _CHUNK_POINTS // n_pts)
+            for j in range(0, len(stencil), per_call):
+                js = slice(j, j + per_call)
+                cloud = np.empty((dim, len(stencil[js]), n_pts))
+                for grid, u, v in runs:
+                    # a reshaped basic slice is a view: the writes land in the cloud
+                    run = cloud[:, :, offset_of[u] - offset_of[a] : offset_of[v] - offset_of[a]]
+                    run = run.reshape(*cloud.shape[:2], v - u, *grid)
+                    table = move[js, u:v, :, None] + mid[u:v, :, : max(grid)]
+                    for i in range(dim):
+                        run[i] = table[(..., i, *new_axes[:i], slice(grid[i]), *new_axes[i + 1 :])]
+                evals = np.asarray(f(cloud.transpose(1, 2, 0)), float)
+                if evals.shape != cloud.shape[1:]:
+                    raise ValueError(
+                        f"function returned shape {evals.shape}, expected {cloud.shape[1:]}"
+                    )
+                for (w, _), column in zip(stencil[js], evals):
+                    values += w * column
         if not np.all(np.isfinite(values)):
             raise ValueError("grid values must all be finite")
         yield _Chunk(
@@ -251,19 +397,26 @@ def _fields(
         )
 
 
-def _block_sums(x: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Sum of each block ``x[bounds[k]:bounds[k+1]]``.
+def _size_runs(bounds: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """``(u, v, start, stop)`` for each run of equal-length blocks: blocks
+    ``u`` to ``v - 1`` hold ``x[start:stop]``, ``x[bounds[k]:bounds[k+1]]``
+    each."""
+    counts = np.diff(bounds)
+    edges = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), counts.size]
+    at = bounds[edges].tolist()
+    return [(u, v, at[q], at[q + 1]) for q, (u, v) in enumerate(zip(edges, edges[1:]))]
+
+
+def _block_sums(x: np.ndarray, runs: list[tuple[int, int, int, int]]) -> np.ndarray:
+    """Sum of each block of ``x``, from its :func:`_size_runs`.
 
     A run of equal-length blocks is summed as the rows of one matrix,
     which numpy sums exactly as it sums each block on its own
     (``np.add.reduceat`` does not: it adds the first element last).
     """
-    counts = np.diff(bounds)
-    out = np.empty(counts.size)
-    edges = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), counts.size]
-    for u, v in zip(edges, edges[1:]):
-        block = x[bounds[u] : bounds[v]].reshape(v - u, int(counts[u]))
-        out[u:v] = block.sum(axis=1)
+    out = np.empty(runs[-1][1])
+    for u, v, start, stop in runs:
+        out[u:v] = x[start:stop].reshape(v - u, -1).sum(axis=1)
     return out
 
 
@@ -273,11 +426,12 @@ def _step_norms(chunks: Iterable[_Chunk], n_steps: int, ps: Sequence[float]) -> 
     out = np.zeros((len(ps), n_steps))
     for ch in chunks:
         a = np.abs(ch.values)
+        runs = _size_runs(ch.bounds)
         for j, p in enumerate(ps):
             if p == math.inf:
                 out[j, ch.steps] = np.maximum.reduceat(a, ch.bounds[:-1])
             else:
-                out[j, ch.steps] = _block_sums(a**p, ch.bounds) * ch.cell_volume
+                out[j, ch.steps] = _block_sums(a**p, runs) * ch.cell_volume
     return out
 
 

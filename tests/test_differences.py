@@ -436,10 +436,10 @@ def test_nested_coarse_sup_equals_a_separate_coarse_sweep():
 
 def test_f_calls_per_sweep_at_most_the_chunks(monkeypatch):
     entry = get_function("exp_sum_2d")
-    sizes = []
+    calls = []
 
     def counted(X):
-        sizes.append(X.size // X.shape[-1])
+        calls.append((X.shape, [X[..., i].flags.c_contiguous for i in range(X.shape[-1])]))
         return entry(X)
 
     box = Box.unit(2)
@@ -449,18 +449,30 @@ def test_f_calls_per_sweep_at_most_the_chunks(monkeypatch):
         stencil = (r[0] + 1) * (r[1] + 1)
         n_steps = (m - 1) ** sum(1 for v in r if v)  # odd m: the zero step is dropped
         for sweep, nodes in ((sup_modulus_sweep, _sup_nodes), (mean_modulus_sweep, _mean_nodes)):
-            sizes.clear()
-            sweep(counted, r, t, box, density=density, h_samples=m, p_values=[1.0])
-            got = list(sizes)
+            calls.clear()
+            got_norms = sweep(counted, r, t, box, density=density, h_samples=m, p_values=[1.0])
+            got = [math.prod(shape[:-1]) for shape, _ in calls]
+            grids = [_grid_shape(r, h, box, density) for h in itertools.product(*nodes(r, t, m))]
+            cloud = stencil * sum(math.prod(g) for g in grids if g is not None)
+            # every sup step here is a whole number of cells, so its cloud is
+            # on the grid; the (2, 0) cloud fits one call and stays a cloud
+            if sweep is sup_modulus_sweep and cloud > cap:
+                # the grid's points, once, in one call on contiguous planes
+                assert [shape for shape, _ in calls] == [(density**2, 2)]
+                assert all(all(planes) for _, planes in calls)
+                with monkeypatch.context() as mp:
+                    mp.setattr(differences, "_fields", _oracle_fields)
+                    want = sweep(entry, r, t, box, density=density, h_samples=m, p_values=[1.0])
+                assert got_norms == want
+                continue
             # same work: the same f calls, point for point, as the oracle,
             # and every live step's grid once per stencil offset
-            sizes.clear()
+            calls.clear()
             with monkeypatch.context() as mp:
                 mp.setattr(differences, "_fields", _oracle_fields)
                 sweep(counted, r, t, box, density=density, h_samples=m, p_values=[1.0])
-            assert got == sizes
-            grids = [_grid_shape(r, h, box, density) for h in itertools.product(*nodes(r, t, m))]
-            assert sum(got) == stencil * sum(math.prod(g) for g in grids if g is not None)
+            assert got == [math.prod(shape[:-1]) for shape, _ in calls]
+            assert sum(got) == cloud
             # no call exceeds the cap, except one holding a single larger field
             assert max(got) <= max(cap, density**2)
             if stencil * density**2 <= cap:
@@ -470,6 +482,56 @@ def test_f_calls_per_sweep_at_most_the_chunks(monkeypatch):
                 assert len(got) < n_steps / 4
             else:
                 assert len(got) < n_steps * stencil / 2
+
+
+def _recording(f, calls):
+    def recorded(X):
+        calls.append(X.shape)
+        return f(X)
+
+    return recorded
+
+
+# (corpus name, order, box, step bound, step samples, density): sup sweeps
+# whose clouds are larger than one call of f but do not read the grid
+REFUSALS = [
+    # one ulp off the grid on axis 0; with t = (0.5, 0.5) it reads the grid
+    ("exp_sum_2d", (1, 1), Box.unit(2), (np.nextafter(0.5, 1.0), 0.5), 17, 16),
+    # midpoints 0.2 + (k + 0.5) * 1.5/1024 are not dyadic, so shifting them
+    # rounds; on Box((0.0,), (1.5,)) the same sweep reads the grid
+    ("exp_sum_1d", (2,), Box((0.2,), (1.7,)), (0.375,), 9, 1024),
+    # every step is a whole number of cells, but 64^3 grid points are more
+    # than the 8 * 8 * 8^3 cloud points
+    ("exp_sum_3d", (1, 1, 1), Box.unit(3), (0.875, 0.875, 0.875), 3, 64),
+]
+
+
+@pytest.mark.parametrize("name, r, box, t, m, density", REFUSALS)
+def test_sweeps_off_the_grid_or_smaller_than_it_keep_the_cloud(name, r, box, t, m, density):
+    f = get_function(name)
+    steps = _step_product(_sup_nodes(r, t, m))
+    got, want = [], []
+    chunks = list(differences._fields(_recording(f, got), r, steps, box, density))
+    oracle = list(_oracle_fields(_recording(f, want), r, steps, box, density))
+    # the oracle's calls, one (offsets, points, d) cloud per chunk
+    assert got == want
+    assert sum(math.prod(shape[:-1]) for shape in got) > differences._CHUNK_POINTS
+    assert _per_step(chunks) == _per_step(oracle)
+
+
+def test_the_refused_sweeps_twins_read_the_grid():
+    f = get_function("exp_sum_2d")
+    steps = _step_product(_sup_nodes((1, 1), (0.5, 0.5), 17))
+    calls = []
+    chunks = list(differences._fields(_recording(f, calls), (1, 1), steps, Box.unit(2), 16))
+    assert calls == [(256, 2)]
+    assert _per_step(chunks) == _per_step(_oracle_fields(f, (1, 1), steps, Box.unit(2), 16))
+    f = get_function("exp_sum_1d")
+    steps = _step_product(_sup_nodes((2,), (0.375,), 9))
+    calls.clear()
+    chunks = list(differences._fields(_recording(f, calls), (2,), steps, Box((0.0,), (1.5,)), 1024))
+    assert calls == [(1024, 1)]
+    assert _per_step(chunks) == _per_step(_oracle_fields(f, (2,), steps, Box((0.0,), (1.5,)), 1024))
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +625,18 @@ def _per_step(chunks):
     return out
 
 
+def _packed(sizes, room):
+    """Totals of a greedy packing: a chunk takes the next sizes while
+    they fit ``room``, and at least one."""
+    out = []
+    for n in sizes:
+        if out and out[-1] + n <= room:
+            out[-1] += n
+        else:
+            out.append(n)
+    return out
+
+
 def _sup_nodes(r, t, m):
     """Per-axis step nodes of a sup sweep with m samples."""
     return [differences._sup_axis_nodes(ri, ti, m)[0] for ri, ti in zip(r, t)]
@@ -591,7 +665,9 @@ def _random_steps(rng, r, t, n, values=None):
 
 
 # (corpus name, order, box, step bound, density): d = 1, 2 and 3, zero
-# orders, anisotropic boxes, and bounds that empty some domains
+# orders, anisotropic boxes, and bounds that empty some domains; the
+# dyadic bounds make the sup nodes and quarter steps whole numbers of
+# cells, whose fields are read off the grid
 ORACLE_CASES = [
     ("sin_prod_1d", (2,), Box((0.2,), (1.7,)), (0.9,), 7),
     ("exp_sum_1d", (0,), Box.unit(1), (0.5,), 33),
@@ -602,6 +678,9 @@ ORACLE_CASES = [
     ("cubic_2d", (2, 2), Box.unit(2), (0.3, 0.3), 64),  # clouds beyond the cap
     ("exp_sum_3d", (1, 0, 2), Box((0.0, -0.5, 0.0), (1.0, 0.0, 0.8)), (0.3, 0.2, 0.5), (9, 6, 5)),
     ("exp_sum_3d", (1, 1, 1), Box.unit(3), (0.6, 0.6, 0.6), 8),
+    ("abs_kink_1d", (2,), Box.unit(1), (0.5,), 2048),
+    ("holder_one_2d", (2, 2), Box.unit(2), (0.5, 0.5), 64),
+    ("exp_sum_3d", (1, 1, 1), Box.unit(3), (0.5, 0.5, 0.5), 8),
 ]
 
 
@@ -619,13 +698,23 @@ def test_fields_bit_identical_to_per_point_oracle(name, r, box, t, density):
         _step_product(_mean_nodes(r, t, 4)),
     ]
     stencil = len(differences._stencil(r))
+    cap = differences._CHUNK_POINTS
     largest = 0
     for steps in step_lists:
-        chunks = list(differences._fields(f, r, steps, box, density))
+        calls = []
+        chunks = list(differences._fields(_recording(f, calls), r, steps, box, density))
         oracle = list(_oracle_fields(f, r, steps, box, density))
         assert _per_step(chunks) == _per_step(oracle)
-        assert [c.bounds[-1] for c in chunks] == [c.bounds[-1] for c in oracle]
-        largest = max([largest, *(int(c.bounds[-1]) * stencil for c in chunks)])
+        # the oracle's grid sizes in the oracle's order, packed greedily:
+        # cloud points up to the cap, as the oracle packs them, or, when f
+        # was called on the grid only, field points up to the cap
+        sizes = [n for c in oracle for n in np.diff(c.bounds).tolist()]
+        if calls and len(calls[0]) == 2:
+            assert [c.bounds[-1] for c in chunks] == _packed(sizes, cap)
+        else:
+            assert [c.bounds[-1] for c in chunks] == [c.bounds[-1] for c in oracle]
+            assert [c.bounds[-1] for c in oracle] == _packed(sizes, cap // stencil)
+        largest = max([largest, *(int(c.bounds[-1]) * stencil for c in oracle)])
     # a step whose cloud exceeds the cap is covered wherever the full grid does
     full = math.prod(normalize_grid(density, box.dim)) * stencil
     assert (largest > differences._CHUNK_POINTS) == (full > differences._CHUNK_POINTS)
@@ -662,7 +751,9 @@ def test_interleaved_equal_size_shapes_share_a_chunk():
 
 
 # (corpus name, order, box, step bound, density): d = 1, 2 and 3, and
-# cubic_2d's clouds beyond the cap, which take a few offsets per call
+# cubic_2d's clouds beyond the cap, which take a few offsets per call;
+# none reads the grid (trig_rand_2d_b's steps are whole cells, but its
+# cloud fits one call)
 LAYOUT_CASES = [
     ("sin_prod_1d", (2,), Box((0.2,), (1.7,)), (0.9,), 33),
     ("trig_rand_2d_b", (1, 1), Box((0.0, 0.0), (1.0, 0.5)), (0.5, 0.25), (16, 8)),
@@ -692,6 +783,44 @@ def test_f_gets_contiguous_coordinate_planes(name, r, box, t, density):
         calls.clear()
     if math.prod(normalize_grid(density, box.dim)) * stencil > differences._CHUNK_POINTS:
         assert any(1 < k < stencil for k in offsets_per_call)
+
+
+# (corpus name, order, box, step bound, density): sup sweeps with 5
+# samples whose steps are whole numbers of cells and whose clouds take
+# more than one call: d = 1, 2 and 3, and grids of one call and of two
+# (128^2 points)
+GRID_LAYOUT_CASES = [
+    ("exp_sum_1d", (2,), Box.unit(1), (0.5,), 4096),
+    ("trig_rand_2d_b", (1, 1), Box((0.0, 0.0), (1.0, 0.5)), (0.5, 0.25), (64, 32)),
+    ("exp_sum_2d", (1, 0), Box.unit(2), (0.5, 0.5), 128),
+    ("exp_sum_3d", (1, 1, 1), Box.unit(3), (0.5, 0.5, 0.5), 8),
+]
+
+
+@pytest.mark.parametrize("name, r, box, t, density", GRID_LAYOUT_CASES)
+def test_f_gets_the_grid_on_contiguous_coordinate_planes(name, r, box, t, density):
+    f = get_function(name)
+    cap = differences._CHUNK_POINTS
+    calls = []
+
+    def recording(X):
+        calls.append((X.shape, [X[..., i].flags.c_contiguous for i in range(X.shape[-1])]))
+        return f(X)
+
+    steps = _step_product(_sup_nodes(r, t, 5))
+    chunks = differences._fields(recording, r, steps, box, density)
+    first = next(chunks)
+    # the grid's points, once, before the first chunk, in calls of at most
+    # the cap, each (points, d) with contiguous coordinate planes
+    grid = math.prod(normalize_grid(density, box.dim))
+    assert [shape for shape, _ in calls] == [
+        (min(cap, grid - j), box.dim) for j in range(0, grid, cap)
+    ]
+    assert all(all(planes) for _, planes in calls)
+    calls.clear()
+    rest = list(chunks)
+    assert calls == []
+    assert _per_step([first, *rest]) == _per_step(_oracle_fields(f, r, steps, box, density))
 
 
 # ---------------------------------------------------------------------------
