@@ -18,12 +18,15 @@ the measured refinement gap (see the verifier's tolerance policy).
 
 Every difference field comes from one engine, ``_fields``.  It takes a
 whole list of step vectors, orders them by grid size and then by grid
-shape, and groups them into chunks.  A step's cloud is every stencil
-offset ``j*h`` of every point of its shrunken midpoint grid.  A grid
-is a tensor product: the axis-i coordinate of a
-cloud point, ``lo_i + (k_i + 0.5)*width_i + j_i*h_i``, depends only on
-that step's axis-i values.  The engine gets the values of ``f`` at
-those points in one of two ways, and picks one per call:
+shape, and groups them into chunks.  Equal shapes then lie side by side,
+and ``_fields`` hands each chunk's runs of equal-shape steps over in the
+chunk itself (``_Chunk.runs``): it fills the chunk's values run by run,
+and ``_step_norms`` reduces each run as the rows of one matrix.  A
+step's cloud is every stencil offset ``j*h`` of every point of its
+shrunken midpoint grid.  A grid is a tensor product: the axis-i
+coordinate of a cloud point, ``lo_i + (k_i + 0.5)*width_i + j_i*h_i``,
+depends only on that step's axis-i values.  The engine gets the values
+of ``f`` at those points in one of two ways, and picks one per call:
 
 * **The lattice path.**  Take it when two things hold.  First, every
   cloud coordinate, computed as the cloud computes it, is bit-equal to a
@@ -33,36 +36,41 @@ those points in one of two ways, and picks one per call:
   call of ``f``.  This is the case for sup sweeps whose steps are whole
   numbers of cells, as on dyadic boxes.  The check runs per axis, once
   per distinct step value.  ``f`` is then called once on that grid,
-  from a coordinate-major ``(d, points)`` buffer, in calls of at most
-  ``_CHUNK_POINTS`` points.  A chunk holds at most ``_CHUNK_POINTS``
+  through ``sample_on_grid``.  A chunk holds at most ``_CHUNK_POINTS``
   field points.  Each (offset, step) block of a chunk is a block of that
-  grid, and each run of equal-shape steps reads its blocks from a
-  strided view of the grid values in one gather.
+  grid, and each run reads its blocks from a strided view of the grid
+  values in one gather.
 * **The cloud path.**  Otherwise a chunk holds at most
   ``_CHUNK_POINTS`` cloud points, and ``f`` is called once per chunk, on
   the cloud itself, stored coordinate by coordinate as a ``(d, offsets,
   points)`` buffer.  ``f`` gets its transposed view of shape ``(offsets,
   points, d)``, in which every coordinate plane ``X[..., i]`` is
-  contiguous.  For each run of equal-shape steps in a chunk, plane i is
-  filled by adding the per-offset shift to the per-step midpoint once
-  for every ``(offset, step, k_i)`` and broadcasting that small table
-  over the other axes, with no per-point index arithmetic.
+  contiguous.  For each run in a chunk, plane i is filled by adding the
+  per-offset shift to the per-step midpoint once for every ``(offset,
+  step, k_i)`` and broadcasting that small table over the other axes,
+  with no per-point index arithmetic.
 
 The choice rests only on the input, and on the rule below that a value
 of ``f`` does not depend on the call it is computed in; so both paths
-give the same bits.  The sweeps reduce every step's ``|difference|``
-for every exponent from that one field, and ``difference_field`` is the
-one-step case.  Each point, stencil sum and per-step quadrature sum is
-computed with the same operations in the same order as a step-by-step
-loop, so the values are bit-identical to evaluating one step at a time.
+give the same bits.  Each point, stencil sum and per-step quadrature sum
+is computed with the same operations in the same order as a
+step-by-step loop, so the values are bit-identical to evaluating one
+step at a time; ``difference_field`` is the one-step case.
+
+Every sweep is one pipeline: a node rule places the step nodes on each
+axis, ``_step_product`` takes their tensor grid, and ``_fields`` and
+``_step_norms`` give every step's norm for every exponent.  The sup
+sweep takes the maximum over the steps, and the mean sweep a weighted
+sum in step order.  That the p-mean modulus at p = inf is the sup
+modulus is decided in ``mean_modulus_sweep`` alone.
 
 The contract on ``f``, here and in every sweep: it receives a float
 array of shape ``(..., d)`` that need not be C-contiguous and returns
 one value per point, of shape ``(...)``.  A value depends only on its
 own point: not on the memory layout of the argument, and not on the
-other points of the call.  ``f`` must be defined at every midpoint of
-the box's ``density`` grid, which the lattice path evaluates even where
-no step's cloud reaches.
+other points of the call.  ``f`` must be defined and finite at every
+midpoint of the box's ``density`` grid, which the lattice path evaluates
+even where no step's cloud reaches.
 
 A sup sweep with an odd number ``2m - 1`` of step samples contains the
 sweep with ``m`` samples: ``linspace(-t, t, m)`` equals
@@ -81,11 +89,14 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .domain import (
+    _CHUNK_POINTS,
     Box,
     GridFunction,
+    _midpoints,
     nonempty_axis_subsets,
     normalize_grid,
     restrict_order,
+    sample_on_grid,
 )
 
 __all__ = [
@@ -103,13 +114,14 @@ __all__ = [
     "lower_whitney_constant",
 ]
 
-# Points per call of f: all stencil offsets of the steps in one chunk.  A
-# step whose cloud alone is larger is evaluated a few offsets at a time.
-# Larger caps gained no speed and raised the peak memory of a sweep: on
-# the benchmark's sweep-fine workload (2-core host, seeds 1-4, one run
-# each) 2^13, 2^14 and 2^15 took a median wall_s of 3.72, 3.99 and
-# 3.81 s at a peak RSS of 44.4, 45.2 and 49.0 MB.
-_CHUNK_POINTS = 1 << 13
+
+def _orders(r: Sequence[int], least: int = 0) -> tuple[int, ...]:
+    """The difference orders ``r`` as ints, once every entry is a whole
+    number (an integral float such as 2.0 counts) of at least ``least``."""
+    r = tuple(r)
+    if not all(float(v).is_integer() and v >= least for v in r):
+        raise ValueError(f"difference orders must be whole numbers >= {least}")
+    return tuple(int(v) for v in r)
 
 
 def _stencil(r: Sequence[int]) -> list[tuple[float, tuple[int, ...]]]:
@@ -138,9 +150,7 @@ def mixed_difference(f: Callable, r: Sequence[int], h: Sequence[float], x) -> np
     ``(..., d)``; all shifted points ``x + j*h`` must lie in the domain
     of ``f``.  Order zero on every axis reduces to ``f(x)``.
     """
-    r = tuple(int(v) for v in r)
-    if any(v < 0 for v in r):
-        raise ValueError("difference orders must be non-negative")
+    r = _orders(r)
     hv = np.asarray(h, float)
     x = np.asarray(x, float)
     single = x.ndim == 1
@@ -157,12 +167,16 @@ class _Chunk:
 
     Step ``steps[k]`` owns ``values[bounds[k]:bounds[k+1]]``, its grid
     over the box ``[lo[k], hi[k]]`` of shape ``shape[k]`` in row-major
-    order, with cell volume ``cell_volume[k]``.
+    order, with cell volume ``cell_volume[k]``.  ``runs`` covers the
+    chunk in order: for each ``(u, v, start, stop)`` in it, steps ``u``
+    to ``v - 1`` have grids of one size (of one shape, as ``_fields``
+    builds them) and own ``values[start:stop]``.
     """
 
     steps: np.ndarray
     values: np.ndarray
     bounds: np.ndarray
+    runs: tuple[tuple[int, int, int, int], ...]
     lo: np.ndarray
     hi: np.ndarray
     shape: np.ndarray
@@ -212,7 +226,7 @@ def _lattice_bases(
             first = order[new]  # a step with each distinct value, ascending
             h = x[first]
             half = np.arange(0.5, n)  # k + 0.5
-            grid = a + half * w  # grid_points' axis i
+            grid = _midpoints(a, box.upper[i], n)  # grid_points' axis i
             # (offset, distinct step, k): the cloud's o*h + (lo + (k + 0.5) * width)
             coord = np.arange(r[i] + 1.0)[:, None, None] * h[:, None] + (
                 lo[:, i][first][:, None] + half * width[:, i][first][:, None]
@@ -226,30 +240,6 @@ def _lattice_bases(
             bases += (start * stride)[index[:, i, None], np.searchsorted(h, x)]
         stride *= n
     return bases
-
-
-def _lattice_values(f: Callable, box: Box, density: np.ndarray) -> np.ndarray:
-    """``f`` at every midpoint of the box's ``density`` grid, shape ``density``.
-
-    The points are a ``(d, points)`` coordinate-major buffer in
-    row-major grid order, and ``f`` gets transposed ``(points, d)``
-    views of at most ``_CHUNK_POINTS`` points, whose coordinate planes
-    are contiguous.
-    """
-    cloud = np.empty((box.dim, *density))
-    for i, (a, b, n) in enumerate(zip(box.lower, box.upper, density.tolist())):
-        # axis i of grid_points, broadcast along the other axes
-        axis = a + (np.arange(n) + 0.5) * ((b - a) / n)
-        cloud[i] = axis.reshape((-1,) + (1,) * (box.dim - 1 - i))
-    cloud = cloud.reshape(box.dim, -1)
-    values = np.empty(cloud.shape[1])
-    for j in range(0, values.size, _CHUNK_POINTS):
-        part = cloud[:, j : j + _CHUNK_POINTS]
-        evals = np.asarray(f(part.T), float)
-        if evals.shape != part.shape[1:]:
-            raise ValueError(f"function returned shape {evals.shape}, expected {part.shape[1:]}")
-        values[j : j + _CHUNK_POINTS] = evals
-    return values.reshape(tuple(density))
 
 
 def _blocks(lattice: np.ndarray, grid: tuple[int, ...]) -> np.ndarray:
@@ -277,28 +267,33 @@ def _fields(
     Steps are ordered by ``(number of points, shape)``, smallest grid
     first, and grouped in that order into chunks of at most
     ``_CHUNK_POINTS`` stencil points (field points, on the lattice path).
+    The order puts equal shapes side by side.  This function owns the
+    runs they form in each chunk: it fills the chunk run by run and
+    hands the runs over in :attr:`_Chunk.runs`, from which
+    :func:`_step_norms` reduces them.
 
     When every cloud point is bit-equal to a midpoint of the box's
     ``density`` grid, that grid has fewer points than the cloud, and the
     cloud takes more than one call, ``f`` is called on the grid only
-    (:func:`_lattice_values`) and each run of equal-shape steps in a
-    chunk reads its ``(offset, step)`` values as blocks of it, in one
-    gather (:func:`_blocks`).  Otherwise ``f`` is called once per chunk
-    (a step with more points alone gets a chunk and several calls, each
-    on a few stencil offsets).  Each call's cloud is then a ``(d,
-    offsets, points)`` buffer, and ``f`` gets its ``(offsets, points,
-    d)`` transposed view, not C-contiguous, whose coordinate planes
-    ``X[..., i]`` are.  The order puts equal shapes side by side, and
-    each run of them in a chunk fills its part of plane i by
+    (:func:`sample_on_grid`) and each run in a chunk reads its
+    ``(offset, step)`` values as blocks of it, in one gather
+    (:func:`_blocks`).  Otherwise ``f`` is called once per chunk (a step
+    with more points alone gets a chunk and several calls, each on a few
+    stencil offsets).  Each call's cloud is then a ``(d, offsets,
+    points)`` buffer, and ``f`` gets its ``(offsets, points, d)``
+    transposed view, not C-contiguous, whose coordinate planes ``X[...,
+    i]`` are.  Each run in a chunk fills its part of plane i by
     broadcasting the table ``shift + midpoint`` of its ``(offset, step,
-    k_i)`` triples, the one add each point coordinate takes.
+    k_i)`` triples, the one add each point coordinate takes.  A NaN or
+    infinite step is rejected, not swept.
     """
     dim = box.dim
+    r = _orders(r)
     steps = np.asarray(steps, float)
     if len(r) != dim or steps.ndim != 2 or steps.shape[1] != dim:
         raise ValueError("order and steps must match the box dimension")
-    if any(v < 0 for v in r):
-        raise ValueError("difference orders must be non-negative")
+    if not np.all(np.isfinite(steps)):
+        raise ValueError("steps must be finite")
     density = np.asarray(normalize_grid(density, dim))
     stencil = _stencil(r)
     offsets = np.array([o for _, o in stencil], float).reshape(len(stencil), dim)
@@ -309,8 +304,8 @@ def _fields(
     size = hi[live] - lo[live]
     shape = np.maximum(1, np.ceil(density * (size / box.size) - 1e-9)).astype(np.int64)
     npts = np.prod(shape, axis=1)
-    # Smallest grid first, as _block_sums wants equal sizes side by side;
-    # among equal sizes, equal shapes side by side form the broadcast runs.
+    # Smallest grid first; among equal sizes, equal shapes side by side
+    # form the runs that fill a chunk and that _step_norms reduces.
     order = np.lexsort((*shape.T[::-1], npts))
     live, shape = live[order], shape[order]
     lo, hi, steps = lo[live], hi[live], steps[live]
@@ -330,7 +325,7 @@ def _fields(
     if math.prod(density.tolist()) < cloud_points and cloud_points > _CHUNK_POINTS:
         bases = _lattice_bases(r, offsets, steps, lo, width, shape, box, density)
     if bases is not None:
-        lattice = _lattice_values(f, box, density)
+        lattice = sample_on_grid(f, box, density).values
     else:
         # The midpoint lo + (k + 0.5) * width of every (step, axis, k) and
         # the shift offset * h of every (stencil offset, step, axis).  A run
@@ -354,14 +349,19 @@ def _fields(
         first = bisect.bisect_right(run_starts, a) - 1
         last = bisect.bisect_left(run_starts, b)
         edges = [a, *run_starts[first + 1 : last], b]
-        runs = list(zip(run_grids[first:last], edges, edges[1:]))
+        grids = run_grids[first:last]
+        # (u, v, start, stop) of each run, counted from the chunk's start
+        runs = tuple(
+            (u - a, v - a, offset_of[u] - offset_of[a], offset_of[v] - offset_of[a])
+            for u, v in zip(edges, edges[1:])
+        )
         values = np.zeros(n_pts)
         if bases is not None:
             evals = np.empty((len(stencil), n_pts))
-            for grid, u, v in runs:
+            for grid, (u, v, start, stop) in zip(grids, runs):
                 # a reshaped basic slice is a view: the block values land in evals
-                run = evals[:, offset_of[u] - offset_of[a] : offset_of[v] - offset_of[a]]
-                run.reshape(len(stencil), v - u, *grid)[...] = _blocks(lattice, grid)[bases[:, u:v]]
+                run = evals[:, start:stop].reshape(len(stencil), v - u, *grid)
+                run[...] = _blocks(lattice, grid)[bases[:, a + u : a + v]]
             for (w, _), column in zip(stencil, evals):
                 values += w * column
         else:
@@ -370,11 +370,10 @@ def _fields(
             for j in range(0, len(stencil), per_call):
                 js = slice(j, j + per_call)
                 cloud = np.empty((dim, len(stencil[js]), n_pts))
-                for grid, u, v in runs:
+                for grid, (u, v, start, stop) in zip(grids, runs):
                     # a reshaped basic slice is a view: the writes land in the cloud
-                    run = cloud[:, :, offset_of[u] - offset_of[a] : offset_of[v] - offset_of[a]]
-                    run = run.reshape(*cloud.shape[:2], v - u, *grid)
-                    table = move[js, u:v, :, None] + mid[u:v, :, : max(grid)]
+                    run = cloud[:, :, start:stop].reshape(*cloud.shape[:2], v - u, *grid)
+                    table = move[js, a + u : a + v, :, None] + mid[a + u : a + v, :, : max(grid)]
                     for i in range(dim):
                         run[i] = table[(..., i, *new_axes[:i], slice(grid[i]), *new_axes[i + 1 :])]
                 evals = np.asarray(f(cloud.transpose(1, 2, 0)), float)
@@ -390,6 +389,7 @@ def _fields(
             steps=live[a:b],
             values=values,
             bounds=bounds,
+            runs=runs,
             lo=lo[a:b],
             hi=hi[a:b],
             shape=shape[a:b],
@@ -397,41 +397,26 @@ def _fields(
         )
 
 
-def _size_runs(bounds: np.ndarray) -> list[tuple[int, int, int, int]]:
-    """``(u, v, start, stop)`` for each run of equal-length blocks: blocks
-    ``u`` to ``v - 1`` hold ``x[start:stop]``, ``x[bounds[k]:bounds[k+1]]``
-    each."""
-    counts = np.diff(bounds)
-    edges = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), counts.size]
-    at = bounds[edges].tolist()
-    return [(u, v, at[q], at[q + 1]) for q, (u, v) in enumerate(zip(edges, edges[1:]))]
-
-
-def _block_sums(x: np.ndarray, runs: list[tuple[int, int, int, int]]) -> np.ndarray:
-    """Sum of each block of ``x``, from its :func:`_size_runs`.
-
-    A run of equal-length blocks is summed as the rows of one matrix,
-    which numpy sums exactly as it sums each block on its own
-    (``np.add.reduceat`` does not: it adds the first element last).
-    """
-    out = np.empty(runs[-1][1])
-    for u, v, start, stop in runs:
-        out[u:v] = x[start:stop].reshape(v - u, -1).sum(axis=1)
-    return out
-
-
 def _step_norms(chunks: Iterable[_Chunk], n_steps: int, ps: Sequence[float]) -> np.ndarray:
     """Per exponent and step: ``sum |D|^p * cell_volume``, or ``max |D|``
-    for p = inf; 0 for a step whose domain is empty."""
+    for p = inf; 0 for a step whose domain is empty.
+
+    Each of a chunk's runs is summed as the rows of one matrix, which
+    numpy sums exactly as it sums each step on its own
+    (``np.add.reduceat`` does not: it adds the first element last).
+    """
     out = np.zeros((len(ps), n_steps))
     for ch in chunks:
         a = np.abs(ch.values)
-        runs = _size_runs(ch.bounds)
         for j, p in enumerate(ps):
             if p == math.inf:
                 out[j, ch.steps] = np.maximum.reduceat(a, ch.bounds[:-1])
-            else:
-                out[j, ch.steps] = _block_sums(a**p, runs) * ch.cell_volume
+                continue
+            x = a**p
+            sums = np.empty(ch.steps.size)
+            for u, v, start, stop in ch.runs:
+                sums[u:v] = x[start:stop].reshape(v - u, -1).sum(axis=1)
+            out[j, ch.steps] = sums * ch.cell_volume
     return out
 
 
@@ -456,7 +441,6 @@ def difference_field(
     resolution density of ``density`` (points proportional to the
     surviving side length, at least one per axis).
     """
-    r = tuple(int(v) for v in r)
     steps = np.asarray(h, float).reshape(1, -1)
     for ch in _fields(f, r, steps, box, density):
         sub = Box(tuple(ch.lo[0]), tuple(ch.hi[0]))
@@ -469,15 +453,13 @@ def _check_sweep_args(
 ) -> tuple[tuple[int, ...], tuple[float, ...], list[float]]:
     """``(r, t, ps)`` as ints, floats and a float list, once they pass the
     checks every sweep needs: one order and one step bound per axis of
-    ``box``, orders and bounds non-negative, ``2 t_i`` finite, at least
-    two step samples and every exponent positive."""
-    r = tuple(int(v) for v in r)
+    ``box``, orders whole and non-negative, bounds non-negative, ``2 t_i``
+    finite, at least two step samples and every exponent positive."""
+    r = _orders(r)
     t = tuple(float(v) for v in t)
     ps = [float(p) for p in p_values]
     if len(r) != box.dim or len(t) != box.dim:
         raise ValueError("r and t must match the box dimension")
-    if any(v < 0 for v in r):
-        raise ValueError("difference orders must be non-negative")
     # NaN fails the first comparison; a bound whose step box 2 t overflows, the second
     if not all(0 <= 2.0 * v < math.inf for v in t):
         raise ValueError("step bounds must be non-negative, with 2 t finite")
@@ -528,6 +510,26 @@ def _sup_axis_nodes(ri: int, ti: float, m: int) -> tuple[np.ndarray, np.ndarray]
     return nodes[keep], (np.arange(m) % 2 == 0)[keep]
 
 
+def _mean_axis_nodes(ri: int, ti: float, m: int) -> np.ndarray:
+    """Step nodes on one axis for the mean modulus: the midpoints of m
+    equal cells of ``[-t, t]`` on an active axis, the single step 0 on
+    an inactive one."""
+    if ri == 0:
+        return np.zeros(1)
+    return -ti + (np.arange(m) + 0.5) * (2.0 * ti / m)
+
+
+def _sweep_norms(
+    f: Callable, r: tuple[int, ...], box: Box, density, ps: Sequence[float], axis_nodes
+) -> np.ndarray:
+    """The pipeline of every sweep, from the per-axis ``axis_nodes`` of
+    its node rule: the steps of their tensor grid, the steps' fields,
+    and their :func:`_step_norms`, one row per exponent and one column
+    per step in ``_step_product`` order."""
+    steps = _step_product(axis_nodes)
+    return _step_norms(_fields(f, r, steps, box, density), len(steps), ps)
+
+
 def sup_modulus_sweep(
     f: Callable,
     r: Sequence[int],
@@ -555,9 +557,7 @@ def sup_modulus_sweep(
     if nested and h_samples % 2 == 0:
         raise ValueError("a nested coarse sweep needs an odd h_samples")
     axes = [_sup_axis_nodes(ri, ti, h_samples) for ri, ti in zip(r, t)]
-    steps = _step_product([nodes for nodes, _ in axes])
-    coarse = _step_product([even for _, even in axes]).all(axis=1)
-    norms = _step_norms(_fields(f, r, steps, box, density), len(steps), ps)
+    norms = _sweep_norms(f, r, box, density, ps, [nodes for nodes, _ in axes])
 
     def sup(mask):
         out = {}
@@ -567,6 +567,7 @@ def sup_modulus_sweep(
         return out
 
     if nested:
+        coarse = _step_product([even for _, even in axes]).all(axis=1)
         return sup(slice(None)), sup(coarse)
     return sup(slice(None))
 
@@ -581,37 +582,35 @@ def mean_modulus_sweep(
     h_samples: int,
     p_values: Iterable[float],
 ) -> dict[float, float]:
-    """p-mean modulus for several finite exponents in one sweep.
+    """p-mean modulus for several exponents in one sweep.
 
     The step integral is a composite midpoint rule with ``h_samples``
     cells per active axis over the symmetric step box, normalized to a
     genuine mean (integral divided by the step-box volume); axes with
-    order zero carry no step variable and average out exactly.
+    order zero carry no step variable and average out exactly.  The
+    p-mean modulus at p = inf is the sup modulus: that exponent is
+    swept by :func:`sup_modulus_sweep` and comes after the finite ones.
     """
     r, t, ps = _check_sweep_args(r, t, box, h_samples, p_values)
-    if any(p == math.inf for p in ps):
-        raise ValueError("mean modulus is defined for finite p; use the sup form")
-    active = [i for i, ri in enumerate(r) if ri > 0]
-    for i in active:
-        if t[i] <= 0:
-            raise ValueError(f"step bound t[{i}] must be positive on an active axis")
-    nodes = []
-    for ri, ti in zip(r, t):
-        if ri == 0:
-            nodes.append(np.zeros(1))
-            continue
-        w = 2.0 * ti / h_samples
-        nodes.append(-ti + (np.arange(h_samples) + 0.5) * w)
-    h_weight = float(np.prod([2.0 * t[i] / h_samples for i in active]))
-    volume = float(np.prod([2.0 * t[i] for i in active]))
-    steps = _step_product(nodes)
-    norms = _step_norms(_fields(f, r, steps, box, density), len(steps), ps)
+    finite = [p for p in ps if p != math.inf]
     out = {}
-    for p, col in zip(ps, norms):
-        acc = 0.0
-        for v in (col * h_weight).tolist():  # in step order, as the rule reads
-            acc += v
-        out[p] = (acc / volume) ** (1.0 / p)
+    if finite:
+        active = [i for i, ri in enumerate(r) if ri > 0]
+        for i in active:
+            if t[i] <= 0:
+                raise ValueError(f"step bound t[{i}] must be positive on an active axis")
+        h_weight = float(np.prod([2.0 * t[i] / h_samples for i in active]))
+        volume = float(np.prod([2.0 * t[i] for i in active]))
+        nodes = [_mean_axis_nodes(ri, ti, h_samples) for ri, ti in zip(r, t)]
+        for p, col in zip(finite, _sweep_norms(f, r, box, density, finite, nodes)):
+            acc = 0.0
+            for v in (col * h_weight).tolist():  # in step order, as the rule reads
+                acc += v
+            out[p] = (acc / volume) ** (1.0 / p)
+    if len(finite) < len(ps):
+        out[math.inf] = sup_modulus_sweep(
+            f, r, t, box, density=density, h_samples=h_samples, p_values=[math.inf]
+        )[math.inf]
     return out
 
 
@@ -629,9 +628,7 @@ def modulus_sup(req: ModulusRequest, f: Callable) -> float:
 
 
 def modulus_mean(req: ModulusRequest, f: Callable) -> float:
-    """p-mean mixed modulus of smoothness; delegates to sup for p = inf."""
-    if req.p == math.inf:
-        return modulus_sup(req, f)
+    """p-mean mixed modulus of smoothness (the sup form at p = inf)."""
     return mean_modulus_sweep(
         f,
         req.r,
@@ -643,13 +640,15 @@ def modulus_mean(req: ModulusRequest, f: Callable) -> float:
     )[float(req.p)]
 
 
-def _check_total_order(r: Sequence[int], dim: int) -> tuple[int, ...]:
-    r = tuple(int(v) for v in r)
-    if len(r) != dim:
+def _subset_terms(
+    sweep: Callable, f: Callable, r: Sequence[int], t: Sequence[float], box: Box, **kw
+) -> dict:
+    """``sweep``'s result for each nonempty axis subset, the order zeroed
+    off it; total moduli need every order r_i >= 1."""
+    r = _orders(r, 1)
+    if len(r) != box.dim:
         raise ValueError("order must match the box dimension")
-    if any(v < 1 for v in r):
-        raise ValueError("total moduli require every order r_i >= 1")
-    return r
+    return {e: sweep(f, restrict_order(r, e), t, box, **kw) for e in nonempty_axis_subsets(box.dim)}
 
 
 def total_sup_terms(
@@ -669,21 +668,9 @@ def total_sup_terms(
     the coarse terms read off every other step node as in
     :func:`sup_modulus_sweep`.
     """
-    r = _check_total_order(r, box.dim)
-    ps = [float(p) for p in p_values]  # every subset sweeps every exponent
-    sweeps = {
-        e: sup_modulus_sweep(
-            f,
-            restrict_order(r, e),
-            t,
-            box,
-            density=density,
-            h_samples=h_samples,
-            p_values=ps,
-            nested=nested,
-        )
-        for e in nonempty_axis_subsets(box.dim)
-    }
+    # a list, as every subset sweeps every exponent
+    kw = dict(density=density, h_samples=h_samples, p_values=list(p_values), nested=nested)
+    sweeps = _subset_terms(sup_modulus_sweep, f, r, t, box, **kw)
     if nested:
         return {e: s[0] for e, s in sweeps.items()}, {e: s[1] for e, s in sweeps.items()}
     return sweeps
@@ -699,26 +686,9 @@ def total_mean_terms(
     h_samples: int,
     p_values: Iterable[float],
 ) -> dict[tuple[int, ...], dict[float, float]]:
-    """Per-axis-subset p-mean moduli (sup form is used when p = inf)."""
-    r = _check_total_order(r, box.dim)
-    out: dict[tuple[int, ...], dict[float, float]] = {}
-    ps = [float(p) for p in p_values]
-    finite = [p for p in ps if p != math.inf]
-    for e in nonempty_axis_subsets(box.dim):
-        re = restrict_order(r, e)
-        terms: dict[float, float] = {}
-        if finite:
-            terms.update(
-                mean_modulus_sweep(
-                    f, re, t, box, density=density, h_samples=h_samples, p_values=finite
-                )
-            )
-        if math.inf in ps:
-            terms[math.inf] = sup_modulus_sweep(
-                f, re, t, box, density=density, h_samples=h_samples, p_values=[math.inf]
-            )[math.inf]
-        out[e] = terms
-    return out
+    """Per-axis-subset p-mean moduli (the sup form at p = inf)."""
+    kw = dict(density=density, h_samples=h_samples, p_values=list(p_values))
+    return _subset_terms(mean_modulus_sweep, f, r, t, box, **kw)
 
 
 def total_modulus_sup(
@@ -765,9 +735,7 @@ def lower_whitney_constant(r: Sequence[int], p: float) -> float:
     (p-th power subadditivity).  The returned value is the sum of the
     K_e over all nonempty subsets.
     """
-    r = tuple(int(v) for v in r)
-    if any(v < 1 for v in r):
-        raise ValueError("orders must satisfy r_i >= 1")
+    r = _orders(r, 1)
     if not p > 0:
         raise ValueError("exponent p must be positive")
     total = 0.0

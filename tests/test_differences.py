@@ -16,6 +16,7 @@ from mixsmooth.differences import (
     modulus_mean,
     modulus_sup,
     sup_modulus_sweep,
+    total_mean_terms,
     total_modulus_mean,
     total_modulus_sup,
     total_sup_terms,
@@ -176,6 +177,30 @@ def test_total_sup_terms_sweeps_every_subset_from_a_generator():
         assert all(sorted(terms) == ps for terms in got.values())
         got = total_sup_terms(f, r, t, box, p_values=(p for p in ps), nested=True, **kw)
         assert got == total_sup_terms(f, r, t, box, p_values=ps, nested=True, **kw)
+
+
+def test_mean_sweep_at_inf_is_the_sup_sweep():
+    f = get_function("trig_rand_2d_a")
+    box = Box.unit(2)
+    kw = dict(density=9, h_samples=5)
+    t = (0.5, 0.25)
+    for r in ((1, 1), (2, 0)):
+        got = mean_modulus_sweep(f, r, t, box, p_values=[math.inf, 0.5, 2.0], **kw)
+        # the finite exponents first, then p = inf from the sup sweep
+        assert list(got) == [0.5, 2.0, math.inf]
+        assert got[math.inf] == sup_modulus_sweep(f, r, t, box, p_values=[math.inf], **kw)[math.inf]
+        del got[math.inf]
+        assert got == mean_modulus_sweep(f, r, t, box, p_values=[0.5, 2.0], **kw)
+    terms = total_mean_terms(f, (1, 2), t, box, p_values=[1.0, math.inf], **kw)
+    for e, term in terms.items():
+        re = tuple(v if i in e else 0 for i, v in enumerate((1, 2)))
+        assert term == {
+            **mean_modulus_sweep(f, re, t, box, p_values=[1.0], **kw),
+            **sup_modulus_sweep(f, re, t, box, p_values=[math.inf], **kw),
+        }
+    # a zero step bound is refused only where a finite mean is taken
+    req = ModulusRequest(r=(1,), t=(0.0,), p=math.inf, box=Box.unit(1), h_samples=4, density=8)
+    assert modulus_mean(req, lambda X: X[..., 0]) == 0.0
 
 
 def test_total_modulus_requires_positive_orders():
@@ -557,7 +582,8 @@ def _oracle_fields(f, r, steps, box, density):
     shape = np.maximum(1, np.ceil(density * (size / box.size) - 1e-9)).astype(np.int64)
     width = size / shape
     npts = np.prod(shape, axis=1)
-    # equal-sized grids side by side let _block_sums sum them as matrix rows
+    # equal-sized grids side by side form the oracle's own runs, which
+    # _step_norms sums as matrix rows
     order = np.argsort(npts, kind="stable")
     starts, total = [], 0
     for k, n in enumerate((npts[order] * len(stencil)).tolist()):
@@ -599,10 +625,14 @@ def _oracle_fields(f, r, steps, box, density):
                 values = values + w * column
         if not np.all(np.isfinite(values)):
             raise ValueError("grid values must all be finite")
+        # the runs of equal-size steps: (u, v, start, stop), u to v - 1
+        # owning values[start:stop]
+        edges = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), sel.size]
         yield differences._Chunk(
             steps=live[sel],
             values=values,
             bounds=bounds,
+            runs=tuple((u, v, int(bounds[u]), int(bounds[v])) for u, v in zip(edges, edges[1:])),
             lo=lo[sel],
             hi=hi[sel],
             shape=shape[sel],
@@ -611,9 +641,16 @@ def _oracle_fields(f, r, steps, box, density):
 
 
 def _per_step(chunks):
-    """Each live step's field, shape, box and cell volume, as bytes."""
+    """Each live step's field, shape, box and cell volume, as bytes, once
+    the chunk's runs are checked to cover it with equal-size grids."""
     out = {}
     for ch in chunks:
+        sizes, at = np.diff(ch.bounds), 0
+        for u, v, start, stop in ch.runs:
+            assert at == u < v and (start, stop) == (ch.bounds[u], ch.bounds[v])
+            assert np.all(sizes[u:v] == sizes[u])
+            at = v
+        assert at == ch.steps.size
         for k, step in enumerate(ch.steps.tolist()):
             out[step] = (
                 ch.values[ch.bounds[k] : ch.bounds[k + 1]].tobytes(),
@@ -848,6 +885,7 @@ MALFORMED = [
     dict(p_values=(math.nan,)),
     dict(p_values=(1.0, -2.0)),
     dict(r=(-1, 1)),
+    dict(r=(1.5, 1)),
     dict(t=(-0.1, 0.2)),
     dict(t=(math.nan, 0.2)),
     dict(t=(math.inf, 0.2)),
@@ -871,3 +909,21 @@ def test_negative_orders_are_rejected_by_every_difference():
         mixed_difference(f, (-1, 1), (0.1, 0.1), np.array([0.3, 0.3]))
     with pytest.raises(ValueError):
         list(differences._fields(f, (-1, 1), np.array([[0.1, 0.1]]), Box.unit(2), 8))
+
+
+def test_integral_float_orders_sweep_as_ints():
+    kw = dict(density=8, h_samples=5, p_values=[1.0, math.inf])
+    f = get_function("exp_sum_2d")
+    for sweep in (sup_modulus_sweep, mean_modulus_sweep):
+        got = sweep(f, (2.0, 1.0), (0.2, 0.2), Box.unit(2), **kw)
+        assert got == sweep(f, (2, 1), (0.2, 0.2), Box.unit(2), **kw)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_steps_are_rejected(bad):
+    # an empty domain is None; a step that is not a number is an error
+    f = get_function("exp_sum_2d")
+    with pytest.raises(ValueError):
+        difference_field(f, (1, 1), (bad, 0.1), Box.unit(2), 8)
+    with pytest.raises(ValueError):
+        list(differences._fields(f, (1, 1), np.array([[0.1, 0.1], [0.1, bad]]), Box.unit(2), 8))

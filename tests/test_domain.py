@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixsmooth.domain import (
+    _CHUNK_POINTS,
     Box,
     GridFunction,
     grid_points,
@@ -137,6 +138,36 @@ def test_sample_on_grid_examples():
     g = sample_on_grid(lambda X: X[..., 0] + X[..., 1], Box.unit(2), (1, 1))
     assert g.values.shape == (1, 1)
     assert g.values[0, 0] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "box, spec",
+    [
+        (Box((0.2,), (1.7,)), 20000),
+        (Box((0.0, -0.5), (1.0, 0.3)), (100, 90)),
+        (Box((0.1, 0.0, -1.0), (0.9, 2.0, 1.0)), (24, 20, 21)),
+    ],
+)
+def test_sample_on_grid_calls_f_on_capped_coordinate_major_views(box, spec):
+    def f(X):
+        return np.sin(3.0 * X[..., 0]) * np.exp(X.sum(axis=-1)) + X[..., -1] ** 2
+
+    calls = []
+
+    def recording(X):
+        calls.append((X.shape, [X[..., i].flags.c_contiguous for i in range(X.shape[-1])]))
+        return f(X)
+
+    g = sample_on_grid(recording, box, spec)
+    n = math.prod(g.spec)
+    assert n > _CHUNK_POINTS
+    # calls of at most the cap, each a (points, d) view whose coordinate
+    # planes are contiguous
+    cap = _CHUNK_POINTS
+    assert [shape for shape, _ in calls] == [(min(cap, n - j), box.dim) for j in range(0, n, cap)]
+    assert all(all(planes) for _, planes in calls)
+    # the same bits as one call on grid_points
+    assert np.array_equal(g.values, f(grid_points(box, spec)))
 
 
 def test_sample_on_grid_rejects_nonfinite():
