@@ -332,9 +332,9 @@ def cmd_compute(cfg: RunConfig) -> int:
         total = cfg.op in ("total-omega", "total-w")
         if total and any(v < 1 for v in r):
             raise ConfigError("total moduli need every --r entry >= 1")
-        # the p-mean modulus at p = inf is the sup modulus
-        mean = cfg.op in ("modulus-mean", "total-w") and p != math.inf
-        if mean and any(ti <= 0 for ti, ri in zip(t, r) if ri > 0):
+        mean = cfg.op in ("modulus-mean", "total-w")
+        # at p = inf the mean sweeps give the sup modulus, which needs no step box
+        if mean and p != math.inf and any(ti <= 0 for ti, ri in zip(t, r) if ri > 0):
             raise ConfigError("the mean modulus needs --t > 0 on every axis with --r > 0")
         record["p"] = _p_str(p)
         record["t"] = list(t)
@@ -429,9 +429,7 @@ def cmd_approx(cfg: RunConfig) -> int:
 def _coeff_list(coeffs: np.ndarray) -> list[dict]:
     out = []
     for idx in np.ndindex(coeffs.shape):
-        out.append(
-            {"exponents": [int(v) for v in idx], "coefficient": float(coeffs[idx])}
-        )
+        out.append({"exponents": list(idx), "coefficient": float(coeffs[idx])})
     return out
 
 

@@ -64,6 +64,9 @@ sweep takes the maximum over the steps, and the mean sweep a weighted
 sum in step order.  That the p-mean modulus at p = inf is the sup
 modulus is decided in ``mean_modulus_sweep`` alone.
 
+Every order vector passes ``domain._orders``, which owns that rule: 2.0
+counts as 2, and 1.5 raises, not truncates.
+
 The contract on ``f``, here and in every sweep: it receives a float
 array of shape ``(..., d)`` that need not be C-contiguous and returns
 one value per point, of shape ``(...)``.  A value depends only on its
@@ -93,6 +96,7 @@ from .domain import (
     Box,
     GridFunction,
     _midpoints,
+    _orders,
     nonempty_axis_subsets,
     normalize_grid,
     restrict_order,
@@ -113,15 +117,6 @@ __all__ = [
     "total_mean_terms",
     "lower_whitney_constant",
 ]
-
-
-def _orders(r: Sequence[int], least: int = 0) -> tuple[int, ...]:
-    """The difference orders ``r`` as ints, once every entry is a whole
-    number (an integral float such as 2.0 counts) of at least ``least``."""
-    r = tuple(r)
-    if not all(float(v).is_integer() and v >= least for v in r):
-        raise ValueError(f"difference orders must be whole numbers >= {least}")
-    return tuple(int(v) for v in r)
 
 
 def _stencil(r: Sequence[int]) -> list[tuple[float, tuple[int, ...]]]:
@@ -516,7 +511,7 @@ def _mean_axis_nodes(ri: int, ti: float, m: int) -> np.ndarray:
     an inactive one."""
     if ri == 0:
         return np.zeros(1)
-    return -ti + (np.arange(m) + 0.5) * (2.0 * ti / m)
+    return _midpoints(-ti, ti, m)
 
 
 def _sweep_norms(

@@ -10,13 +10,17 @@ midpoint quadrature for any exponent 0 < p <= inf.
 All values are plain 64-bit floats.  Every operation here is a pure
 function of its inputs; grids are enumerated row-major along the axis
 order, so reductions are reproducible bit for bit.
+
+It also owns the rules other modules share: ``_orders`` checks every order
+vector and count, ``_midpoints`` and ``_cells`` place every midpoint and
+subdivision.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -111,21 +115,27 @@ def shrink_domain(box: Box, shift: Sequence[float]) -> Box | None:
 
 
 def normalize_grid(spec, dim: int) -> tuple[int, ...]:
-    """Coerce an int or per-axis sequence into a validated grid shape."""
-    if np.isscalar(spec):
-        shape = (int(spec),) * dim
-    else:
-        shape = tuple(int(n) for n in spec)
+    """A grid shape from an int or per-axis sequence of whole numbers >= 1."""
+    shape = _orders((spec,) * dim if np.isscalar(spec) else spec, 1)
     if len(shape) != dim:
         raise ValueError(f"grid spec has {len(shape)} axes, expected {dim}")
-    if any(n < 1 for n in shape):
-        raise ValueError("grid must have at least one point per axis")
     return shape
 
 
 def _midpoints(a: float, b: float, n: int) -> np.ndarray:
     """The midpoints ``a + (k + 0.5) * ((b - a) / n)`` of n equal cells of [a, b]."""
     return a + (np.arange(n) + 0.5) * ((b - a) / n)
+
+
+def _cells(box: Box, splits) -> Iterator[tuple[tuple[int, ...], Box]]:
+    """``(index, cell box)`` for each cell of the congruent subdivision of
+    ``box`` into ``splits`` (an int or per-axis counts), row-major."""
+    splits = normalize_grid(splits, box.dim)
+    lo = np.asarray(box.lower)
+    widths = box.size / np.asarray(splits)
+    for idx in np.ndindex(splits):
+        cell_lo = lo + np.asarray(idx) * widths
+        yield idx, Box(tuple(cell_lo), tuple(cell_lo + widths))
 
 
 def grid_points(box: Box, spec) -> np.ndarray:
@@ -237,7 +247,17 @@ def nonempty_axis_subsets(dim: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _orders(r: Sequence[int], least: int = 0) -> tuple[int, ...]:
+    """The order, degree or count vector ``r`` as ints, once every entry
+    is a whole number (an integral float such as 2.0 counts) of at least
+    ``least``; a fractional, NaN or infinite entry raises ValueError."""
+    r = tuple(r)
+    if not all(float(v).is_integer() and v >= least for v in r):
+        raise ValueError(f"expected whole numbers >= {least}, got {r}")
+    return tuple(int(v) for v in r)
+
+
 def restrict_order(r: Sequence[int], axes: Sequence[int]) -> tuple[int, ...]:
     """Zero out the multi-index ``r`` off the given axis subset."""
     keep = set(int(i) for i in axes)
-    return tuple(int(ri) if i in keep else 0 for i, ri in enumerate(r))
+    return tuple(ri if i in keep else 0 for i, ri in enumerate(_orders(r)))

@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .domain import Box, grid_points, nonempty_axis_subsets, normalize_grid, restrict_order
+from .domain import Box, _orders, grid_points, nonempty_axis_subsets, normalize_grid, restrict_order
 from .differences import _fields, mixed_difference
 
 __all__ = [
@@ -88,10 +88,8 @@ def unit_decomposition(r: Sequence[int]) -> UnitDecomposition:
     the result is returned; failure indicates an implementation bug and
     is raised, never ignored.
     """
-    r = tuple(int(v) for v in r)
+    r = _orders(r, 1)
     d = len(r)
-    if any(v < 1 for v in r):
-        raise ValueError("unit decomposition requires every r_i >= 1")
     a = {
         k: Fraction((-1) ** (d + sum(k)) * math.prod(map(math.comb, r, k)))
         for k in itertools.product(*(range(1, ri + 1) for ri in r))

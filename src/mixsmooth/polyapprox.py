@@ -57,6 +57,9 @@ from numpy.polynomial import polynomial as nppoly
 from .domain import (
     Box,
     GridFunction,
+    _cells,
+    _midpoints,
+    _orders,
     lp_quasinorm,
     nonempty_axis_subsets,
     normalize_grid,
@@ -119,15 +122,15 @@ class TensorPolynomial:
     def derivative(self, order: Sequence[int]) -> "TensorPolynomial":
         """Exact mixed derivative; orders past the degree give the zero polynomial."""
         c = self.coeffs
-        for axis, m in enumerate(order):
-            c = nppoly.polyder(c, int(m), axis=axis)
+        for axis, m in enumerate(_orders(order)):
+            c = nppoly.polyder(c, m, axis=axis)
         # past the degree polyder gives c[:1] * 0, -0.0 for negative c;
         # adding +0.0 turns it into +0.0 and leaves every other value
         return TensorPolynomial(c + 0.0)
 
     @classmethod
     def random(cls, degrees: Sequence[int], rng: np.random.Generator):
-        return cls(rng.standard_normal(tuple(int(d) for d in degrees)))
+        return cls(rng.standard_normal(_orders(degrees)))
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +148,7 @@ def _axis_basis(a: float, b: float, n: int, r: int):
     the box geometry.
     """
     cw = (b - a) / n
-    nodes = a + (np.arange(n) + 0.5) * cw
+    nodes = _midpoints(a, b, n)
     u = (2.0 * nodes - (a + b)) / (b - a)
     V = npleg.legvander(u, r - 1)
     q, rmat = np.linalg.qr(V * math.sqrt(cw))
@@ -215,11 +218,9 @@ def best_approx(
     result, not raised; for 0 < p < 1 ``converged`` says whether the
     returned start's last (finest eps) descent stage met its stop test.
     """
-    r = tuple(int(v) for v in r)
+    r = _orders(r, 1)
     if len(r) != g.box.dim:
         raise ValueError("degree vector must match the box dimension")
-    if any(v < 1 for v in r):
-        raise ValueError("degree bounds must satisfy r_i >= 1")
     if not p > 0:
         raise ValueError("exponent p must be positive")
     for n, ri in zip(g.spec, r):
@@ -674,15 +675,11 @@ class DerivativeBundle:
     ) -> "DerivativeBundle":
         """Build a bundle from a factory mapping a multi-order to a callable."""
         x0 = tuple(float(v) for v in x0)
-        r = tuple(int(v) for v in r)
+        r = _orders(r)
         pt = np.asarray(x0)[None, :]
-        point = {}
-        for s in np.ndindex(r):
-            point[tuple(int(v) for v in s)] = float(np.asarray(factory(tuple(s))(pt))[0])
-        mixed = {}
-        for e in nonempty_axis_subsets(len(r)):
-            mixed[e] = factory(restrict_order(r, e))
-        return cls(x0=x0, point_derivs=dict(point), mixed_derivs=dict(mixed))
+        point = {s: float(np.asarray(factory(s)(pt))[0]) for s in np.ndindex(r)}
+        mixed = {e: factory(restrict_order(r, e)) for e in nonempty_axis_subsets(len(r))}
+        return cls(x0=x0, point_derivs=point, mixed_derivs=mixed)
 
 
 def taylor_polynomial(bundle: DerivativeBundle, k: Sequence[int]) -> TensorPolynomial:
@@ -691,18 +688,15 @@ def taylor_polynomial(bundle: DerivativeBundle, k: Sequence[int]) -> TensorPolyn
     Sums ``f^(s)(x0) * prod (x_i - x0_i)^{s_i} / s_i!`` over all s
     strictly below k componentwise; missing derivative entries raise.
     """
-    k = tuple(int(v) for v in k)
-    if any(v < 1 for v in k):
-        raise ValueError("taylor order must be >= 1 on every axis")
+    k = _orders(k, 1)
     shifted = np.zeros(k)
     for s in np.ndindex(k):
-        key = tuple(int(v) for v in s)
-        if key not in bundle.point_derivs:
-            raise KeyError(f"derivative bundle is missing order {key}")
+        if s not in bundle.point_derivs:
+            raise KeyError(f"derivative bundle is missing order {s}")
         denom = 1.0
-        for v in key:
+        for v in s:
             denom *= math.factorial(v)
-        shifted[s] = bundle.point_derivs[key] / denom
+        shifted[s] = bundle.point_derivs[s] / denom
     # expand (x - x0)^s into global monomials, one axis at a time
     mats = [_substitution(n, 1.0, -bundle.x0[i]).T for i, n in enumerate(k)]
     return TensorPolynomial(_contract_stack(shifted[None], mats)[0])
@@ -724,7 +718,7 @@ def taylor_remainder_bound(
     """
     if not p >= 1:
         raise ValueError("the remainder bracket is stated for p >= 1")
-    r = tuple(int(v) for v in r)
+    r = _orders(r)
     size = box.size
     total = 0.0
     for e in nonempty_axis_subsets(box.dim):
@@ -848,16 +842,10 @@ def piecewise_constant_approx(
         if n % m != 0:
             raise ValueError(f"split {m} does not divide the grid axis of {n} points")
     sub = tuple(n // m for n, m in zip(g.spec, splits))
-    lo = np.asarray(g.box.lower)
-    widths = g.box.size / np.asarray(splits)
     betas = np.zeros(splits)
     errors = np.zeros(splits)
-    for idx in np.ndindex(splits):
-        slices = tuple(
-            slice(i * s, (i + 1) * s) for i, s in zip(idx, sub)
-        )
-        cell_lo = lo + np.asarray(idx) * widths
-        cell_box = Box(tuple(cell_lo), tuple(cell_lo + widths))
+    for idx, cell_box in _cells(g.box, splits):
+        slices = tuple(slice(i * s, (i + 1) * s) for i, s in zip(idx, sub))
         cell = GridFunction(cell_box, g.values[slices])
         beta, err = best_constant(cell, p)
         betas[idx] = beta

@@ -33,6 +33,7 @@ import numpy as np
 
 from .corpus import CorpusFunction, corpus_entries, get_function
 from .differences import (
+    _sup_axis_nodes,
     lower_whitney_constant,
     sup_modulus_sweep,
     total_mean_terms,
@@ -41,6 +42,8 @@ from .differences import (
 from .domain import (
     Box,
     GridFunction,
+    _cells,
+    _orders,
     lp_quasinorm,
     nonempty_axis_subsets,
     normalize_grid,
@@ -212,15 +215,14 @@ def _name(fn) -> str:
 def _coarse_grid_empty(r, t, box: Box, h_samples: int) -> bool:
     """True when no step of the coarse grid leaves a nonempty shrunken domain.
 
-    On axis i every sweep samples the nonzero nodes of
-    ``linspace(-t_i, t_i, h_samples)``, and a node empties the domain
+    On axis i every sweep samples the sup sweep's step nodes
+    (``differences._sup_axis_nodes``), and a node empties the domain
     when the shift ``r_i h_i`` leaves no room on that axis (the sides
     move as the step engine moves them).  Every axis subset then samples
     nothing exactly when no node on any axis leaves room.
     """
     for ri, ti, lo, hi in zip(r, t, box.lower, box.upper):
-        nodes = np.linspace(-ti, ti, h_samples)
-        shift = ri * nodes[nodes != 0.0]
+        shift = ri * _sup_axis_nodes(ri, ti, h_samples)[0]
         if np.any(hi - np.maximum(0.0, shift) > lo + np.maximum(0.0, -shift)):
             return False
     return True
@@ -230,7 +232,7 @@ def _whitney_pairs(
     fn, r, p_values, box, settings
 ) -> list[tuple[InequalityReport, InequalityReport]]:
     """The two Whitney reports for each p, from one sweep and one sample."""
-    r = tuple(int(v) for v in r)
+    r = _orders(r, 1)
     ps = [float(p) for p in p_values]
     g = sample_on_grid(fn, box, settings.grid_for(box))
     terms_c, terms_f = _with_gap(total_sup_terms, fn, r, tuple(box.size), box, settings, ps)
@@ -329,6 +331,7 @@ def estimate_constants(
     """
     if not names:
         raise ValueError("corpus selection is empty")
+    r = _orders(r, 1)
     ps = [float(p) for p in p_values]
     ladders: list[list[dict]] = [[] for _ in ps]
     for grid in grids:
@@ -346,7 +349,7 @@ def estimate_constants(
             ladder.append(level)
     return [
         {
-            "r": [int(v) for v in r],
+            "r": list(r),
             "p": _p_str(p),
             "seed": seed,
             "levels": ladder,
@@ -374,7 +377,7 @@ def _equivalence_pairs(
     fn, r, t, p_values, box, settings
 ) -> list[tuple[InequalityReport, InequalityReport]]:
     """The two mean-vs-sup reports for each p, from one set of sweeps."""
-    r, t = tuple(r), tuple(t)
+    r, t = _orders(r, 1), tuple(t)
     ps = [float(p) for p in p_values]
     density = settings.grid_for(box)
     g = sample_on_grid(fn, box, density)
@@ -454,16 +457,6 @@ def equivalence_report(
 # Subdivision superadditivity
 
 
-def _split_boxes(box: Box, m: int) -> list[Box]:
-    lo = np.asarray(box.lower)
-    widths = box.size / m
-    out = []
-    for idx in itertools.product(range(m), repeat=box.dim):
-        cell_lo = lo + np.asarray(idx) * widths
-        out.append(Box(tuple(cell_lo), tuple(cell_lo + widths)))
-    return out
-
-
 def superadditivity_report(
     fn,
     r: Sequence[int],
@@ -491,7 +484,7 @@ def _superadditivity(fn, r, t, p_values, box, m, settings) -> list[list[Inequali
         raise ValueError("superadditivity is a statement about finite p")
     if m < 2:
         raise ValueError("the subdivision must have m >= 2 pieces per axis")
-    r = tuple(int(v) for v in r)
+    r = _orders(r, 1)
     t = tuple(float(v) for v in t)
     density = settings.grid_for(box)
     parent_c = total_mean_terms(
@@ -505,7 +498,7 @@ def _superadditivity(fn, r, t, p_values, box, m, settings) -> list[list[Inequali
         total_mean_terms(
             fn, r, t, sub, density=child_density, h_samples=settings.h_samples, p_values=ps
         )
-        for sub in _split_boxes(box, m)
+        for _, sub in _cells(box, m)
     ]
     g = sample_on_grid(fn, box, density)
     out = []
@@ -593,8 +586,8 @@ def marchaud_report(
 
 def _marchaud(fn, k, r, axis, t, p_values, box, settings) -> list[InequalityReport]:
     """The Marchaud report for each p, from one sweep per step bound."""
-    k = tuple(int(v) for v in k)
-    r = tuple(int(v) for v in r)
+    k = _orders(k)
+    r = _orders(r)
     t = tuple(float(v) for v in t)
     i = int(axis)
     if not (0 <= i < box.dim):
@@ -701,7 +694,7 @@ def taylor_report(
         raise ValueError("the Taylor bracket is stated for p >= 1")
     if not fn.has_derivatives:
         raise ValueError(f"corpus entry {fn.name!r} carries no derivative data")
-    r = tuple(int(v) for v in r)
+    r = _orders(r, 1)
     deltas = [float(d) for d in deltas]
     x0 = (0.0,) * fn.dim
     bundle = fn.bundle(r, x0)

@@ -56,6 +56,25 @@ def test_compute_total_omega_lists_terms(tmp_path):
     assert rec["value"] == pytest.approx(sum(rec["terms"].values()), rel=1e-12)
 
 
+def test_mean_moduli_at_p_inf_are_the_sup_moduli(tmp_path):
+    # the p-mean modulus at p = inf is the sup, which needs no step box:
+    # a zero bound on an active axis is no config error there
+    common = ["--fn", "sin_prod_2d", "--r", "1,1", "--p", "inf", "--grid", "16", "--hsamples", "5"]
+    for t, (mean, sup) in [
+        ("0.25,0.25", ("modulus-mean", "modulus-sup")),
+        ("0.25,0.25", ("total-w", "total-omega")),
+        ("0,0.1", ("total-w", "total-omega")),
+    ]:
+        recs = []
+        for op in (mean, sup):
+            code, doc = run_json(tmp_path, ["compute", op, *common, "--t", t], name=f"{op}.json")
+            assert code == 0
+            recs.append(doc["records"][0])
+        assert recs[0]["value"] == recs[1]["value"]
+        assert recs[0].get("terms") == recs[1].get("terms")
+    assert "terms" in recs[0] and recs[0]["terms"]["0"] == 0.0
+
+
 def test_approx_best_projection_oracle(tmp_path):
     code, doc = run_json(
         tmp_path,

@@ -5,13 +5,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixsmooth import (
+    DerivativeBundle,
+    TensorPolynomial,
+    VerifierSettings,
+    best_approx,
+    estimate_constants,
+    get_function,
+    marchaud_report,
+    piecewise_constant_approx,
+    reproduction_identity_gap,
+    reproduction_residual,
+    superadditivity_report,
+    taylor_polynomial,
+    taylor_remainder_bound,
+    taylor_report,
+    unit_decomposition,
+    whitney_report,
+)
 from mixsmooth.domain import (
     _CHUNK_POINTS,
     Box,
     GridFunction,
+    _orders,
     grid_points,
     lp_quasinorm,
     nonempty_axis_subsets,
+    normalize_grid,
     restrict_order,
     sample_on_grid,
     shrink_domain,
@@ -195,3 +215,81 @@ def test_nonempty_axis_subsets():
 def test_restrict_order():
     assert restrict_order((3, 2, 1), (0, 2)) == (3, 0, 1)
     assert restrict_order((3, 2), ()) == (0, 0)
+
+
+def test_orders_take_whole_numbers_only():
+    assert _orders((np.int64(2), 2.0, True)) == (2, 2, 1)
+    assert all(type(v) is int for v in _orders((np.int64(2), 2.0, True)))
+    assert _orders((0, 3), least=0) == (0, 3)
+    for bad, least in [((1.5, 1), 0), ((math.nan, 1), 0), ((math.inf, 1), 0), ((-1, 1), 0), ((0, 1), 1)]:
+        with pytest.raises(ValueError):
+            _orders(bad, least)
+
+
+_SETTINGS = VerifierSettings(grid=8, h_samples=3, refine_h=False)
+_EXP = get_function("exp_sum_2d")
+_PT = np.array([[0.3, 0.4]])
+
+
+def test_grid_and_split_counts_take_whole_numbers_only():
+    assert normalize_grid(8.0, 2) == (8, 8)
+    for bad in (8.5, (8, 4.5), (0, 8)):
+        with pytest.raises(ValueError):
+            normalize_grid(bad, 2)
+    g = sample_on_grid(_EXP, Box.unit(2), 8)
+    with pytest.raises(ValueError):
+        piecewise_constant_approx(g, 2.5, 1.0)
+    with pytest.raises(ValueError):
+        superadditivity_report(_EXP, (1, 1), (0.25, 0.25), 1.0, Box.unit(2), 2.5, _SETTINGS)
+
+
+def _records(reports):
+    return [rep.to_record() for rep in reports]
+
+
+def _bundle_values(bundle):
+    return bundle.x0, bundle.point_derivs, {e: float(d(_PT)[0]) for e, d in bundle.mixed_derivs.items()}
+
+
+# every public entry point that takes an order or degree vector, as a call
+# of that vector whose result compares with ==
+_ORDER_CALLS = {
+    "best_approx": lambda r: (
+        lambda fit: (fit.error, fit.polynomial.coeffs.tolist())
+    )(best_approx(sample_on_grid(_EXP, Box.unit(2), 8), r, 1.0)),
+    "taylor_polynomial": lambda r: taylor_polynomial(_EXP.bundle((2, 2), (0.0, 0.0)), r).coeffs.tolist(),
+    "taylor_remainder_bound": lambda r: taylor_remainder_bound(
+        _EXP.bundle((2, 2), (0.0, 0.0)), r, 1.0, Box.unit(2), density=8
+    ),
+    "DerivativeBundle.from_factory": lambda r: _bundle_values(
+        DerivativeBundle.from_factory(_EXP.derivative, (0.0, 0.0), r)
+    ),
+    "CorpusFunction.bundle": lambda r: _bundle_values(_EXP.bundle(r, (0.0, 0.0))),
+    "TensorPolynomial.random": lambda r: TensorPolynomial.random(r, np.random.default_rng(0)).coeffs.tolist(),
+    "unit_decomposition": unit_decomposition,
+    "reproduction_residual": lambda r: reproduction_residual(_EXP, r, Box.unit(2), [(0.05, 0.05)], 4),
+    "reproduction_identity_gap": lambda r: reproduction_identity_gap(_EXP, r, Box.unit(2), [(0.05, 0.05)], 4),
+    "whitney_report": lambda r: _records(whitney_report(_EXP, r, 1.0, Box.unit(2), _SETTINGS)),
+    "estimate_constants": lambda r: estimate_constants(["exp_sum_2d"], r, [1.0], [8]),
+    "superadditivity_report": lambda r: _records(
+        superadditivity_report(_EXP, r, (0.25, 0.25), 1.0, Box.unit(2), 2, _SETTINGS)
+    ),
+    "taylor_report": lambda r: taylor_report(_EXP, r, 1.0, (0.5, 0.25), _SETTINGS).to_record(),
+    # Marchaud's two order vectors, one at a time: r[0] = 1.5 makes k = (1.5, 2)
+    # and r = (2.5, 2), each of which truncates to a valid pair
+    "marchaud_report-k": lambda r: marchaud_report(
+        _EXP, (3 - r[0], 2 * r[1]), (2, 2), 0, (0.125, 0.125), 1.0, Box.unit(2), _SETTINGS
+    ).to_record(),
+    "marchaud_report-r": lambda r: marchaud_report(
+        _EXP, (1, 2), (r[0] + 1, 2 * r[1]), 0, (0.125, 0.125), 1.0, Box.unit(2), _SETTINGS
+    ).to_record(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORDER_CALLS))
+def test_every_order_entry_point_rejects_fractions_and_takes_integral_floats(name):
+    call = _ORDER_CALLS[name]
+    # a truncating entry point would run 1.5 as order 1
+    with pytest.raises(ValueError):
+        call((1.5, 1))
+    assert call((2.0, 1.0)) == call((2, 1))
