@@ -744,8 +744,15 @@ def best_constant(g: GridFunction, p: float) -> tuple[float, float]:
       ``sum |f - beta|^p``, by bisection between the extreme values;
     * p = 1: the lower median, exact in O(n log n);
     * p < 1: the objective is concave between consecutive sample
-      values, so a minimizer is a sample value; all of them are scanned
-      and for ties the first in row-major order wins.
+      values, so a minimizer is a sample value.  The answer is the
+      argmin of the whole n x n table of scores, bit for bit, and for
+      ties the first value in row-major order wins; a branch-and-bound
+      over segments of the sorted distinct values finds it without the
+      table, dropping a segment only when its lower bound exceeds the
+      best score by more than a rounding margin of ``2 gamma_n`` plus a
+      few ulps of pow per term (see ``_concave_constant``).  Tables that
+      fit one pass (n <= 256), and values whose scores could be
+      subnormal or overflow, are scanned whole.
     """
     if not p > 0:
         raise ValueError("exponent p must be positive")
@@ -761,23 +768,125 @@ def best_constant(g: GridFunction, p: float) -> tuple[float, float]:
         # this kernel, and a second one adds a few hundred KB of resident code
         beta = float(v[np.argsort(v)[(v.size - 1) // 2]])
     else:
-        n = v.size
-        scores = np.empty(n)
-        # rows of the n x n difference table per pass: 2^16 doubles, cache-sized.
-        # One buffer serves every pass: a fresh 512 KB temporary sits at the
-        # allocator's mmap threshold, so whether each pass faults in new pages
-        # would depend on what unrelated earlier calls allocated and freed.
-        chunk = max(1, int(2**16 // max(n, 1)))
-        table = np.empty((min(chunk, n), n))
-        for start in range(0, n, chunk):
-            diffs = table[: min(chunk, n - start)]
-            np.subtract(v[None, :], v[start : start + chunk, None], out=diffs)
-            np.abs(diffs, out=diffs)
-            diffs **= p
-            scores[start : start + chunk] = diffs.sum(axis=1) * g.cell_volume
-        beta = float(v[int(np.argmin(scores))])
+        beta = _concave_constant(v, p, g.cell_volume)
     residual = GridFunction(g.box, g.values - beta)
     return beta, lp_quasinorm(residual, p)
+
+
+# Doubles per pass of the best-constant tables, cache-sized.  One buffer
+# serves every pass of a call: a fresh 512 KB temporary sits at the
+# allocator's mmap threshold, so whether each pass faults in new pages
+# would depend on what unrelated earlier calls allocated and freed.
+_TABLE = 1 << 16
+# The p < 1 search's first cut of the sorted distinct values, and the
+# parts each surviving segment is cut into after that.
+_SEGMENTS = 64
+_SPLIT = 4
+
+
+def _concave_constant(v: np.ndarray, p: float, cell_volume: float) -> float:
+    """The sample value with the least ``sum |v - beta|^p * cell_volume``
+    for 0 < p < 1, the first in row-major order on a tie.
+
+    The score of a value is its row of the n x n table: ``|v - beta|^p``
+    over ``v`` in row-major order, summed along the row, times
+    ``cell_volume``.  The argmin of all n scores is found without the
+    whole table:
+
+    * equal values have equal rows, so only the distinct values are
+      candidates, each standing for its first row-major index;
+    * a segment ``[lo, hi]`` of the sorted distinct values scores at
+      least ``sum_j dist(v_j, [lo, hi])^p``, because every computed
+      ``|v_j - beta|`` with ``beta`` in the segment is at least the
+      computed distance (rounding is monotone);
+    * the best score met so far (the lower median's, then the middle
+      value of each round's lowest-bound segment) is an upper bound, and
+      a segment whose bound exceeds it by more than the rounding can
+      explain is dropped; the others are cut into ``_SPLIT`` parts until
+      only single values are left, whose scores are computed exactly and
+      compared as in the whole table.
+
+    The bound and a score sum their terms in different orders, so the
+    allowed excess is ``2 gamma_n`` for the two n-term sums (the
+    recursive-summation bound ``gamma_n = n u / (1 - n u)``, Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed. 2002,
+    §4.2) plus ``(n + 8) eps`` for pow's rounding of each term and for
+    terms that underflow.  That holds while every score is a normal
+    double before and after scaling, which the search checks from the
+    least gap and the span of the values.  A table that fits one pass
+    (n <= 256), and values whose scores could be subnormal or overflow,
+    get the plain scan of every row.
+    """
+    n = v.size
+    rows = max(1, _TABLE // max(n, 1))
+    table = np.empty((min(rows, n), n))
+
+    def first_least(idx):
+        # the first of the ascending row-major indices idx with the least scaled score
+        return float(v[idx[int(np.argmin(_row_sums(v, v[idx], None, p, table) * cell_volume))]])
+
+    if n <= rows:
+        return first_least(np.arange(n))
+    # argsort, as at p = 1: a second sort kernel costs resident memory
+    order = np.argsort(v)
+    s = v[order]
+    first = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    u = s[first]
+    rep = np.minimum.reduceat(order, first)
+    if u.size == 1:
+        # every score is 0, and the first entry wins
+        return float(v[0])
+    low = float(np.diff(u).min()) ** p * min(cell_volume, 1.0)
+    high = n * float(u[-1] - u[0]) ** p * max(cell_volume, 1.0)
+    if not (low >= 2.0 * np.finfo(float).tiny and high <= 0.5 * np.finfo(float).max):
+        return first_least(np.sort(rep))
+    eps = np.finfo(float).eps
+    gamma = 0.5 * n * eps / (1.0 - 0.5 * n * eps)
+    limit = 1.0 + 2.0 * gamma + (n + 8) * eps
+
+    def score(k):
+        return float(_row_sums(v, u[k : k + 1], None, p, table)[0])
+
+    best = score(int(np.searchsorted(u, s[(n - 1) // 2])))
+    a, b = _split(np.array([0]), np.array([u.size - 1]), _SEGMENTS)
+    while True:
+        bounds = _row_sums(v, u[a], u[b], p, table)
+        i = int(np.argmin(bounds))
+        best = min(best, score((a[i] + b[i]) // 2))
+        keep = bounds <= best * limit
+        a, b = a[keep], b[keep]
+        if np.all(a == b):
+            break
+        a, b = _split(a, b, _SPLIT)
+    return first_least(np.sort(rep[a]))
+
+
+def _split(a: np.ndarray, b: np.ndarray, parts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cut each index segment ``[a_i, b_i]`` into ``parts`` nearly equal
+    nonempty parts (fewer if it holds fewer indices), in order."""
+    cuts = a[:, None] + ((b - a + 1)[:, None] * np.arange(parts + 1)) // parts
+    lo, hi = cuts[:, :-1].ravel(), cuts[:, 1:].ravel() - 1
+    live = lo <= hi
+    return lo[live], hi[live]
+
+
+def _row_sums(v, lo, hi, p, table) -> np.ndarray:
+    """``sum_j |v_j - lo_i|^p`` for each i (``hi`` None), or the segment
+    bounds ``sum_j dist(v_j, [lo_i, hi_i])^p``, one table pass of
+    ``table``'s rows at a time, each row summed in ``v``'s order."""
+    out = np.empty(lo.size)
+    for start in range(0, lo.size, table.shape[0]):
+        stop = min(lo.size, start + table.shape[0])
+        t = table[: stop - start]
+        if hi is None:
+            np.subtract(v[None, :], lo[start:stop, None], out=t)
+        else:
+            np.clip(v[None, :], lo[start:stop, None], hi[start:stop, None], out=t)
+            np.subtract(t, v[None, :], out=t)
+        np.abs(t, out=t)
+        t **= p
+        out[start:stop] = t.sum(axis=1)
+    return out
 
 
 def _convex_constant(v: np.ndarray, p: float) -> float:

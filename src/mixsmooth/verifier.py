@@ -482,8 +482,12 @@ def _superadditivity(fn, r, t, p_values, box, m, settings) -> list[list[Inequali
     ps = [float(p) for p in p_values]
     if math.inf in ps:
         raise ValueError("superadditivity is a statement about finite p")
-    if m < 2:
-        raise ValueError("the subdivision must have m >= 2 pieces per axis")
+    try:
+        (m,) = _orders((m,), 2)
+    except ValueError:
+        raise ValueError(
+            f"the subdivision count m (pieces per axis) must be a whole number >= 2, got {m!r}"
+        ) from None
     r = _orders(r, 1)
     t = tuple(float(v) for v in t)
     density = settings.grid_for(box)

@@ -9,7 +9,7 @@ from numpy.polynomial import legendre as npleg
 
 from mixsmooth import polyapprox
 from mixsmooth.corpus import corpus_entries, get_function
-from mixsmooth.domain import Box, GridFunction, lp_quasinorm, sample_on_grid
+from mixsmooth.domain import Box, GridFunction, _cells, lp_quasinorm, sample_on_grid
 from mixsmooth.polyapprox import (
     DerivativeBundle,
     TensorPolynomial,
@@ -595,7 +595,7 @@ def test_best_constant_brute_force_value_scan():
     assert err == pytest.approx(brute, rel=1e-12)
 
 
-@pytest.mark.parametrize("p", (0.5,))
+@pytest.mark.parametrize("p", (0.5, 0.25))
 def test_best_constant_scan_is_exact_in_small_memory(p):
     g = sample_on_grid(get_function("holder_half_2d"), Box.unit(2), 64)
     tracemalloc.start()
@@ -613,6 +613,76 @@ def test_best_constant_scan_is_exact_in_small_memory(p):
     beta = float(v[int(np.argmin(scores))])
     assert got == (beta, lp_quasinorm(GridFunction(g.box, g.values - beta), p))
     assert peak < 8 * 2**20
+
+
+def _whole_table_constant(g, p):
+    """The oracle of the p < 1 best constant: the argmin over the whole
+    n x n table of ``|v_j - v_i|^p``, summed along rows, times the cell
+    volume; argmin takes the first row-major index on a tie."""
+    v = g.values.reshape(-1)
+    table = np.abs(v[None, :] - v[:, None]) ** p
+    beta = float(v[int(np.argmin(table.sum(axis=1) * g.cell_volume))])
+    return beta, lp_quasinorm(GridFunction(g.box, g.values - beta), p)
+
+
+def _same_bits(got, want):
+    return got == want and [math.copysign(1.0, x) for x in got] == [
+        math.copysign(1.0, x) for x in want
+    ]
+
+
+@pytest.mark.parametrize("grid", (16, 32))
+def test_best_constant_below_one_is_the_whole_table_argmin_on_the_corpus(grid):
+    for box in (Box.unit(2), Box.cube(0.0, 0.5, 2)):
+        for e in corpus_entries(dim=2):
+            g = sample_on_grid(get_function(e.name), box, grid)
+            for p in (0.1, 0.25, 0.5, 0.9):
+                got, want = best_constant(g, p), _whole_table_constant(g, p)
+                assert _same_bits(got, want), (e.name, box, p)
+
+
+def _shuffled_grid(rng, values, box=None):
+    values = np.array(values, float)
+    rng.shuffle(values)
+    side = math.isqrt(values.size)
+    return GridFunction(box or Box.unit(2), values.reshape(side, side))
+
+
+def test_best_constant_below_one_keeps_the_tie_rule_and_the_sign_of_zero():
+    rng = np.random.default_rng(5)
+    grids = [
+        # many ties
+        _shuffled_grid(rng, rng.integers(-3, 4, 30 * 30)),
+        _shuffled_grid(rng, np.round(rng.standard_normal(32 * 32), 1)),
+        # +0.0 and -0.0 are one value; the first of either stands for it
+        _shuffled_grid(rng, rng.choice([0.0, -0.0, 1.0, -1.0, 2.5], 24 * 24)),
+        _shuffled_grid(rng, np.where(rng.random(20 * 20) < 0.6, -0.0, rng.standard_normal(20 * 20))),
+        # one value: the first entry, whichever zero it is
+        *(
+            GridFunction(Box.unit(2), np.concatenate(([z], rng.choice([0.0, -0.0], 399))).reshape(20, 20))
+            for z in (0.0, -0.0)
+        ),
+        # values spanning 1e-30 to 1e30, of both signs
+        _shuffled_grid(rng, 10.0 ** rng.uniform(-30, 30, 32 * 32) * rng.choice([-1, 1], 32 * 32)),
+    ]
+    # two distinct values with exactly equal scores: the first index wins
+    for first in (0.0, 1.0):
+        values = np.array([0.0] * 288 + [1.0] * 288)
+        rng.shuffle(values)
+        values[np.flatnonzero(values == first)[0]], values[0] = values[0], first
+        grids.append(GridFunction(Box.unit(2), values.reshape(24, 24)))
+    # n = 1
+    grids.append(GridFunction(Box.unit(2), np.array([[-0.0]])))
+    grids.append(GridFunction(Box.unit(2), np.array([[3.5]])))
+    # a cell volume that makes every score subnormal
+    tiny_box = Box((0.0, 0.0), (1e-160, 1e-160))
+    grids.append(_shuffled_grid(rng, rng.standard_normal(32 * 32), tiny_box))
+    assert grids[-1].cell_volume < np.finfo(float).tiny
+    for g in grids:
+        for p in (0.1, 0.25, 0.5, 0.9):
+            assert _same_bits(best_constant(g, p), _whole_table_constant(g, p)), (g.spec, p)
+    # the two tied values: each wins where it comes first
+    assert [best_constant(grids[k], 0.5)[0] for k in (7, 8)] == [0.0, 1.0]
 
 
 @pytest.mark.parametrize("grid", (16, 64))
@@ -661,6 +731,21 @@ def test_piecewise_constant_power_sum_identity():
             GridFunction(cell.box, cell.values - pw.betas[idx]), 0.5
         ) ** 0.5
     assert total**0.5 == pytest.approx(acc, rel=1e-12)
+
+
+@pytest.mark.parametrize("splits", (2, 4))
+def test_piecewise_constant_below_one_is_the_per_cell_whole_table_argmin(splits):
+    p = 0.5
+    for name in ("holder_one_2d", "trig_rand_2d_a"):
+        g = sample_on_grid(get_function(name), Box.unit(2), 64)
+        pw, total = piecewise_constant_approx(g, splits, p)
+        errors = np.zeros((splits, splits))
+        sub = 64 // splits
+        for idx, cell_box in _cells(g.box, splits):
+            cell = GridFunction(cell_box, g.values[tuple(slice(i * sub, (i + 1) * sub) for i in idx)])
+            beta, errors[idx] = _whole_table_constant(cell, p)
+            assert _same_bits((float(pw.betas[idx]),), (beta,)), (name, idx)
+        assert total == float((errors**p).sum()) ** (1.0 / p)
 
 
 def test_piecewise_constant_requires_divisible_grid():

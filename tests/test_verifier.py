@@ -214,6 +214,26 @@ def test_superadditivity_rejects_inf_p():
         )
 
 
+@pytest.mark.parametrize("m", (2.5, math.nan, math.inf, 0, 1))
+def test_superadditivity_rejects_a_bad_split_count_before_sweeping(m):
+    calls = []
+
+    def f(X):
+        calls.append(X.shape)
+        return np.zeros(X.shape[:-1])
+
+    with pytest.raises(ValueError, match="subdivision count m"):
+        superadditivity_report(f, (1, 1), (0.125, 0.125), 1.0, Box.unit(2), m, SMALL)
+    assert calls == []
+
+
+def test_superadditivity_reports_the_split_count_as_an_int():
+    fn = get_function("exp_sum_2d")
+    for m in (2.0, np.int64(2)):
+        for rep in superadditivity_report(fn, (1, 1), (0.125, 0.125), 1.0, Box.unit(2), m, SMALL):
+            assert type(rep.params["splits"]) is int and rep.params["splits"] == 2
+
+
 def test_marchaud_kink_stability_and_integral_oracle():
     fn = get_function("abs_kink_1d")
     settings = VerifierSettings(grid=128, h_samples=9)
