@@ -49,7 +49,6 @@ from .identities import (
 )
 from .polyapprox import (
     BestApproxResult,
-    DerivativeBundle,
     PiecewiseConstant,
     TensorPolynomial,
     best_approx,

@@ -393,8 +393,7 @@ def cmd_approx(cfg: RunConfig) -> int:
         p = math.inf if cfg.p is None else _require_p(cfg)
         if not fn.has_derivatives:
             raise ConfigError(f"corpus entry {fn.name!r} has no derivative data")
-        bundle = fn.bundle(r, box.lower)
-        poly = taylor_polynomial(bundle, r)
+        poly = taylor_polynomial(fn.derivative, box.lower, r)
         resid = g.values - poly(g.midpoints())
         record.update(
             {

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .polyapprox import DerivativeBundle, TensorPolynomial
+from .polyapprox import TensorPolynomial
 
 __all__ = ["CorpusFunction", "corpus_entries", "get_function"]
 
@@ -35,7 +35,8 @@ _TAGS = ("member-of-Pr", "analytic", "finitely-smooth", "holder-singular")
 
 @dataclass(frozen=True)
 class CorpusFunction:
-    """A named test function with optional analytic derivative data."""
+    """A named test function; ``derivative``, if set, maps a multi-order to the
+    callable of that mixed derivative (the factory the Taylor functions take)."""
 
     name: str
     dim: int
@@ -55,11 +56,6 @@ class CorpusFunction:
     @property
     def has_derivatives(self) -> bool:
         return self.derivative is not None
-
-    def bundle(self, r: Sequence[int], x0: Sequence[float]) -> DerivativeBundle:
-        if self.derivative is None:
-            raise ValueError(f"corpus entry {self.name!r} has no derivative data")
-        return DerivativeBundle.from_factory(self.derivative, x0, r)
 
 
 def _poly_entry(name, coeffs, dim, description=""):

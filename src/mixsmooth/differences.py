@@ -64,16 +64,16 @@ sweep takes the maximum over the steps, and the mean sweep a weighted
 sum in step order.  That the p-mean modulus at p = inf is the sup
 modulus is decided in ``mean_modulus_sweep`` alone.
 
-Every order vector passes ``domain._orders``, which owns that rule: 2.0
-counts as 2, and 1.5 raises, not truncates.
+Every order vector passes ``domain._orders`` and ``h_samples`` its
+``_count``, which own that rule: 2.0 counts as 2, and 1.5 raises.
 
 The contract on ``f``, here and in every sweep: it receives a float
 array of shape ``(..., d)`` that need not be C-contiguous and returns
-one value per point, of shape ``(...)``.  A value depends only on its
-own point: not on the memory layout of the argument, and not on the
-other points of the call.  ``f`` must be defined and finite at every
-midpoint of the box's ``density`` grid, which the lattice path evaluates
-even where no step's cloud reaches.
+one value per point, of shape ``(...)`` (``domain._evaluate`` checks it).
+A value depends only on its own point: not on the memory layout of the
+argument, and not on the other points of the call.  ``f`` must be
+defined and finite at every midpoint of the box's ``density`` grid,
+which the lattice path evaluates even where no step's cloud reaches.
 
 A sup sweep with an odd number ``2m - 1`` of step samples contains the
 sweep with ``m`` samples: ``linspace(-t, t, m)`` equals
@@ -95,6 +95,8 @@ from .domain import (
     _CHUNK_POINTS,
     Box,
     GridFunction,
+    _count,
+    _evaluate,
     _midpoints,
     _orders,
     nonempty_axis_subsets,
@@ -152,7 +154,7 @@ def mixed_difference(f: Callable, r: Sequence[int], h: Sequence[float], x) -> np
     pts = x[None, :] if single else x
     acc = np.zeros(pts.shape[:-1])
     for w, offset in _stencil(r):
-        acc = acc + w * np.asarray(f(pts + np.asarray(offset) * hv), float)
+        acc = acc + w * _evaluate(f, pts + np.asarray(offset) * hv)
     return float(acc[0]) if single else acc
 
 
@@ -371,11 +373,7 @@ def _fields(
                     table = move[js, a + u : a + v, :, None] + mid[a + u : a + v, :, : max(grid)]
                     for i in range(dim):
                         run[i] = table[(..., i, *new_axes[:i], slice(grid[i]), *new_axes[i + 1 :])]
-                evals = np.asarray(f(cloud.transpose(1, 2, 0)), float)
-                if evals.shape != cloud.shape[1:]:
-                    raise ValueError(
-                        f"function returned shape {evals.shape}, expected {cloud.shape[1:]}"
-                    )
+                evals = _evaluate(f, cloud.transpose(1, 2, 0))
                 for (w, _), column in zip(stencil[js], evals):
                     values += w * column
         if not np.all(np.isfinite(values)):
@@ -445,24 +443,22 @@ def difference_field(
 
 def _check_sweep_args(
     r: Sequence[int], t: Sequence[float], box: Box, h_samples: int, p_values: Iterable[float]
-) -> tuple[tuple[int, ...], tuple[float, ...], list[float]]:
-    """``(r, t, ps)`` as ints, floats and a float list, once they pass the
-    checks every sweep needs: one order and one step bound per axis of
-    ``box``, orders whole and non-negative, bounds non-negative, ``2 t_i``
-    finite, at least two step samples and every exponent positive."""
+) -> tuple[tuple[int, ...], tuple[float, ...], int, list[float]]:
+    """``(r, t, h_samples, ps)`` as ints, floats, an int and floats, once they
+    pass every sweep's checks: per axis of ``box`` one whole order >= 0 and
+    one bound >= 0 with ``2 t_i`` finite; a whole h_samples >= 2; every p > 0."""
     r = _orders(r)
     t = tuple(float(v) for v in t)
+    h_samples = _count(h_samples, "h_samples", 2)
     ps = [float(p) for p in p_values]
     if len(r) != box.dim or len(t) != box.dim:
         raise ValueError("r and t must match the box dimension")
     # NaN fails the first comparison; a bound whose step box 2 t overflows, the second
     if not all(0 <= 2.0 * v < math.inf for v in t):
         raise ValueError("step bounds must be non-negative, with 2 t finite")
-    if h_samples < 2:
-        raise ValueError("h_samples must be at least 2")
     if not all(p > 0 for p in ps):
         raise ValueError("exponent p must be positive")
-    return r, t, ps
+    return r, t, h_samples, ps
 
 
 @dataclass(frozen=True)
@@ -483,9 +479,9 @@ class ModulusRequest:
     density: tuple[int, ...] | int = 32
 
     def __post_init__(self):
-        r, t, _ = _check_sweep_args(self.r, self.t, self.box, self.h_samples, [self.p])
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "t", t)
+        checked = _check_sweep_args(self.r, self.t, self.box, self.h_samples, [self.p])
+        for name, value in zip(("r", "t", "h_samples"), checked):
+            object.__setattr__(self, name, value)
 
 
 def _sup_axis_nodes(ri: int, ti: float, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -548,7 +544,7 @@ def sup_modulus_sweep(
     samples, whose nodes are every other node of this one, so it is
     bit-identical to sweeping them separately.
     """
-    r, t, ps = _check_sweep_args(r, t, box, h_samples, p_values)
+    r, t, h_samples, ps = _check_sweep_args(r, t, box, h_samples, p_values)
     if nested and h_samples % 2 == 0:
         raise ValueError("a nested coarse sweep needs an odd h_samples")
     axes = [_sup_axis_nodes(ri, ti, h_samples) for ri, ti in zip(r, t)]
@@ -586,7 +582,7 @@ def mean_modulus_sweep(
     p-mean modulus at p = inf is the sup modulus: that exponent is
     swept by :func:`sup_modulus_sweep` and comes after the finite ones.
     """
-    r, t, ps = _check_sweep_args(r, t, box, h_samples, p_values)
+    r, t, h_samples, ps = _check_sweep_args(r, t, box, h_samples, p_values)
     finite = [p for p in ps if p != math.inf]
     out = {}
     if finite:

@@ -11,9 +11,9 @@ All values are plain 64-bit floats.  Every operation here is a pure
 function of its inputs; grids are enumerated row-major along the axis
 order, so reductions are reproducible bit for bit.
 
-It also owns the rules other modules share: ``_orders`` checks every order
-vector and count, ``_midpoints`` and ``_cells`` place every midpoint and
-subdivision.
+It also owns the rules other modules share: ``_orders`` and ``_count``
+check every order vector and count, ``_midpoints`` and ``_cells`` place
+every midpoint and subdivision, and ``_evaluate`` calls every user function.
 """
 
 from __future__ import annotations
@@ -184,6 +184,16 @@ class GridFunction:
         return grid_points(self.box, self.spec)
 
 
+def _evaluate(f: Callable[[np.ndarray], np.ndarray], X: np.ndarray) -> np.ndarray:
+    """``f(X)`` as floats, once it has the shape ``X.shape[:-1]`` of one value
+    per point, else ValueError: the one call of a user-supplied function or
+    derivative.  Callers check finiteness, once per grid or chunk."""
+    values = np.asarray(f(X), float)
+    if values.shape != X.shape[:-1]:
+        raise ValueError(f"function returned shape {values.shape}, expected {X.shape[:-1]}")
+    return values
+
+
 def sample_on_grid(f: Callable[[np.ndarray], np.ndarray], box: Box, spec) -> GridFunction:
     """Evaluate ``f`` at every grid midpoint of ``box``.
 
@@ -202,11 +212,7 @@ def sample_on_grid(f: Callable[[np.ndarray], np.ndarray], box: Box, spec) -> Gri
     cloud = cloud.reshape(box.dim, -1)
     vals = np.empty(cloud.shape[1])
     for j in range(0, vals.size, _CHUNK_POINTS):
-        part = cloud[:, j : j + _CHUNK_POINTS]
-        evals = np.asarray(f(part.T), float)
-        if evals.shape != part.shape[1:]:
-            raise ValueError(f"function returned shape {evals.shape}, expected {part.shape[1:]}")
-        vals[j : j + _CHUNK_POINTS] = evals
+        vals[j : j + _CHUNK_POINTS] = _evaluate(f, cloud[:, j : j + _CHUNK_POINTS].T)
     if not np.all(np.isfinite(vals)):
         raise ValueError("function produced non-finite values on the grid")
     return GridFunction(box, vals.reshape(shape))
@@ -255,6 +261,15 @@ def _orders(r: Sequence[int], least: int = 0) -> tuple[int, ...]:
     if not all(float(v).is_integer() and v >= least for v in r):
         raise ValueError(f"expected whole numbers >= {least}, got {r}")
     return tuple(int(v) for v in r)
+
+
+def _count(value, name: str, least: int = 1) -> int:
+    """The count ``value`` as an int by the rule of ``_orders``, else a ValueError naming it."""
+    try:
+        (n,) = _orders((value,), least)
+    except ValueError:
+        raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}") from None
+    return n
 
 
 def restrict_order(r: Sequence[int], axes: Sequence[int]) -> tuple[int, ...]:

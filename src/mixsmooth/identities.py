@@ -38,7 +38,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .domain import Box, _orders, grid_points, nonempty_axis_subsets, normalize_grid, restrict_order
+from .domain import (
+    Box, _count, _evaluate, _orders, grid_points, nonempty_axis_subsets, normalize_grid,
+    restrict_order,
+)
 from .differences import _fields, mixed_difference
 
 __all__ = [
@@ -125,33 +128,48 @@ def _valid_sample_mask(
     return box.contains(x) & box.contains(x + np.asarray(r) * h)
 
 
-def _reproduction_terms(
+def _worst_residual(
     f: Callable,
     decomp: UnitDecomposition,
+    b: dict[tuple[int, ...], Fraction],
     box: Box,
     h_list: Sequence[Sequence[float]],
     x_spec,
-):
-    """Yield per step (sample points, step, reproduction residual values)."""
+) -> float:
+    """Max over the sampled points x and steps h of
+    ``|f(x) - sum a_k f(x + k*h) - sum b_e D_h^{r(e)} f(x)|``, with ``a`` from
+    ``decomp`` and difference-side coefficients ``b`` (none for the plain
+    residual).  Points whose stencil leaves the box are skipped; it is an
+    error for every point to be skipped, or for a residual to be non-finite,
+    which ``max`` would hide (``max(0.0, nan)`` is 0.0).  Rational
+    coefficients become floats only here, at the sampling boundary.
+    """
     r = decomp.r
     d = len(r)
     x = grid_points(box, normalize_grid(x_spec, d)).reshape(-1, d)
     a_float = {k: float(c) for k, c in decomp.a.items()}
-    sampled = False
+    b_float = {e: float(c) for e, c in b.items()}
+    worst = None
     for h in h_list:
         hv = np.asarray(h, float)
         mask = _valid_sample_mask(x, hv, r, box)
         if not mask.any():
             continue
         pts = x[mask]
-        sampled = True
-        fx = np.asarray(f(pts), float)
+        fx = _evaluate(f, pts)
         recon = np.zeros_like(fx)
         for k, c in a_float.items():
-            recon += c * np.asarray(f(pts + np.asarray(k) * hv), float)
-        yield pts, hv, fx - recon
-    if not sampled:
+            recon += c * _evaluate(f, pts + np.asarray(k) * hv)
+        diff_sum = np.zeros_like(fx)
+        for e, c in b_float.items():
+            diff_sum += c * mixed_difference(f, restrict_order(r, e), hv, pts)
+        top = float(np.abs(fx - recon - diff_sum).max())
+        if not math.isfinite(top):
+            raise ValueError("non-finite residual: f must be finite on every stencil point")
+        worst = top if worst is None else max(worst, top)
+    if worst is None:
         raise ValueError("every sample point violated the domain for every step")
+    return worst
 
 
 def reproduction_residual(
@@ -164,14 +182,9 @@ def reproduction_residual(
     """Max of |f(x) - sum a_k f(x + k*h)| over sampled points and steps.
 
     Points whose stencil leaves the box are skipped; it is an error for
-    every point to be skipped.  Rational coefficients are converted to
-    floats only here, at the sampling boundary.
+    every point to be skipped, or for a residual to be non-finite.
     """
-    decomp = unit_decomposition(r)
-    worst = 0.0
-    for _, _, residual in _reproduction_terms(f, decomp, box, h_list, x_spec):
-        worst = max(worst, float(np.abs(residual).max()))
-    return worst
+    return _worst_residual(f, unit_decomposition(r), {}, box, h_list, x_spec)
 
 
 def reproduction_identity_gap(
@@ -185,17 +198,10 @@ def reproduction_identity_gap(
 
     This is the pointwise consistency of the reproduction formula with
     its difference-operator restatement; it should be at rounding level
-    for any f, polynomial or not.
+    for any f, polynomial or not.  A non-finite residual raises.
     """
     decomp = unit_decomposition(r)
-    b_float = {e: float(c) for e, c in decomp.b.items()}
-    worst = 0.0
-    for pts, hv, residual in _reproduction_terms(f, decomp, box, h_list, x_spec):
-        diff_sum = np.zeros_like(residual)
-        for e, c in b_float.items():
-            diff_sum += c * mixed_difference(f, restrict_order(decomp.r, e), hv, pts)
-        worst = max(worst, float(np.abs(residual - diff_sum).max()))
-    return worst
+    return _worst_residual(f, decomp, decomp.b, box, h_list, x_spec)
 
 
 def annihilation_residual(phi, axes: Iterable[int], h, box: Box, grid) -> float:
@@ -225,9 +231,7 @@ def halving_identity(k: int) -> dict[tuple[int], Fraction]:
     coefficients in increasing j.  A nonzero remainder or a failed final
     identity check is an implementation bug and raises.
     """
-    k = int(k)
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    k = _count(k, "k")
     scale = Fraction(1, 2**k)
     numerator = [-scale * c for c in _power_of_binomial(k, 1)]
     numerator[0] += 1

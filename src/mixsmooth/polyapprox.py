@@ -38,7 +38,7 @@ output, the p < 1 descent's normal equations, and the dense design of
 the p = 1 descent, IRLS and the exchange method (the identity stack
 contracted, which is the Kronecker product of the axis bases).
 
-Also here: anisotropic Taylor polynomials from a derivative bundle, the
+Also here: anisotropic Taylor polynomials from a derivative factory, the
 matching mixed-derivative remainder bracket, and the best-constant /
 piecewise-constant approximants used to reduce low-order smoothness to
 approximation by constants.
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -58,6 +58,7 @@ from .domain import (
     Box,
     GridFunction,
     _cells,
+    _evaluate,
     _midpoints,
     _orders,
     lp_quasinorm,
@@ -69,7 +70,6 @@ from .domain import (
 
 __all__ = [
     "TensorPolynomial",
-    "DerivativeBundle",
     "PiecewiseConstant",
     "BestApproxResult",
     "best_approx",
@@ -651,59 +651,29 @@ def _lockstep_descent(bases, values, starts, p, cv, eps_scale):
 # Taylor polynomials from derivative data
 
 
-@dataclass(frozen=True)
-class DerivativeBundle:
-    """Derivative data of a function around a base point.
+def taylor_polynomial(
+    derivative: Callable, x0: Sequence[float], k: Sequence[int]
+) -> TensorPolynomial:
+    """Taylor polynomial of multi-order k around the base point ``x0``.
 
-    ``point_derivs`` holds the mixed derivative values at ``x0`` for
-    every multi-order s strictly below the working order (all
-    componentwise); ``mixed_derivs`` holds callables for the full-order
-    derivative on each nonempty axis subset, keyed by the sorted subset
-    tuple.
-    """
-
-    x0: tuple[float, ...]
-    point_derivs: Mapping[tuple[int, ...], float]
-    mixed_derivs: Mapping[tuple[int, ...], Callable]
-
-    @classmethod
-    def from_factory(
-        cls,
-        factory: Callable[[tuple[int, ...]], Callable],
-        x0: Sequence[float],
-        r: Sequence[int],
-    ) -> "DerivativeBundle":
-        """Build a bundle from a factory mapping a multi-order to a callable."""
-        x0 = tuple(float(v) for v in x0)
-        r = _orders(r)
-        pt = np.asarray(x0)[None, :]
-        point = {s: float(np.asarray(factory(s)(pt))[0]) for s in np.ndindex(r)}
-        mixed = {e: factory(restrict_order(r, e)) for e in nonempty_axis_subsets(len(r))}
-        return cls(x0=x0, point_derivs=point, mixed_derivs=mixed)
-
-
-def taylor_polynomial(bundle: DerivativeBundle, k: Sequence[int]) -> TensorPolynomial:
-    """Taylor polynomial of multi-order k around the bundle's base point.
-
-    Sums ``f^(s)(x0) * prod (x_i - x0_i)^{s_i} / s_i!`` over all s
-    strictly below k componentwise; missing derivative entries raise.
+    Sums ``f^(s)(x0) * prod (x_i - x0_i)^{s_i} / s_i!`` over all s strictly
+    below k componentwise, with ``derivative(s)`` the order-s mixed derivative.
     """
     k = _orders(k, 1)
+    x0 = tuple(float(v) for v in x0)
     shifted = np.zeros(k)
     for s in np.ndindex(k):
-        if s not in bundle.point_derivs:
-            raise KeyError(f"derivative bundle is missing order {s}")
         denom = 1.0
         for v in s:
             denom *= math.factorial(v)
-        shifted[s] = bundle.point_derivs[s] / denom
+        shifted[s] = float(_evaluate(derivative(s), np.asarray([x0]))[0]) / denom
     # expand (x - x0)^s into global monomials, one axis at a time
-    mats = [_substitution(n, 1.0, -bundle.x0[i]).T for i, n in enumerate(k)]
+    mats = [_substitution(n, 1.0, -x0[i]).T for i, n in enumerate(k)]
     return TensorPolynomial(_contract_stack(shifted[None], mats)[0])
 
 
 def taylor_remainder_bound(
-    bundle: DerivativeBundle,
+    derivative: Callable,
     r: Sequence[int],
     p: float,
     box: Box,
@@ -712,9 +682,9 @@ def taylor_remainder_bound(
     """Mixed-derivative bracket bounding the Taylor remainder up to a constant.
 
     Returns ``sum over nonempty subsets e of prod_{i in e} size_i^{r_i}
-    times the L_p quasi-norm of the order-r(e) derivative on the box``.
-    The multiplying constant is not included; it is estimated
-    empirically by the verifier.  Stated for p >= 1 only.
+    times the L_p quasi-norm of derivative(r(e)) on the box``.  The
+    multiplying constant is not included; it is estimated empirically
+    by the verifier.  Stated for p >= 1 only.
     """
     if not p >= 1:
         raise ValueError("the remainder bracket is stated for p >= 1")
@@ -722,12 +692,10 @@ def taylor_remainder_bound(
     size = box.size
     total = 0.0
     for e in nonempty_axis_subsets(box.dim):
-        if e not in bundle.mixed_derivs:
-            raise KeyError(f"derivative bundle is missing the subset {e}")
         weight = 1.0
         for i in e:
             weight *= size[i] ** r[i]
-        deriv = sample_on_grid(bundle.mixed_derivs[e], box, density)
+        deriv = sample_on_grid(derivative(restrict_order(r, e)), box, density)
         total += weight * lp_quasinorm(deriv, p)
     return total
 

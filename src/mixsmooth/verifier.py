@@ -43,6 +43,7 @@ from .domain import (
     Box,
     GridFunction,
     _cells,
+    _count,
     _orders,
     lp_quasinorm,
     nonempty_axis_subsets,
@@ -93,8 +94,7 @@ class VerifierSettings:
 
     def __post_init__(self):
         # a single step node (-t) samples no modulus worth reporting
-        if self.h_samples < 2:
-            raise ValueError("h_samples must be at least 2")
+        object.__setattr__(self, "h_samples", _count(self.h_samples, "h_samples", 2))
 
     def grid_for(self, box: Box) -> tuple[int, ...]:
         return normalize_grid(self.grid, box.dim)
@@ -334,9 +334,9 @@ def estimate_constants(
     r = _orders(r, 1)
     ps = [float(p) for p in p_values]
     ladders: list[list[dict]] = [[] for _ in ps]
-    for grid in grids:
-        s = VerifierSettings(grid=int(grid), seed=seed, refine_h=False)
-        levels = [{"grid": int(grid), "ratios": {}, "vacuous": []} for _ in ps]
+    for grid in [_count(g, "grid") for g in grids]:
+        s = VerifierSettings(grid=grid, seed=seed, refine_h=False)
+        levels = [{"grid": grid, "ratios": {}, "vacuous": []} for _ in ps]
         for name in sorted(names):
             fn = get_function(name)
             for level, (_, rep_b) in zip(levels, _whitney_pairs(fn, r, ps, Box.unit(fn.dim), s)):
@@ -482,12 +482,7 @@ def _superadditivity(fn, r, t, p_values, box, m, settings) -> list[list[Inequali
     ps = [float(p) for p in p_values]
     if math.inf in ps:
         raise ValueError("superadditivity is a statement about finite p")
-    try:
-        (m,) = _orders((m,), 2)
-    except ValueError:
-        raise ValueError(
-            f"the subdivision count m (pieces per axis) must be a whole number >= 2, got {m!r}"
-        ) from None
+    m = _count(m, "the subdivision count m (pieces per axis)", 2)
     r = _orders(r, 1)
     t = tuple(float(v) for v in t)
     density = settings.grid_for(box)
@@ -593,15 +588,15 @@ def _marchaud(fn, k, r, axis, t, p_values, box, settings) -> list[InequalityRepo
     k = _orders(k)
     r = _orders(r)
     t = tuple(float(v) for v in t)
-    i = int(axis)
-    if not (0 <= i < box.dim):
+    i = _count(axis, "axis", 0)
+    if i >= box.dim:
         raise ValueError("axis out of range")
     if not (1 <= k[i] < r[i]):
         raise ValueError("need 1 <= k_axis < r_axis")
     if any(k[j] != r[j] for j in range(box.dim) if j != i):
         raise ValueError("off-axis orders of k and r must agree")
-    if any(v <= 0 for v in t):
-        raise ValueError("step bounds must be positive")
+    if not all(0 < v < math.inf for v in t):
+        raise ValueError(f"step bounds t must be positive and finite, got {t}")
     delta_i = float(box.size[i])
     if not t[i] < delta_i:
         raise ValueError("t_axis must be smaller than the box side")
@@ -700,9 +695,9 @@ def taylor_report(
         raise ValueError(f"corpus entry {fn.name!r} carries no derivative data")
     r = _orders(r, 1)
     deltas = [float(d) for d in deltas]
-    x0 = (0.0,) * fn.dim
-    bundle = fn.bundle(r, x0)
-    taylor = taylor_polynomial(bundle, r)
+    if not deltas:
+        raise ValueError("deltas must hold at least one box side")
+    taylor = taylor_polynomial(fn.derivative, (0.0,) * fn.dim, r)
     lefts, rights, constants = [], [], []
     floor_scale = 1.0
     for d in deltas:
@@ -712,7 +707,7 @@ def taylor_report(
         floor_scale = max(floor_scale, float(np.abs(g.values).max()))
         resid = GridFunction(box, g.values - taylor(g.midpoints()))
         left = lp_quasinorm(resid, p)
-        right = taylor_remainder_bound(bundle, r, p, box, density=grid)
+        right = taylor_remainder_bound(fn.derivative, r, p, box, density=grid)
         lefts.append(left)
         rights.append(right)
         floor = _floor(floor_scale)
@@ -833,6 +828,9 @@ def suite_identities(
     n_random: int = 50,
 ) -> list[InequalityReport]:
     """Exact-arithmetic checks: decompositions, halving, reproduction, annihilation."""
+    max_dim, max_order = _count(max_dim, "max_dim"), _count(max_order, "max_order")
+    halving_orders = _count(halving_orders, "halving_orders")
+    n_random = _count(n_random, "n_random")
     reports: list[InequalityReport] = []
 
     count = 0

@@ -6,16 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixsmooth import (
-    DerivativeBundle,
+    ModulusRequest,
     TensorPolynomial,
     VerifierSettings,
     best_approx,
+    difference_field,
     estimate_constants,
     get_function,
+    halving_identity,
     marchaud_report,
+    mixed_difference,
     piecewise_constant_approx,
     reproduction_identity_gap,
     reproduction_residual,
+    suite_identities,
     superadditivity_report,
     taylor_polynomial,
     taylor_remainder_bound,
@@ -23,6 +27,7 @@ from mixsmooth import (
     unit_decomposition,
     whitney_report,
 )
+from mixsmooth.differences import mean_modulus_sweep, sup_modulus_sweep
 from mixsmooth.domain import (
     _CHUNK_POINTS,
     Box,
@@ -228,7 +233,6 @@ def test_orders_take_whole_numbers_only():
 
 _SETTINGS = VerifierSettings(grid=8, h_samples=3, refine_h=False)
 _EXP = get_function("exp_sum_2d")
-_PT = np.array([[0.3, 0.4]])
 
 
 def test_grid_and_split_counts_take_whole_numbers_only():
@@ -247,24 +251,16 @@ def _records(reports):
     return [rep.to_record() for rep in reports]
 
 
-def _bundle_values(bundle):
-    return bundle.x0, bundle.point_derivs, {e: float(d(_PT)[0]) for e, d in bundle.mixed_derivs.items()}
-
-
 # every public entry point that takes an order or degree vector, as a call
 # of that vector whose result compares with ==
 _ORDER_CALLS = {
     "best_approx": lambda r: (
         lambda fit: (fit.error, fit.polynomial.coeffs.tolist())
     )(best_approx(sample_on_grid(_EXP, Box.unit(2), 8), r, 1.0)),
-    "taylor_polynomial": lambda r: taylor_polynomial(_EXP.bundle((2, 2), (0.0, 0.0)), r).coeffs.tolist(),
+    "taylor_polynomial": lambda r: taylor_polynomial(_EXP.derivative, (0.0, 0.0), r).coeffs.tolist(),
     "taylor_remainder_bound": lambda r: taylor_remainder_bound(
-        _EXP.bundle((2, 2), (0.0, 0.0)), r, 1.0, Box.unit(2), density=8
+        _EXP.derivative, r, 1.0, Box.unit(2), density=8
     ),
-    "DerivativeBundle.from_factory": lambda r: _bundle_values(
-        DerivativeBundle.from_factory(_EXP.derivative, (0.0, 0.0), r)
-    ),
-    "CorpusFunction.bundle": lambda r: _bundle_values(_EXP.bundle(r, (0.0, 0.0))),
     "TensorPolynomial.random": lambda r: TensorPolynomial.random(r, np.random.default_rng(0)).coeffs.tolist(),
     "unit_decomposition": unit_decomposition,
     "reproduction_residual": lambda r: reproduction_residual(_EXP, r, Box.unit(2), [(0.05, 0.05)], 4),
@@ -293,3 +289,93 @@ def test_every_order_entry_point_rejects_fractions_and_takes_integral_floats(nam
     with pytest.raises(ValueError):
         call((1.5, 1))
     assert call((2.0, 1.0)) == call((2, 1))
+
+
+_SQUARE = Box.unit(2)
+
+
+def _sweep(sweep, h_samples):
+    return sweep(_EXP, (1, 1), (0.25, 0.25), _SQUARE, density=8, h_samples=h_samples, p_values=[1.0])
+
+
+def _identities(**counts):
+    counts = {"max_dim": 1, "max_order": 1, "halving_orders": 1, "n_random": 1, **counts}
+    return _records(suite_identities(_SETTINGS, **counts))
+
+
+# every public entry point that takes a scalar count: (the argument's name,
+# its least value, a valid value, a call of that count)
+_COUNT_CALLS = {
+    "marchaud_report-axis": ("axis", 0, 0, lambda v: marchaud_report(
+        _EXP, (1, 2), (2, 2), v, (0.125, 0.125), 1.0, _SQUARE, _SETTINGS
+    ).to_record()),
+    "halving_identity": ("k", 1, 2, halving_identity),
+    "estimate_constants": ("grid", 1, 8, lambda v: estimate_constants(["exp_sum_2d"], (1, 1), [1.0], [v])),
+    "VerifierSettings": ("h_samples", 2, 3, lambda v: _records(
+        whitney_report(_EXP, (1, 1), 1.0, _SQUARE, VerifierSettings(grid=8, h_samples=v))
+    )),
+    "ModulusRequest": ("h_samples", 2, 3, lambda v: repr(
+        ModulusRequest((1, 1), (0.25, 0.25), 1.0, _SQUARE, h_samples=v, density=8)
+    )),
+    "sup_modulus_sweep": ("h_samples", 2, 3, lambda v: _sweep(sup_modulus_sweep, v)),
+    "mean_modulus_sweep": ("h_samples", 2, 3, lambda v: _sweep(mean_modulus_sweep, v)),
+    **{
+        f"suite_identities-{name}": (name, 1, 2, lambda v, name=name: _identities(**{name: v}))
+        for name in ("max_dim", "max_order", "halving_orders", "n_random")
+    },
+}
+
+
+@pytest.mark.parametrize("call_name", sorted(_COUNT_CALLS))
+def test_every_count_rejects_fractions_and_takes_integral_floats(call_name):
+    name, least, good, call = _COUNT_CALLS[call_name]
+    for bad in (good + 0.5, math.nan, math.inf, least - 1):
+        with pytest.raises(ValueError, match=name):
+            call(bad)
+    # repr tells 2 from 2.0 where a count is echoed back
+    assert repr(call(float(good))) == repr(call(good))
+
+
+def test_empty_ladders_and_nan_step_bounds_name_the_argument():
+    with pytest.raises(ValueError, match="deltas"):
+        taylor_report(_EXP, (1, 1), 1.0, (), _SETTINGS)
+    for t in ((math.nan, 0.125), (0.125, math.nan), (0.125, math.inf)):
+        with pytest.raises(ValueError, match="step bounds t"):
+            marchaud_report(_EXP, (1, 2), (2, 2), 0, t, 1.0, _SQUARE, _SETTINGS)
+
+
+def _one_number(X):
+    return 1.0
+
+
+def _column(X):
+    return np.exp(X[..., :1])
+
+
+# every entry point that calls a user-supplied function or derivative; the
+# sup sweep's steps are whole numbers of cells, so it samples the grid, and
+# the mean sweep evaluates stencil clouds
+_F_CALLS = {
+    "sample_on_grid": lambda f: sample_on_grid(f, _SQUARE, 4),
+    "difference_field": lambda f: difference_field(f, (1, 1), (0.1, 0.1), _SQUARE, 4),
+    "mixed_difference": lambda f: mixed_difference(f, (1, 1), (0.1, 0.1), (0.3, 0.4)),
+    "sup_modulus_sweep": lambda f: sup_modulus_sweep(
+        f, (1, 1), (0.5, 0.5), _SQUARE, density=16, h_samples=17, p_values=[1.0]
+    ),
+    "mean_modulus_sweep": lambda f: mean_modulus_sweep(
+        f, (1, 1), (0.25, 0.25), _SQUARE, density=4, h_samples=3, p_values=[1.0]
+    ),
+    "reproduction_residual": lambda f: reproduction_residual(f, (1, 1), _SQUARE, [(0.05, 0.05)], 4),
+    "reproduction_identity_gap": lambda f: reproduction_identity_gap(
+        f, (1, 1), _SQUARE, [(0.05, 0.05)], 4
+    ),
+    "taylor_polynomial": lambda f: taylor_polynomial(lambda s: f, (0.0, 0.0), (2, 2)),
+    "taylor_remainder_bound": lambda f: taylor_remainder_bound(lambda s: f, (2, 2), 1.0, _SQUARE, 4),
+}
+
+
+@pytest.mark.parametrize("f", [_one_number, _column])
+@pytest.mark.parametrize("name", sorted(_F_CALLS))
+def test_every_call_of_f_checks_one_value_per_point(name, f):
+    with pytest.raises(ValueError, match="function returned shape"):
+        _F_CALLS[name](f)

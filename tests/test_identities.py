@@ -85,6 +85,17 @@ def test_reproduction_identity_gap_two_dim():
     assert gap <= 1e-9
 
 
+@pytest.mark.parametrize("check", [reproduction_residual, reproduction_identity_gap])
+def test_identity_checks_reject_non_finite_residuals(check):
+    # max(0.0, nan) is 0.0: a NaN strip must not read as an exact identity
+    def f(X):
+        strip = (X[..., 0] > 0.5) & (X[..., 1] < 0.2)
+        return np.where(strip, np.nan, np.exp(X[..., 0] + X[..., 1]))
+
+    with pytest.raises(ValueError, match="non-finite"):
+        check(f, (1, 1), Box.unit(2), [(0.05, 0.05), (0.1, 0.1)], 8)
+
+
 def test_reproduction_all_points_skipped_raises():
     f = lambda X: X[..., 0]
     with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from mixsmooth import polyapprox
 from mixsmooth.corpus import corpus_entries, get_function
 from mixsmooth.domain import Box, GridFunction, _cells, lp_quasinorm, sample_on_grid
 from mixsmooth.polyapprox import (
-    DerivativeBundle,
     TensorPolynomial,
     best_approx,
     best_constant,
@@ -496,57 +495,44 @@ def test_best_approx_rejects_underdetermined_grid():
 def test_taylor_polynomial_examples():
     # linear function reproduced exactly at order 2
     lin = TensorPolynomial(np.array([0.5, 2.0]))
-    bundle = DerivativeBundle.from_factory(lin.derivative, (0.3,), (2,))
-    assert np.allclose(taylor_polynomial(bundle, (2,)).coeffs, lin.coeffs, atol=1e-12)
+    assert np.allclose(taylor_polynomial(lin.derivative, (0.3,), (2,)).coeffs, lin.coeffs, atol=1e-12)
 
-    exp_bundle = DerivativeBundle.from_factory(
-        lambda s: (lambda X: np.exp(X[..., 0])), (0.0,), (2,)
-    )
-    assert np.allclose(taylor_polynomial(exp_bundle, (2,)).coeffs, [1.0, 1.0])
+    exp1 = lambda s: (lambda X: np.exp(X[..., 0]))
+    assert np.allclose(taylor_polynomial(exp1, (0.0,), (2,)).coeffs, [1.0, 1.0])
 
-    exp2 = DerivativeBundle.from_factory(
-        lambda s: (lambda X: np.exp(X[..., 0] + X[..., 1])), (0.0, 0.0), (2, 2)
-    )
+    exp2 = lambda s: (lambda X: np.exp(X[..., 0] + X[..., 1]))
     assert np.allclose(
-        taylor_polynomial(exp2, (2, 2)).coeffs, [[1.0, 1.0], [1.0, 1.0]]
+        taylor_polynomial(exp2, (0.0, 0.0), (2, 2)).coeffs, [[1.0, 1.0], [1.0, 1.0]]
     )
 
 
 def test_taylor_polynomial_reproduces_members_coefficientwise():
     rng = np.random.default_rng(6)
     phi = TensorPolynomial.random((3, 2), rng)
-    bundle = DerivativeBundle.from_factory(phi.derivative, (0.4, 0.7), (3, 2))
-    got = taylor_polynomial(bundle, (3, 2))
+    got = taylor_polynomial(phi.derivative, (0.4, 0.7), (3, 2))
     assert np.allclose(got.coeffs, phi.coeffs, atol=1e-12)
 
 
 def test_taylor_remainder_bracket_oracles():
     rng = np.random.default_rng(7)
     phi = TensorPolynomial.random((2, 2), rng)
-    bundle = DerivativeBundle.from_factory(phi.derivative, (0.0, 0.0), (2, 2))
-    assert taylor_remainder_bound(bundle, (2, 2), 1.0, Box.unit(2), 16) <= 1e-12
+    assert taylor_remainder_bound(phi.derivative, (2, 2), 1.0, Box.unit(2), 16) <= 1e-12
 
     delta = 0.5
-    exp1 = DerivativeBundle.from_factory(
-        lambda s: (lambda X: np.exp(X[..., 0])), (0.0,), (2,)
-    )
+    exp1 = lambda s: (lambda X: np.exp(X[..., 0]))
     got = taylor_remainder_bound(exp1, (2,), math.inf, Box((0.0,), (delta,)), 512)
     assert got == pytest.approx(delta**2 * math.exp(delta), rel=1e-2)
 
-    exp2 = DerivativeBundle.from_factory(
-        lambda s: (lambda X: np.exp(X[..., 0] + X[..., 1])), (0.0, 0.0), (1, 1)
-    )
+    exp2 = lambda s: (lambda X: np.exp(X[..., 0] + X[..., 1]))
     got = taylor_remainder_bound(exp2, (1, 1), math.inf, Box.cube(0.0, delta, 2), 256)
     expect = (2 * delta + delta**2) * math.exp(2 * delta)
     assert got == pytest.approx(expect, rel=1e-2)
 
 
 def test_taylor_remainder_rejects_small_p():
-    bundle = DerivativeBundle.from_factory(
-        lambda s: (lambda X: np.exp(X[..., 0])), (0.0,), (2,)
-    )
+    exp1 = lambda s: (lambda X: np.exp(X[..., 0]))
     with pytest.raises(ValueError, match="p >= 1"):
-        taylor_remainder_bound(bundle, (2,), 0.5, Box.unit(1))
+        taylor_remainder_bound(exp1, (2,), 0.5, Box.unit(1))
 
 
 def test_best_constant_examples():
