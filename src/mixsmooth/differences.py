@@ -67,6 +67,23 @@ modulus is decided in ``mean_modulus_sweep`` alone.
 Every order vector passes ``domain._orders`` and ``h_samples`` its
 ``_count``, which own that rule: 2.0 counts as 2, and 1.5 raises.
 
+What a sweep derives from its geometry alone, never from ``f`` or p, is
+built once per process and kept in two bounded memos
+(``functools.lru_cache``, least recently used out), each keyed by the
+exact bits of its inputs (``domain._bits``), so -0.0 and 0.0 are two
+keys.  Every array in them is read-only, and no value of ``f`` is kept:
+
+* ``_plan``, keyed by ``(r, steps, box bounds, density)``, holds at most
+  ``_PLAN_MEMO`` plans of ``_fields``: the live steps in grid order,
+  their shrunken grids and cell volumes, the runs and chunk bounds, and
+  the lattice bases or the cloud's step and cell-width tables;
+* ``_node_steps``, keyed by ``(rule, r, t, h_samples)``, holds at most
+  ``_STEPS_MEMO`` step lists of the sup and mean node rules, with the
+  nested sup sweep's coarse mask.
+
+A pass of a ``perfbench`` workload or a ``verify --suite all`` run keeps
+at most 145 plans and 121 step lists, so bounds of 256 evict nothing there.
+
 The contract on ``f``, here and in every sweep: it receives a float
 array of shape ``(..., d)`` that need not be C-contiguous and returns
 one value per point, of shape ``(...)`` (``domain._evaluate`` checks it).
@@ -84,6 +101,7 @@ that coarse supremum too, read off the even-indexed nodes.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -95,6 +113,7 @@ from .domain import (
     _CHUNK_POINTS,
     Box,
     GridFunction,
+    _bits,
     _count,
     _evaluate,
     _midpoints,
@@ -104,6 +123,10 @@ from .domain import (
     restrict_order,
     sample_on_grid,
 )
+
+# Bounds of the memos of f-independent geometry (see the module docstring).
+_PLAN_MEMO = 256
+_STEPS_MEMO = 256
 
 __all__ = [
     "ModulusRequest",
@@ -209,13 +232,6 @@ def _lattice_bases(
         n = int(density[i])
         x = steps[:, i]
         if x.any():
-            a = box.lower[i]
-            w = (box.upper[i] - a) / n
-            # one point first, step 0's at offset 0 and k = 0: most step
-            # lists off the grid fail here, before the full check
-            c = lo[0, i] + 0.5 * width[0, i]
-            if c != a + (math.floor((c - a) / w) + 0.5) * w:
-                return None
             order = np.argsort(x)
             new = np.empty(x.size, bool)
             new[0] = True
@@ -223,7 +239,7 @@ def _lattice_bases(
             first = order[new]  # a step with each distinct value, ascending
             h = x[first]
             half = np.arange(0.5, n)  # k + 0.5
-            grid = _midpoints(a, box.upper[i], n)  # grid_points' axis i
+            grid = _midpoints(box.lower[i], box.upper[i], n)  # grid_points' axis i
             # (offset, distinct step, k): the cloud's o*h + (lo + (k + 0.5) * width)
             coord = np.arange(r[i] + 1.0)[:, None, None] * h[:, None] + (
                 lo[:, i][first][:, None] + half * width[:, i][first][:, None]
@@ -252,6 +268,110 @@ def _blocks(lattice: np.ndarray, grid: tuple[int, ...]) -> np.ndarray:
     )
 
 
+def _frozen(*arrays: np.ndarray | None) -> None:
+    """Make memoized arrays read-only, so that no caller can change a memo."""
+    for a in arrays:
+        if a is not None:
+            a.flags.writeable = False
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """Everything ``_fields`` derives from ``(r, steps, box, density)``
+    before it calls ``f``; every array in it is read-only.
+
+    ``weights`` are the stencil weights, offset by offset.  The live steps
+    ``live`` (rows of ``steps``) are in grid order, with their domains
+    ``[lo, hi]``, grid shapes and cell volumes.  Each chunk is ``(a, b,
+    bounds, runs, grids)``: live steps ``a`` to ``b - 1``, as in
+    :class:`_Chunk`, and the grid shape of each run.  On the lattice path
+    ``bases`` is :func:`_lattice_bases`' table; on the cloud path it is
+    None, and the cloud is built from the live steps' values ``h``, their
+    cell widths ``width`` and the stencil ``offsets``.
+    """
+
+    weights: tuple[float, ...]
+    live: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    shape: np.ndarray
+    cell_volume: np.ndarray
+    chunks: tuple[tuple[int, int, np.ndarray, tuple, tuple], ...]
+    bases: np.ndarray | None
+    h: np.ndarray | None
+    width: np.ndarray | None
+    offsets: np.ndarray | None
+
+
+@functools.lru_cache(maxsize=_PLAN_MEMO)
+def _plan(r: tuple, steps_shape: tuple, steps_bits: bytes, box_bits: bytes, density: tuple) -> _Plan:
+    """The :class:`_Plan` of ``_fields``, memoized by the exact bits of the
+    steps and of the box's bounds (lower then upper)."""
+    steps = np.frombuffer(steps_bits).reshape(steps_shape)
+    lower, upper = np.frombuffer(box_bits).reshape(2, -1)
+    box = Box(tuple(lower), tuple(upper))
+    dim = box.dim
+    if len(r) != dim or steps.ndim != 2 or steps.shape[1] != dim:
+        raise ValueError("order and steps must match the box dimension")
+    if not np.all(np.isfinite(steps)):
+        raise ValueError("steps must be finite")
+    density = np.asarray(density)
+    stencil = _stencil(r)
+    offsets = np.array([o for _, o in stencil], float).reshape(len(stencil), dim)
+    shift = np.asarray(r) * steps
+    lo = np.asarray(box.lower) + np.maximum(0.0, -shift)
+    hi = np.asarray(box.upper) - np.maximum(0.0, shift)
+    live = np.flatnonzero(np.all(hi > lo, axis=1))
+    size = hi[live] - lo[live]
+    shape = np.maximum(1, np.ceil(density * (size / box.size) - 1e-9)).astype(np.int64)
+    npts = np.prod(shape, axis=1)
+    # Smallest grid first; among equal sizes, equal shapes side by side
+    # form the runs that fill a chunk and that _step_norms reduces.
+    order = np.lexsort((*shape.T[::-1], npts))
+    live, shape = live[order], shape[order]
+    lo, hi, steps = lo[live], hi[live], steps[live]
+    width = (hi - lo) / shape
+    cum = np.concatenate(([0], np.cumsum(npts[order])))
+    offset_of = cum.tolist()
+    new_run = np.ones(live.size, bool)
+    new_run[1:] = np.any(shape[1:] != shape[:-1], axis=1)
+    run_starts = np.flatnonzero(new_run).tolist()
+    run_grids = [tuple(g) for g in shape[run_starts].tolist()]
+    # The grid pays when it has fewer points than the cloud and the cloud
+    # takes more than one call of f; for a cloud of one call, the check
+    # cost about what the grid saved when it ran on every call.
+    bases = None
+    cloud_points = len(stencil) * offset_of[-1]
+    if math.prod(density.tolist()) < cloud_points and cloud_points > _CHUNK_POINTS:
+        bases = _lattice_bases(r, offsets, steps, lo, width, shape, box, density)
+    # greedy packing: a chunk takes the next steps while their clouds fit
+    # the cap, and at least one step; on the grid, where the calls of f do
+    # not follow the chunks, while their fields fit it
+    room = _CHUNK_POINTS if bases is not None else _CHUNK_POINTS // len(stencil)
+    starts = [0]
+    while starts[-1] < live.size:
+        a = starts[-1]
+        starts.append(max(a + 1, bisect.bisect_right(offset_of, offset_of[a] + room) - 1))
+    chunks = []
+    for a, b in zip(starts, starts[1:]):
+        first = bisect.bisect_right(run_starts, a) - 1
+        last = bisect.bisect_left(run_starts, b)
+        edges = [a, *run_starts[first + 1 : last], b]
+        # (u, v, start, stop) of each run, counted from the chunk's start
+        runs = tuple(
+            (u - a, v - a, offset_of[u] - offset_of[a], offset_of[v] - offset_of[a])
+            for u, v in zip(edges, edges[1:])
+        )
+        bounds = cum[a : b + 1] - cum[a]
+        _frozen(bounds)
+        chunks.append((a, b, bounds, runs, tuple(run_grids[first:last])))
+    cell_volume = np.prod(width, axis=1)
+    cloud = (steps, width, offsets) if bases is None else (None, None, None)
+    _frozen(live, lo, hi, shape, cell_volume, bases, *cloud)
+    weights = tuple(w for w, _ in stencil)
+    return _Plan(weights, live, lo, hi, shape, cell_volume, tuple(chunks), bases, *cloud)
+
+
 def _fields(
     f: Callable, r: Sequence[int], steps: np.ndarray, box: Box, density
 ) -> Iterator[_Chunk]:
@@ -267,7 +387,8 @@ def _fields(
     The order puts equal shapes side by side.  This function owns the
     runs they form in each chunk: it fills the chunk run by run and
     hands the runs over in :attr:`_Chunk.runs`, from which
-    :func:`_step_norms` reduces them.
+    :func:`_step_norms` reduces them.  All of that is the memoized
+    :func:`_plan`; only the values come from ``f``.
 
     When every cloud point is bit-equal to a midpoint of the box's
     ``density`` grid, that grid has fewer points than the cloud, and the
@@ -285,43 +406,11 @@ def _fields(
     infinite step is rejected, not swept.
     """
     dim = box.dim
-    r = _orders(r)
     steps = np.asarray(steps, float)
-    if len(r) != dim or steps.ndim != 2 or steps.shape[1] != dim:
-        raise ValueError("order and steps must match the box dimension")
-    if not np.all(np.isfinite(steps)):
-        raise ValueError("steps must be finite")
-    density = np.asarray(normalize_grid(density, dim))
-    stencil = _stencil(r)
-    offsets = np.array([o for _, o in stencil], float).reshape(len(stencil), dim)
-    shift = np.asarray(r) * steps
-    lo = np.asarray(box.lower) + np.maximum(0.0, -shift)
-    hi = np.asarray(box.upper) - np.maximum(0.0, shift)
-    live = np.flatnonzero(np.all(hi > lo, axis=1))
-    size = hi[live] - lo[live]
-    shape = np.maximum(1, np.ceil(density * (size / box.size) - 1e-9)).astype(np.int64)
-    npts = np.prod(shape, axis=1)
-    # Smallest grid first; among equal sizes, equal shapes side by side
-    # form the runs that fill a chunk and that _step_norms reduces.
-    order = np.lexsort((*shape.T[::-1], npts))
-    live, shape = live[order], shape[order]
-    lo, hi, steps = lo[live], hi[live], steps[live]
-    width = (hi - lo) / shape
-    cell_volume = np.prod(width, axis=1)
-    cum = np.concatenate(([0], np.cumsum(npts[order])))
-    offset_of = cum.tolist()
-    new_run = np.ones(live.size, bool)
-    new_run[1:] = np.any(shape[1:] != shape[:-1], axis=1)
-    run_starts = np.flatnonzero(new_run).tolist()
-    run_grids = [tuple(g) for g in shape[run_starts].tolist()]
-    # The grid pays when it has fewer points than the cloud and the cloud
-    # takes more than one call of f; for a cloud of one call, the check
-    # costs about what the grid saves.
-    bases = None
-    cloud_points = len(stencil) * offset_of[-1]
-    if math.prod(density.tolist()) < cloud_points and cloud_points > _CHUNK_POINTS:
-        bases = _lattice_bases(r, offsets, steps, lo, width, shape, box, density)
-    if bases is not None:
+    box_bits = _bits(box.lower + box.upper)
+    plan = _plan(_orders(r), steps.shape, steps.tobytes(), box_bits, normalize_grid(density, dim))
+    weights = plan.weights
+    if plan.bases is not None:
         lattice = sample_on_grid(f, box, density).values
     else:
         # The midpoint lo + (k + 0.5) * width of every (step, axis, k) and
@@ -329,44 +418,27 @@ def _fields(
         # adds its rows of both into one (offset, step, axis, k) table and
         # reads axis i of it with unit axes added, which broadcasts over its
         # block of plane i of the cloud: (offset, step, k_1, ..., k_d).
-        mid = lo[:, :, None] + (np.arange(shape.max(initial=1)) + 0.5) * width[:, :, None]
-        move = offsets[:, None, :] * steps
+        half = np.arange(plan.shape.max(initial=1)) + 0.5
+        mid = plan.lo[:, :, None] + half * plan.width[:, :, None]
+        move = plan.offsets[:, None, :] * plan.h
         new_axes = (None,) * dim
-    # greedy packing: a chunk takes the next steps while their clouds fit
-    # the cap, and at least one step; on the grid, where the calls of f do
-    # not follow the chunks, while their fields fit it
-    room = _CHUNK_POINTS if bases is not None else _CHUNK_POINTS // len(stencil)
-    starts = [0]
-    while starts[-1] < live.size:
-        a = starts[-1]
-        starts.append(max(a + 1, bisect.bisect_right(offset_of, offset_of[a] + room) - 1))
-    for a, b in zip(starts, starts[1:]):
-        bounds = cum[a : b + 1] - cum[a]
+    for a, b, bounds, runs, grids in plan.chunks:
         n_pts = int(bounds[-1])
-        first = bisect.bisect_right(run_starts, a) - 1
-        last = bisect.bisect_left(run_starts, b)
-        edges = [a, *run_starts[first + 1 : last], b]
-        grids = run_grids[first:last]
-        # (u, v, start, stop) of each run, counted from the chunk's start
-        runs = tuple(
-            (u - a, v - a, offset_of[u] - offset_of[a], offset_of[v] - offset_of[a])
-            for u, v in zip(edges, edges[1:])
-        )
         values = np.zeros(n_pts)
-        if bases is not None:
-            evals = np.empty((len(stencil), n_pts))
+        if plan.bases is not None:
+            evals = np.empty((len(weights), n_pts))
             for grid, (u, v, start, stop) in zip(grids, runs):
                 # a reshaped basic slice is a view: the block values land in evals
-                run = evals[:, start:stop].reshape(len(stencil), v - u, *grid)
-                run[...] = _blocks(lattice, grid)[bases[:, a + u : a + v]]
-            for (w, _), column in zip(stencil, evals):
+                run = evals[:, start:stop].reshape(len(weights), v - u, *grid)
+                run[...] = _blocks(lattice, grid)[plan.bases[:, a + u : a + v]]
+            for w, column in zip(weights, evals):
                 values += w * column
         else:
             # a step whose cloud alone exceeds the cap takes a few offsets per call
             per_call = max(1, _CHUNK_POINTS // n_pts)
-            for j in range(0, len(stencil), per_call):
+            for j in range(0, len(weights), per_call):
                 js = slice(j, j + per_call)
-                cloud = np.empty((dim, len(stencil[js]), n_pts))
+                cloud = np.empty((dim, len(weights[js]), n_pts))
                 for grid, (u, v, start, stop) in zip(grids, runs):
                     # a reshaped basic slice is a view: the writes land in the cloud
                     run = cloud[:, :, start:stop].reshape(*cloud.shape[:2], v - u, *grid)
@@ -374,19 +446,19 @@ def _fields(
                     for i in range(dim):
                         run[i] = table[(..., i, *new_axes[:i], slice(grid[i]), *new_axes[i + 1 :])]
                 evals = _evaluate(f, cloud.transpose(1, 2, 0))
-                for (w, _), column in zip(stencil[js], evals):
+                for w, column in zip(weights[js], evals):
                     values += w * column
         if not np.all(np.isfinite(values)):
             raise ValueError("grid values must all be finite")
         yield _Chunk(
-            steps=live[a:b],
+            steps=plan.live[a:b],
             values=values,
             bounds=bounds,
             runs=runs,
-            lo=lo[a:b],
-            hi=hi[a:b],
-            shape=shape[a:b],
-            cell_volume=cell_volume[a:b],
+            lo=plan.lo[a:b],
+            hi=plan.hi[a:b],
+            shape=plan.shape[a:b],
+            cell_volume=plan.cell_volume[a:b],
         )
 
 
@@ -510,15 +582,24 @@ def _mean_axis_nodes(ri: int, ti: float, m: int) -> np.ndarray:
     return _midpoints(-ti, ti, m)
 
 
-def _sweep_norms(
-    f: Callable, r: tuple[int, ...], box: Box, density, ps: Sequence[float], axis_nodes
-) -> np.ndarray:
-    """The pipeline of every sweep, from the per-axis ``axis_nodes`` of
-    its node rule: the steps of their tensor grid, the steps' fields,
-    and their :func:`_step_norms`, one row per exponent and one column
-    per step in ``_step_product`` order."""
-    steps = _step_product(axis_nodes)
-    return _step_norms(_fields(f, r, steps, box, density), len(steps), ps)
+@functools.lru_cache(maxsize=_STEPS_MEMO)
+def _node_steps(
+    mean: bool, r: tuple[int, ...], t_bits: bytes, m: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The steps of a sweep's node rule (the mean rule, else the sup rule)
+    in ``_step_product`` order, and for the sup rule the mask of the steps
+    of its nested coarse sweep; memoized by the exact bits of t.  Both
+    arrays are read-only."""
+    t = np.frombuffer(t_bits).tolist()
+    if mean:
+        steps = _step_product([_mean_axis_nodes(ri, ti, m) for ri, ti in zip(r, t)])
+        coarse = None
+    else:
+        axes = [_sup_axis_nodes(ri, ti, m) for ri, ti in zip(r, t)]
+        steps = _step_product([nodes for nodes, _ in axes])
+        coarse = _step_product([even for _, even in axes]).all(axis=1)
+    _frozen(steps, coarse)
+    return steps, coarse
 
 
 def sup_modulus_sweep(
@@ -547,8 +628,8 @@ def sup_modulus_sweep(
     r, t, h_samples, ps = _check_sweep_args(r, t, box, h_samples, p_values)
     if nested and h_samples % 2 == 0:
         raise ValueError("a nested coarse sweep needs an odd h_samples")
-    axes = [_sup_axis_nodes(ri, ti, h_samples) for ri, ti in zip(r, t)]
-    norms = _sweep_norms(f, r, box, density, ps, [nodes for nodes, _ in axes])
+    steps, coarse = _node_steps(False, r, _bits(t), h_samples)
+    norms = _step_norms(_fields(f, r, steps, box, density), len(steps), ps)
 
     def sup(mask):
         out = {}
@@ -558,7 +639,6 @@ def sup_modulus_sweep(
         return out
 
     if nested:
-        coarse = _step_product([even for _, even in axes]).all(axis=1)
         return sup(slice(None)), sup(coarse)
     return sup(slice(None))
 
@@ -592,8 +672,9 @@ def mean_modulus_sweep(
                 raise ValueError(f"step bound t[{i}] must be positive on an active axis")
         h_weight = float(np.prod([2.0 * t[i] / h_samples for i in active]))
         volume = float(np.prod([2.0 * t[i] for i in active]))
-        nodes = [_mean_axis_nodes(ri, ti, h_samples) for ri, ti in zip(r, t)]
-        for p, col in zip(finite, _sweep_norms(f, r, box, density, finite, nodes)):
+        steps, _ = _node_steps(True, r, _bits(t), h_samples)
+        norms = _step_norms(_fields(f, r, steps, box, density), len(steps), finite)
+        for p, col in zip(finite, norms):
             acc = 0.0
             for v in (col * h_weight).tolist():  # in step order, as the rule reads
                 acc += v

@@ -11,9 +11,10 @@ All values are plain 64-bit floats.  Every operation here is a pure
 function of its inputs; grids are enumerated row-major along the axis
 order, so reductions are reproducible bit for bit.
 
-It also owns the rules other modules share: ``_orders`` and ``_count``
-check every order vector and count, ``_midpoints`` and ``_cells`` place
-every midpoint and subdivision, and ``_evaluate`` calls every user function.
+It also owns the rules other modules share: ``_orders``, ``_count`` and
+``_axis`` check every order vector, count and axis, ``_midpoints`` and
+``_cells`` place every midpoint and subdivision, ``_evaluate`` calls every
+user function, and ``_bits`` keys every memo of f-independent geometry.
 """
 
 from __future__ import annotations
@@ -272,7 +273,25 @@ def _count(value, name: str, least: int = 1) -> int:
     return n
 
 
+def _axis(value, dim: int) -> int:
+    """The axis ``value`` of a ``dim``-dimensional box as an int by the rule of
+    ``_count``, else a ValueError naming it: 2.0 counts as 2, and 1.5, -1 and
+    ``dim`` raise."""
+    i = _count(value, "axis", 0)
+    if i >= dim:
+        raise ValueError(f"axis must be below {dim}, got {value!r}")
+    return i
+
+
+def _bits(values: Sequence[float]) -> bytes:
+    """The exact bits of a float vector, as a memo key: unlike the floats
+    themselves, it tells -0.0 from 0.0."""
+    return np.asarray(values, float).tobytes()
+
+
 def restrict_order(r: Sequence[int], axes: Sequence[int]) -> tuple[int, ...]:
-    """Zero out the multi-index ``r`` off the given axis subset."""
-    keep = set(int(i) for i in axes)
-    return tuple(ri if i in keep else 0 for i, ri in enumerate(_orders(r)))
+    """Zero out the multi-index ``r`` off the given axis subset; every axis
+    must be one of ``r``'s (``_axis``)."""
+    r = _orders(r)
+    keep = {_axis(i, len(r)) for i in axes}
+    return tuple(ri if i in keep else 0 for i, ri in enumerate(r))

@@ -211,11 +211,12 @@ def annihilation_residual(phi, axes: Iterable[int], h, box: Box, grid) -> float:
     runs over every step, from one pass of the difference engine.
     ``phi`` is a tensor polynomial; its degree bounds give the order r,
     so the contract is a residual at rounding level (<= 1e-9 * max|phi|).
+    Every axis must be one of phi's (``restrict_order`` checks it).
     """
-    e = tuple(sorted(int(i) for i in axes))
-    if not e:
+    axes = tuple(axes)
+    if not axes:
         raise ValueError("axis subset must be nonempty")
-    r_e = restrict_order(phi.degrees, e)
+    r_e = restrict_order(phi.degrees, axes)
     steps = np.atleast_2d(np.asarray(h, float))
     return max(
         (float(np.abs(ch.values).max()) for ch in _fields(phi, r_e, steps, box, grid)),

@@ -38,6 +38,13 @@ output, the p < 1 descent's normal equations, and the dense design of
 the p = 1 descent, IRLS and the exchange method (the identity stack
 contracted, which is the Kronecker product of the axis bases).
 
+The axis bases depend on the box side, the grid count and the degree
+bound alone, never on the samples or p.  ``_axis_basis`` keeps them in a
+bounded memo (``_basis_of``, a ``functools.lru_cache`` of at most
+``_BASIS_MEMO`` entries), keyed by ``(a, b, n, r)`` with the exact bits
+of a and b, so -0.0 and 0.0 are two keys; the memoized arrays are
+read-only.  A pass of any benchmark workload uses at most 4 of them.
+
 Also here: anisotropic Taylor polynomials from a derivative factory, the
 matching mixed-derivative remainder bracket, and the best-constant /
 piecewise-constant approximants used to reduce low-order smoothness to
@@ -46,6 +53,7 @@ approximation by constants.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -57,6 +65,7 @@ from numpy.polynomial import polynomial as nppoly
 from .domain import (
     Box,
     GridFunction,
+    _bits,
     _cells,
     _evaluate,
     _midpoints,
@@ -67,6 +76,9 @@ from .domain import (
     restrict_order,
     sample_on_grid,
 )
+
+# Bound of the memo of per-axis bases (see the module docstring).
+_BASIS_MEMO = 64
 
 __all__ = [
     "TensorPolynomial",
@@ -145,8 +157,16 @@ def _axis_basis(a: float, b: float, n: int, r: int):
     M is (r, r) with column j holding the global monomial coefficients
     of basis function j.  Built from a Legendre Vandermonde in scaled
     coordinates plus a thin QR, which keeps the conditioning flat in
-    the box geometry.
+    the box geometry.  Both are read-only: the pair is memoized by the
+    exact bits of a and b (``_basis_of``).
     """
+    return _basis_of(_bits((a, b)), int(n), int(r))
+
+
+@functools.lru_cache(maxsize=_BASIS_MEMO)
+def _basis_of(ab_bits: bytes, n: int, r: int):
+    """:func:`_axis_basis` on the interval whose bounds have the bits ``ab_bits``."""
+    a, b = np.frombuffer(ab_bits).tolist()
     cw = (b - a) / n
     nodes = _midpoints(a, b, n)
     u = (2.0 * nodes - (a + b)) / (b - a)
@@ -166,7 +186,9 @@ def _axis_basis(a: float, b: float, n: int, r: int):
         unit[m] = 1.0
         leg2mono[: m + 1, m] = npleg.leg2poly(unit)
     # u = alpha*x + beta -> monomial-in-x
-    return B, _substitution(r, 2.0 / (b - a), -(a + b) / (b - a)) @ leg2mono @ rinv
+    M = _substitution(r, 2.0 / (b - a), -(a + b) / (b - a)) @ leg2mono @ rinv
+    B.flags.writeable = M.flags.writeable = False
+    return B, M
 
 
 def _substitution(n: int, alpha: float, beta: float) -> np.ndarray:

@@ -42,6 +42,7 @@ from .differences import (
 from .domain import (
     Box,
     GridFunction,
+    _axis,
     _cells,
     _count,
     _orders,
@@ -588,9 +589,7 @@ def _marchaud(fn, k, r, axis, t, p_values, box, settings) -> list[InequalityRepo
     k = _orders(k)
     r = _orders(r)
     t = tuple(float(v) for v in t)
-    i = _count(axis, "axis", 0)
-    if i >= box.dim:
-        raise ValueError("axis out of range")
+    i = _axis(axis, box.dim)
     if not (1 <= k[i] < r[i]):
         raise ValueError("need 1 <= k_axis < r_axis")
     if any(k[j] != r[j] for j in range(box.dim) if j != i):

@@ -220,6 +220,16 @@ def test_nonempty_axis_subsets():
 def test_restrict_order():
     assert restrict_order((3, 2, 1), (0, 2)) == (3, 0, 1)
     assert restrict_order((3, 2), ()) == (0, 0)
+    assert restrict_order((2, 3), (np.int64(1), 0.0)) == (2, 3)
+
+
+@pytest.mark.parametrize("axis", [1.5, 0.7, -1, 2, 5, math.nan, math.inf])
+def test_restrict_order_rejects_fractional_negative_and_missing_axes(axis):
+    # int() read 1.5 as axis 1 and -1 as no axis at all
+    with pytest.raises(ValueError, match=rf"axis .*{axis!r}"):
+        restrict_order((2, 3), (axis,))
+    with pytest.raises(ValueError, match=rf"axis .*{axis!r}"):
+        restrict_order((2, 3), (0, axis))
 
 
 def test_orders_take_whole_numbers_only():

@@ -121,6 +121,16 @@ def test_annihilation_examples_and_property():
                 assert resid <= 1e-9 * scale
 
 
+@pytest.mark.parametrize("axis", [0.7, 1.5, -1, 2, 5])
+def test_annihilation_residual_rejects_axes_phi_does_not_have(axis):
+    # axis 5 used to zero every order, and the "residual" was max|phi|
+    phi = TensorPolynomial.random((2, 3), np.random.default_rng(3))
+    with pytest.raises(ValueError, match=rf"axis .*{axis!r}"):
+        annihilation_residual(phi, (axis,), (0.1, 0.1), Box.unit(2), 8)
+    with pytest.raises(ValueError, match="nonempty"):
+        annihilation_residual(phi, (), (0.1, 0.1), Box.unit(2), 8)
+
+
 class _CountingPoly:
     """A tensor polynomial that counts its calls."""
 
