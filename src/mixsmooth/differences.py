@@ -118,6 +118,7 @@ from .domain import (
     _evaluate,
     _midpoints,
     _orders,
+    _shrunk,
     nonempty_axis_subsets,
     normalize_grid,
     restrict_order,
@@ -306,7 +307,8 @@ class _Plan:
 @functools.lru_cache(maxsize=_PLAN_MEMO)
 def _plan(r: tuple, steps_shape: tuple, steps_bits: bytes, box_bits: bytes, density: tuple) -> _Plan:
     """The :class:`_Plan` of ``_fields``, memoized by the exact bits of the
-    steps and of the box's bounds (lower then upper)."""
+    steps and of the box's bounds (lower then upper).  A step is live when
+    its domain, the box shrunk by ``r * h`` (``domain._shrunk``), is not empty."""
     steps = np.frombuffer(steps_bits).reshape(steps_shape)
     lower, upper = np.frombuffer(box_bits).reshape(2, -1)
     box = Box(tuple(lower), tuple(upper))
@@ -318,9 +320,7 @@ def _plan(r: tuple, steps_shape: tuple, steps_bits: bytes, box_bits: bytes, dens
     density = np.asarray(density)
     stencil = _stencil(r)
     offsets = np.array([o for _, o in stencil], float).reshape(len(stencil), dim)
-    shift = np.asarray(r) * steps
-    lo = np.asarray(box.lower) + np.maximum(0.0, -shift)
-    hi = np.asarray(box.upper) - np.maximum(0.0, shift)
+    lo, hi = _shrunk(box, np.asarray(r) * steps)
     live = np.flatnonzero(np.all(hi > lo, axis=1))
     size = hi[live] - lo[live]
     shape = np.maximum(1, np.ceil(density * (size / box.size) - 1e-9)).astype(np.int64)
@@ -571,6 +571,19 @@ def _sup_axis_nodes(ri: int, ti: float, m: int) -> tuple[np.ndarray, np.ndarray]
     nodes = np.linspace(-ti, ti, m)
     keep = nodes != 0.0
     return nodes[keep], (np.arange(m) % 2 == 0)[keep]
+
+
+def _coarse_grid_empty(r: Sequence[int], t: Sequence[float], box: Box, h_samples: int) -> bool:
+    """True when no step of the sup rule with ``h_samples`` nodes (the coarse
+    grid of a nested sweep) is live in the sweep of any axis subset of ``r``.
+    A step is live only when each of its one-axis parts is, so the one-axis
+    subsets decide: does a node h of axis i leave the shift ``r_i h`` room?"""
+    for i, (ri, ti) in enumerate(zip(r, t)):
+        nodes = _sup_axis_nodes(ri, ti, h_samples)[0]
+        lo, hi = _shrunk(box, np.outer(ri * nodes, np.eye(box.dim)[i]))
+        if np.all(hi > lo, axis=1).any():
+            return False
+    return True
 
 
 def _mean_axis_nodes(ri: int, ti: float, m: int) -> np.ndarray:

@@ -12,13 +12,15 @@ function of its inputs; grids are enumerated row-major along the axis
 order, so reductions are reproducible bit for bit.
 
 It also owns the rules other modules share: ``_orders``, ``_count`` and
-``_axis`` check every order vector, count and axis, ``_midpoints`` and
-``_cells`` place every midpoint and subdivision, ``_evaluate`` calls every
-user function, and ``_bits`` keys every memo of f-independent geometry.
+``_axis`` check every order vector, count and axis, ``_shrunk`` shrinks
+every domain, ``_midpoints`` and ``_cells`` place every midpoint and
+subdivision, ``_evaluate`` calls every user function, and ``_bits`` keys
+every memo of f-independent geometry.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -99,6 +101,15 @@ class Box:
         return np.all((pts >= lo) & (pts <= hi), axis=-1)
 
 
+def _shrunk(box: Box, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per shift s (a difference's ``r * h``) of the stack ``shifts``, shape
+    ``(..., dim)``, the bounds ``lo, hi`` of the points x with x and x + s in
+    ``box``: ``[lower + max(0, -s), upper - max(0, s)]``, empty unless hi > lo."""
+    lo = np.asarray(box.lower) + np.maximum(0.0, -shifts)
+    hi = np.asarray(box.upper) - np.maximum(0.0, shifts)
+    return lo, hi
+
+
 def shrink_domain(box: Box, shift: Sequence[float]) -> Box | None:
     """Sub-box of points x with both x and x + shift inside ``box``.
 
@@ -108,8 +119,7 @@ def shrink_domain(box: Box, shift: Sequence[float]) -> Box | None:
     y = np.asarray(shift, float)
     if y.shape != (box.dim,):
         raise ValueError("shift length must match box dimension")
-    lo = np.asarray(box.lower) + np.maximum(0.0, -y)
-    hi = np.asarray(box.upper) - np.maximum(0.0, y)
+    lo, hi = _shrunk(box, y)
     if np.any(hi <= lo):
         return None
     return Box(tuple(lo), tuple(hi))
@@ -219,12 +229,6 @@ def sample_on_grid(f: Callable[[np.ndarray], np.ndarray], box: Box, spec) -> Gri
     return GridFunction(box, vals.reshape(shape))
 
 
-def _quasinorm_from_abs(abs_values: np.ndarray, cell_volume: float, p: float) -> float:
-    if p == math.inf:
-        return float(abs_values.max()) if abs_values.size else 0.0
-    return float((abs_values**p).sum() * cell_volume) ** (1.0 / p)
-
-
 def lp_quasinorm(g: GridFunction | None, p: float) -> float:
     """Discrete L_p quasi-norm by composite midpoint quadrature.
 
@@ -236,7 +240,10 @@ def lp_quasinorm(g: GridFunction | None, p: float) -> float:
         raise ValueError(f"exponent p must be positive, got {p}")
     if g is None or g.values.size == 0:
         return 0.0
-    return _quasinorm_from_abs(np.abs(g.values), g.cell_volume, float(p))
+    a, p = np.abs(g.values), float(p)
+    if p == math.inf:
+        return float(a.max())
+    return float((a**p).sum() * g.cell_volume) ** (1.0 / p)
 
 
 def nonempty_axis_subsets(dim: int) -> list[tuple[int, ...]]:
@@ -246,8 +253,6 @@ def nonempty_axis_subsets(dim: int) -> list[tuple[int, ...]]:
     """
     if dim < 1:
         raise ValueError("dimension must be at least 1")
-    import itertools
-
     out: list[tuple[int, ...]] = []
     for k in range(1, dim + 1):
         out.extend(itertools.combinations(range(dim), k))

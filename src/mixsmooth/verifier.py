@@ -33,7 +33,7 @@ import numpy as np
 
 from .corpus import CorpusFunction, corpus_entries, get_function
 from .differences import (
-    _sup_axis_nodes,
+    _coarse_grid_empty,
     lower_whitney_constant,
     sup_modulus_sweep,
     total_mean_terms,
@@ -211,22 +211,6 @@ def _name(fn) -> str:
 
 # ---------------------------------------------------------------------------
 # Whitney: total modulus vs best approximation error
-
-
-def _coarse_grid_empty(r, t, box: Box, h_samples: int) -> bool:
-    """True when no step of the coarse grid leaves a nonempty shrunken domain.
-
-    On axis i every sweep samples the sup sweep's step nodes
-    (``differences._sup_axis_nodes``), and a node empties the domain
-    when the shift ``r_i h_i`` leaves no room on that axis (the sides
-    move as the step engine moves them).  Every axis subset then samples
-    nothing exactly when no node on any axis leaves room.
-    """
-    for ri, ti, lo, hi in zip(r, t, box.lower, box.upper):
-        shift = ri * _sup_axis_nodes(ri, ti, h_samples)[0]
-        if np.any(hi - np.maximum(0.0, shift) > lo + np.maximum(0.0, -shift)):
-            return False
-    return True
 
 
 def _whitney_pairs(
@@ -554,12 +538,11 @@ def _superadditivity(fn, r, t, p_values, box, m, settings) -> list[list[Inequali
 # Step-integral (lower order from higher order) bound
 
 
-def _geometric_nodes(lo: float, hi: float, min_nodes: int = 24, ratio: float = 2.0**0.25):
-    m = max(min_nodes, int(math.ceil(math.log(hi / lo) / math.log(ratio))))
-    edges = lo * (hi / lo) ** (np.arange(m + 1) / m)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    weights = np.diff(edges)
-    return mids, weights
+def _geometric_nodes(lo: float, hi: float, m: int) -> np.ndarray:
+    """The m + 1 edges ``lo (hi / lo)^(j / m)`` of the geometric grid of m
+    cells on ``[lo, hi]``.  ``j / m`` is ``2j / 2m`` bit for bit, so the grid
+    of 2m cells splits every cell of this one in two and keeps its edges."""
+    return lo * (hi / lo) ** (np.arange(m + 1) / m)
 
 
 def marchaud_report(
@@ -579,7 +562,8 @@ def marchaud_report(
     geometric grid (ratio at most 2^(1/4), at least 24 cells) with
     arithmetic midpoints; for p < 1 the p-th-power form of both sides
     is used.  The constant is empirical; its stability under doubling
-    the integration grid is recorded.
+    the integration grid, which splits every cell in two, is recorded
+    (``u_nodes``, ``u_nodes_fine`` = 2 ``u_nodes``, ``u_refine_ratio``).
     """
     return _marchaud(fn, k, r, axis, t, [p], box, settings)[0]
 
@@ -611,11 +595,11 @@ def _marchaud(fn, k, r, axis, t, p_values, box, settings) -> list[InequalityRepo
     g = sample_on_grid(fn, box, density)
     norms = {p: lp_quasinorm(g, p) for p in ps}
 
-    def rights(min_nodes):
-        """Per p, the right side from ``min_nodes`` or more u nodes; the node count."""
-        mids, weights = _geometric_nodes(t[i], delta_i, min_nodes=min_nodes)
+    def rights(m):
+        """Per p, the right side from the u midpoints of m geometric cells."""
+        edges = _geometric_nodes(t[i], delta_i, m)
         integrals = dict.fromkeys(ps, 0.0)
-        for u, w in zip(mids, weights):
+        for u, w in zip(0.5 * (edges[:-1] + edges[1:]), np.diff(edges)):
             tu = list(t)
             tu[i] = float(u)
             oms = omega(r, tu)
@@ -631,10 +615,11 @@ def _marchaud(fn, k, r, axis, t, p_values, box, settings) -> list[InequalityRepo
             else:
                 bracket = integrals[p] + norms[p] ** p / delta_i ** (k[i] * p)
                 out[p] = (t[i] ** (k[i] * p) * bracket) ** (1.0 / p)
-        return out, len(mids)
+        return out
 
-    rights_c, n_nodes = rights(24)
-    rights_f, n_fine = rights(48)
+    # ratio at most 2^(1/4), at least 24 cells; the fine rule halves every cell
+    n_nodes = max(24, math.ceil(math.log(delta_i / t[i]) / math.log(2.0**0.25)))
+    rights_c, rights_f = rights(n_nodes), rights(2 * n_nodes)
     reports = []
     for p in ps:
         left, right = lefts[p], rights_c[p]
@@ -644,7 +629,7 @@ def _marchaud(fn, k, r, axis, t, p_values, box, settings) -> list[InequalityRepo
         details = {
             "u_nodes": n_nodes,
             "form": "p>=1" if p >= 1 else "p<1",
-            "u_nodes_fine": n_fine,
+            "u_nodes_fine": 2 * n_nodes,
             "constant_fine": c2,
         }
         if constant and c2:

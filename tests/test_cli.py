@@ -150,6 +150,23 @@ def test_verify_reports_are_byte_identical(tmp_path):
     assert out.read_bytes() == first
 
 
+def test_verify_summary_holds_the_largest_float_constant_of_each_check(tmp_path):
+    args = ["verify", "--suite", "all", "--fn", "exp_sum_2d", "--grid", "8", "--hsamples", "5"]
+    code, doc = run_json(tmp_path, args)
+    assert code == 0
+    per_check: dict = {}
+    for rec in doc["records"]:
+        per_check.setdefault(rec["check"], []).append(rec["empirical_constant"])
+    want = {}
+    for check, values in per_check.items():
+        floats = [v for v in values if isinstance(v, float)]
+        want[check] = max(floats) if floats else None
+    got = doc["summary"]["empirical_constants"]
+    # whitney-ratio mixes unresolved (None) records with resolved ones
+    assert None in per_check["whitney-ratio"] and got["whitney-ratio"] is not None
+    assert got == want and list(got) == sorted(want)
+
+
 def test_corpus_listing_and_filters(tmp_path, capsys):
     assert main(["corpus"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

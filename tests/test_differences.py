@@ -24,11 +24,13 @@ from mixsmooth.differences import (
 from mixsmooth.domain import (
     Box,
     GridFunction,
+    _bits,
     grid_points,
     lp_quasinorm,
+    nonempty_axis_subsets,
     normalize_grid,
+    restrict_order,
     sample_on_grid,
-    shrink_domain,
 )
 from mixsmooth.polyapprox import TensorPolynomial
 
@@ -324,10 +326,23 @@ def test_total_mean_d1_reduces_to_single_mean_term():
 # The batched step-sweep engine against the per-step loop it replaced
 
 
+def _shrunk_box(box, r, h):
+    """The box of points x with x and x + r h in ``box``, or None when it is
+    empty, by scalar interval arithmetic one axis at a time."""
+    lower, upper = [], []
+    for a, b, ri, hi in zip(box.lower, box.upper, r, h):
+        shift = ri * float(hi)
+        lower.append(a + max(0.0, -shift))
+        upper.append(b - max(0.0, shift))
+        if not upper[-1] > lower[-1]:
+            return None
+    return Box(tuple(lower), tuple(upper))
+
+
 def _grid_shape(r, h, box, density):
     """Shape of the midpoint grid of step h, or None when its domain is empty."""
     density = normalize_grid(density, box.dim)
-    sub = shrink_domain(box, np.asarray(r) * np.asarray(h, float))
+    sub = _shrunk_box(box, r, h)
     if sub is None:
         return None
     ratio = sub.size / box.size
@@ -340,7 +355,7 @@ def _loop_field(f, r, h, box, density):
     shape = _grid_shape(r, hv, box, density)
     if shape is None:
         return None
-    sub = shrink_domain(box, np.asarray(r) * hv)
+    sub = _shrunk_box(box, r, hv)
     pts = grid_points(sub, shape)
     vals = np.zeros(shape)
     for combo in itertools.product(*(range(ri + 1) for ri in r)):
@@ -457,6 +472,26 @@ def test_nested_coarse_sup_equals_a_separate_coarse_sweep():
     assert coarse == total_sup_terms(f, (1, 1), (0.5, 0.25), box, density=9, h_samples=5, p_values=ps)
     with pytest.raises(ValueError):
         sup_modulus_sweep(f, (1, 1), (0.5, 0.25), box, density=9, h_samples=4, p_values=ps, nested=True)
+
+
+@pytest.mark.parametrize("r", [(1, 1), (2, 2), (1, 2)])
+@pytest.mark.parametrize(
+    "box",
+    [Box.unit(2), Box((0.0, 0.0), (1.0, 0.5)), Box((0.0, 0.0), (0.3, 1.0))],
+    ids=["unit", "half", "0.3x1"],
+)
+@pytest.mark.parametrize("m", [3, 5, 9])
+def test_coarse_grid_empty_is_no_live_step_in_any_subset_sweep(r, box, m):
+    # Whitney's coarse sweeps, t the box size; (2, 2), unit, 5 is the
+    # unresolved case of verify --grid 12 --hsamples 5
+    t = tuple(box.size)
+    bounds = _bits(box.lower + box.upper)
+    live = 0
+    for e in nonempty_axis_subsets(2):
+        order = restrict_order(r, e)
+        steps, _ = differences._node_steps(False, order, _bits(t), m)
+        live += differences._plan(order, steps.shape, steps.tobytes(), bounds, (12, 12)).live.size
+    assert differences._coarse_grid_empty(r, t, box, m) == (live == 0)
 
 
 def test_f_calls_per_sweep_at_most_the_chunks(monkeypatch):

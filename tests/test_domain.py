@@ -64,6 +64,19 @@ def test_shrink_examples():
     assert shrink_domain(Box.unit(1), (1.5,)) is None
     # exactly the side length degenerates to measure zero -> empty
     assert shrink_domain(Box.unit(1), (1.0,)) is None
+    assert shrink_domain(Box.unit(1), (-1.0,)) is None
+    assert shrink_domain(Box((0.0, 0.0), (1.0, 0.5)), (0.25, -0.5)) is None
+    # a -0.0 shift moves no side, negative shifts move the lower sides, 3-d
+    q = Box((0.0, -1.0), (2.0, 1.0))
+    same = shrink_domain(q, (-0.0, -0.0))
+    assert same == q and math.copysign(1.0, same.lower[0]) == 1.0
+    assert shrink_domain(q, (-0.5, -0.25)) == Box((0.5, -0.75), (2.0, 1.0))
+    assert shrink_domain(q, (-1.5, 1.75)) == Box((1.5, -1.0), (2.0, -0.75))
+    cube = Box((0.0, 0.0, -1.0), (1.0, 2.0, 3.0))
+    assert shrink_domain(cube, (0.25, -0.5, 3.0)) == Box((0.0, 0.5, -1.0), (0.75, 2.0, 0.0))
+    assert shrink_domain(cube, (0.25, -0.5, -4.0)) is None
+    with pytest.raises(ValueError):
+        shrink_domain(cube, (0.25, -0.5))
 
 
 def test_shrink_zero_is_identity_and_monotone():

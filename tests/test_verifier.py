@@ -276,6 +276,37 @@ def test_marchaud_trivial_for_annihilated_member():
     assert rep.passed is None
 
 
+# (t_axis, p) -> (left, right, constant_fine, u_refine_ratio) of exp_sum_2d at
+# grid 8, 3 step samples, computed by the 24- and 48-cell u rules that the
+# refinement rule reproduces for t_axis >= 2^-6
+MARCHAUD_RECORDS = {
+    (0.125, "0.5"): (0.0023535757740626275, 0.37362381737296657, 0.00629915224332718, 0.9999734588119368),
+    (0.125, "1"): (0.003683622703036956, 0.36916477807084025, 0.009978261791451126, 1.0000000262613333),
+    (0.0625, "0.5"): (0.0013534779437022213, 0.19256978285781104, 0.007028088538031555, 0.999940553129522),
+    (0.0625, "1"): (0.0019817684730959293, 0.18468884386669523, 0.010730309134923986, 0.999999957293407),
+}
+
+
+def test_marchaud_fine_rule_splits_every_coarse_cell():
+    fn = get_function("exp_sum_2d")
+    settings = VerifierSettings(grid=8, h_samples=3)
+    for t_axis in (0.125, 0.0625, 2.0**-13):
+        for rep in _marchaud(fn, (1, 2), (2, 2), 0, (t_axis, 0.125), [0.5, 1.0], Box.unit(2), settings):
+            m = rep.details["u_nodes"]
+            assert rep.details["u_nodes_fine"] == 2 * m
+            coarse = verifier._geometric_nodes(t_axis, 1.0, m)
+            assert verifier._geometric_nodes(t_axis, 1.0, 2 * m)[::2].tobytes() == coarse.tobytes()
+            if t_axis == 2.0**-13:
+                # the ratio 2^(1/4), not the floor of 24, sets m (52 cells and
+                # a rounding); the fine rule is no longer the same rule
+                assert m in (52, 53) and rep.details["u_refine_ratio"] != 1.0
+            else:
+                assert m == 24
+                details = rep.details
+                got = (rep.left, rep.right, details["constant_fine"], details["u_refine_ratio"])
+                assert got == MARCHAUD_RECORDS[t_axis, rep.params["p"]]
+
+
 def test_marchaud_parameter_validation():
     fn = get_function("exp_sum_2d")
     with pytest.raises(ValueError):
