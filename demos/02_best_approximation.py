@@ -3,9 +3,10 @@
 The discrete best-approximation problem changes character with p:
 strictly convex and separable at p = 2, a linear program at p = 1,
 convex at 1 < p < inf, a minimax problem at p = inf, and nonconvex
-for 0 < p < 1.  This script fits the same functions at several
-exponents, checks a couple of closed forms, and finishes with
-approximation by constants and piecewise constants.
+for 0 < p < 1, where fits by constants are still exact.  This script
+fits the same functions at several exponents, checks a couple of
+closed forms, and finishes with approximation by constants and
+piecewise constants.
 """
 
 import math
@@ -53,6 +54,14 @@ print("\n|x - 0.37|^(1/2) by affine, p = 1/2:")
 print("  error:", res.error)
 print("  starts:", res.diagnostics["starts"], " spread of local minima:",
       f"{res.diagnostics['start_spread']:.3e}")
+
+# With one coefficient (fitting constants) the p = 1/2 problem is solved
+# exactly: a best constant is a sample value, found by a branch-and-bound
+# over the sorted values, so the error is its own lower bound.
+res = best_approx(g_sing, (1,), 0.5)
+print("|x - 0.37|^(1/2) by constants, p = 1/2:")
+print("  error:", res.error, " constant:", res.polynomial.coeffs[0])
+print("  method:", res.diagnostics["method"], " gap:", res.diagnostics["gap"])
 
 # Two-dimensional fits work the same way; degree bounds are per axis.
 box2 = Box.unit(2)

@@ -575,10 +575,13 @@ def _sup_axis_nodes(ri: int, ti: float, m: int) -> tuple[np.ndarray, np.ndarray]
 
 def _coarse_grid_empty(r: Sequence[int], t: Sequence[float], box: Box, h_samples: int) -> bool:
     """True when no step of the sup rule with ``h_samples`` nodes (the coarse
-    grid of a nested sweep) is live in the sweep of any axis subset of ``r``.
-    A step is live only when each of its one-axis parts is, so the one-axis
-    subsets decide: does a node h of axis i leave the shift ``r_i h`` room?"""
+    grid of a nested sweep) is live in the sweep of any subset of the
+    active axes of ``r``.  A step is live only when each of its one-axis
+    parts is, so the one-axis subsets decide: does a node h of an active
+    axis i leave the shift ``r_i h`` room?"""
     for i, (ri, ti) in enumerate(zip(r, t)):
+        if ri == 0:
+            continue
         nodes = _sup_axis_nodes(ri, ti, h_samples)[0]
         lo, hi = _shrunk(box, np.outer(ri * nodes, np.eye(box.dim)[i]))
         if np.all(hi > lo, axis=1).any():

@@ -22,15 +22,19 @@ matched to the convexity of each exponent regime:
                 prod(r) + 1 nodes are exchanged until the maximum
                 residual meets the reference's levelled error, which is
                 a lower bound on the optimum and certifies it;
-* 0 < p < 1     multi-start majorize-minimize descent on the smoothed
-                objective sum (res^2 + eps^2)^(p/2) with a decreasing
-                eps schedule; the starts advance together, one step of
-                each per round, and each step is solved from the current
-                residual by the weighted normal equations, built axis by
-                axis; the returned value is an upper bound on the
-                discrete optimum and the spread of local minima is
-                reported.  That spread is not a certificate: the starts
-                can agree on a local minimum far above the optimum.
+* 0 < p < 1     with one coefficient (r all ones) the exact best
+                constant of :func:`best_constant`, whose error is the
+                discrete optimum and is returned as its own lower bound;
+                with more, multi-start majorize-minimize descent on the
+                smoothed objective sum (res^2 + eps^2)^(p/2) with a
+                decreasing eps schedule; the starts advance together,
+                one step of each per round, and each step is solved from
+                the current residual by the weighted normal equations,
+                built axis by axis; the returned value is an upper bound
+                on the discrete optimum and the spread of local minima
+                is reported.  That spread is not a certificate: the
+                starts can agree on a local minimum far above the
+                optimum.
 
 Every regime does its tensor-product algebra with one contraction,
 ``_contract_stack``, one matrix per axis: the projection, the monomial
@@ -232,13 +236,16 @@ def best_approx(
     """Best tensor-polynomial approximation of grid samples in L_p.
 
     Requires at least ``2 r_i`` grid points per axis.  The achieved
-    error is the discrete quasi-norm of the residual; for the nonconvex
-    regime 0 < p < 1 it is an upper bound on the discrete optimum.  At
-    p = 1 and p = inf the diagnostics carry ``lower_bound``, a dual
-    lower bound on the optimum, and the relative ``gap`` to it.
-    Non-convergence within the iteration budget is flagged in the
-    result, not raised; for 0 < p < 1 ``converged`` says whether the
-    returned start's last (finest eps) descent stage met its stop test.
+    error is the discrete quasi-norm of the residual.  At p = 1 and
+    p = inf the diagnostics carry ``lower_bound``, a dual lower bound on
+    the optimum, and the relative ``gap`` to it.  For 0 < p < 1 with
+    r all ones (k = 1) the fit is :func:`best_constant`'s exact
+    constant, method ``exact-constant``, with ``lower_bound`` equal to
+    the error and ``gap`` 0; ``seed`` is not used.  For 0 < p < 1 with
+    more coefficients the error is an upper bound on the discrete
+    optimum, and ``converged`` says whether the returned start's last
+    (finest eps) descent stage met its stop test.  Non-convergence
+    within the iteration budget is flagged in the result, not raised.
     """
     r = _orders(r, 1)
     if len(r) != g.box.dim:
@@ -251,6 +258,12 @@ def best_approx(
                 f"grid with {n} points per axis is underdetermined for degree bound {ri}"
             )
     p = float(p)
+    if p < 1.0 and math.prod(r) == 1:
+        # one coefficient: the exact best constant, so the error is the optimum
+        beta, err = best_constant(g, p)
+        return BestApproxResult(
+            TensorPolynomial(np.full(r, beta)), err, True, _certified("exact-constant", 0, err, err)
+        )
     dim = g.box.dim
     bases = []
     monos = []
@@ -738,9 +751,11 @@ def best_constant(g: GridFunction, p: float) -> tuple[float, float]:
       argmin of the whole n x n table of scores, bit for bit, and for
       ties the first value in row-major order wins; a branch-and-bound
       over segments of the sorted distinct values finds it without the
-      table, dropping a segment only when its lower bound exceeds the
-      best score by more than a rounding margin of ``2 gamma_n`` plus a
-      few ulps of pow per term (see ``_concave_constant``).  Tables that
+      table, dropping a segment only when its lower bound (the lesser
+      endpoint value of the concave sum of the terms outside it)
+      exceeds the best score by more than a rounding margin of
+      ``2 gamma_n`` plus a few ulps per term (see
+      ``_concave_constant``).  Tables that
       fit one pass (n <= 256), and values whose scores could be
       subnormal or overflow, are scanned whole.
     """
@@ -770,7 +785,7 @@ def best_constant(g: GridFunction, p: float) -> tuple[float, float]:
 _TABLE = 1 << 16
 # The p < 1 search's first cut of the sorted distinct values, and the
 # parts each surviving segment is cut into after that.
-_SEGMENTS = 64
+_SEGMENTS = 16
 _SPLIT = 4
 
 
@@ -785,25 +800,33 @@ def _concave_constant(v: np.ndarray, p: float, cell_volume: float) -> float:
 
     * equal values have equal rows, so only the distinct values are
       candidates, each standing for its first row-major index;
-    * a segment ``[lo, hi]`` of the sorted distinct values scores at
-      least ``sum_j dist(v_j, [lo, hi])^p``, because every computed
-      ``|v_j - beta|`` with ``beta`` in the segment is at least the
-      computed distance (rounding is monotone);
+    * on a segment ``[lo, hi]`` of the sorted distinct values, the terms
+      of the ``v_j`` outside it are concave in ``beta`` (each is
+      ``(beta - v_j)^p`` or ``(v_j - beta)^p`` with a positive base), so
+      their sum ``O(beta)`` is least at an endpoint, and every score in
+      the segment is at least ``min(O(lo), O(hi))``; the terms inside
+      are dropped, as they are at least 0;
     * the best score met so far (the lower median's, then the middle
-      value of each round's lowest-bound segment) is an upper bound, and
-      a segment whose bound exceeds it by more than the rounding can
-      explain is dropped; the others are cut into ``_SPLIT`` parts until
-      only single values are left, whose scores are computed exactly and
+      value of each round's segment of least ``O(lo)``) is an upper
+      bound, and a segment is dropped when both ``O(lo)`` and ``O(hi)``
+      exceed it by more than the rounding can explain (``O(hi)`` is
+      computed only for the segments whose ``O(lo)`` does); the others
+      are cut into ``_SPLIT`` parts until only single values are left,
+      where ``O`` is the score, bit for bit, and whose scores are
       compared as in the whole table.
 
-    The bound and a score sum their terms in different orders, so the
-    allowed excess is ``2 gamma_n`` for the two n-term sums (the
+    The bound rests on exact arithmetic, so the allowed excess covers
+    the computed bound being above its exact value and the computed
+    score below its own: ``2 gamma_n`` for the two n-term sums (the
     recursive-summation bound ``gamma_n = n u / (1 - n u)``, Higham,
     *Accuracy and Stability of Numerical Algorithms*, 2nd ed. 2002,
-    §4.2) plus ``(n + 8) eps`` for pow's rounding of each term and for
-    terms that underflow.  That holds while every score is a normal
-    double before and after scaling, which the search checks from the
-    least gap and the span of the values.  A table that fits one pass
+    §4.2), and ``(n + 8) eps`` for each term's rounding on both sides
+    (half an ulp for the difference, which the power p < 1 does not
+    enlarge, and at most 2 ulps for pow: 5 eps for the two sides)
+    and for terms that underflow (at most ``n eps`` of a score that is
+    a normal double).  That holds while every score is a normal double
+    before and after scaling, which the search checks from the least
+    gap and the span of the values.  A table that fits one pass
     (n <= 256), and values whose scores could be subnormal or overflow,
     get the plain scan of every row.
     """
@@ -813,7 +836,7 @@ def _concave_constant(v: np.ndarray, p: float, cell_volume: float) -> float:
 
     def first_least(idx):
         # the first of the ascending row-major indices idx with the least scaled score
-        return float(v[idx[int(np.argmin(_row_sums(v, v[idx], None, p, table) * cell_volume))]])
+        return float(v[idx[int(np.argmin(_row_sums(v, v[idx], p, table) * cell_volume))]])
 
     if n <= rows:
         return first_least(np.arange(n))
@@ -835,15 +858,19 @@ def _concave_constant(v: np.ndarray, p: float, cell_volume: float) -> float:
     limit = 1.0 + 2.0 * gamma + (n + 8) * eps
 
     def score(k):
-        return float(_row_sums(v, u[k : k + 1], None, p, table)[0])
+        return float(_row_sums(v, u[k : k + 1], p, table)[0])
 
     best = score(int(np.searchsorted(u, s[(n - 1) // 2])))
     a, b = _split(np.array([0]), np.array([u.size - 1]), _SEGMENTS)
     while True:
-        bounds = _row_sums(v, u[a], u[b], p, table)
-        i = int(np.argmin(bounds))
+        at_lo = _row_sums(v, u[a], p, table, u[a], u[b])
+        i = int(np.argmin(at_lo))
         best = min(best, score((a[i] + b[i]) // 2))
-        keep = bounds <= best * limit
+        keep = at_lo <= best * limit
+        # a single value's O(hi) is its O(lo)
+        far = ~keep & (a < b)
+        if far.any():
+            keep[far] = _row_sums(v, u[b[far]], p, table, u[a[far]], u[b[far]]) <= best * limit
         a, b = a[keep], b[keep]
         if np.all(a == b):
             break
@@ -860,20 +887,19 @@ def _split(a: np.ndarray, b: np.ndarray, parts: int) -> tuple[np.ndarray, np.nda
     return lo[live], hi[live]
 
 
-def _row_sums(v, lo, hi, p, table) -> np.ndarray:
-    """``sum_j |v_j - lo_i|^p`` for each i (``hi`` None), or the segment
-    bounds ``sum_j dist(v_j, [lo_i, hi_i])^p``, one table pass of
-    ``table``'s rows at a time, each row summed in ``v``'s order."""
-    out = np.empty(lo.size)
-    for start in range(0, lo.size, table.shape[0]):
-        stop = min(lo.size, start + table.shape[0])
+def _row_sums(v, at, p, table, lo=None, hi=None) -> np.ndarray:
+    """``sum_j |v_j - at_i|^p`` for each i, or with segments ``[lo_i,
+    hi_i]`` the same sum over the ``v_j`` outside segment i only, one
+    table pass of ``table``'s rows at a time, each row summed in ``v``'s
+    order."""
+    out = np.empty(at.size)
+    for start in range(0, at.size, table.shape[0]):
+        stop = min(at.size, start + table.shape[0])
         t = table[: stop - start]
-        if hi is None:
-            np.subtract(v[None, :], lo[start:stop, None], out=t)
-        else:
-            np.clip(v[None, :], lo[start:stop, None], hi[start:stop, None], out=t)
-            np.subtract(t, v[None, :], out=t)
+        np.subtract(v[None, :], at[start:stop, None], out=t)
         np.abs(t, out=t)
+        if lo is not None:
+            t[(v >= lo[start:stop, None]) & (v <= hi[start:stop, None])] = 0.0
         t **= p
         out[start:stop] = t.sum(axis=1)
     return out

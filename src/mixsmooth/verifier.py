@@ -367,6 +367,8 @@ def _equivalence_pairs(
     density = settings.grid_for(box)
     g = sample_on_grid(fn, box, density)
     sup_c, sup_f = _with_gap(total_sup_terms, fn, r, t, box, settings, ps)
+    # with no coarse step sampled the refinement gap cannot be measured
+    unsampled = _coarse_grid_empty(r, t, box, settings.h_samples)
     finite = [p for p in ps if p != math.inf]
     mean_terms = {}
     if finite:
@@ -388,6 +390,17 @@ def _equivalence_pairs(
             floor,
         )
         params = _base_params(box, settings, r=list(r), t=list(map(float, t)), p=_p_str(p))
+        details_hard = {"h_gap": gap, "omega_coarse": omega}
+        details_ratio = {}
+        ratio = None
+        passed_ratio: bool | None = None
+        if unsampled:
+            passed = None
+            details_hard["coarse_grid_empty"] = details_ratio["coarse_grid_empty"] = True
+        elif mean > floor:
+            ratio = omega / mean
+        elif omega > floor:
+            passed_ratio = False  # sup side above noise while the mean vanished
         rep_hard = InequalityReport(
             check="equivalence-mean-le-sup",
             function=_name(fn),
@@ -397,14 +410,8 @@ def _equivalence_pairs(
             explicit_constant=1.0,
             vacuous=vac,
             passed=passed,
-            details={"h_gap": gap, "omega_coarse": omega},
+            details=details_hard,
         )
-        ratio = None
-        passed_ratio: bool | None = None
-        if mean > floor:
-            ratio = omega / mean
-        elif omega > floor:
-            passed_ratio = False  # sup side above noise while the mean vanished
         rep_ratio = InequalityReport(
             check="equivalence-ratio",
             function=_name(fn),
@@ -414,7 +421,7 @@ def _equivalence_pairs(
             empirical_constant=ratio,
             vacuous=vac,
             passed=passed_ratio,
-            details={},
+            details=details_ratio,
         )
         pairs.append((rep_hard, rep_ratio))
     return pairs
@@ -433,7 +440,11 @@ def equivalence_report(
     Direction 1 is hard: the p-mean total modulus never exceeds the
     sup total modulus (a mean cannot beat a supremum); the sup side is
     inflated by its step-grid refinement gap since it sits on the
-    right.  Direction 2 records the empirical ratio sup/mean.
+    right.  Direction 2 records the empirical ratio sup/mean.  When no
+    step of the coarse grid leaves a nonempty domain, that gap cannot
+    be measured and the coarse sup is 0, so both reports are unresolved
+    (``passed`` and the ratio are None, ``details["coarse_grid_empty"]``
+    is set).
     """
     return _equivalence_pairs(fn, r, t, [p], box, settings)[0]
 
@@ -742,7 +753,10 @@ def constant_bound_report(
     at steps up to the box size.  That range carries an explicit
     constant 2 and is checked hard; other p report the ratio only.
     The |Q| normalization mirrors the unit-square form of the display
-    and is recorded in the metadata.
+    and is recorded in the metadata.  When the coarse step grid of
+    either sweep leaves no nonempty domain, the right side misses that
+    term and its gap, so the report is unresolved (``passed`` and the
+    ratio are None, ``details["coarse_grid_empty"]`` is set).
     """
     return _constant_bound(fn, [p], box, settings)[0]
 
@@ -756,10 +770,10 @@ def _constant_bound(fn, p_values, box, settings) -> list[InequalityReport]:
         raise ValueError("the best-constant bound is a statement about finite p")
     g = sample_on_grid(fn, box, settings.grid_for(box))
     t = tuple(box.size)
-    sweeps = [
-        _with_gap(sup_modulus_sweep, fn, restrict_order((1, 1), e), t, box, settings, ps)
-        for e in ((0,), (1,))
-    ]
+    orders = [restrict_order((1, 1), e) for e in ((0,), (1,))]
+    sweeps = [_with_gap(sup_modulus_sweep, fn, o, t, box, settings, ps) for o in orders]
+    # a sweep with no coarse step sampled leaves its term, and its gap, 0
+    unsampled = any(_coarse_grid_empty(o, t, box, settings.h_samples) for o in orders)
     scale = float(np.abs(g.values).max(initial=0.0))
     reports = []
     for p in ps:
@@ -772,6 +786,14 @@ def _constant_bound(fn, p_values, box, settings) -> list[InequalityReport]:
         right = 2.0 * sum((c * (1.0 + gp)) ** p for (c, _), gp in zip(moduli, gaps))
         hard = p <= 1.0
         vac, passed = _verdict(left, right, right * (1.0 + _TOLERANCES["hard_rel"]), floor)
+        details = {
+            "beta": beta,
+            "h_gaps": gaps,
+            "normalization": "both sides per unit volume of the box",
+            "mode": "hard" if hard else "ratio-only",
+        }
+        if unsampled:
+            details["coarse_grid_empty"] = True
         reports.append(
             InequalityReport(
                 check="constant-lemma",
@@ -780,15 +802,12 @@ def _constant_bound(fn, p_values, box, settings) -> list[InequalityReport]:
                 left=left,
                 right=right,
                 explicit_constant=2.0 if hard else None,
-                empirical_constant=(left / right_raw) if right_raw > floor else None,
+                empirical_constant=(
+                    (left / right_raw) if right_raw > floor and not unsampled else None
+                ),
                 vacuous=vac,
-                passed=passed if hard else None,
-                details={
-                    "beta": beta,
-                    "h_gaps": gaps,
-                    "normalization": "both sides per unit volume of the box",
-                    "mode": "hard" if hard else "ratio-only",
-                },
+                passed=passed if hard and not unsampled else None,
+                details=details,
             )
         )
     return reports

@@ -375,6 +375,24 @@ def test_verify_whitney_exits_zero_when_the_coarse_step_grid_samples_nothing(tmp
     assert all(r["passed"] is None and r["empirical_constant"] is None for r in unresolved)
 
 
+def test_verify_all_exits_zero_when_the_coarse_step_grid_samples_nothing(tmp_path):
+    # 3 step samples: the constant lemma's coarse grid and that of the
+    # r = (2, 2) equivalence sweeps at t = 1/2 sample no step
+    code, doc = run_json(
+        tmp_path,
+        ["verify", "--suite", "all", "--fn", "exp_sum_2d", "--grid", "8", "--hsamples", "3"],
+    )
+    assert code == 0
+    unresolved = {r["check"] for r in doc["records"] if r["details"].get("coarse_grid_empty")}
+    assert unresolved == {
+        "whitney-ratio",
+        "equivalence-mean-le-sup",
+        "equivalence-ratio",
+        "constant-lemma",
+    }
+    assert not [r for r in doc["records"] if r["passed"] is False]
+
+
 @pytest.mark.parametrize(
     "args, needle",
     [

@@ -494,6 +494,18 @@ def test_coarse_grid_empty_is_no_live_step_in_any_subset_sweep(r, box, m):
     assert differences._coarse_grid_empty(r, t, box, m) == (live == 0)
 
 
+@pytest.mark.parametrize("r", [(1, 0), (0, 1), (2, 0)])
+@pytest.mark.parametrize("m", [3, 5])
+def test_coarse_grid_empty_reads_only_the_active_axes(r, m):
+    # the constant lemma's one-axis sweeps: an inactive axis's step 0 samples nothing
+    box = Box.unit(2)
+    t = tuple(box.size)
+    steps, _ = differences._node_steps(False, r, _bits(t), m)
+    bounds = _bits(box.lower + box.upper)
+    live = differences._plan(r, steps.shape, steps.tobytes(), bounds, (8, 8)).live.size
+    assert differences._coarse_grid_empty(r, t, box, m) == (live == 0)
+
+
 def test_f_calls_per_sweep_at_most_the_chunks(monkeypatch):
     entry = get_function("exp_sum_2d")
     calls = []

@@ -460,11 +460,13 @@ def test_identity_stack_contraction_is_the_kronecker_design(dim):
         assert design.tobytes() == kron.tobytes()
 
 
+# every case has more than one coefficient: one coefficient is the exact
+# best constant, not the descent
 LOCKSTEP_CASES = [
     ("holder_half_1d", 64, (2,)),
-    ("holder_half_2d", 16, (1, 1)),
+    ("holder_half_2d", 16, (1, 2)),
     ("holder_half_2d", 16, (2, 2)),
-    ("holder_half_2d", 64, (1, 1)),
+    ("holder_half_2d", 64, (2, 1)),
     ("holder_half_2d", 64, (2, 2)),
     ("exp_sum_3d", 8, (2, 1, 2)),
 ]
@@ -484,6 +486,60 @@ def test_lockstep_descent_matches_per_start_oracle(case, seed):
     assert res.converged == converged
     assert diag["start_errors"] == pytest.approx(start_errors, rel=1e-9, abs=1e-12)
     assert res.error <= error * (1.0 + 1e-9) + 1e-12
+
+
+K1_CASES = [
+    ("holder_half_1d", 64, (1,)),
+    ("abs_kink_1d", 64, (1,)),
+    ("holder_half_2d", 16, (1, 1)),
+    ("trig_rand_2d_a", 16, (1, 1)),
+    ("exp_sum_3d", 8, (1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("case", K1_CASES, ids=_case_id)
+def test_small_p_with_one_coefficient_is_the_exact_best_constant(case):
+    name, grid, r = case
+    g = sample_on_grid(get_function(name), Box.unit(len(r)), grid)
+    for p in (0.1, 0.25, 0.5, 0.9):
+        res = best_approx(g, r, p, seed=3)
+        assert res.polynomial.coeffs.shape == r
+        got = (float(res.polynomial.coeffs.reshape(-1)[0]), res.error)
+        assert _same_bits(got, best_constant(g, p)), (name, p)
+        assert res.converged
+        assert res.diagnostics == {
+            "method": "exact-constant",
+            "iterations": 0,
+            "lower_bound": res.error,
+            "gap": 0.0,
+        }
+        # the optimum: never above what the multistart reached
+        error, *_ = _oracle_multistart(g, r, p, 3)
+        assert res.error <= error * (1.0 + 1e-12), (name, p)
+
+
+def test_small_p_constant_fits_are_invariant_under_shift_and_scale():
+    # E(lam f + c) = |lam| E(f) for the best constant at p = 1/2,
+    # r = (1, 1), on the d = 2 corpus at 64^2.  One rounding allowance, in
+    # the p-th powers: against the same sample value, the computed
+    # residuals of lam f + c and |lam| times those of f differ by at most
+    # delta = 3 eps (|c| + |lam| max|f|) (the rounding of the shifted or
+    # scaled values and of each subtraction), and
+    # | |a|^p - |b|^p | <= |a - b|^p for p <= 1, so every score, and the
+    # least one, moves by at most |Q| delta^p; the n-term sums and the
+    # powers add at most n eps relative.
+    p, r, box = 0.5, (1, 1), Box.unit(2)
+    eps = np.finfo(float).eps
+    for e in corpus_entries(dim=2):
+        g = sample_on_grid(get_function(e.name), box, 64)
+        base = best_approx(g, r, p).error
+        top = float(np.abs(g.values).max())
+        for c, lam in ((10.0, 1.0), (1000.0, 1.0), (0.0, -3.0), (0.0, 2.0**-10)):
+            got = best_approx(GridFunction(box, lam * g.values + c), r, p).error ** p
+            want = (abs(lam) * base) ** p
+            delta = 3.0 * eps * (abs(c) + abs(lam) * top)
+            allowance = box.volume * delta**p + g.values.size * eps * max(got, want)
+            assert abs(got - want) <= allowance, (e.name, c, lam, got, want)
 
 
 def test_best_approx_rejects_underdetermined_grid():

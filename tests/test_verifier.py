@@ -61,6 +61,10 @@ def test_whitney_hard_check_holds_across_p():
             # bracket the reported error
             assert lower <= rep_a.right <= lower * (1.0 + 1e-12) + 1e-13
             assert 0.0 <= gap <= 1e-12
+        elif p == 0.5:
+            # one coefficient below p = 1: the exact constant closes the bracket
+            assert rep_a.details["solver"] == "exact-constant"
+            assert lower == rep_a.right and gap == 0.0
         else:
             assert lower is None and gap is None
 
@@ -517,6 +521,30 @@ def test_whitney_ratio_unresolved_when_no_coarse_step_samples_a_domain():
     _, rep_b = whitney_report(fn, (1, 1), 1.0, Box.unit(2), coarse)
     assert rep_b.passed is None and rep_b.empirical_constant > 0.0
     assert "coarse_grid_empty" not in rep_b.details
+
+
+def test_constant_lemma_and_equivalence_unresolved_when_no_coarse_step_samples_a_domain():
+    # 3 step samples: the coarse nodes +-t shift by r t, which fills the box
+    # for the constant lemma (r = 1, t = 1) and for equivalence at r = 2, t = 1/2
+    fn = get_function("exp_sum_2d")
+    coarse = VerifierSettings(grid=8, h_samples=3)
+    box = Box.unit(2)
+    for p in (0.5, 1.0, 2.0):
+        rep = constant_bound_report(fn, p, box, coarse)
+        assert rep.right == 0.0 and rep.left > 0.0
+        assert rep.passed is None and rep.empirical_constant is None
+        assert rep.details["coarse_grid_empty"] is True
+        hard, ratio = equivalence_report(fn, (2, 2), (0.5, 0.5), p, box, coarse)
+        assert hard.details["omega_coarse"] == 0.0 and ratio.left == 0.0
+        for rep in (hard, ratio):
+            assert rep.passed is None and rep.empirical_constant is None
+            assert rep.details["coarse_grid_empty"] is True
+    # coarse grids that sample leave the records as they were
+    rep = constant_bound_report(fn, 0.5, box, VerifierSettings(grid=8, h_samples=5))
+    assert rep.passed is True and "coarse_grid_empty" not in rep.details
+    for rep in equivalence_report(fn, (1, 1), (0.5, 0.5), 2.0, box, coarse):
+        assert rep.passed is not False and "coarse_grid_empty" not in rep.details
+    assert rep.empirical_constant > 0.0
 
 
 def test_run_suite_whitney_subset_deterministic_records():
