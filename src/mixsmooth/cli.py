@@ -239,6 +239,14 @@ def _per_axis(cfg: RunConfig, key: str, dim: int) -> tuple:
     return values
 
 
+def _orders_from_one(cfg: RunConfig, dim: int, what: str) -> tuple:
+    """The ``--r`` entries for a ``dim``-d function, once every one is >= 1."""
+    r = _per_axis(cfg, "r", dim)
+    if any(v < 1 for v in r):
+        raise ConfigError(f"{what} needs every --r entry >= 1")
+    return r
+
+
 def _require_p(cfg: RunConfig) -> float:
     if cfg.p is None:
         raise ConfigError("--p is required for this operation")
@@ -306,7 +314,8 @@ def cmd_compute(cfg: RunConfig) -> int:
     fn = _require_fn(cfg)
     box = _resolve_box(cfg, fn.dim)
     grid = _per_axis(cfg, "grid", fn.dim)
-    r = _per_axis(cfg, "r", fn.dim)
+    total = cfg.op in ("total-omega", "total-w")
+    r = _orders_from_one(cfg, fn.dim, "a total modulus") if total else _per_axis(cfg, "r", fn.dim)
     record: dict = {
         "op": cfg.op,
         "function": fn.name,
@@ -329,9 +338,6 @@ def cmd_compute(cfg: RunConfig) -> int:
     else:
         p = _require_p(cfg)
         t = _per_axis(cfg, "t", fn.dim)
-        total = cfg.op in ("total-omega", "total-w")
-        if total and any(v < 1 for v in r):
-            raise ConfigError("total moduli need every --r entry >= 1")
         mean = cfg.op in ("modulus-mean", "total-w")
         # at p = inf the mean sweeps give the sup modulus, which needs no step box
         if mean and p != math.inf and any(ti <= 0 for ti, ri in zip(t, r) if ri > 0):
@@ -367,10 +373,8 @@ def cmd_approx(cfg: RunConfig) -> int:
         "grid": list(grid),
     }
     if cfg.op == "best":
-        r = _per_axis(cfg, "r", fn.dim)
+        r = _orders_from_one(cfg, fn.dim, "a best approximation")
         p = _require_p(cfg)
-        if any(ri < 1 for ri in r):
-            raise ConfigError("--r degree bounds must be at least 1")
         for n, ri in zip(grid, r):
             if n < 2 * ri:
                 raise ConfigError(
@@ -389,7 +393,7 @@ def cmd_approx(cfg: RunConfig) -> int:
             }
         )
     elif cfg.op == "taylor":
-        r = _per_axis(cfg, "r", fn.dim)
+        r = _orders_from_one(cfg, fn.dim, "a Taylor polynomial")
         p = math.inf if cfg.p is None else _require_p(cfg)
         if not fn.has_derivatives:
             raise ConfigError(f"corpus entry {fn.name!r} has no derivative data")
@@ -448,15 +452,14 @@ def cmd_verify(cfg: RunConfig) -> int:
             )
         kwargs["names"] = [fn.name]
     if cfg.r:
-        r = _per_axis(cfg, "r", dim)
-        if any(v < 1 for v in r):
-            raise ConfigError("verify needs every --r entry >= 1")
-        kwargs["orders"] = (r,)
+        kwargs["orders"] = (_orders_from_one(cfg, dim, "verify"),)
     if cfg.p is not None:
         kwargs["p_values"] = (_require_p(cfg),)
-    settings = VerifierSettings(
-        grid=_per_axis(cfg, "grid", dim), h_samples=cfg.hsamples, seed=cfg.seed
-    )
+    grid = _per_axis(cfg, "grid", dim)
+    try:  # the settings own the least number of step samples
+        settings = VerifierSettings(grid=grid, h_samples=cfg.hsamples, seed=cfg.seed)
+    except ValueError as exc:
+        raise ConfigError(f"--hsamples: {exc}") from None
     reports = run_suite(cfg.suite, settings, **kwargs)
     if not reports:
         raise ConfigError(f"the selection has no checks in suite {cfg.suite!r}")

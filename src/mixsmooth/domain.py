@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -233,8 +234,10 @@ def lp_quasinorm(g: GridFunction | None, p: float) -> float:
     """Discrete L_p quasi-norm by composite midpoint quadrature.
 
     For finite p this is ``(sum |v|^p * cell_volume)**(1/p)``; for
-    ``p = inf`` the maximum of ``|v|``.  An empty domain (None) counts
-    as 0.  Exponents p <= 0 are rejected.
+    ``p = inf`` the maximum of ``|v|``.  When that sum is not a normal
+    double (0, subnormal or inf) while some ``v`` is nonzero, it is taken
+    in units of ``max |v|`` instead.  An empty domain (None) counts as 0.
+    Exponents p <= 0 are rejected.
     """
     if not p > 0:
         raise ValueError(f"exponent p must be positive, got {p}")
@@ -243,7 +246,11 @@ def lp_quasinorm(g: GridFunction | None, p: float) -> float:
     a, p = np.abs(g.values), float(p)
     if p == math.inf:
         return float(a.max())
-    return float((a**p).sum() * g.cell_volume) ** (1.0 / p)
+    with np.errstate(over="ignore"):
+        total = float((a**p).sum() * g.cell_volume)
+    if not sys.float_info.min <= total < math.inf and (top := float(a.max())) > 0.0:
+        return top * float(((a / top) ** p).sum() * g.cell_volume) ** (1.0 / p)
+    return total ** (1.0 / p)
 
 
 def nonempty_axis_subsets(dim: int) -> list[tuple[int, ...]]:

@@ -42,7 +42,7 @@ from .domain import (
     Box, _count, _evaluate, _orders, grid_points, nonempty_axis_subsets, normalize_grid,
     restrict_order,
 )
-from .differences import _fields, mixed_difference
+from .differences import _fields, _stencil
 
 __all__ = [
     "UnitDecomposition",
@@ -139,16 +139,19 @@ def _worst_residual(
     """Max over the sampled points x and steps h of
     ``|f(x) - sum a_k f(x + k*h) - sum b_e D_h^{r(e)} f(x)|``, with ``a`` from
     ``decomp`` and difference-side coefficients ``b`` (none for the plain
-    residual).  Points whose stencil leaves the box are skipped; it is an
-    error for every point to be skipped, or for a residual to be non-finite,
-    which ``max`` would hide (``max(0.0, nan)`` is 0.0).  Rational
-    coefficients become floats only here, at the sampling boundary.
+    residual).  Each step calls f once, on the offsets j these sums read,
+    and takes every term from that table of f(x + j*h).  Points whose
+    stencil leaves the box are skipped; it is an error for every point to be
+    skipped, or for a residual to be non-finite, which ``max`` would hide
+    (``max(0.0, nan)`` is 0.0).  Rational coefficients become floats only
+    here, at the sampling boundary.
     """
     r = decomp.r
     d = len(r)
     x = grid_points(box, normalize_grid(x_spec, d)).reshape(-1, d)
-    a_float = {k: float(c) for k, c in decomp.a.items()}
-    b_float = {e: float(c) for e, c in b.items()}
+    a = [(float(c), k) for k, c in decomp.a.items()]
+    diffs = [(float(c), _stencil(restrict_order(r, e))) for e, c in b.items()]
+    offsets = sorted({(0,) * d, *(k for _, k in a), *(j for _, st in diffs for _, j in st)})
     worst = None
     for h in h_list:
         hv = np.asarray(h, float)
@@ -156,14 +159,13 @@ def _worst_residual(
         if not mask.any():
             continue
         pts = x[mask]
-        fx = _evaluate(f, pts)
-        recon = np.zeros_like(fx)
-        for k, c in a_float.items():
-            recon += c * _evaluate(f, pts + np.asarray(k) * hv)
-        diff_sum = np.zeros_like(fx)
-        for e, c in b_float.items():
-            diff_sum += c * mixed_difference(f, restrict_order(r, e), hv, pts)
-        top = float(np.abs(fx - recon - diff_sum).max())
+        table = dict(zip(offsets, _evaluate(f, pts + np.asarray(offsets)[:, None, :] * hv)))
+        zero = np.zeros(len(pts))
+        recon = sum((c * table[k] for c, k in a), zero)
+        diff_sum = zero
+        for c, stencil in diffs:
+            diff_sum = diff_sum + c * sum((w * table[j] for w, j in stencil), zero)
+        top = float(np.abs(table[(0,) * d] - recon - diff_sum).max())
         if not math.isfinite(top):
             raise ValueError("non-finite residual: f must be finite on every stencil point")
         worst = top if worst is None else max(worst, top)

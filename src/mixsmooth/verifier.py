@@ -94,8 +94,8 @@ class VerifierSettings:
     refine_h: bool = True
 
     def __post_init__(self):
-        # a single step node (-t) samples no modulus worth reporting
-        object.__setattr__(self, "h_samples", _count(self.h_samples, "h_samples", 2))
+        # 2 nodes (+-t) refine only by the zero step, which every sweep drops
+        object.__setattr__(self, "h_samples", _count(self.h_samples, "h_samples", 3))
 
     def grid_for(self, box: Box) -> tuple[int, ...]:
         return normalize_grid(self.grid, box.dim)
@@ -181,17 +181,19 @@ def _rel_gap(coarse: float, fine: float, floor: float) -> float:
 
 
 def _with_gap(sweep, f, r, t, box, settings: VerifierSettings, ps):
-    """``(coarse, fine)``: ``sweep`` at ``h_samples`` and, refined, at
-    ``2*h_samples - 1`` (the coarse one again without ``refine_h``).
+    """``(coarse, fine, unsampled)``: ``sweep`` at ``h_samples`` and, refined,
+    at ``2*h_samples - 1`` (the coarse one again without ``refine_h``), and
+    whether no coarse step leaves a nonempty domain (coarse values 0).
 
     ``sweep`` is :func:`total_sup_terms` or :func:`sup_modulus_sweep`.
     The refined step grid contains the coarse one, so one refined sweep
     yields both: the coarse values are read off its even-indexed nodes.
     """
     density = settings.grid_for(box)
+    unsampled = _coarse_grid_empty(r, t, box, settings.h_samples)
     if not settings.refine_h:
         coarse = sweep(f, r, t, box, density=density, h_samples=settings.h_samples, p_values=ps)
-        return coarse, coarse
+        return coarse, coarse, unsampled
     fine, coarse = sweep(
         f,
         r,
@@ -202,7 +204,18 @@ def _with_gap(sweep, f, r, t, box, settings: VerifierSettings, ps):
         p_values=ps,
         nested=True,
     )
-    return coarse, fine
+    return coarse, fine, unsampled
+
+
+def _ratio(num: float, den: float, floor: float, unsampled: bool = False):
+    """``(ratio, verdict)`` of the empirical constant ``num / den``: both None
+    when the coarse grid sampled nothing, the ratio when ``den`` is above the
+    noise floor, else no ratio, and a failed verdict if ``num`` is above it."""
+    if unsampled:
+        return None, None
+    if den > floor:
+        return num / den, None
+    return None, (False if num > floor else None)
 
 
 def _name(fn) -> str:
@@ -220,9 +233,8 @@ def _whitney_pairs(
     r = _orders(r, 1)
     ps = [float(p) for p in p_values]
     g = sample_on_grid(fn, box, settings.grid_for(box))
-    terms_c, terms_f = _with_gap(total_sup_terms, fn, r, tuple(box.size), box, settings, ps)
-    # with no coarse step sampled the coarse modulus is 0 by construction
-    unsampled = _coarse_grid_empty(r, box.size, box, settings.h_samples)
+    t = tuple(box.size)
+    terms_c, terms_f, unsampled = _with_gap(total_sup_terms, fn, r, t, box, settings, ps)
     pairs = []
     for p in ps:
         fit = best_approx(g, r, p, seed=settings.seed)
@@ -251,13 +263,7 @@ def _whitney_pairs(
                 "solver_gap": fit.diagnostics.get("gap"),
             },
         )
-        ratio = None
-        passed_b: bool | None = None
-        vac_b = omega <= floor and error <= floor
-        if omega > floor:
-            ratio = error / omega
-        elif error > floor and not unsampled:
-            passed_b = False  # modulus at noise level but the error is not
+        ratio, passed_b = _ratio(error, omega, floor, unsampled)
         details_b = {"solver_converged": fit.converged}
         if unsampled:
             details_b["coarse_grid_empty"] = True
@@ -268,7 +274,7 @@ def _whitney_pairs(
             left=error,
             right=omega,
             empirical_constant=ratio,
-            vacuous=vac_b,
+            vacuous=omega <= floor and error <= floor,
             passed=passed_b,
             details=details_b,
         )
@@ -366,9 +372,7 @@ def _equivalence_pairs(
     ps = [float(p) for p in p_values]
     density = settings.grid_for(box)
     g = sample_on_grid(fn, box, density)
-    sup_c, sup_f = _with_gap(total_sup_terms, fn, r, t, box, settings, ps)
-    # with no coarse step sampled the refinement gap cannot be measured
-    unsampled = _coarse_grid_empty(r, t, box, settings.h_samples)
+    sup_c, sup_f, unsampled = _with_gap(total_sup_terms, fn, r, t, box, settings, ps)
     finite = [p for p in ps if p != math.inf]
     mean_terms = {}
     if finite:
@@ -392,15 +396,10 @@ def _equivalence_pairs(
         params = _base_params(box, settings, r=list(r), t=list(map(float, t)), p=_p_str(p))
         details_hard = {"h_gap": gap, "omega_coarse": omega}
         details_ratio = {}
-        ratio = None
-        passed_ratio: bool | None = None
+        ratio, passed_ratio = _ratio(omega, mean, floor, unsampled)
         if unsampled:
             passed = None
             details_hard["coarse_grid_empty"] = details_ratio["coarse_grid_empty"] = True
-        elif mean > floor:
-            ratio = omega / mean
-        elif omega > floor:
-            passed_ratio = False  # sup side above noise while the mean vanished
         rep_hard = InequalityReport(
             check="equivalence-mean-le-sup",
             function=_name(fn),
@@ -535,7 +534,7 @@ def _superadditivity(fn, r, t, p_values, box, m, settings) -> list[list[Inequali
                 params=params,
                 left=total_left,
                 right=total_right,
-                empirical_constant=(total_left / total_right) if total_right > floor else None,
+                empirical_constant=_ratio(total_left, total_right, floor)[0],
                 vacuous=vac,
                 passed=None,
                 details={},
@@ -705,8 +704,7 @@ def taylor_report(
         right = taylor_remainder_bound(fn.derivative, r, p, box, density=grid)
         lefts.append(left)
         rights.append(right)
-        floor = _floor(floor_scale)
-        constants.append(left / right if right > floor else None)
+        constants.append(_ratio(left, right, _floor(floor_scale))[0])
     ratios = []
     ok = True
     usable = [c for c in constants if c is not None]
@@ -773,13 +771,13 @@ def _constant_bound(fn, p_values, box, settings) -> list[InequalityReport]:
     orders = [restrict_order((1, 1), e) for e in ((0,), (1,))]
     sweeps = [_with_gap(sup_modulus_sweep, fn, o, t, box, settings, ps) for o in orders]
     # a sweep with no coarse step sampled leaves its term, and its gap, 0
-    unsampled = any(_coarse_grid_empty(o, t, box, settings.h_samples) for o in orders)
+    unsampled = any(empty for _, _, empty in sweeps)
     scale = float(np.abs(g.values).max(initial=0.0))
     reports = []
     for p in ps:
         beta, err = best_constant(g, p)
         left = err**p / box.volume
-        moduli = [(coarse[p], fine[p]) for coarse, fine in sweeps]
+        moduli = [(coarse[p], fine[p]) for coarse, fine, _ in sweeps]
         floor = _floor(scale) ** min(p, 1.0)
         right_raw = 2.0 * sum(c**p for c, _ in moduli)
         gaps = [_rel_gap(c, f, _floor(scale)) for c, f in moduli]
@@ -802,9 +800,7 @@ def _constant_bound(fn, p_values, box, settings) -> list[InequalityReport]:
                 left=left,
                 right=right,
                 explicit_constant=2.0 if hard else None,
-                empirical_constant=(
-                    (left / right_raw) if right_raw > floor and not unsampled else None
-                ),
+                empirical_constant=_ratio(left, right_raw, floor, unsampled)[0],
                 vacuous=vac,
                 passed=passed if hard and not unsampled else None,
                 details=details,

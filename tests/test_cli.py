@@ -303,6 +303,28 @@ def test_hsamples_below_two_is_config_error(capsys):
     assert "--hsamples" in err
 
 
+def test_verify_rejects_two_step_samples_which_compute_takes(capsys):
+    # two samples refine by the zero step alone, so the refinement gap reads 0
+    args = ["verify", "--suite", "equivalence", "--fn", "exp_sum_1d", "--grid", "8"]
+    assert "--hsamples" in _config_error(capsys, args + ["--hsamples", "2"])
+    compute = ["compute", "modulus-sup", "--fn", "linear_1d", "--r", "1", "--p", "1", "--t", "0.3"]
+    assert main(compute + ["--hsamples", "2"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["compute", "total-omega", "--fn", "sin_prod_2d", "--p", "1", "--t", "0.25"],
+        ["approx", "best", "--fn", "sin_prod_2d", "--p", "1"],
+        ["approx", "taylor", "--fn", "sin_prod_2d"],
+        ["verify", "--suite", "whitney", "--fn", "sin_prod_2d"],
+    ],
+)
+def test_every_op_that_needs_orders_of_at_least_one_rejects_zero(capsys, args):
+    assert "--r" in _config_error(capsys, args + ["--r", "0", "--grid", "2"])
+
+
 def test_negative_step_bound_is_config_error(capsys):
     args = ["compute", "modulus-sup", "--fn", "linear_1d", "--r", "1", "--p", "1"]
     assert "--t" in _config_error(capsys, args + ["--t", "-0.5"])

@@ -27,6 +27,7 @@ from mixsmooth import (
     unit_decomposition,
     whitney_report,
 )
+from mixsmooth.corpus import corpus_entries
 from mixsmooth.differences import mean_modulus_sweep, sup_modulus_sweep
 from mixsmooth.domain import (
     _CHUNK_POINTS,
@@ -126,6 +127,25 @@ def test_quasinorm_power_additive_over_partition():
         whole = lp_quasinorm(g, p) ** p
         parts = lp_quasinorm(left, p) ** p + lp_quasinorm(right, p) ** p
         assert whole == pytest.approx(parts, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "value, p, box",
+    [(1e-3, 400.0, Box.unit(2)), (3.0, 1000.0, Box((0.0, 0.0), (1.0, 2.0)))],
+)
+def test_quasinorm_of_a_constant_at_large_p_is_exact(value, p, box):
+    # |v|^p under- (1e-3^400) or overflows (3^1000); the exact value is
+    # |v| * volume^(1/p)
+    g = GridFunction(box, np.full((8, 8), value))
+    assert lp_quasinorm(g, p) == pytest.approx(value * box.volume ** (1.0 / p), rel=1e-13)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+def test_quasinorm_keeps_the_plain_formula_on_the_corpus(p):
+    for entry in corpus_entries(dim=2):
+        g = sample_on_grid(entry, Box.unit(2), 16)
+        plain = float((np.abs(g.values) ** p).sum() * g.cell_volume) ** (1.0 / p)
+        assert lp_quasinorm(g, p) == plain, entry.name
 
 
 @settings(max_examples=25, deadline=None)
@@ -334,7 +354,7 @@ _COUNT_CALLS = {
     ).to_record()),
     "halving_identity": ("k", 1, 2, halving_identity),
     "estimate_constants": ("grid", 1, 8, lambda v: estimate_constants(["exp_sum_2d"], (1, 1), [1.0], [v])),
-    "VerifierSettings": ("h_samples", 2, 3, lambda v: _records(
+    "VerifierSettings": ("h_samples", 3, 3, lambda v: _records(
         whitney_report(_EXP, (1, 1), 1.0, _SQUARE, VerifierSettings(grid=8, h_samples=v))
     )),
     "ModulusRequest": ("h_samples", 2, 3, lambda v: repr(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mixsmooth import identities
+from mixsmooth.corpus import get_function
 from mixsmooth.differences import mixed_difference
 from mixsmooth.domain import Box, grid_points, nonempty_axis_subsets, restrict_order
 from mixsmooth.identities import (
@@ -217,3 +218,51 @@ def test_halving_identity_exact_through_ten():
             x = Fraction(2 * n + 1, 7)
             p = sum(c * x**j for (j,), c in witness.items())
             assert (x - 1) ** k == Fraction(1, 2**k) * (x * x - 1) ** k + p * (x - 1) ** (k + 1)
+
+
+def _parent_worst(f, r, b, box, h_list, n):
+    """The reproduction residual as one call of f per term, with each
+    difference from ``mixed_difference``: the oracle the stencil table of
+    ``_worst_residual`` must match bit for bit."""
+    decomp = unit_decomposition(r)
+    x = grid_points(box, n).reshape(-1, len(r))
+    worst = 0.0
+    for h in h_list:
+        hv = np.asarray(h, float)
+        pts = x[box.contains(x) & box.contains(x + np.asarray(r) * hv)]
+        fx = f(pts)
+        recon = np.zeros_like(fx)
+        for k, c in decomp.a.items():
+            recon += float(c) * f(pts + np.asarray(k) * hv)
+        diff_sum = np.zeros_like(fx)
+        for e, c in b(decomp).items():
+            diff_sum += float(c) * mixed_difference(f, restrict_order(r, e), hv, pts)
+        worst = max(worst, float(np.abs(fx - recon - diff_sum).max()))
+    return worst
+
+
+@pytest.mark.parametrize("r", [(2,), (3,), (1, 1), (2, 2)])
+def test_reproduction_checks_evaluate_each_stencil_offset_once_per_step(r):
+    # the suite's reproduction block: its probe, steps and sample grid
+    d = len(r)
+    box = Box.unit(d)
+    probe = get_function("exp_sum_1d" if d == 1 else "exp_sum_2d")
+    h_list = [tuple(0.04 + 0.015 * j for _ in range(d)) for j in range(3)]
+    x = grid_points(box, 8).reshape(-1, d)
+    valid = [int(identities._valid_sample_mask(x, np.asarray(h), r, box).sum()) for h in h_list]
+    sizes = []
+
+    def f(X):
+        sizes.append(X.shape[:-1])
+        return probe(X)
+
+    # the gap reads every offset 0 <= j <= r, the plain residual 0 and each k of a
+    cases = [
+        (reproduction_identity_gap, lambda dec: dec.b, math.prod(ri + 1 for ri in r)),
+        (reproduction_residual, lambda dec: {}, 1 + math.prod(r)),
+    ]
+    for check, b, offsets in cases:
+        sizes.clear()
+        value = check(f, r, box, h_list, 8)
+        assert sizes == [(offsets, n) for n in valid]
+        assert value == _parent_worst(probe, r, b, box, h_list, 8)

@@ -69,10 +69,30 @@ def test_whitney_hard_check_holds_across_p():
             assert lower is None and gap is None
 
 
-def test_settings_reject_fewer_than_two_step_samples():
-    with pytest.raises(ValueError, match="h_samples"):
-        VerifierSettings(h_samples=1)
-    assert VerifierSettings(h_samples=2).h_samples == 2
+def test_settings_reject_fewer_than_three_step_samples():
+    # two samples (+-t) refine to three whose one new node, the zero step,
+    # every sweep drops: the refinement gap would read 0 by construction
+    for n in (1, 2):
+        with pytest.raises(ValueError, match="h_samples"):
+            VerifierSettings(h_samples=n)
+    assert VerifierSettings(h_samples=3).h_samples == 3
+
+
+@pytest.mark.parametrize(
+    "num, den, floor, unsampled, expected",
+    [
+        (1.0, 2.0, 1e-9, False, (0.5, None)),  # den above the floor: the ratio
+        (0.0, 2.0, 1e-9, False, (0.0, None)),
+        (1.0, 1e-9, 1e-9, False, (None, False)),  # den at the floor, num above
+        (1.0, 0.0, 1e-9, False, (None, False)),
+        (1e-9, 1e-9, 1e-9, False, (None, None)),  # both at the floor: vacuous
+        (0.0, 0.0, 1e-9, False, (None, None)),
+        (1.0, 2.0, 1e-9, True, (None, None)),  # nothing sampled: unresolved
+        (1.0, 0.0, 1e-9, True, (None, None)),
+    ],
+)
+def test_ratio_rule(num, den, floor, unsampled, expected):
+    assert verifier._ratio(num, den, floor, unsampled) == expected
 
 
 def test_whitney_ratio_stable_under_refinement():
@@ -511,40 +531,44 @@ def test_run_suite_identities_row_is_the_identity_suite():
 def test_whitney_ratio_unresolved_when_no_coarse_step_samples_a_domain():
     # at r = 2 every nonzero coarse node (+-0.5, +-1) of 5 empties the domain
     fn = get_function("exp_sum_2d")
-    coarse = VerifierSettings(grid=12, h_samples=5)
-    rep_a, rep_b = whitney_report(fn, (2, 2), 1.0, Box.unit(2), coarse)
-    assert rep_b.right == 0.0 and rep_b.left > 0.0
-    assert rep_b.passed is None and rep_b.empirical_constant is None
-    assert rep_b.details["coarse_grid_empty"] is True
-    assert rep_a.passed and rep_a.left > 0.0  # the refined grid samples
-    # a coarse grid that samples leaves the record as it was
-    _, rep_b = whitney_report(fn, (1, 1), 1.0, Box.unit(2), coarse)
-    assert rep_b.passed is None and rep_b.empirical_constant > 0.0
-    assert "coarse_grid_empty" not in rep_b.details
+    for refine_h in (True, False):
+        coarse = VerifierSettings(grid=12, h_samples=5, refine_h=refine_h)
+        rep_a, rep_b = whitney_report(fn, (2, 2), 1.0, Box.unit(2), coarse)
+        assert rep_b.right == 0.0 and rep_b.left > 0.0
+        assert rep_b.passed is None and rep_b.empirical_constant is None
+        assert rep_b.details["coarse_grid_empty"] is True
+        # only the refined grid samples a step
+        assert rep_a.passed and (rep_a.left > 0.0) == refine_h
+        # a coarse grid that samples leaves the record as it was
+        _, rep_b = whitney_report(fn, (1, 1), 1.0, Box.unit(2), coarse)
+        assert rep_b.passed is None and rep_b.empirical_constant > 0.0
+        assert "coarse_grid_empty" not in rep_b.details
 
 
 def test_constant_lemma_and_equivalence_unresolved_when_no_coarse_step_samples_a_domain():
     # 3 step samples: the coarse nodes +-t shift by r t, which fills the box
     # for the constant lemma (r = 1, t = 1) and for equivalence at r = 2, t = 1/2
     fn = get_function("exp_sum_2d")
-    coarse = VerifierSettings(grid=8, h_samples=3)
     box = Box.unit(2)
-    for p in (0.5, 1.0, 2.0):
-        rep = constant_bound_report(fn, p, box, coarse)
-        assert rep.right == 0.0 and rep.left > 0.0
-        assert rep.passed is None and rep.empirical_constant is None
-        assert rep.details["coarse_grid_empty"] is True
-        hard, ratio = equivalence_report(fn, (2, 2), (0.5, 0.5), p, box, coarse)
-        assert hard.details["omega_coarse"] == 0.0 and ratio.left == 0.0
-        for rep in (hard, ratio):
+    for refine_h in (True, False):
+        coarse = VerifierSettings(grid=8, h_samples=3, refine_h=refine_h)
+        for p in (0.5, 1.0, 2.0):
+            rep = constant_bound_report(fn, p, box, coarse)
+            assert rep.right == 0.0 and rep.left > 0.0
             assert rep.passed is None and rep.empirical_constant is None
             assert rep.details["coarse_grid_empty"] is True
-    # coarse grids that sample leave the records as they were
-    rep = constant_bound_report(fn, 0.5, box, VerifierSettings(grid=8, h_samples=5))
-    assert rep.passed is True and "coarse_grid_empty" not in rep.details
-    for rep in equivalence_report(fn, (1, 1), (0.5, 0.5), 2.0, box, coarse):
-        assert rep.passed is not False and "coarse_grid_empty" not in rep.details
-    assert rep.empirical_constant > 0.0
+            hard, ratio = equivalence_report(fn, (2, 2), (0.5, 0.5), p, box, coarse)
+            assert hard.details["omega_coarse"] == 0.0 and ratio.left == 0.0
+            for rep in (hard, ratio):
+                assert rep.passed is None and rep.empirical_constant is None
+                assert rep.details["coarse_grid_empty"] is True
+        # coarse grids that sample leave the records as they were
+        sampling = VerifierSettings(grid=8, h_samples=5, refine_h=refine_h)
+        rep = constant_bound_report(fn, 0.5, box, sampling)
+        assert rep.passed is True and "coarse_grid_empty" not in rep.details
+        for rep in equivalence_report(fn, (1, 1), (0.5, 0.5), 2.0, box, coarse):
+            assert rep.passed is not False and "coarse_grid_empty" not in rep.details
+        assert rep.empirical_constant > 0.0
 
 
 def test_run_suite_whitney_subset_deterministic_records():
