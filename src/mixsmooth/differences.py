@@ -41,21 +41,26 @@ of ``f`` at those points in one of two ways, and picks one per call:
   grid, and each run reads its blocks from a strided view of the grid
   values in one gather.
 * **The cloud path.**  Otherwise a chunk holds at most
-  ``_CHUNK_POINTS`` cloud points, and ``f`` is called once per chunk, on
-  the cloud itself, stored coordinate by coordinate as a ``(d, offsets,
-  points)`` buffer.  ``f`` gets its transposed view of shape ``(offsets,
-  points, d)``, in which every coordinate plane ``X[..., i]`` is
-  contiguous.  For each run in a chunk, plane i is filled by adding the
-  per-offset shift to the per-step midpoint once for every ``(offset,
-  step, k_i)`` and broadcasting that small table over the other axes,
-  with no per-point index arithmetic.
+  ``min(_CHUNK_POINTS, 4 * _CHUNK_POINTS // len(stencil))`` field
+  points, so its cloud is at most four caps.  The cloud is stored
+  coordinate by coordinate as a ``(d, offsets, points)`` buffer, and
+  ``f`` is called on it a few stencil offsets at a time: as many as fit
+  ``_CHUNK_POINTS`` points, and one offset of a larger field, whose
+  buffer holds just the offsets of one call.  ``f`` gets the transposed
+  view of its slice, of shape ``(offsets, points, d)``, in which every
+  coordinate plane ``X[..., i]`` is contiguous.  For each run in a
+  chunk, plane i is filled by adding the per-offset shift to the
+  per-step midpoint once for every ``(offset, step, k_i)`` and
+  broadcasting that small table over the other axes, with no per-point
+  index arithmetic.
 
 The choice rests only on the input, and on the rule below that a value
 of ``f`` does not depend on the call it is computed in; so both paths
 give the same bits.  Each point, stencil sum and per-step quadrature sum
-is computed with the same operations in the same order as a
-step-by-step loop, so the values are bit-identical to evaluating one
-step at a time; ``difference_field`` is the one-step case.
+is computed in the same order as a step-by-step loop, with operations
+that give the same bits (``_stencil_sum``), so the values are
+bit-identical to evaluating one step at a time, whatever the chunks;
+``difference_field`` is the one-step case.
 
 Every sweep is one pipeline: a node rule places the step nodes on each
 axis, ``_step_product`` takes their tensor grid, and ``_fields`` and
@@ -75,8 +80,9 @@ keys.  Every array in them is read-only, and no value of ``f`` is kept:
 
 * ``_plan``, keyed by ``(r, steps, box bounds, density)``, holds at most
   ``_PLAN_MEMO`` plans of ``_fields``: the live steps in grid order,
-  their shrunken grids and cell volumes, the runs and chunk bounds, and
-  the lattice bases or the cloud's step and cell-width tables;
+  their shrunken grids and cell volumes, the runs, chunk bounds and
+  offsets per call of ``f``, and the lattice bases or the cloud's step
+  and cell-width tables;
 * ``_node_steps``, keyed by ``(rule, r, t, h_samples)``, holds at most
   ``_STEPS_MEMO`` step lists of the sup and mean node rules, with the
   nested sup sweep's coarse mask.
@@ -88,9 +94,11 @@ The contract on ``f``, here and in every sweep: it receives a float
 array of shape ``(..., d)`` that need not be C-contiguous and returns
 one value per point, of shape ``(...)`` (``domain._evaluate`` checks it).
 A value depends only on its own point: not on the memory layout of the
-argument, and not on the other points of the call.  ``f`` must be
-defined and finite at every midpoint of the box's ``density`` grid,
-which the lattice path evaluates even where no step's cloud reaches.
+argument, and not on the other points of the call.  ``f`` must not
+keep its argument past the call: the engine reuses its memory.  ``f``
+must be defined and finite at every midpoint of the box's ``density``
+grid, which the lattice path evaluates even where no step's cloud
+reaches.
 
 A sup sweep with an odd number ``2m - 1`` of step samples contains the
 sweep with ``m`` samples: ``linspace(-t, t, m)`` equals
@@ -162,6 +170,23 @@ def _stencil(r: Sequence[int]) -> list[tuple[float, tuple[int, ...]]]:
             w *= per_axis[i][j]
         out.append((w, combo))
     return out
+
+
+def _stencil_sum(
+    values: np.ndarray, weights: Sequence[float], columns, scratch: np.ndarray
+) -> None:
+    """``values += w * column`` for each weight and column in turn, bit for
+    bit, without a temporary per weight: a weight 1 or -1 adds or subtracts
+    the column itself (``1 * c`` is ``c``, and ``x + (-c)`` is ``x - c``),
+    and any other weight is multiplied into ``scratch``, of the shape of
+    ``values``."""
+    for w, column in zip(weights, columns):
+        if w == 1.0:
+            values += column
+        elif w == -1.0:
+            values -= column
+        else:
+            values += np.multiply(w, column, out=scratch)
 
 
 def mixed_difference(f: Callable, r: Sequence[int], h: Sequence[float], x) -> np.ndarray:
@@ -285,10 +310,27 @@ class _Plan:
     ``live`` (rows of ``steps``) are in grid order, with their domains
     ``[lo, hi]``, grid shapes and cell volumes.  Each chunk is ``(a, b,
     bounds, runs, grids)``: live steps ``a`` to ``b - 1``, as in
-    :class:`_Chunk`, and the grid shape of each run.  On the lattice path
-    ``bases`` is :func:`_lattice_bases`' table; on the cloud path it is
-    None, and the cloud is built from the live steps' values ``h``, their
-    cell widths ``width`` and the stencil ``offsets``.
+    :class:`_Chunk`, and the grid shape of each run.  ``fills`` holds,
+    chunk by chunk, ``(per_call, per_fill)``: the stencil offsets per call
+    of ``f`` and per fill of the buffer.
+
+    A chunk takes the next steps in grid order while their fields fit
+    its room, and at least one step.  The room is ``_CHUNK_POINTS`` field
+    points on the lattice path, where the calls of ``f`` do not follow
+    the chunks, and ``min(_CHUNK_POINTS, 4 * _CHUNK_POINTS //
+    len(stencil))`` on the cloud path.  There ``f`` takes as many offsets
+    per call as fit ``_CHUNK_POINTS`` points, and at least one, and the
+    buffer holds the coordinates of the whole cloud when it is at most
+    four caps, else those of one call (a single step's larger field).
+    On the lattice path the buffer holds every offset's values.  Every
+    chunk shares one buffer of ``buffer`` floats, and one scratch of
+    ``scratch`` floats for :func:`_stencil_sum`, so that no chunk
+    allocates fresh pages.
+
+    On the lattice path ``bases`` is :func:`_lattice_bases`' table; on
+    the cloud path it is None, and the cloud is built from the live
+    steps' values ``h``, their cell widths ``width`` and the stencil
+    ``offsets``.
     """
 
     weights: tuple[float, ...]
@@ -298,6 +340,9 @@ class _Plan:
     shape: np.ndarray
     cell_volume: np.ndarray
     chunks: tuple[tuple[int, int, np.ndarray, tuple, tuple], ...]
+    fills: tuple[tuple[int, int], ...]
+    buffer: int
+    scratch: int
     bases: np.ndarray | None
     h: np.ndarray | None
     width: np.ndarray | None
@@ -341,18 +386,19 @@ def _plan(r: tuple, steps_shape: tuple, steps_bits: bytes, box_bits: bytes, dens
     # takes more than one call of f; for a cloud of one call, the check
     # cost about what the grid saved when it ran on every call.
     bases = None
-    cloud_points = len(stencil) * offset_of[-1]
+    n_offsets = len(stencil)
+    cloud_points = n_offsets * offset_of[-1]
     if math.prod(density.tolist()) < cloud_points and cloud_points > _CHUNK_POINTS:
         bases = _lattice_bases(r, offsets, steps, lo, width, shape, box, density)
-    # greedy packing: a chunk takes the next steps while their clouds fit
-    # the cap, and at least one step; on the grid, where the calls of f do
-    # not follow the chunks, while their fields fit it
-    room = _CHUNK_POINTS if bases is not None else _CHUNK_POINTS // len(stencil)
+    # greedy packing by field points (see _Plan)
+    room = _CHUNK_POINTS
+    if bases is None:
+        room = min(room, 4 * _CHUNK_POINTS // n_offsets)
     starts = [0]
     while starts[-1] < live.size:
         a = starts[-1]
         starts.append(max(a + 1, bisect.bisect_right(offset_of, offset_of[a] + room) - 1))
-    chunks = []
+    chunks, fills, buffer, largest = [], [], 0, 0
     for a, b in zip(starts, starts[1:]):
         first = bisect.bisect_right(run_starts, a) - 1
         last = bisect.bisect_left(run_starts, b)
@@ -364,12 +410,25 @@ def _plan(r: tuple, steps_shape: tuple, steps_bits: bytes, box_bits: bytes, dens
         )
         bounds = cum[a : b + 1] - cum[a]
         _frozen(bounds)
+        n = offset_of[b] - offset_of[a]
+        per_call = per_fill = n_offsets
+        if bases is None:
+            per_call = max(1, _CHUNK_POINTS // n)
+            if n_offsets * n > 4 * _CHUNK_POINTS:
+                per_fill = per_call
         chunks.append((a, b, bounds, runs, tuple(run_grids[first:last])))
+        fills.append((per_call, per_fill))
+        buffer = max(buffer, per_fill * n * (dim if bases is None else 1))
+        largest = max(largest, n)
+    weights = tuple(w for w, _ in stencil)
+    scratch = 0 if all(abs(w) == 1.0 for w in weights) else largest
     cell_volume = np.prod(width, axis=1)
     cloud = (steps, width, offsets) if bases is None else (None, None, None)
     _frozen(live, lo, hi, shape, cell_volume, bases, *cloud)
-    weights = tuple(w for w, _ in stencil)
-    return _Plan(weights, live, lo, hi, shape, cell_volume, tuple(chunks), bases, *cloud)
+    return _Plan(
+        weights, live, lo, hi, shape, cell_volume, tuple(chunks), tuple(fills), buffer, scratch,
+        bases, *cloud,
+    )
 
 
 def _fields(
@@ -383,10 +442,11 @@ def _fields(
     proportional to the surviving side length, at least one per axis).
     Steps are ordered by ``(number of points, shape)``, smallest grid
     first, and grouped in that order into chunks of at most
-    ``_CHUNK_POINTS`` stencil points (field points, on the lattice path).
-    The order puts equal shapes side by side.  This function owns the
-    runs they form in each chunk: it fills the chunk run by run and
-    hands the runs over in :attr:`_Chunk.runs`, from which
+    ``_CHUNK_POINTS`` field points on the lattice path, and at most
+    ``min(_CHUNK_POINTS, 4 * _CHUNK_POINTS // len(stencil))`` on the
+    cloud path.  The order puts equal shapes side by side.  This function
+    owns the runs they form in each chunk: it fills the chunk run by run
+    and hands the runs over in :attr:`_Chunk.runs`, from which
     :func:`_step_norms` reduces them.  All of that is the memoized
     :func:`_plan`; only the values come from ``f``.
 
@@ -395,15 +455,19 @@ def _fields(
     cloud takes more than one call, ``f`` is called on the grid only
     (:func:`sample_on_grid`) and each run in a chunk reads its
     ``(offset, step)`` values as blocks of it, in one gather
-    (:func:`_blocks`).  Otherwise ``f`` is called once per chunk (a step
-    with more points alone gets a chunk and several calls, each on a few
-    stencil offsets).  Each call's cloud is then a ``(d, offsets,
-    points)`` buffer, and ``f`` gets its ``(offsets, points, d)``
-    transposed view, not C-contiguous, whose coordinate planes ``X[...,
-    i]`` are.  Each run in a chunk fills its part of plane i by
+    (:func:`_blocks`).  Otherwise ``f`` is called on each chunk's cloud a
+    few stencil offsets at a time, as many as fit ``_CHUNK_POINTS``
+    points, and one offset of a larger field.  The chunk's cloud (a
+    larger field's, call by call) is then a ``(d, offsets, points)``
+    buffer, and ``f`` gets the ``(offsets, points, d)`` transposed view of
+    its slice, not C-contiguous, whose coordinate planes ``X[..., i]``
+    are.  Each run in a chunk fills its part of plane i by
     broadcasting the table ``shift + midpoint`` of its ``(offset, step,
-    k_i)`` triples, the one add each point coordinate takes.  A NaN or
-    infinite step is rejected, not swept.
+    k_i)`` triples, the one add each point coordinate takes.  The
+    stencil sum is :func:`_stencil_sum`.  A chunk with a value that is not
+    finite raises ``ValueError``; one sum of the chunk's values settles
+    it, unless that sum is not finite, which a large finite field can
+    make it.  A NaN or infinite step is rejected, not swept.
     """
     dim = box.dim
     steps = np.asarray(steps, float)
@@ -422,33 +486,35 @@ def _fields(
         mid = plan.lo[:, :, None] + half * plan.width[:, :, None]
         move = plan.offsets[:, None, :] * plan.h
         new_axes = (None,) * dim
-    for a, b, bounds, runs, grids in plan.chunks:
+    buffer, scratch = np.empty(plan.buffer), np.empty(plan.scratch)
+    for (a, b, bounds, runs, grids), (per_call, per_fill) in zip(plan.chunks, plan.fills):
         n_pts = int(bounds[-1])
         values = np.zeros(n_pts)
         if plan.bases is not None:
-            evals = np.empty((len(weights), n_pts))
+            evals = buffer[: len(weights) * n_pts].reshape(len(weights), n_pts)
             for grid, (u, v, start, stop) in zip(grids, runs):
                 # a reshaped basic slice is a view: the block values land in evals
                 run = evals[:, start:stop].reshape(len(weights), v - u, *grid)
                 run[...] = _blocks(lattice, grid)[plan.bases[:, a + u : a + v]]
-            for w, column in zip(weights, evals):
-                values += w * column
+            _stencil_sum(values, weights, evals, scratch[:n_pts])
         else:
-            # a step whose cloud alone exceeds the cap takes a few offsets per call
-            per_call = max(1, _CHUNK_POINTS // n_pts)
-            for j in range(0, len(weights), per_call):
-                js = slice(j, j + per_call)
-                cloud = np.empty((dim, len(weights[js]), n_pts))
+            for j in range(0, len(weights), per_fill):
+                js = slice(j, j + per_fill)
+                cloud = buffer[: dim * len(weights[js]) * n_pts].reshape(dim, -1, n_pts)
                 for grid, (u, v, start, stop) in zip(grids, runs):
                     # a reshaped basic slice is a view: the writes land in the cloud
                     run = cloud[:, :, start:stop].reshape(*cloud.shape[:2], v - u, *grid)
                     table = move[js, a + u : a + v, :, None] + mid[a + u : a + v, :, : max(grid)]
                     for i in range(dim):
                         run[i] = table[(..., i, *new_axes[:i], slice(grid[i]), *new_axes[i + 1 :])]
-                evals = _evaluate(f, cloud.transpose(1, 2, 0))
-                for w, column in zip(weights[js], evals):
-                    values += w * column
-        if not np.all(np.isfinite(values)):
+                for k in range(0, cloud.shape[1], per_call):
+                    # each coordinate plane of this slice is contiguous
+                    evals = _evaluate(f, cloud[:, k : k + per_call].transpose(1, 2, 0))
+                    _stencil_sum(values, weights[j + k : j + k + per_call], evals, scratch[:n_pts])
+        # a finite sum has finite terms; a sum that overflows may not
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = values.sum()
+        if not math.isfinite(total) and not np.isfinite(values).all():
             raise ValueError("grid values must all be finite")
         yield _Chunk(
             steps=plan.live[a:b],
@@ -477,7 +543,7 @@ def _step_norms(chunks: Iterable[_Chunk], n_steps: int, ps: Sequence[float]) -> 
             if p == math.inf:
                 out[j, ch.steps] = np.maximum.reduceat(a, ch.bounds[:-1])
                 continue
-            x = a**p
+            x = a if p == 1.0 else a**p
             sums = np.empty(ch.steps.size)
             for u, v, start, stop in ch.runs:
                 sums[u:v] = x[start:stop].reshape(v - u, -1).sum(axis=1)

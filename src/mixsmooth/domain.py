@@ -28,12 +28,16 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-# Points per call of f, in sample_on_grid and in the step sweeps of
-# differences, which pack their chunks by it.  Larger caps gained no
-# speed and raised the peak memory of a sweep: on the benchmark's
-# sweep-fine workload (2-core host, seeds 1-4, one run each) 2^13, 2^14
-# and 2^15 took a median wall_s of 3.72, 3.99 and 3.81 s at a peak RSS
-# of 44.4, 45.2 and 49.0 MB.
+# Points per call of f, at most, in sample_on_grid and in the step sweeps
+# of differences (a sweep passes a step whose grid is larger one stencil
+# offset per call).  The sweeps pack their chunks by field points: up to
+# the cap where they read the box's grid, and up to
+# min(cap, 4 * cap // stencil) where f takes the steps' clouds, so that a
+# chunk's cloud is at most four caps (see differences._Plan).  With that
+# rule, on the benchmark's sweep-fine workload (2-core Xeon host, seed 71,
+# three runs each) 2^12, 2^13 and 2^14 took a median wall_s of 1.42,
+# 1.04 and 1.11 s at a peak RSS of 45.0, 45.1 and 47.0 MB; on
+# sweep-coarse (two runs each) 0.62, 0.57 and 0.59 s.
 _CHUNK_POINTS = 1 << 13
 
 __all__ = [
@@ -210,7 +214,8 @@ def sample_on_grid(f: Callable[[np.ndarray], np.ndarray], box: Box, spec) -> Gri
     """Evaluate ``f`` at every grid midpoint of ``box``.
 
     ``f`` must accept an array of shape ``(..., dim)`` and return the
-    matching ``(...)`` array of values.  Non-finite values are rejected.
+    matching ``(...)`` array of values.  Non-finite values are rejected
+    (by :class:`GridFunction`).
     The points are a ``(dim, points)`` coordinate-major buffer in
     row-major grid order, and ``f`` gets transposed ``(points, dim)``
     views of it, not C-contiguous, of at most ``_CHUNK_POINTS`` points
@@ -225,8 +230,6 @@ def sample_on_grid(f: Callable[[np.ndarray], np.ndarray], box: Box, spec) -> Gri
     vals = np.empty(cloud.shape[1])
     for j in range(0, vals.size, _CHUNK_POINTS):
         vals[j : j + _CHUNK_POINTS] = _evaluate(f, cloud[:, j : j + _CHUNK_POINTS].T)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("function produced non-finite values on the grid")
     return GridFunction(box, vals.reshape(shape))
 
 

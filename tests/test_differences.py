@@ -1,10 +1,12 @@
 import itertools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from mixsmooth import differences
+from mixsmooth import differences, domain
 from mixsmooth.corpus import corpus_entries, get_function
 from mixsmooth.differences import (
     _step_product,
@@ -32,6 +34,7 @@ from mixsmooth.domain import (
     restrict_order,
     sample_on_grid,
 )
+from mixsmooth.identities import annihilation_residual
 from mixsmooth.polyapprox import TensorPolynomial
 
 
@@ -537,13 +540,10 @@ def test_f_calls_per_sweep_at_most_the_chunks(monkeypatch):
                     want = sweep(entry, r, t, box, density=density, h_samples=m, p_values=[1.0])
                 assert got_norms == want
                 continue
-            # same work: the same f calls, point for point, as the oracle,
-            # and every live step's grid once per stencil offset
-            calls.clear()
-            with monkeypatch.context() as mp:
-                mp.setattr(differences, "_fields", _oracle_fields)
-                sweep(counted, r, t, box, density=density, h_samples=m, p_values=[1.0])
-            assert got == [math.prod(shape[:-1]) for shape, _ in calls]
+            # same work: the f calls of the cloud packing rule, point for
+            # point, and every live step's grid once per stencil offset
+            sizes = sorted(math.prod(g) for g in grids if g is not None)
+            assert got == [k * n for k, n in _cloud_calls(sizes, stencil, cap)]
             assert sum(got) == cloud
             # no call exceeds the cap, except one holding a single larger field
             assert max(got) <= max(cap, density**2)
@@ -582,11 +582,14 @@ REFUSALS = [
 def test_sweeps_off_the_grid_or_smaller_than_it_keep_the_cloud(name, r, box, t, m, density):
     f = get_function(name)
     steps = _step_product(_sup_nodes(r, t, m))
-    got, want = [], []
+    got = []
     chunks = list(differences._fields(_recording(f, got), r, steps, box, density))
-    oracle = list(_oracle_fields(_recording(f, want), r, steps, box, density))
-    # the oracle's calls, one (offsets, points, d) cloud per chunk
-    assert got == want
+    oracle = list(_oracle_fields(f, r, steps, box, density))
+    # the calls of the cloud packing rule, (offsets, points, d) each
+    sizes = [n for c in oracle for n in np.diff(c.bounds).tolist()]
+    stencil = len(differences._stencil(r))
+    want = _cloud_calls(sizes, stencil, differences._CHUNK_POINTS)
+    assert got == [(k, n, box.dim) for k, n in want]
     assert sum(math.prod(shape[:-1]) for shape in got) > differences._CHUNK_POINTS
     assert _per_step(chunks) == _per_step(oracle)
 
@@ -721,6 +724,24 @@ def _packed(sizes, room):
     return out
 
 
+def _cloud_room(stencil, cap):
+    """Field points a chunk of the cloud path takes, at most: four caps of
+    cloud points, and at most one cap of field points."""
+    return min(cap, 4 * cap // stencil)
+
+
+def _cloud_calls(sizes, stencil, cap):
+    """``(offsets, points)`` of each call of f on the cloud path: the grid
+    sizes, in grid order, packed greedily into chunks of ``_cloud_room``,
+    and each chunk's offsets, in order, taken as many per call as fit the
+    cap, and at least one."""
+    out = []
+    for n in _packed(sizes, _cloud_room(stencil, cap)):
+        per_call = max(1, cap // n)
+        out += [(min(per_call, stencil - j), n) for j in range(0, stencil, per_call)]
+    return out
+
+
 def _sup_nodes(r, t, m):
     """Per-axis step nodes of a sup sweep with m samples."""
     return [differences._sup_axis_nodes(ri, ti, m)[0] for ri, ti in zip(r, t)]
@@ -790,13 +811,14 @@ def test_fields_bit_identical_to_per_point_oracle(name, r, box, t, density):
         oracle = list(_oracle_fields(f, r, steps, box, density))
         assert _per_step(chunks) == _per_step(oracle)
         # the oracle's grid sizes in the oracle's order, packed greedily:
-        # cloud points up to the cap, as the oracle packs them, or, when f
-        # was called on the grid only, field points up to the cap
+        # when f was called on the grid only, field points up to the cap,
+        # else by the cloud packing rule; the oracle packs cloud points up
+        # to the cap
         sizes = [n for c in oracle for n in np.diff(c.bounds).tolist()]
         if calls and len(calls[0]) == 2:
             assert [c.bounds[-1] for c in chunks] == _packed(sizes, cap)
         else:
-            assert [c.bounds[-1] for c in chunks] == [c.bounds[-1] for c in oracle]
+            assert [c.bounds[-1] for c in chunks] == _packed(sizes, _cloud_room(stencil, cap))
             assert [c.bounds[-1] for c in oracle] == _packed(sizes, cap // stencil)
         largest = max([largest, *(int(c.bounds[-1]) * stencil for c in oracle)])
     # a step whose cloud exceeds the cap is covered wherever the full grid does
@@ -905,6 +927,148 @@ def test_f_gets_the_grid_on_contiguous_coordinate_planes(name, r, box, t, densit
     rest = list(chunks)
     assert calls == []
     assert _per_step([first, *rest]) == _per_step(_oracle_fields(f, r, steps, box, density))
+
+
+# ---------------------------------------------------------------------------
+# The chunk cap, the memory of a sweep and non-finite values
+
+
+def _reads_grid(f, r, steps, box, density):
+    """Whether ``_fields`` calls f on the box's grid (the lattice path)
+    rather than on the steps' clouds."""
+    calls = []
+    list(differences._fields(_recording(f, calls), r, steps, box, density))
+    return len(calls[0]) == 2
+
+
+# (corpus name, order, box, step bound, density, sup samples, mean
+# samples): d = 1, 2 and 3; at the default cap the sup sweep reads the
+# grid and the mean sweep keeps the cloud
+PACKING_CASES = [
+    ("exp_sum_1d", (2,), Box.unit(1), (0.5,), 4096, 5, 5),
+    ("exp_sum_2d", (1, 1), Box.unit(2), (0.5, 0.5), 16, 17, 5),
+    ("exp_sum_3d", (1, 1, 1), Box.unit(3), (0.5, 0.5, 0.5), 8, 5, 5),
+]
+
+
+@pytest.mark.parametrize("name, r, box, t, density, m_sup, m_mean", PACKING_CASES)
+def test_the_chunk_cap_changes_no_bit(monkeypatch, name, r, box, t, density, m_sup, m_mean):
+    f = get_function(name)
+    ps = [0.5, 1.0, 2.0, math.inf]
+    step_lists = [_step_product(_sup_nodes(r, t, m_sup)), _step_product(_mean_nodes(r, t, m_mean))]
+    assert [_reads_grid(f, r, s, box, density) for s in step_lists] == [True, False]
+
+    def run():
+        # the plan memo's keys leave the cap out
+        differences._plan.cache_clear()
+        fields = [_per_step(differences._fields(f, r, s, box, density)) for s in step_lists]
+        kw = dict(density=density, p_values=ps)
+        norms = (
+            sup_modulus_sweep(f, r, t, box, h_samples=m_sup, nested=True, **kw),
+            mean_modulus_sweep(f, r, t, box, h_samples=m_mean, **kw),
+        )
+        return fields, norms
+
+    want = run()
+    try:
+        for cap in (1 << 6, 1 << 13, 1 << 16):
+            monkeypatch.setattr(differences, "_CHUNK_POINTS", cap)
+            monkeypatch.setattr(domain, "_CHUNK_POINTS", cap)
+            assert run() == want
+    finally:
+        differences._plan.cache_clear()
+
+
+@pytest.mark.parametrize("r", [(4, 4, 4), (2, 2, 2)])
+@pytest.mark.parametrize("sweep", [sup_modulus_sweep, mean_modulus_sweep])
+def test_cloud_sweeps_run_in_small_memory_whatever_the_stencil(r, sweep):
+    # steps of 0.05 and 0.1 are not whole cells of the 32^3 grid, so the
+    # sweeps keep the cloud; fields of 20^3 to 29^3 points, 125 or 27
+    # stencil offsets each
+    calls = []
+    f = _recording(get_function("exp_sum_3d"), calls)
+    differences._plan.cache_clear()
+    tracemalloc.start()
+    try:
+        sweep(f, r, (0.1, 0.1, 0.1), Box.unit(3), density=32, h_samples=2, p_values=[1.0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(len(shape) == 3 for shape in calls)
+    assert peak < 8e6
+
+
+def _spoiled(value):
+    """exp_sum_2d, but ``value`` wherever x_0 > 0.75, which every step's
+    field reaches."""
+    f = get_function("exp_sum_2d")
+    return lambda X: np.where(X[..., 0] > 0.75, value, f(X))
+
+
+class _SpoiledPolynomial:
+    """A stand-in for a tensor polynomial of degrees (2, 2) that is not
+    finite wherever x_0 > 0.75."""
+
+    degrees = (2, 2)
+
+    def __init__(self, value):
+        self._f = _spoiled(value)
+
+    def __call__(self, X):
+        return self._f(X)
+
+
+# (step bound, sup samples, mean samples, whether the sweeps read the grid)
+# on exp_sum_2d at 16^2: every step is a whole number of cells, or none is
+NON_FINITE_SWEEPS = [((0.5, 0.5), 17, 4, True), ((0.3, 0.3), 5, 4, False)]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("t, m_sup, m_mean, grid", NON_FINITE_SWEEPS)
+def test_non_finite_values_of_f_are_rejected_by_every_sweep(bad, t, m_sup, m_mean, grid):
+    r, box = (1, 1), Box.unit(2)
+    for m, nodes in ((m_sup, _sup_nodes), (m_mean, _mean_nodes)):
+        steps = _step_product(nodes(r, t, m))
+        assert _reads_grid(get_function("exp_sum_2d"), r, steps, box, 16) == grid
+    f = _spoiled(bad)
+    sweeps = [
+        lambda: sup_modulus_sweep(f, r, t, box, density=16, h_samples=m_sup, p_values=[1.0]),
+        lambda: sup_modulus_sweep(f, r, t, box, density=16, h_samples=m_sup, p_values=[math.inf]),
+        lambda: mean_modulus_sweep(f, r, t, box, density=16, h_samples=m_mean, p_values=[1.0]),
+    ]
+    for sweep in sweeps:
+        # inf - inf is NaN, with a warning that is not the point here
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="^grid values must all be finite$"):
+                sweep()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("h, grid", [((1 / 64, 1 / 64), True), ((0.01, 0.01), False)])
+def test_non_finite_values_of_f_are_rejected_by_one_step_fields(bad, h, grid):
+    box = Box.unit(2)
+    steps = np.array([h])
+    assert _reads_grid(get_function("exp_sum_2d"), (2, 2), steps, box, 64) == grid
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="^grid values must all be finite$"):
+            difference_field(_spoiled(bad), (2, 2), h, box, 64)
+        with pytest.raises(ValueError, match="^grid values must all be finite$"):
+            annihilation_residual(_SpoiledPolynomial(bad), (0, 1), steps, box, 64)
+
+
+@pytest.mark.parametrize("t, grid", [(0.5, True), (0.3, False)])
+def test_fields_whose_sum_overflows_are_finite_and_raise_no_warning(t, grid):
+    # differences up to 5e305: the sum of a chunk's values overflows, while
+    # every value, every |D|^0.5 and every maximum is finite
+    f = lambda X: 1e306 * X[..., 0]
+    box = Box.unit(1)
+    steps = _step_product(_sup_nodes((1,), (t,), 5))
+    assert _reads_grid(f, (1,), steps, box, 4096) == grid
+    kw = dict(density=4096, h_samples=5, p_values=[0.5, math.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [sweep(f, (1,), (t,), box, **kw) for sweep in (sup_modulus_sweep, mean_modulus_sweep)]
+    assert all(0 < v < math.inf for out in got for v in out.values())
 
 
 # ---------------------------------------------------------------------------
