@@ -124,6 +124,7 @@ from .domain import (
     _bits,
     _count,
     _evaluate,
+    _exponent,
     _midpoints,
     _orders,
     _shrunk,
@@ -588,14 +589,12 @@ def _check_sweep_args(
     r = _orders(r)
     t = tuple(float(v) for v in t)
     h_samples = _count(h_samples, "h_samples", 2)
-    ps = [float(p) for p in p_values]
+    ps = [_exponent(p) for p in p_values]
     if len(r) != box.dim or len(t) != box.dim:
         raise ValueError("r and t must match the box dimension")
     # NaN fails the first comparison; a bound whose step box 2 t overflows, the second
     if not all(0 <= 2.0 * v < math.inf for v in t):
         raise ValueError("step bounds must be non-negative, with 2 t finite")
-    if not all(p > 0 for p in ps):
-        raise ValueError("exponent p must be positive")
     return r, t, h_samples, ps
 
 
@@ -883,25 +882,20 @@ def lower_whitney_constant(r: Sequence[int], p: float) -> float:
     """Explicit constant bounding the total modulus by any approximation error.
 
     For each nonempty axis subset e the difference expansion gives
-    ``omega_{r(e)}(g) <= K_e ||g||_p`` with ``K_e = prod_{i in e} 2^{r_i}``
-    when p >= 1 (triangle inequality over the stencil) and
-    ``K_e = (prod_{i in e} sum_j C(r_i, j)^p)^(1/p)`` when 0 < p < 1
-    (p-th power subadditivity).  The returned value is the sum of the
-    K_e over all nonempty subsets.
+    ``omega_{r(e)}(g) <= K_e ||g||_p``, with the weights w of each axis's
+    order-r_i stencil (``_stencil``): ``K_e = prod_{i in e} sum_j |w_j|``
+    (each sum is 2^{r_i}) when p >= 1, by the triangle inequality, and
+    ``K_e = (prod_{i in e} sum_j |w_j|^p)^(1/p)`` when 0 < p < 1, by p-th
+    power subadditivity.  The returned value is the sum of the K_e over
+    all nonempty subsets.
     """
     r = _orders(r, 1)
-    if not p > 0:
-        raise ValueError("exponent p must be positive")
+    q = min(_exponent(p), 1.0)
+    per_axis = [sum(abs(w) ** q for w, _ in _stencil((ri,))) for ri in r]
     total = 0.0
     for e in nonempty_axis_subsets(len(r)):
-        if p >= 1:
-            k = 1.0
-            for i in e:
-                k *= 2.0 ** r[i]
-        else:
-            prod = 1.0
-            for i in e:
-                prod *= sum(math.comb(r[i], j) ** p for j in range(r[i] + 1))
-            k = prod ** (1.0 / p)
-        total += k
+        k = 1.0
+        for i in e:
+            k *= per_axis[i]
+        total += k ** (1.0 / q)
     return total

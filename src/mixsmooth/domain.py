@@ -11,11 +11,12 @@ All values are plain 64-bit floats.  Every operation here is a pure
 function of its inputs; grids are enumerated row-major along the axis
 order, so reductions are reproducible bit for bit.
 
-It also owns the rules other modules share: ``_orders``, ``_count`` and
-``_axis`` check every order vector, count and axis, ``_shrunk`` shrinks
-every domain, ``_midpoints`` and ``_cells`` place every midpoint and
-subdivision, ``_evaluate`` calls every user function, and ``_bits`` keys
-every memo of f-independent geometry.
+It also owns the rules other modules share: ``_orders``, ``_count``,
+``_axis`` and ``_exponent`` check every order vector, count, axis and
+exponent, ``_lp`` forms every L_p sum and root outside the step sweeps,
+``_shrunk`` shrinks every domain, ``_midpoints`` and ``_cells`` place
+every midpoint and subdivision, ``_evaluate`` calls every user function,
+and ``_bits`` keys every memo of f-independent geometry.
 """
 
 from __future__ import annotations
@@ -234,26 +235,32 @@ def sample_on_grid(f: Callable[[np.ndarray], np.ndarray], box: Box, spec) -> Gri
 
 
 def lp_quasinorm(g: GridFunction | None, p: float) -> float:
-    """Discrete L_p quasi-norm by composite midpoint quadrature.
-
-    For finite p this is ``(sum |v|^p * cell_volume)**(1/p)``; for
-    ``p = inf`` the maximum of ``|v|``.  When that sum is not a normal
-    double (0, subnormal or inf) while some ``v`` is nonzero, it is taken
-    in units of ``max |v|`` instead.  An empty domain (None) counts as 0.
+    """Discrete L_p quasi-norm by composite midpoint quadrature:
+    ``(sum |v|^p * cell_volume)^(1/p)``, or ``max |v|`` for ``p = inf``,
+    by the rule of ``_lp`` (a sum that is not a normal double is taken in
+    units of ``max |v|``).  An empty domain (None) counts as 0.
     Exponents p <= 0 are rejected.
     """
-    if not p > 0:
-        raise ValueError(f"exponent p must be positive, got {p}")
-    if g is None or g.values.size == 0:
+    p = _exponent(p)
+    if g is None:
         return 0.0
-    a, p = np.abs(g.values), float(p)
+    return _lp(np.abs(g.values), g.cell_volume, p)
+
+
+def _lp(a: np.ndarray, cell_volume: float, p: float) -> float:
+    """``(sum a^p * cell_volume)^(1/p)`` of the magnitudes ``a`` (the root by
+    ``np.power``, a square root at p = 2), ``max a`` at p = inf or when it
+    is inf, 0 for no ``a``: the one L_p sum and root outside the step
+    sweeps.  A sum that is not a normal double (0, subnormal or inf) while
+    some ``a`` is nonzero is taken in units of ``max a``."""
     if p == math.inf:
-        return float(a.max())
+        return float(a.max(initial=0.0))
     with np.errstate(over="ignore"):
-        total = float((a**p).sum() * g.cell_volume)
-    if not sys.float_info.min <= total < math.inf and (top := float(a.max())) > 0.0:
-        return top * float(((a / top) ** p).sum() * g.cell_volume) ** (1.0 / p)
-    return total ** (1.0 / p)
+        total = float((a**p).sum() * cell_volume)
+    if not sys.float_info.min <= total < math.inf and (top := float(a.max(initial=0.0))) > 0.0:
+        unit = float(((a / top) ** p).sum() * cell_volume) if top < math.inf else 1.0
+        return top * float(np.power(unit, 1.0 / p))
+    return float(np.power(total, 1.0 / p))
 
 
 def nonempty_axis_subsets(dim: int) -> list[tuple[int, ...]]:
@@ -296,6 +303,14 @@ def _axis(value, dim: int) -> int:
     if i >= dim:
         raise ValueError(f"axis must be below {dim}, got {value!r}")
     return i
+
+
+def _exponent(p) -> float:
+    """The quasi-norm exponent ``p`` as a float once it is positive (inf
+    counts), else a ValueError naming it; NaN and p <= 0 raise."""
+    if not p > 0:
+        raise ValueError(f"exponent p must be positive, got {p}")
+    return float(p)
 
 
 def _bits(values: Sequence[float]) -> bytes:

@@ -72,6 +72,8 @@ from .domain import (
     _bits,
     _cells,
     _evaluate,
+    _exponent,
+    _lp,
     _midpoints,
     _orders,
     lp_quasinorm,
@@ -204,10 +206,6 @@ def _substitution(n: int, alpha: float, beta: float) -> np.ndarray:
     return L
 
 
-def _objective(res_flat: np.ndarray, cell_volume: float, p: float) -> float:
-    return float((np.abs(res_flat) ** p).sum() * cell_volume)
-
-
 @dataclass
 class BestApproxResult:
     """Best-approximation output: polynomial, achieved error, diagnostics."""
@@ -250,14 +248,12 @@ def best_approx(
     r = _orders(r, 1)
     if len(r) != g.box.dim:
         raise ValueError("degree vector must match the box dimension")
-    if not p > 0:
-        raise ValueError("exponent p must be positive")
+    p = _exponent(p)
     for n, ri in zip(g.spec, r):
         if n < 2 * ri:
             raise ValueError(
                 f"grid with {n} points per axis is underdetermined for degree bound {ri}"
             )
-    p = float(p)
     if p < 1.0 and math.prod(r) == 1:
         # one coefficient: the exact best constant, so the error is the optimum
         beta, err = best_constant(g, p)
@@ -279,7 +275,7 @@ def best_approx(
     weighted = [B * cw for B, cw in zip(bases, g.cell_widths)]
     c2 = _contract_stack(values[None], weighted)[0]
     res2 = values - _contract_stack(c2[None], rows)[0]
-    err2 = math.sqrt(_objective(res2.reshape(-1), cv, 2.0))
+    err2 = _lp(np.abs(res2), cv, 2.0)
     scale = float(np.abs(values).max(initial=0.0))
 
     def finish(c, err, converged, diag):
@@ -296,11 +292,11 @@ def best_approx(
         starts = [c2]
         for _ in range(_N_STARTS):
             starts.append(c2 + rng.standard_normal(c2.shape) * amp)
-        coeffs, objs, iters, stopped = _lockstep_descent(
+        coeffs, errors, iters, stopped = _lockstep_descent(
             bases, values, np.stack(starts), p, cv, max(scale, 1e-30)
         )
-        best = int(np.argmin(objs))
-        per_start = [float(obj) ** (1.0 / p) for obj in objs]
+        best = int(np.argmin(errors))
+        per_start = errors.tolist()
         return finish(
             coeffs[best],
             per_start[best],
@@ -317,7 +313,7 @@ def best_approx(
 
     if p == 1.0 and np.abs(res2).max() <= 64.0 * np.finfo(float).eps * scale:
         # a member of the space up to rounding: the projection is exact to rounding
-        err = _objective(res2.reshape(-1), cv, 1.0)
+        err = _lp(np.abs(res2), cv, 1.0)
         return finish(c2, err, True, _certified("vertex-descent", 0, err, 0.0))
 
     # the dense design: column j is the basis tensor of coefficient j
@@ -341,13 +337,8 @@ def best_approx(
         )
 
     eps = 1e-10 * max(scale, 1e-30)
-    c, obj, iters, conv = _irls(design, target, c_flat, p, cv, eps)
-    return finish(
-        c.reshape(c2.shape),
-        obj ** (1.0 / p),
-        conv,
-        {"method": "irls", "iterations": iters},
-    )
+    c, err, iters, conv = _irls(design, target, c_flat, p, cv, eps)
+    return finish(c.reshape(c2.shape), err, conv, {"method": "irls", "iterations": iters})
 
 
 def _certified(method, iters, err, lower):
@@ -361,15 +352,20 @@ def _certified(method, iters, err, lower):
 
 
 def _irls(design, target, c0, p, cv, eps):
-    """Reweighted least squares for 1 < p < inf, with descent safeguard."""
+    """Reweighted least squares for 1 < p < inf, with descent safeguard.
+
+    Iterates are compared by their error ``_lp``; a step that lowers it by
+    at most 1e-10 / p relative ends the iteration.  The weights are taken
+    in units of the largest.  Returns ``(c, error, iterations, converged)``.
+    """
     c = c0.copy()
     res = target - design @ c
-    obj = _objective(res, cv, p)
-    floor = 1e-30
+    err = _lp(np.abs(res), cv, p)
     converged = False
     it = 0
     for it in range(1, _MAX_ITER + 1):
-        w = np.maximum(np.abs(res), eps) ** (p - 2.0)
+        size = np.maximum(np.abs(res), eps)
+        w = (size / (size.max() if p > 2.0 else size.min())) ** (p - 2.0)
         sw = np.sqrt(w)
         c_new, *_ = np.linalg.lstsq(design * sw[:, None], target * sw, rcond=None)
         # damp toward the previous iterate if the true objective got worse
@@ -377,19 +373,19 @@ def _irls(design, target, c0, p, cv, eps):
         for _ in range(30):
             cand = c + step * (c_new - c)
             res_new = target - design @ cand
-            obj_new = _objective(res_new, cv, p)
-            if obj_new <= obj or step < 1e-6:
+            err_new = _lp(np.abs(res_new), cv, p)
+            if err_new <= err or step < 1e-6:
                 break
             step *= 0.5
-        if obj_new > obj:
+        if err_new > err:
             converged = True
             break
-        moved = abs(obj - obj_new)
-        c, res, obj = cand, res_new, obj_new
-        if moved <= 1e-10 * max(obj, floor):
+        moved = err - err_new
+        c, res, err = cand, res_new, err_new
+        if moved <= 1e-10 / p * err:
             converged = True
             break
-    return c, obj, it, converged
+    return c, err, it, converged
 
 
 def _start_reference(design, res):
@@ -565,7 +561,7 @@ def _vertex_descent(design, target, res2, scale, cv):
         basis[j] = order[np.searchsorted(rise, slope)]
         it += 1
     c = np.linalg.solve(design[basis], target[basis])
-    err = _objective(target - design @ c, cv, 1.0)
+    err = _lp(np.abs(target - design @ c), cv, 1.0)
     # the last dual point is feasible whatever the target, so it bounds
     # the unperturbed optimum; signs it gets wrong are on zero residuals
     dual = float(sgn @ target - lam @ target[basis]) / max(1.0, float(np.abs(lam).max()))
@@ -603,10 +599,9 @@ def _lockstep_descent(bases, values, starts, p, cv, eps_scale):
     conditioning scales the step and not the iterate.  The working
     stack shrinks only when a start leaves its ladder.
 
-    Returns ``(coeffs, objective, iterations, stopped)`` per start: the
-    final coefficients, the unsmoothed objective ``sum |res|^p * cv``,
-    the steps taken over all stages, and whether the last stage met its
-    stop test.
+    Returns ``(coeffs, errors, iterations, stopped)`` per start: the final
+    coefficients and their error ``_lp``, the steps taken over all stages,
+    and whether the last stage met its stop test.
     """
     ladder = np.array([10.0**-k * eps_scale for k in range(2, 9)])
     size = starts.shape[0]
@@ -620,7 +615,7 @@ def _lockstep_descent(bases, values, starts, p, cv, eps_scale):
     tail = (1,) * values.ndim
 
     out_c = np.empty_like(starts)
-    out_obj = np.empty(size)
+    out_err = np.empty(size)
     out_iters = np.zeros(size, dtype=int)
     out_stopped = np.zeros(size, dtype=bool)
 
@@ -656,8 +651,7 @@ def _lockstep_descent(bases, values, starts, p, cv, eps_scale):
                 u[moved], v[moved], obj[moved] = smoothed(res[moved], eps[moved])
             if done.any():
                 out_c[live[done]] = c[done]
-                final = np.abs(res[done]) ** p
-                out_obj[live[done]] = final.reshape(final.shape[0], -1).sum(axis=1) * cv
+                out_err[live[done]] = [_lp(a, cv, p) for a in np.abs(res[done])]
                 keep = ~done
                 if not keep.any():
                     break
@@ -679,7 +673,7 @@ def _lockstep_descent(bases, values, starts, p, cv, eps_scale):
         prev = obj
         steps += 1
         u, v, obj = smoothed(res, eps, w, v)
-    return out_c, out_obj, out_iters, out_stopped
+    return out_c, out_err, out_iters, out_stopped
 
 
 # ---------------------------------------------------------------------------
@@ -759,8 +753,7 @@ def best_constant(g: GridFunction, p: float) -> tuple[float, float]:
       fit one pass (n <= 256), and values whose scores could be
       subnormal or overflow, are scanned whole.
     """
-    if not p > 0:
-        raise ValueError("exponent p must be positive")
+    p = _exponent(p)
     v = g.values.reshape(-1)
     if p == 2.0:
         beta = float(v.mean())
@@ -774,8 +767,7 @@ def best_constant(g: GridFunction, p: float) -> tuple[float, float]:
         beta = float(v[np.argsort(v)[(v.size - 1) // 2]])
     else:
         beta = _concave_constant(v, p, g.cell_volume)
-    residual = GridFunction(g.box, g.values - beta)
-    return beta, lp_quasinorm(residual, p)
+    return beta, _lp(np.abs(g.values - beta), g.cell_volume, p)
 
 
 # Doubles per pass of the best-constant tables, cache-sized.  One buffer
@@ -909,16 +901,18 @@ def _convex_constant(v: np.ndarray, p: float) -> float:
     """Minimizer of ``sum |v - beta|^p`` for 1 < p < inf.
 
     The derivative ``-p sum sign(v - beta) |v - beta|^(p-1)`` increases
-    in beta and changes sign in [min v, max v]; bisection stops at a
-    bracket of a few ulps of the data scale, where the flat minimum no
-    longer moves the objective.
+    in beta and changes sign in [min v, max v]; bisection reads its sign
+    from the sum taken in units of its largest term, so that no term
+    overflows, and stops at a bracket of a few ulps of the data scale,
+    where the flat minimum no longer moves the objective.
     """
     lo, hi = float(v.min()), float(v.max())
     tol = 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         d = v - mid
-        if float((np.sign(d) * np.abs(d) ** (p - 1.0)).sum()) > 0.0:
+        a = np.abs(d)
+        if float((np.sign(d) * (a / a.max()) ** (p - 1.0)).sum()) > 0.0:
             lo = mid
         else:
             hi = mid
@@ -959,8 +953,8 @@ def piecewise_constant_approx(
     """Best-constant fit on each cell of a congruent subdivision.
 
     ``splits`` (an int or per-axis counts) must divide the grid so that
-    every cell owns a whole sub-grid; the total error is the exact
-    p-th-power sum of the per-cell errors (max for p = inf).
+    every cell owns a whole sub-grid; the total error is the L_p sum
+    ``_lp`` of the per-cell errors with unit weights (max for p = inf).
     """
     splits = normalize_grid(splits, g.box.dim)
     for n, m in zip(g.spec, splits):
@@ -975,8 +969,4 @@ def piecewise_constant_approx(
         beta, err = best_constant(cell, p)
         betas[idx] = beta
         errors[idx] = err
-    if p == math.inf:
-        total = float(errors.max())
-    else:
-        total = float((errors**p).sum()) ** (1.0 / p)
-    return PiecewiseConstant(g.box, splits, betas), total
+    return PiecewiseConstant(g.box, splits, betas), _lp(errors, 1.0, p)

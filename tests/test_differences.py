@@ -296,6 +296,32 @@ def test_lower_whitney_constant_examples():
     assert lower_whitney_constant((2,), math.inf) == pytest.approx(4.0)
 
 
+def _closed_form_whitney_constant(r, p):
+    # sum over subsets e of prod_{i in e} 2^{r_i} for p >= 1, and of
+    # (prod_{i in e} sum_j C(r_i, j)^p)^(1/p) for p < 1
+    total = 0.0
+    for e in nonempty_axis_subsets(len(r)):
+        if p >= 1:
+            k = 1.0
+            for i in e:
+                k *= 2.0 ** r[i]
+        else:
+            prod = 1.0
+            for i in e:
+                prod *= sum(math.comb(r[i], j) ** p for j in range(r[i] + 1))
+            k = prod ** (1.0 / p)
+        total += k
+    return total
+
+
+def test_lower_whitney_constant_from_the_stencil_is_the_closed_form_bit_for_bit():
+    for d in (1, 2, 3):
+        for r in itertools.product(range(1, 5), repeat=d):
+            for p in (0.25, 0.5, 1.0, 2.0):
+                got = lower_whitney_constant(r, p)
+                assert got.hex() == _closed_form_whitney_constant(r, p).hex(), (r, p)
+
+
 def test_lower_whitney_bound_random_space_members():
     # total modulus of f is unchanged by adding any member, so it is
     # bounded by the constant times ||f - phi|| for every phi

@@ -10,10 +10,12 @@ from mixsmooth import (
     TensorPolynomial,
     VerifierSettings,
     best_approx,
+    best_constant,
     difference_field,
     estimate_constants,
     get_function,
     halving_identity,
+    lower_whitney_constant,
     marchaud_report,
     mixed_difference,
     piecewise_constant_approx,
@@ -337,8 +339,8 @@ def test_every_order_entry_point_rejects_fractions_and_takes_integral_floats(nam
 _SQUARE = Box.unit(2)
 
 
-def _sweep(sweep, h_samples):
-    return sweep(_EXP, (1, 1), (0.25, 0.25), _SQUARE, density=8, h_samples=h_samples, p_values=[1.0])
+def _sweep(sweep, h_samples, p=1.0):
+    return sweep(_EXP, (1, 1), (0.25, 0.25), _SQUARE, density=8, h_samples=h_samples, p_values=[p])
 
 
 def _identities(**counts):
@@ -377,6 +379,25 @@ def test_every_count_rejects_fractions_and_takes_integral_floats(call_name):
             call(bad)
     # repr tells 2 from 2.0 where a count is echoed back
     assert repr(call(float(good))) == repr(call(good))
+
+
+# every entry point that takes an exponent p, which domain._exponent checks
+_EXPONENT_CALLS = {
+    "lp_quasinorm": lambda p: lp_quasinorm(sample_on_grid(_EXP, _SQUARE, 8), p),
+    "best_approx": lambda p: best_approx(sample_on_grid(_EXP, _SQUARE, 8), (2, 2), p).error,
+    "best_constant": lambda p: best_constant(sample_on_grid(_EXP, _SQUARE, 8), p),
+    "sup_modulus_sweep": lambda p: _sweep(sup_modulus_sweep, 3, p),
+    "lower_whitney_constant": lambda p: lower_whitney_constant((2, 2), p),
+}
+
+
+@pytest.mark.parametrize("call_name", sorted(_EXPONENT_CALLS))
+def test_every_exponent_must_be_positive_and_is_named(call_name):
+    call = _EXPONENT_CALLS[call_name]
+    for bad in (0.0, -1.0, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="exponent p must be positive, got"):
+            call(bad)
+    assert repr(call(2)) == repr(call(2.0))
 
 
 def test_empty_ladders_and_nan_step_bounds_name_the_argument():

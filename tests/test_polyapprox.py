@@ -1,7 +1,11 @@
 import functools
+import importlib.util
 import itertools
 import math
+import sys
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -436,7 +440,7 @@ def _oracle_multistart(g, r, p, seed):
                 design, target, c, p, eps_rel * eps_scale, cv
             )
             start_iters[-1] += iters
-        obj = polyapprox._objective(target - design @ c, cv, p)
+        obj = float((np.abs(target - design @ c) ** p).sum() * cv)
         per_start.append(obj ** (1.0 / p))
         if obj < best_obj:
             best_obj = obj
@@ -802,3 +806,97 @@ def test_piecewise_constant_evaluation():
     assert pw(np.array([0.1])) == pytest.approx(0.25, abs=0.3)
     left = pw(np.array([[0.2], [0.9]]))
     assert left.shape == (2,)
+
+
+def test_large_p_errors_lie_between_the_bounds_from_the_sup_error():
+    # On a unit-volume box every residual has cv^(1/p) max|res| <= ||res||_p
+    # <= max|res|, so cv^(1/p) E_inf <= E_p <= E_inf.  The d = 1, 2 corpus
+    # without its tensor polynomials, r = (k, ..., k) for k = 1, 2, 3, at 16
+    # and 32 points per axis: 288 fits.
+    for d in (1, 2):
+        for e in corpus_entries(dim=d):
+            if e.tag == "member-of-Pr":
+                continue
+            for grid in (16, 32):
+                g = sample_on_grid(get_function(e.name), Box.unit(d), grid)
+                for r in ((k,) * d for k in (1, 2, 3)):
+                    e_inf = best_approx(g, r, math.inf).error
+                    for p in (30.0, 50.0, 400.0):
+                        e_p = best_approx(g, r, p).error
+                        low = g.cell_volume ** (1.0 / p) * e_inf
+                        assert low * (1.0 - 1e-9) <= e_p <= e_inf * (1.0 + 1e-9), (e.name, grid, r, p)
+
+
+@pytest.mark.parametrize("p", (50.0, 100.0, 400.0))
+def test_best_constant_at_large_p_is_within_the_sup_bound(p):
+    # the midrange's L_p error is at most E_inf volume^(1/p), so the best one's is too
+    box = Box((0.0,), (10.0,))
+    g = sample_on_grid(get_function("exp_sum_1d"), box, 16)
+    _, e_inf = best_constant(g, math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, err = best_constant(g, p)
+    assert err <= e_inf * box.volume ** (1.0 / p)
+
+
+def test_best_constant_error_of_a_residual_beyond_the_double_range_is_inf():
+    g = GridFunction(Box.unit(1), np.array([1e308, -1e308]))
+    for p in (0.5, 1.0):
+        with np.errstate(over="ignore"):
+            _, err = best_constant(g, p)
+        assert err == math.inf, p
+
+
+@pytest.mark.parametrize("p", (200.0, 400.0))
+def test_piecewise_totals_at_large_p_are_finite_and_within_the_sup_bound(p):
+    box = Box((0.0, 0.0), (10.0, 10.0))
+    g = sample_on_grid(get_function("exp_sum_2d"), box, 16)
+    _, e_inf = piecewise_constant_approx(g, 2, math.inf)
+    _, total = piecewise_constant_approx(g, 2, p)
+    assert math.isfinite(total)
+    assert total <= e_inf * box.volume ** (1.0 / p)
+
+
+def test_fits_at_p_of_at_least_one_are_invariant_under_adding_p_r_and_scaling():
+    # E(f + c phi) = E(f) for phi in P_r and E(lam f) = |lam| E(f), on the
+    # d = 2 corpus at 64^2.  One allowance: 64 eps max|data|, where data are
+    # the samples of f + c phi or lam f.  Shifts at p = 1 are left out: the
+    # vertex descent perturbs its target by 1e-11 max|values|, so its answer
+    # moves with c (spline_prod_2d, r = (1, 1), c = 1e6: 5.3e-7, about 37
+    # allowances).
+    eps = np.finfo(float).eps
+    box = Box.unit(2)
+    for e in corpus_entries(dim=2):
+        g = sample_on_grid(get_function(e.name), box, 64)
+        x = g.midpoints()
+        for r in ((1, 1), (2, 2)):
+            phi = TensorPolynomial(np.ones(r))(x)
+            base = {p: best_approx(g, r, p).error for p in (1.0, 1.5, 2.0, math.inf)}
+            cases = [(g.values + c * phi, 1.0, (1.5, 2.0, math.inf)) for c in (1e3, 1e6)]
+            cases += [(lam * g.values, abs(lam), tuple(base)) for lam in (-3.0, 2.0**-10)]
+            for data, factor, ps in cases:
+                allowance = 64.0 * eps * float(np.abs(data).max())
+                for p in ps:
+                    got = best_approx(GridFunction(box, data), r, p).error
+                    assert abs(got - factor * base[p]) <= allowance, (e.name, r, p, factor)
+
+
+def test_solver_tasks_of_the_benchmark_pass_its_reference(monkeypatch):
+    # perfbench/ is not a package, so its task module is loaded by file
+    # path (and registered while the test runs, as its dataclasses need);
+    # every solve-exact fit must keep within the shipped reference
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tasks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tasks", path)
+    tasks = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tasks)
+    spec.loader.exec_module(tasks)
+    reference = tasks.load_reference()
+    inputs = tasks.Inputs("solve-exact")
+    pool = tasks.pool("solve-exact")
+    failed = []
+    for kind in ("best_approx", "best_constant", "piecewise"):
+        for task in pool[kind]:
+            tid = tasks.task_id("solve-exact", task)
+            out = tasks.run_task(inputs, task, get_function)
+            failed += [(tid, why) for why in tasks.check_output(kind, out, reference.get(tid))]
+    assert failed == []
