@@ -247,6 +247,17 @@ def _orders_from_one(cfg: RunConfig, dim: int, what: str) -> tuple:
     return r
 
 
+def _require_fit_grid(grid: tuple, r: tuple) -> None:
+    """Reject a grid with fewer than ``2 r_i`` points on some axis, which
+    leaves a degree-bound-``r`` fit underdetermined."""
+    for n, ri in zip(grid, r):
+        if n < 2 * ri:
+            raise ConfigError(
+                f"--grid {n} is underdetermined for degree bound {ri}; "
+                f"use at least {2 * ri} points per axis"
+            )
+
+
 def _require_p(cfg: RunConfig) -> float:
     if cfg.p is None:
         raise ConfigError("--p is required for this operation")
@@ -375,12 +386,7 @@ def cmd_approx(cfg: RunConfig) -> int:
     if cfg.op == "best":
         r = _orders_from_one(cfg, fn.dim, "a best approximation")
         p = _require_p(cfg)
-        for n, ri in zip(grid, r):
-            if n < 2 * ri:
-                raise ConfigError(
-                    f"--grid {n} is underdetermined for degree bound {ri}; "
-                    f"use at least {2 * ri} points per axis"
-                )
+        _require_fit_grid(grid, r)
         result = best_approx(g, r, p, seed=cfg.seed)
         record.update(
             {
@@ -456,6 +462,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.p is not None:
         kwargs["p_values"] = (_require_p(cfg),)
     grid = _per_axis(cfg, "grid", dim)
+    if cfg.suite in ("whitney", "all"):  # the one suite that fits polynomials
+        for r in _SUITES["whitney"].orders(dim, kwargs.get("orders")):
+            _require_fit_grid(grid, r)
     try:  # the settings own the least number of step samples
         settings = VerifierSettings(grid=grid, h_samples=cfg.hsamples, seed=cfg.seed)
     except ValueError as exc:

@@ -67,7 +67,10 @@ axis, ``_step_product`` takes their tensor grid, and ``_fields`` and
 ``_step_norms`` give every step's norm for every exponent.  The sup
 sweep takes the maximum over the steps, and the mean sweep a weighted
 sum in step order.  That the p-mean modulus at p = inf is the sup
-modulus is decided in ``mean_modulus_sweep`` alone.
+modulus is decided in ``mean_modulus_sweep``, and again by the two
+callers that skip the mean sweep at p = inf: the verifier's equivalence
+check (``_equivalence_pairs`` takes the coarse sup sweep) and ``compute``
+in ``cli.py`` (which waives the step box a mean sweep needs).
 
 Every order vector passes ``domain._orders`` and ``h_samples`` its
 ``_count``, which own that rule: 2.0 counts as 2, and 1.5 raises.

@@ -152,16 +152,6 @@ def _floor(scale: float) -> float:
     return _TOLERANCES["abs_floor"] * max(1.0, scale)
 
 
-def _verdict(left: float, right: float, bound: float, floor: float) -> tuple[bool, bool]:
-    """``(vacuous, passed)`` of the hard check ``left <= bound``.
-
-    Vacuous when both sides are at the noise floor, and then passed;
-    otherwise passed when ``left <= bound + floor``.
-    """
-    vacuous = left <= floor and right <= floor
-    return vacuous, vacuous or left <= bound + floor
-
-
 def _base_params(box: Box, settings: VerifierSettings, **extra) -> dict:
     out = {
         "box": [list(box.lower), list(box.upper)],
@@ -222,6 +212,41 @@ def _name(fn) -> str:
     return getattr(fn, "name", getattr(fn, "__name__", "f"))
 
 
+def _report(
+    fn, check, params, left, right, floor, details, *,
+    explicit=None, bound=None, ratio=None, unsampled=False,
+) -> InequalityReport:
+    """The one rule for a numeric check's ``vacuous``, ``passed`` and
+    ``empirical_constant``.
+
+    The record is vacuous when both its sides are at or below ``floor``.
+    A hard record (``explicit`` given) passes when vacuous or when ``left
+    <= bound + floor``; any other record takes :func:`_ratio`'s verdict.
+    The empirical constant is ``_ratio(*ratio)``, None without ``ratio``.
+    When the coarse step grid sampled nothing (``unsampled``), the record
+    is unresolved: ``passed`` and the constant are None and
+    ``details["coarse_grid_empty"]`` is set.
+    """
+    vacuous = left <= floor and right <= floor
+    constant, passed = _ratio(*ratio, floor, unsampled) if ratio else (None, None)
+    if explicit is not None:
+        passed = None if unsampled else vacuous or left <= bound + floor
+    if unsampled:
+        details["coarse_grid_empty"] = True
+    return InequalityReport(
+        check=check,
+        function=_name(fn),
+        params=params,
+        left=left,
+        right=right,
+        explicit_constant=explicit,
+        empirical_constant=constant,
+        vacuous=vacuous,
+        passed=passed,
+        details=details,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Whitney: total modulus vs best approximation error
 
@@ -243,40 +268,22 @@ def _whitney_pairs(
         omega_fine = sum(terms_f[e][p] for e in terms_f)
         floor = _floor(lp_quasinorm(g, p))
         const = lower_whitney_constant(r, p)
-        vac, passed = _verdict(
-            omega_fine, error, const * error * (1.0 + _TOLERANCES["hard_rel"]), floor
+        params = _base_params(box, settings, r=list(r), p=_p_str(p))
+        details_a = {
+            "h_gap": _rel_gap(omega, omega_fine, floor),
+            "solver": fit.diagnostics.get("method"),
+            "solver_converged": fit.converged,
+            "solver_lower_bound": fit.diagnostics.get("lower_bound"),
+            "solver_gap": fit.diagnostics.get("gap"),
+        }
+        # the refined modulus sits on the left, so an unsampled coarse grid is safe there
+        rep_a = _report(
+            fn, "whitney-lower", params, omega_fine, error, floor, details_a,
+            explicit=const, bound=const * error * (1.0 + _TOLERANCES["hard_rel"]),
         )
-        rep_a = InequalityReport(
-            check="whitney-lower",
-            function=_name(fn),
-            params=_base_params(box, settings, r=list(r), p=_p_str(p)),
-            left=omega_fine,
-            right=error,
-            explicit_constant=const,
-            vacuous=vac,
-            passed=passed,
-            details={
-                "h_gap": _rel_gap(omega, omega_fine, floor),
-                "solver": fit.diagnostics.get("method"),
-                "solver_converged": fit.converged,
-                "solver_lower_bound": fit.diagnostics.get("lower_bound"),
-                "solver_gap": fit.diagnostics.get("gap"),
-            },
-        )
-        ratio, passed_b = _ratio(error, omega, floor, unsampled)
-        details_b = {"solver_converged": fit.converged}
-        if unsampled:
-            details_b["coarse_grid_empty"] = True
-        rep_b = InequalityReport(
-            check="whitney-ratio",
-            function=_name(fn),
-            params=rep_a.params,
-            left=error,
-            right=omega,
-            empirical_constant=ratio,
-            vacuous=omega <= floor and error <= floor,
-            passed=passed_b,
-            details=details_b,
+        rep_b = _report(
+            fn, "whitney-ratio", params, error, omega, floor,
+            {"solver_converged": fit.converged}, ratio=(error, omega), unsampled=unsampled,
         )
         pairs.append((rep_a, rep_b))
     return pairs
@@ -387,40 +394,17 @@ def _equivalence_pairs(
         omega_fine = sum(sup_f[e][p] for e in sup_f)
         floor = _floor(lp_quasinorm(g, p))
         gap = _rel_gap(omega, omega_fine, floor)
-        vac, passed = _verdict(
-            mean,
-            omega_fine,
-            omega_fine * (1.0 + gap) * (1.0 + _TOLERANCES["mean_sup_rel"]),
-            floor,
-        )
         params = _base_params(box, settings, r=list(r), t=list(map(float, t)), p=_p_str(p))
-        details_hard = {"h_gap": gap, "omega_coarse": omega}
-        details_ratio = {}
-        ratio, passed_ratio = _ratio(omega, mean, floor, unsampled)
-        if unsampled:
-            passed = None
-            details_hard["coarse_grid_empty"] = details_ratio["coarse_grid_empty"] = True
-        rep_hard = InequalityReport(
-            check="equivalence-mean-le-sup",
-            function=_name(fn),
-            params=params,
-            left=mean,
-            right=omega_fine,
-            explicit_constant=1.0,
-            vacuous=vac,
-            passed=passed,
-            details=details_hard,
+        rep_hard = _report(
+            fn, "equivalence-mean-le-sup", params, mean, omega_fine, floor,
+            {"h_gap": gap, "omega_coarse": omega},
+            explicit=1.0,
+            bound=omega_fine * (1.0 + gap) * (1.0 + _TOLERANCES["mean_sup_rel"]),
+            unsampled=unsampled,
         )
-        rep_ratio = InequalityReport(
-            check="equivalence-ratio",
-            function=_name(fn),
-            params=params,
-            left=omega,
-            right=mean,
-            empirical_constant=ratio,
-            vacuous=vac,
-            passed=passed_ratio,
-            details=details_ratio,
+        rep_ratio = _report(
+            fn, "equivalence-ratio", params, omega, mean, floor, {},
+            ratio=(omega, mean), unsampled=unsampled,
         )
         pairs.append((rep_hard, rep_ratio))
     return pairs
@@ -510,34 +494,17 @@ def _superadditivity(fn, r, t, p_values, box, m, settings) -> list[list[Inequali
             right = max(w_parent, w_fine) ** p
             total_left += left
             total_right += right
-            vac, passed = _verdict(
-                left, right, right * (1.0 + gap) ** p * (1.0 + _TOLERANCES["superadd_rel"]), floor
-            )
             reports.append(
-                InequalityReport(
-                    check="superadditivity-term",
-                    function=_name(fn),
-                    params={**params, "subset": list(e)},
-                    left=left,
-                    right=right,
-                    explicit_constant=1.0,
-                    vacuous=vac,
-                    passed=passed,
-                    details={"h_gap": gap},
+                _report(
+                    fn, "superadditivity-term", {**params, "subset": list(e)}, left, right,
+                    floor, {"h_gap": gap}, explicit=1.0,
+                    bound=right * (1.0 + gap) ** p * (1.0 + _TOLERANCES["superadd_rel"]),
                 )
             )
-        vac = total_left <= floor and total_right <= floor
         reports.append(
-            InequalityReport(
-                check="superadditivity-total",
-                function=_name(fn),
-                params=params,
-                left=total_left,
-                right=total_right,
-                empirical_constant=_ratio(total_left, total_right, floor)[0],
-                vacuous=vac,
-                passed=None,
-                details={},
+            _report(
+                fn, "superadditivity-total", params, total_left, total_right, floor, {},
+                ratio=(total_left, total_right),
             )
         )
         out.append(reports)
@@ -633,34 +600,19 @@ def _marchaud(fn, k, r, axis, t, p_values, box, settings) -> list[InequalityRepo
     reports = []
     for p in ps:
         left, right = lefts[p], rights_c[p]
-        constant = left / right if right > 0 else None
-        right2 = rights_f[p]
-        c2 = left / right2 if right2 > 0 else None
+        floor = _floor(norms[p])
+        c2 = _ratio(left, rights_f[p], floor)[0]
         details = {
             "u_nodes": n_nodes,
             "form": "p>=1" if p >= 1 else "p<1",
             "u_nodes_fine": 2 * n_nodes,
             "constant_fine": c2,
         }
-        if constant and c2:
-            details["u_refine_ratio"] = c2 / constant
-        floor = _floor(norms[p])
-        vac = left <= floor and right <= floor
-        reports.append(
-            InequalityReport(
-                check="marchaud",
-                function=_name(fn),
-                params=_base_params(
-                    box, settings, k=list(k), r=list(r), axis=i, t=list(t), p=_p_str(p)
-                ),
-                left=left,
-                right=right,
-                empirical_constant=None if vac else constant,
-                vacuous=vac,
-                passed=None,
-                details=details,
-            )
-        )
+        params = _base_params(box, settings, k=list(k), r=list(r), axis=i, t=list(t), p=_p_str(p))
+        rep = _report(fn, "marchaud", params, left, right, floor, details, ratio=(left, right))
+        if rep.empirical_constant and c2:
+            details["u_refine_ratio"] = c2 / rep.empirical_constant
+        reports.append(rep)
     return reports
 
 
@@ -747,14 +699,16 @@ def constant_bound_report(
     """Best-constant error against twice the sum of first-order moduli powers.
 
     The two-sided integral argument yields, for d = 2 and 0 < p <= 1,
-    ``integral |f - beta|^p / |Q| <= 2 [omega_(1,0)^p + omega_(0,1)^p]``
+    ``integral_Q |f - beta|^p <= 2 [omega_(1,0)^p + omega_(0,1)^p]``
     at steps up to the box size.  That range carries an explicit
     constant 2 and is checked hard; other p report the ratio only.
-    The |Q| normalization mirrors the unit-square form of the display
-    and is recorded in the metadata.  When the coarse step grid of
-    either sweep leaves no nonempty domain, the right side misses that
-    term and its gap, so the report is unresolved (``passed`` and the
-    ratio are None, ``details["coarse_grid_empty"]`` is set).
+    Both sides are integrals over Q (``omega^p`` integrates over the
+    shrunken domain), so neither is divided by |Q| and the verdict does
+    not depend on the box's size; the ``normalization`` detail says so.
+    When the coarse step grid of either sweep leaves no nonempty domain,
+    the right side misses that term and its gap, so the report is
+    unresolved (``passed`` and the ratio are None,
+    ``details["coarse_grid_empty"]`` is set).
     """
     return _constant_bound(fn, [p], box, settings)[0]
 
@@ -776,34 +730,25 @@ def _constant_bound(fn, p_values, box, settings) -> list[InequalityReport]:
     reports = []
     for p in ps:
         beta, err = best_constant(g, p)
-        left = err**p / box.volume
+        left = err**p
         moduli = [(coarse[p], fine[p]) for coarse, fine, _ in sweeps]
         floor = _floor(scale) ** min(p, 1.0)
         right_raw = 2.0 * sum(c**p for c, _ in moduli)
         gaps = [_rel_gap(c, f, _floor(scale)) for c, f in moduli]
         right = 2.0 * sum((c * (1.0 + gp)) ** p for (c, _), gp in zip(moduli, gaps))
         hard = p <= 1.0
-        vac, passed = _verdict(left, right, right * (1.0 + _TOLERANCES["hard_rel"]), floor)
         details = {
             "beta": beta,
             "h_gaps": gaps,
-            "normalization": "both sides per unit volume of the box",
+            "normalization": "both sides integrals over the box, no 1/|Q|",
             "mode": "hard" if hard else "ratio-only",
         }
-        if unsampled:
-            details["coarse_grid_empty"] = True
         reports.append(
-            InequalityReport(
-                check="constant-lemma",
-                function=_name(fn),
-                params=_base_params(box, settings, p=_p_str(p)),
-                left=left,
-                right=right,
-                explicit_constant=2.0 if hard else None,
-                empirical_constant=_ratio(left, right_raw, floor, unsampled)[0],
-                vacuous=vac,
-                passed=passed if hard and not unsampled else None,
-                details=details,
+            _report(
+                fn, "constant-lemma", _base_params(box, settings, p=_p_str(p)), left, right,
+                floor, details, explicit=2.0 if hard else None,
+                bound=right * (1.0 + _TOLERANCES["hard_rel"]), ratio=(left, right_raw),
+                unsampled=unsampled,
             )
         )
     return reports

@@ -346,6 +346,24 @@ def test_underdetermined_grid_is_config_error(capsys):
     assert "underdetermined" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--suite", "whitney", "--fn", "exp_sum_1d", "--grid", "3"],
+        ["--suite", "all", "--fn", "exp_sum_2d", "--grid", "2"],
+    ],
+)
+def test_verify_underdetermined_whitney_grid_is_config_error(capsys, args):
+    err = _config_error(capsys, ["verify", *args, "--hsamples", "3"])
+    assert "--grid" in err and "underdetermined for degree bound 2" in err
+
+
+def test_verify_without_a_fit_takes_a_grid_a_fit_would_reject(tmp_path):
+    args = ["--suite", "equivalence", "--fn", "exp_sum_2d", "--grid", "3", "--hsamples", "3"]
+    code, doc = run_json(tmp_path, ["verify", *args, "--r", "2"])
+    assert code == 0 and doc["records"]
+
+
 def test_verify_rejects_a_function_no_suite_covers(capsys):
     assert "dimension 3" in _config_error(capsys, ["verify", "--suite", "all", "--fn", "exp_sum_3d"])
     assert "dimension 1" in _config_error(

@@ -791,7 +791,7 @@ def test_piecewise_constant_below_one_is_the_per_cell_whole_table_argmin(splits)
             cell = GridFunction(cell_box, g.values[tuple(slice(i * sub, (i + 1) * sub) for i in idx)])
             beta, errors[idx] = _whole_table_constant(cell, p)
             assert _same_bits((float(pw.betas[idx]),), (beta,)), (name, idx)
-        assert total == float((errors**p).sum()) ** (1.0 / p)
+        assert total == np.power(float((errors**p).sum()), 1.0 / p)
 
 
 def test_piecewise_constant_requires_divisible_grid():

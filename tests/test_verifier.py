@@ -15,8 +15,8 @@ from mixsmooth.verifier import (
     _constant_bound,
     _equivalence_pairs,
     _marchaud,
+    _report,
     _superadditivity,
-    _verdict,
     _whitney_pairs,
     constant_bound_report,
     equivalence_report,
@@ -406,7 +406,93 @@ _EDGE = 0.75 + _FLOOR  # bound 0.75 plus the floor, as the verdict adds them
     ],
 )
 def test_hard_check_verdict_at_its_boundaries(left, right, bound, expected):
-    assert _verdict(left, right, bound, _FLOOR) == expected
+    rep = _report("f", "check", {}, left, right, _FLOOR, {}, explicit=1.0, bound=bound)
+    assert (rep.vacuous, rep.passed) == expected
+    # nothing sampled: the same sides leave the hard record unresolved
+    rep = _report(
+        "f", "check", {}, left, right, _FLOOR, {}, explicit=1.0, bound=bound, unsampled=True
+    )
+    assert (rep.vacuous, rep.passed) == (expected[0], None)
+    assert rep.details == {"coarse_grid_empty": True}
+
+
+@pytest.mark.parametrize(
+    "name", ["exp_sum_2d", "holder_half_2d", "spline_taper_2d", "trig_rand_2d_a"]
+)
+def test_constant_lemma_verdict_does_not_depend_on_the_box_size(name):
+    # g(x) = f(x / a) on [0, a]^2 samples the same values as f on the unit
+    # square; both sides are integrals over the box, so both scale by a^2
+    fn = get_function(name)
+    settings = VerifierSettings(grid=32, h_samples=9)
+    ps = [0.5, 1.0, 2.0]
+    unit = _constant_bound(fn, ps, Box.unit(2), settings)
+    for a in (0.25, 4.0):
+        dilated = lambda X, a=a: fn(X / a)
+        dilated.__name__ = name
+        for rep, rep_a in zip(unit, _constant_bound(dilated, ps, Box.cube(0.0, a, 2), settings)):
+            assert (rep_a.vacuous, rep_a.passed) == (rep.vacuous, rep.passed), (a, rep.params["p"])
+            assert rep_a.left == pytest.approx(a * a * rep.left, rel=1e-9)
+            assert rep_a.empirical_constant == pytest.approx(rep.empirical_constant, rel=1e-9)
+        assert [rep.passed for rep in unit] == [True, True, None]
+
+
+def test_every_numeric_record_follows_the_one_verdict_rule():
+    reports = run_suite("all", VerifierSettings(grid=8, h_samples=3))
+    numeric = [r for r in reports if r.check != "taylor" and not r.check.startswith("identity-")]
+    assert {r.check for r in numeric} == {
+        "whitney-lower",
+        "whitney-ratio",
+        "equivalence-mean-le-sup",
+        "equivalence-ratio",
+        "superadditivity-term",
+        "superadditivity-total",
+        "marchaud",
+        "constant-lemma",
+    }
+    for rep in numeric:
+        unsampled = rep.details.get("coarse_grid_empty", False)
+        if rep.explicit_constant is not None:
+            assert (rep.passed is None) == unsampled, rep.to_record()
+            if rep.vacuous:
+                assert rep.passed is (None if unsampled else True), rep.to_record()
+        else:
+            # an empirical record fails only on an infinite ratio
+            assert rep.passed is None or (rep.passed is False and rep.empirical_constant is None)
+        if rep.vacuous:
+            assert rep.empirical_constant is None, rep.to_record()
+    assert any(r.vacuous for r in numeric)
+    assert any(r.details.get("coarse_grid_empty") for r in numeric)
+
+
+def test_equivalence_ratio_takes_its_vacuous_flag_from_its_own_sides(monkeypatch):
+    # with every mean 0 and the coarse sup grid empty, the ratio's sides
+    # (coarse sup, mean) are both 0 while the hard record's refined sup is not
+    zero_means = lambda fn, r, t, box, *, p_values, **kw: {
+        e: dict.fromkeys(p_values, 0.0) for e in [(0,), (1,), (0, 1)]
+    }
+    monkeypatch.setattr(verifier, "total_mean_terms", zero_means)
+    coarse = VerifierSettings(grid=8, h_samples=3)
+    hard, ratio = equivalence_report(
+        get_function("exp_sum_2d"), (2, 2), (0.5, 0.5), 1.0, Box.unit(2), coarse
+    )
+    assert hard.left == 0.0 and hard.right > 0.0 and not hard.vacuous
+    assert ratio.left == ratio.right == 0.0 and ratio.vacuous
+    assert ratio.passed is None and ratio.empirical_constant is None
+
+
+def test_marchaud_right_side_at_the_floor_fails_its_ratio(monkeypatch):
+    # the zero function's norm is 0, and a sweep that reads 1 for the lower
+    # order k and 0 for r leaves the left side above the floor, the right at 0
+    k = (1, 2)
+    sweep = lambda fn, order, t, box, *, p_values, **kw: dict.fromkeys(
+        p_values, 1.0 if tuple(order) == k else 0.0
+    )
+    monkeypatch.setattr(verifier, "sup_modulus_sweep", sweep)
+    zero = lambda X: np.zeros(X.shape[:-1])
+    rep = marchaud_report(zero, k, (2, 2), 0, (0.125, 0.125), 1.0, Box.unit(2), SMALL)
+    assert (rep.left, rep.right) == (1.0, 0.0) and not rep.vacuous
+    assert (rep.empirical_constant, rep.passed) == (None, False)
+    assert rep.details["constant_fine"] is None and "u_refine_ratio" not in rep.details
 
 
 def test_identity_suite_all_green():
