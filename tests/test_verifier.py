@@ -2,14 +2,17 @@ import importlib.util
 import json
 import math
 from dataclasses import fields, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mixsmooth import verifier
+from mixsmooth.cli import main
 from mixsmooth.corpus import get_function
 from mixsmooth.domain import Box
+from mixsmooth.polyapprox import TensorPolynomial
 from mixsmooth.verifier import (
     VerifierSettings,
     _constant_bound,
@@ -290,6 +293,35 @@ def test_marchaud_kink_stability_and_integral_oracle():
     assert package_integral == pytest.approx(integral, rel=2e-2)
 
 
+@pytest.mark.parametrize("name", ["abs_kink_1d", "exp_sum_1d"])
+@pytest.mark.parametrize("p", [0.5, 0.75])
+def test_marchaud_below_one_matches_an_integral_oracle(name, p):
+    # the p-th-power form: right^p = t^(k p) [integral + norm^p / delta^(k p)]
+    from mixsmooth.differences import ModulusRequest, modulus_sup
+    from mixsmooth.domain import lp_quasinorm, sample_on_grid
+
+    fn = get_function(name)
+    t_i, delta, k_i = 1.0 / 16.0, 1.0, 1
+    rep = marchaud_report(fn, (1,), (2,), 0, (t_i,), p, Box.unit(1), VerifierSettings(grid=128))
+    assert rep.details["form"] == "p<1"
+
+    # independent trapezoid integration of om(u)^p / u^(k p + 1)
+    us = np.geomspace(t_i, delta, 200)
+    vals = [
+        modulus_sup(
+            ModulusRequest(r=(2,), t=(float(u),), p=p, box=Box.unit(1), h_samples=9, density=128),
+            fn,
+        )
+        ** p
+        / u ** (k_i * p + 1)
+        for u in us
+    ]
+    integral = float(np.trapezoid(vals, us))
+    norm = lp_quasinorm(sample_on_grid(fn, Box.unit(1), 128), p)
+    package_integral = rep.right**p / t_i ** (k_i * p) - norm**p / delta ** (k_i * p)
+    assert package_integral == pytest.approx(integral, rel=2e-2)
+
+
 def test_marchaud_trivial_for_annihilated_member():
     # constants are annihilated on the left; the right keeps its norm term
     fn = get_function("const_2d")
@@ -505,6 +537,87 @@ def test_identity_suite_all_green():
         "identity-reproduction",
         "identity-annihilation",
     }
+
+
+# the least identity suite: one decomposition, two halving orders, one polynomial per case
+IDENTITY_SMALL = dict(max_dim=1, max_order=1, halving_orders=2, n_random=1)
+
+
+def _at_or_above(threshold: float, above: bool) -> float:
+    """``threshold`` itself, or the next float above it."""
+    return float(np.nextafter(threshold, math.inf)) if above else threshold
+
+
+def _identity(check: str):
+    return {r.check: r for r in suite_identities(**IDENTITY_SMALL)}[check]
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["at", "above"])
+@pytest.mark.parametrize("side", ["member_residual", "identity_gap"])
+def test_identity_reproduction_verdict_at_its_thresholds(monkeypatch, side, above):
+    # a member's residual may reach 1e-9 (max|coeffs| + 1), the gap 1e-9 e^d
+    def member(phi, r, box, h_list, x_spec):
+        if side != "member_residual":
+            return 0.0
+        return _at_or_above(1e-9 * (float(np.abs(phi.coeffs).max()) + 1.0), above)
+
+    def gap(f, r, box, h_list, x_spec):
+        return _at_or_above(1e-9 * math.e ** len(r), above) if side == "identity_gap" else 0.0
+
+    monkeypatch.setattr(verifier, "reproduction_residual", member)
+    monkeypatch.setattr(verifier, "reproduction_identity_gap", gap)
+    rep = _identity("identity-reproduction")
+    assert [k for k, v in rep.details.items() if v > 0] == [
+        f"{side}_{key}" for key in ("2", "3", "1x1", "2x2")
+    ]
+    assert rep.passed is (not above)
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["at", "above"])
+def test_identity_annihilation_verdict_at_its_threshold(monkeypatch, above):
+    class Half:
+        """Every random polynomial is the constant 1/2, so the residual's
+        scale, max|samples| + max|coeffs|, is exactly 1."""
+
+        @staticmethod
+        def random(r, rng):
+            coeffs = np.zeros(r)
+            coeffs[(0,) * len(r)] = 0.5
+            return TensorPolynomial(coeffs)
+
+    monkeypatch.setattr(verifier, "TensorPolynomial", Half)
+    monkeypatch.setattr(verifier, "reproduction_residual", lambda *args: 0.0)
+    monkeypatch.setattr(verifier, "reproduction_identity_gap", lambda *args: 0.0)
+    monkeypatch.setattr(verifier, "annihilation_residual", lambda *args: _at_or_above(1e-9, above))
+    rep = _identity("identity-annihilation")
+    assert rep.left == _at_or_above(1e-9, above)
+    assert rep.passed is (not above)
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["at", "above"])
+def test_identity_halving_verdict_at_its_threshold(monkeypatch, above):
+    # the witness of order k has degree k - 1
+    def witness(k):
+        return {(0,): Fraction(1), (k - 1 + above,): Fraction(1)}
+
+    monkeypatch.setattr(verifier, "halving_identity", witness)
+    rep = _identity("identity-halving")
+    assert rep.details["witness_degrees"] == [k - 1 + above for k in (1, 2)]
+    assert rep.passed is (not above)
+
+
+def test_identity_suite_raises_a_failed_decomposition(monkeypatch, capsys):
+    # a failed exact identity is a bug: it is raised, not recorded
+    def broken(r):
+        raise RuntimeError(f"unit decomposition failed exact verification for r={r}")
+
+    monkeypatch.setattr(verifier, "unit_decomposition", broken)
+    with pytest.raises(RuntimeError, match="failed exact verification"):
+        suite_identities(**IDENTITY_SMALL)
+    assert main(["verify", "--suite", "identities"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numeric failure: unit decomposition failed")
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_run_suite_unknown_name():
