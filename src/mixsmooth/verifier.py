@@ -77,10 +77,10 @@ __all__ = [
 ]
 
 
-# Slack of the hard checks, echoed in every report.  ``abs_floor`` (times
-# max(1, data scale)) is both the additive noise floor and the vacuousness
-# threshold; the relative slacks absorb the quadrature differences between
-# the independently meshed sides.
+# Slack of the hard checks, echoed in every report.  ``abs_floor`` times
+# ||f||_p on the record's own box (see :func:`_floor`) is both the additive
+# noise floor and the vacuousness threshold; the relative slacks absorb the
+# quadrature differences between the independently meshed sides.
 _TOLERANCES = {"hard_rel": 5e-2, "mean_sup_rel": 1e-3, "superadd_rel": 1e-2, "abs_floor": 1e-9}
 
 
@@ -148,8 +148,12 @@ class InequalityReport:
         return {f.name: _jsonable(getattr(self, f.name)) for f in fields(self)}
 
 
-def _floor(scale: float) -> float:
-    return _TOLERANCES["abs_floor"] * max(1.0, scale)
+def _floor(g: GridFunction, p: float) -> float:
+    """The one noise floor, ``abs_floor * ||f||_p`` of the samples ``g`` on the
+    record's own box, in the units of a norm-form side, so no verdict moves
+    when ``f`` is rescaled or dilated with its box.  Sides that are p-th
+    powers compare with ``_floor(g, p) ** p``; refinement gaps with it."""
+    return _TOLERANCES["abs_floor"] * lp_quasinorm(g, p)
 
 
 def _base_params(box: Box, settings: VerifierSettings, **extra) -> dict:
@@ -266,7 +270,7 @@ def _whitney_pairs(
         error = fit.error
         omega = sum(terms_c[e][p] for e in terms_c)
         omega_fine = sum(terms_f[e][p] for e in terms_f)
-        floor = _floor(lp_quasinorm(g, p))
+        floor = _floor(g, p)
         const = lower_whitney_constant(r, p)
         params = _base_params(box, settings, r=list(r), p=_p_str(p))
         details_a = {
@@ -392,7 +396,7 @@ def _equivalence_pairs(
         # at p = inf the mean modulus is the sup modulus: the coarse sweep
         mean = omega if p == math.inf else sum(mean_terms[e][p] for e in mean_terms)
         omega_fine = sum(sup_f[e][p] for e in sup_f)
-        floor = _floor(lp_quasinorm(g, p))
+        floor = _floor(g, p)
         gap = _rel_gap(omega, omega_fine, floor)
         params = _base_params(box, settings, r=list(r), t=list(map(float, t)), p=_p_str(p))
         rep_hard = _report(
@@ -481,7 +485,7 @@ def _superadditivity(fn, r, t, p_values, box, m, settings) -> list[list[Inequali
     g = sample_on_grid(fn, box, density)
     out = []
     for p in ps:
-        floor = _floor(lp_quasinorm(g, p)) ** min(p, 1.0)
+        floor = _floor(g, p)
         params = _base_params(box, settings, r=list(r), t=list(t), p=_p_str(p), splits=m)
         reports = []
         total_left = 0.0
@@ -497,13 +501,13 @@ def _superadditivity(fn, r, t, p_values, box, m, settings) -> list[list[Inequali
             reports.append(
                 _report(
                     fn, "superadditivity-term", {**params, "subset": list(e)}, left, right,
-                    floor, {"h_gap": gap}, explicit=1.0,
+                    floor**p, {"h_gap": gap}, explicit=1.0,
                     bound=right * (1.0 + gap) ** p * (1.0 + _TOLERANCES["superadd_rel"]),
                 )
             )
         reports.append(
             _report(
-                fn, "superadditivity-total", params, total_left, total_right, floor, {},
+                fn, "superadditivity-total", params, total_left, total_right, floor**p, {},
                 ratio=(total_left, total_right),
             )
         )
@@ -597,7 +601,7 @@ def _marchaud(fn, k, r, axis, t, p_values, box, settings) -> list[InequalityRepo
     reports = []
     for p in ps:
         left, right = lefts[p], rights_c[p]
-        floor = _floor(norms[p])
+        floor = _floor(g, p)
         c2 = _ratio(left, rights_f[p], floor)[0]
         details = {
             "u_nodes": n_nodes,
@@ -630,7 +634,9 @@ def taylor_report(
     base point) the left side is the quasi-norm of ``f - P_r(f)`` and
     the right side the derivative bracket; the empirical constant must
     stay within a bounded band along the ladder (consecutive ratio in
-    [0.25, 4]).  Requires p >= 1 and derivative data.
+    [0.25, 4]).  Each level takes the noise floor of ``f`` on its own box;
+    the report is vacuous when no level gives a ratio or every level's
+    left side is at its floor.  Requires p >= 1 and derivative data.
     """
     if not p >= 1:
         raise ValueError("the Taylor bracket is stated for p >= 1")
@@ -641,29 +647,23 @@ def taylor_report(
     if not deltas:
         raise ValueError("deltas must hold at least one box side")
     taylor = taylor_polynomial(fn.derivative, (0.0,) * fn.dim, r)
-    lefts, rights, constants = [], [], []
-    floor_scale = 1.0
+    lefts, rights, constants, floored = [], [], [], []
     for d in deltas:
         box = Box.cube(0.0, d, fn.dim)
         grid = settings.grid_for(box)
         g = sample_on_grid(fn, box, grid)
-        floor_scale = max(floor_scale, float(np.abs(g.values).max()))
         resid = GridFunction(box, g.values - taylor(g.midpoints()))
         left = lp_quasinorm(resid, p)
         right = taylor_remainder_bound(fn.derivative, r, p, box, density=grid)
+        floor = _floor(g, p)
         lefts.append(left)
         rights.append(right)
-        constants.append(_ratio(left, right, _floor(floor_scale))[0])
-    ratios = []
-    ok = True
+        constants.append(_ratio(left, right, floor)[0])
+        floored.append(left <= floor)
     usable = [c for c in constants if c is not None]
-    for a, b in zip(usable, usable[1:]):
-        if a > 0:
-            ratios.append(b / a)
-    for q in ratios:
-        if not (0.25 <= q <= 4.0):
-            ok = False
-    vac = all(c is None for c in constants) or max(lefts) <= _floor(floor_scale)
+    ratios = [b / a for a, b in zip(usable, usable[1:]) if a > 0]
+    ok = all(0.25 <= q <= 4.0 for q in ratios)
+    vac = not usable or all(floored)
     return InequalityReport(
         check="taylor",
         function=fn.name,
@@ -723,15 +723,14 @@ def _constant_bound(fn, p_values, box, settings) -> list[InequalityReport]:
     sweeps = [_with_gap(sup_modulus_sweep, fn, o, t, box, settings, ps) for o in orders]
     # a sweep with no coarse step sampled leaves its term, and its gap, 0
     unsampled = any(empty for _, _, empty in sweeps)
-    scale = float(np.abs(g.values).max(initial=0.0))
     reports = []
     for p in ps:
         beta, err = best_constant(g, p)
         left = err**p
         moduli = [(coarse[p], fine[p]) for coarse, fine, _ in sweeps]
-        floor = _floor(scale) ** min(p, 1.0)
+        floor = _floor(g, p)
         right_raw = 2.0 * sum(c**p for c, _ in moduli)
-        gaps = [_rel_gap(c, f, _floor(scale)) for c, f in moduli]
+        gaps = [_rel_gap(c, f, floor) for c, f in moduli]
         right = 2.0 * sum((c * (1.0 + gp)) ** p for (c, _), gp in zip(moduli, gaps))
         hard = p <= 1.0
         details = {
@@ -743,7 +742,7 @@ def _constant_bound(fn, p_values, box, settings) -> list[InequalityReport]:
         reports.append(
             _report(
                 fn, "constant-lemma", _base_params(box, settings, p=_p_str(p)), left, right,
-                floor, details, explicit=2.0 if hard else None,
+                floor**p, details, explicit=2.0 if hard else None,
                 bound=right * (1.0 + _TOLERANCES["hard_rel"]), ratio=(left, right_raw),
                 unsampled=unsampled,
             )

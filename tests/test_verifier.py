@@ -10,7 +10,8 @@ import pytest
 
 from mixsmooth import verifier
 from mixsmooth.cli import main
-from mixsmooth.corpus import get_function
+from mixsmooth.corpus import corpus_entries, get_function
+from mixsmooth.differences import total_mean_terms
 from mixsmooth.domain import Box
 from mixsmooth.polyapprox import TensorPolynomial
 from mixsmooth.verifier import (
@@ -234,6 +235,24 @@ def test_superadditivity_small_p_all_terms():
     assert total.empirical_constant <= 1.0 + 1e-2
 
 
+@pytest.mark.parametrize("name", ["exp_sum_2d", "spline_prod_2d"])
+def test_superadditivity_gap_compares_moduli_with_a_floor_in_their_units(name):
+    # the mixed term's mean modulus at r = (2, 2), p = 0.5 is about 1e-5:
+    # above 1e-9 ||f||_p, below the p-th-power floor (1e-9)^0.5 that once
+    # zeroed its refinement gap
+    fn = get_function(name)
+    t, settings = (0.125, 0.125), VerifierSettings(grid=16, h_samples=9)
+    *_, mixed, _ = _superadditivity(fn, (2, 2), t, [0.5], Box.unit(2), 2, settings)[0]
+    assert mixed.params["subset"] == [0, 1] and mixed.passed
+    coarse, fine = (
+        total_mean_terms(fn, (2, 2), t, Box.unit(2), density=16, h_samples=n, p_values=[0.5])
+        [(0, 1)][0.5]
+        for n in (9, 18)
+    )
+    assert 1e-9 < coarse < 1e-9**0.5
+    assert mixed.details["h_gap"] == (fine - coarse) / coarse > 0.0
+
+
 def test_superadditivity_rejects_inf_p():
     with pytest.raises(ValueError):
         superadditivity_report(
@@ -283,7 +302,6 @@ def test_marchaud_kink_stability_and_integral_oracle():
         )
         vals.append(om / u ** (k_i + 1))
     integral = float(np.trapezoid(vals, us))
-    mids, weights = np.array([]), np.array([])
     # package-side integral (recompute the bracket minus the norm term)
     from mixsmooth.domain import lp_quasinorm, sample_on_grid
 
@@ -395,6 +413,23 @@ def test_taylor_report_member_vacuous():
     assert rep.vacuous and rep.passed
 
 
+@pytest.mark.parametrize("r, passed", [((1, 1), True), ((2, 2), False), ((3, 3), False)])
+def test_taylor_band_verdict_on_a_polynomial_off_by_a_constant(r, passed):
+    # f(0) + 1 as the base value leaves a remainder of about 1 on every box,
+    # while the bracket shrinks like delta^m, m = min r_i: each halving
+    # multiplies the constant by a little more than 2^m, inside the band
+    # [0.25, 4] for m = 1 and outside it for m >= 2
+    fn = get_function("exp_sum_2d")
+    shifted = lambda s: (
+        (lambda X, d=fn.derivative(s): d(X) + 1.0) if not any(s) else fn.derivative(s)
+    )
+    rep = taylor_report(replace(fn, derivative=shifted), r, 2.0, (0.25, 0.125, 0.0625), SMALL)
+    assert not rep.vacuous and rep.passed is passed
+    m = min(r)
+    assert len(rep.details["ratios"]) == 2
+    assert all(2.0**m < q < 2.0 ** (m + 1) for q in rep.details["ratios"])
+
+
 def test_constant_bound_plane_oracle():
     # f(x, y) = x: the best constant is 1/2 with L_1 error 1/4
     fn = get_function("bilinear_2d")
@@ -466,6 +501,60 @@ def test_constant_lemma_verdict_does_not_depend_on_the_box_size(name):
             assert rep_a.left == pytest.approx(a * a * rep.left, rel=1e-9)
             assert rep_a.empirical_constant == pytest.approx(rep.empirical_constant, rel=1e-9)
         assert [rep.passed for rep in unit] == [True, True, None]
+
+
+# (a, lam) of g(x) = lam f(x / a) on [0, a]^2.  Powers of two leave the
+# samples those of f on the unit square times lam, bit for bit, so only
+# roundings may move a scale-free ratio.
+_SCALINGS = [(2.0**-12, 1.0), (0.25, 1.0), (4.0, 1.0), (1.0, 2.0**-30), (1.0, 2.0**30)]
+_SCALE_RTOL = 64 * np.finfo(float).eps
+
+
+def _scaled(fn, a, lam):
+    """``lam fn(x / a)``, its derivatives by the chain rule."""
+    deriv = fn.derivative and (
+        lambda s: lambda X, d=fn.derivative(s), c=lam * a ** -sum(s): c * d(X / a)
+    )
+    return replace(fn, f=lambda X: lam * fn.f(X / a), derivative=deriv)
+
+
+def _records_on_the_box(fn, a):
+    """Every check of ``fn`` on [0, a]^2 at grid 16, 5 step samples, with the
+    suites' step bounds and Taylor's ladder in units of a; Marchaud for
+    the functions of its suite row."""
+    box, s, ps = Box.cube(0.0, a, 2), VerifierSettings(grid=16, h_samples=5), [0.5, 1.0, 2.0]
+    reps = _constant_bound(fn, ps, box, s)
+    if fn.name in verifier._SUITES["marchaud"].names:
+        reps += _marchaud(fn, (1, 2), (2, 2), 0, (a / 8, a / 8), ps, box, s)
+    for r in ((1, 1), (2, 2)):
+        for per_p in (
+            _whitney_pairs(fn, r, ps, box, s)
+            + _equivalence_pairs(fn, r, (a / 2, a / 2), ps, box, s)
+            + _superadditivity(fn, r, (a / 8, a / 8), ps, box, 2, s)
+        ):
+            reps += per_p
+        if fn.has_derivatives:
+            reps += [taylor_report(fn, r, p, (a / 4, a / 8, a / 16), s) for p in ps if p >= 1]
+    return reps
+
+
+def _scale_free(rep):
+    return [rep.empirical_constant, rep.left / rep.right if rep.right else None]
+
+
+@pytest.mark.parametrize("name", [e.name for e in corpus_entries(dim=2)])
+def test_verdicts_do_not_depend_on_the_box_size_or_the_data_units(name):
+    fn = get_function(name)
+    unit = _records_on_the_box(fn, 1.0)
+    for a, lam in _SCALINGS:
+        for rep, rep_g in zip(unit, _records_on_the_box(_scaled(fn, a, lam), a), strict=True):
+            case = (rep.check, rep.params.get("r"), rep.params["p"], a, lam)
+            assert (rep_g.vacuous, rep_g.passed) == (rep.vacuous, rep.passed), case
+            if rep.check.startswith("whitney") and case[1:3] == ([2, 2], "0.5"):
+                # the p < 1 multistart for more than one coefficient moves
+                # with the box (by 3.9e-3 at a = 2^-12): ROADMAP items 3 and 10
+                continue
+            assert _scale_free(rep_g) == pytest.approx(_scale_free(rep), rel=_SCALE_RTOL), case
 
 
 def test_every_numeric_record_follows_the_one_verdict_rule():
