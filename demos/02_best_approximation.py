@@ -3,7 +3,7 @@
 The discrete best-approximation problem changes character with p:
 strictly convex and separable at p = 2, a linear program at p = 1,
 convex at 1 < p < inf, a minimax problem at p = inf, and nonconvex
-for 0 < p < 1, where fits by constants are still exact.  This script
+for 0 < p < 1.  Fits by constants are exact at every p.  This script
 fits the same functions at several exponents, checks a couple of
 closed forms, and finishes with approximation by constants and
 piecewise constants.
@@ -38,11 +38,12 @@ print("  vertex exchanges:", res.diagnostics["iterations"],
       " certified lower bound:", res.diagnostics["lower_bound"])
 
 # Minimax by constants is the midrange; the error is half the spread.
+# Every fit by constants is best_constant's exact answer, so the error
+# is its own lower bound.
 g_lin = sample_on_grid(lambda X: X[..., 0], box1, 256)
 res = best_approx(g_lin, (1,), math.inf)
 print("E(x) by constants, p = inf:", res.error, " constant:", res.polynomial.coeffs[0])
-print("  exchange steps:", res.diagnostics["iterations"],
-      " certified lower bound:", res.diagnostics["lower_bound"])
+print("  method:", res.diagnostics["method"], " gap:", res.diagnostics["gap"])
 
 # Below p = 1 the objective is nonconvex; the solver runs a seeded
 # multi-start descent on a smoothed objective, all starts advancing
@@ -55,9 +56,9 @@ print("  error:", res.error)
 print("  starts:", res.diagnostics["starts"], " spread of local minima:",
       f"{res.diagnostics['start_spread']:.3e}")
 
-# With one coefficient (fitting constants) the p = 1/2 problem is solved
-# exactly: a best constant is a sample value, found by a branch-and-bound
-# over the sorted values, so the error is its own lower bound.
+# By constants the p = 1/2 problem is solved exactly too: a best
+# constant is a sample value, found by a branch-and-bound over the
+# sorted values.
 res = best_approx(g_sing, (1,), 0.5)
 print("|x - 0.37|^(1/2) by constants, p = 1/2:")
 print("  error:", res.error, " constant:", res.polynomial.coeffs[0])

@@ -5,11 +5,11 @@ The package computes, on axis-aligned boxes and for any exponent
 
 * mixed finite differences and the sup / p-mean moduli of smoothness
   built from them, per axis subset and in total;
-* best approximation by tensor polynomials of fixed per-axis degree,
-  with exponent-appropriate solvers (projection at p = 2, an exact
-  vertex descent at p = 1, reweighted least squares for 1 < p < inf,
-  Stiefel's exchange method for p = inf, and smoothed multi-start
-  descent for the nonconvex p < 1 range);
+* best approximation by tensor polynomials of fixed per-axis degree:
+  the exact best constant for one coefficient, else projection at
+  p = 2, an exact vertex descent at p = 1, reweighted least squares for
+  1 < p < inf, Stiefel's exchange method for p = inf, and smoothed
+  multi-start descent for the nonconvex p < 1 range;
 * exact identities linking differences and polynomials, in closed
   form with integer and rational coefficients (unit decomposition,
   reproduction formula, step halving);

@@ -100,10 +100,11 @@ class Box:
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Componentwise membership test for points of shape ``(..., dim)``,
-        with a slack of 1e-12 on every side."""
+        with a slack of 1e-12 times the side's length on every side."""
         pts = np.asarray(points, float)
-        lo = np.asarray(self.lower) - 1e-12
-        hi = np.asarray(self.upper) + 1e-12
+        slack = 1e-12 * self.size
+        lo = np.asarray(self.lower) - slack
+        hi = np.asarray(self.upper) + slack
         return np.all((pts >= lo) & (pts <= hi), axis=-1)
 
 

@@ -4,7 +4,10 @@ A :class:`TensorPolynomial` has per-axis degree strictly below r_i; the
 space of all such polynomials is the approximation target everywhere in
 this package.  :func:`best_approx` minimizes the discrete L_p
 quasi-norm of the residual on a midpoint grid with a solver ladder
-matched to the convexity of each exponent regime:
+matched to the convexity of each exponent regime.  With one
+coefficient (r all ones) every p gets the exact best constant of
+:func:`best_constant`, whose error is the discrete optimum and is
+returned as its own lower bound; with more:
 
 * p = 2        exact orthogonal projection in a per-axis
                 orthonormalized basis (thin QR per axis, no normal
@@ -22,19 +25,15 @@ matched to the convexity of each exponent regime:
                 prod(r) + 1 nodes are exchanged until the maximum
                 residual meets the reference's levelled error, which is
                 a lower bound on the optimum and certifies it;
-* 0 < p < 1     with one coefficient (r all ones) the exact best
-                constant of :func:`best_constant`, whose error is the
-                discrete optimum and is returned as its own lower bound;
-                with more, multi-start majorize-minimize descent on the
-                smoothed objective sum (res^2 + eps^2)^(p/2) with a
-                decreasing eps schedule; the starts advance together,
-                one step of each per round, and each step is solved from
-                the current residual by the weighted normal equations,
-                built axis by axis; the returned value is an upper bound
-                on the discrete optimum and the spread of local minima
-                is reported.  That spread is not a certificate: the
-                starts can agree on a local minimum far above the
-                optimum.
+* 0 < p < 1     multi-start majorize-minimize descent on the smoothed
+                objective sum (res^2 + eps^2)^(p/2) with a decreasing
+                eps schedule; the starts advance together, one step of
+                each per round, and each step is solved from the current
+                residual by the weighted normal equations, built axis by
+                axis; the returned value is an upper bound on the
+                discrete optimum and the spread of local minima is
+                reported.  That spread is not a certificate: the starts
+                can agree on a local minimum far above the optimum.
 
 Every regime does its tensor-product algebra with one contraction,
 ``_contract_stack``, one matrix per axis: the projection, the monomial
@@ -234,15 +233,15 @@ def best_approx(
     """Best tensor-polynomial approximation of grid samples in L_p.
 
     Requires at least ``2 r_i`` grid points per axis.  The achieved
-    error is the discrete quasi-norm of the residual.  At p = 1 and
-    p = inf the diagnostics carry ``lower_bound``, a dual lower bound on
-    the optimum, and the relative ``gap`` to it.  For 0 < p < 1 with
-    r all ones (k = 1) the fit is :func:`best_constant`'s exact
+    error is the discrete quasi-norm of the residual.  With r all ones
+    (k = 1), at every p, the fit is :func:`best_constant`'s exact
     constant, method ``exact-constant``, with ``lower_bound`` equal to
-    the error and ``gap`` 0; ``seed`` is not used.  For 0 < p < 1 with
-    more coefficients the error is an upper bound on the discrete
-    optimum, and ``converged`` says whether the returned start's last
-    (finest eps) descent stage met its stop test.  Non-convergence
+    the error and ``gap`` 0; ``seed`` is not used.  With more
+    coefficients, at p = 1 and p = inf the diagnostics carry
+    ``lower_bound``, a dual lower bound on the optimum, and the relative
+    ``gap`` to it; for 0 < p < 1 the error is an upper bound on the
+    discrete optimum, and ``converged`` says whether the returned start's
+    last (finest eps) descent stage met its stop test.  Non-convergence
     within the iteration budget is flagged in the result, not raised.
     """
     r = _orders(r, 1)
@@ -254,7 +253,7 @@ def best_approx(
             raise ValueError(
                 f"grid with {n} points per axis is underdetermined for degree bound {ri}"
             )
-    if p < 1.0 and math.prod(r) == 1:
+    if math.prod(r) == 1:
         # one coefficient: the exact best constant, so the error is the optimum
         beta, err = best_constant(g, p)
         return BestApproxResult(

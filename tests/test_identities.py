@@ -97,6 +97,23 @@ def test_identity_checks_reject_non_finite_residuals(check):
         check(f, (1, 1), Box.unit(2), [(0.05, 0.05), (0.1, 0.1)], 8)
 
 
+def test_reproduction_residual_on_a_dilated_box_is_the_unit_ones_scaled():
+    # sqrt(a - x) on [0, a] is a^(1/2) sqrt(1 - x/a) on [0, 1], and a power
+    # of two scales every grid point and step exactly.  With a = 2^-44 an
+    # absolute membership slack of 1e-12 (about 17.6 a) would let stencils
+    # reach x = 3a, where sqrt(a - x) is NaN; a slack in units of the side
+    # does not
+    a = 2.0**-44
+    unit = reproduction_residual(
+        lambda X: np.sqrt(1.0 - X[..., 0]), (2,), Box.unit(1), [(0.3,)], 8
+    )
+    dilated = reproduction_residual(
+        lambda X: np.sqrt(a - X[..., 0]), (2,), Box((0.0,), (a,)), [(0.3 * a,)], 8
+    )
+    assert unit == 0.12002977305504237
+    assert dilated == unit * 2.0**-22
+
+
 def test_reproduction_all_points_skipped_raises():
     f = lambda X: X[..., 0]
     with pytest.raises(ValueError):

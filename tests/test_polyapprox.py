@@ -5,6 +5,7 @@ import math
 import sys
 import tracemalloc
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -182,11 +183,17 @@ def _case_id(case):
     return f"{name}-{grid}-r{''.join(map(str, r))}"
 
 
+def _method(case, solver):
+    """The method ``best_approx`` reports for the case: every fit by
+    constants is ``best_constant``'s, the others are ``solver``'s."""
+    return "exact-constant" if math.prod(case[2]) == 1 else solver
+
+
 @pytest.mark.parametrize("case", MINIMAX_CASES, ids=_case_id)
 def test_exchange_certificate_brackets_the_error(case):
     g, res, floor = _minimax(case)
     diag = res.diagnostics
-    assert res.converged and diag["method"] == "exchange"
+    assert res.converged and diag["method"] == _method(case, "exchange")
     lower = diag["lower_bound"]
     assert 0.0 <= lower <= res.error <= lower * (1.0 + 1e-12) + floor
     # the reported error is the polynomial's own maximum residual
@@ -307,7 +314,7 @@ def test_vertex_descent_matches_linear_programming_oracle(case):
     floor = 1e-13 * max(1.0, float(np.abs(g.values).max()))
     res = best_approx(g, r, 1.0)
     diag = res.diagnostics
-    assert res.converged and diag["method"] == "vertex-descent"
+    assert res.converged and diag["method"] == _method(case, "vertex-descent")
     oracle = _l1_oracle(_legendre_design(g, r), g.values.reshape(-1), g.cell_volume)
     assert res.error <= oracle * (1.0 + 1e-12) + floor
     assert diag["lower_bound"] <= oracle * (1.0 + 1e-12) + floor
@@ -503,9 +510,10 @@ K1_CASES = [
 
 @pytest.mark.parametrize("case", K1_CASES, ids=_case_id)
 def test_small_p_with_one_coefficient_is_the_exact_best_constant(case):
+    # at every p, despite the name: a fit by constants is best_constant's
     name, grid, r = case
     g = sample_on_grid(get_function(name), Box.unit(len(r)), grid)
-    for p in (0.1, 0.25, 0.5, 0.9):
+    for p in (0.1, 0.25, 0.5, 0.9, 1.0, 1.5, 2.0, 3.0, 50.0, math.inf):
         res = best_approx(g, r, p, seed=3)
         assert res.polynomial.coeffs.shape == r
         got = (float(res.polynomial.coeffs.reshape(-1)[0]), res.error)
@@ -517,9 +525,10 @@ def test_small_p_with_one_coefficient_is_the_exact_best_constant(case):
             "lower_bound": res.error,
             "gap": 0.0,
         }
-        # the optimum: never above what the multistart reached
-        error, *_ = _oracle_multistart(g, r, p, 3)
-        assert res.error <= error * (1.0 + 1e-12), (name, p)
+        if p < 1.0:
+            # the optimum: never above what the multistart reached
+            error, *_ = _oracle_multistart(g, r, p, 3)
+            assert res.error <= error * (1.0 + 1e-12), (name, p)
 
 
 def test_small_p_constant_fits_are_invariant_under_shift_and_scale():
@@ -860,10 +869,11 @@ def test_piecewise_totals_at_large_p_are_finite_and_within_the_sup_bound(p):
 def test_fits_at_p_of_at_least_one_are_invariant_under_adding_p_r_and_scaling():
     # E(f + c phi) = E(f) for phi in P_r and E(lam f) = |lam| E(f), on the
     # d = 2 corpus at 64^2.  One allowance: 64 eps max|data|, where data are
-    # the samples of f + c phi or lam f.  Shifts at p = 1 are left out: the
-    # vertex descent perturbs its target by 1e-11 max|values|, so its answer
-    # moves with c (spline_prod_2d, r = (1, 1), c = 1e6: 5.3e-7, about 37
-    # allowances).
+    # the samples of f + c phi or lam f.  Shifts at p = 1 are tested at
+    # r = (1, 1), where the fit is best_constant's lower median, and left
+    # out at r = (2, 2): the vertex descent perturbs its target by
+    # 1e-11 max|values|, so its answer moves with c (spline_prod_2d,
+    # c = 1e6: 2.1e-7, about 3.8 allowances).
     eps = np.finfo(float).eps
     box = Box.unit(2)
     for e in corpus_entries(dim=2):
@@ -872,7 +882,8 @@ def test_fits_at_p_of_at_least_one_are_invariant_under_adding_p_r_and_scaling():
         for r in ((1, 1), (2, 2)):
             phi = TensorPolynomial(np.ones(r))(x)
             base = {p: best_approx(g, r, p).error for p in (1.0, 1.5, 2.0, math.inf)}
-            cases = [(g.values + c * phi, 1.0, (1.5, 2.0, math.inf)) for c in (1e3, 1e6)]
+            shift_ps = tuple(base) if r == (1, 1) else (1.5, 2.0, math.inf)
+            cases = [(g.values + c * phi, 1.0, shift_ps) for c in (1e3, 1e6)]
             cases += [(lam * g.values, abs(lam), tuple(base)) for lam in (-3.0, 2.0**-10)]
             for data, factor, ps in cases:
                 allowance = 64.0 * eps * float(np.abs(data).max())
@@ -884,19 +895,29 @@ def test_fits_at_p_of_at_least_one_are_invariant_under_adding_p_r_and_scaling():
 def test_solver_tasks_of_the_benchmark_pass_its_reference(monkeypatch):
     # perfbench/ is not a package, so its task module is loaded by file
     # path (and registered while the test runs, as its dataclasses need);
-    # every solve-exact fit must keep within the shipped reference
+    # every solve-exact fit, and every sweep workload's Whitney report by
+    # constants (r = (1, 1)), must keep within the shipped reference
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tasks.py"
     spec = importlib.util.spec_from_file_location("perfbench_tasks", path)
     tasks = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tasks)
     spec.loader.exec_module(tasks)
     reference = tasks.load_reference()
-    inputs = tasks.Inputs("solve-exact")
-    pool = tasks.pool("solve-exact")
+    chosen = [
+        ("solve-exact", kind, lambda task: True)
+        for kind in ("best_approx", "best_constant", "piecewise")
+    ] + [
+        (workload, "whitney", lambda task: task["r"] == [1, 1])
+        for workload in ("sweep-coarse", "sweep-fine")
+    ]
     failed = []
-    for kind in ("best_approx", "best_constant", "piecewise"):
-        for task in pool[kind]:
-            tid = tasks.task_id("solve-exact", task)
+    ran = Counter()
+    for workload, kind, keep in chosen:
+        inputs = tasks.Inputs(workload)
+        for task in filter(keep, tasks.pool(workload)[kind]):
+            tid = tasks.task_id(workload, task)
             out = tasks.run_task(inputs, task, get_function)
             failed += [(tid, why) for why in tasks.check_output(kind, out, reference.get(tid))]
+            ran[kind] += 1
     assert failed == []
+    assert ran["whitney"] == 166
