@@ -7,9 +7,9 @@ The package computes, on axis-aligned boxes and for any exponent
   built from them, per axis subset and in total;
 * best approximation by tensor polynomials of fixed per-axis degree:
   the exact best constant for one coefficient, else projection at
-  p = 2, an exact vertex descent at p = 1, reweighted least squares for
-  1 < p < inf, Stiefel's exchange method for p = inf, and smoothed
-  multi-start descent for the nonconvex p < 1 range;
+  p = 2 and for data in P_r, an exact vertex descent at p = 1,
+  reweighted least squares for 1 < p < inf, Stiefel's exchange method
+  for p = inf, and smoothed multi-start descent for nonconvex p < 1;
 * exact identities linking differences and polynomials, in closed
   form with integer and rational coefficients (unit decomposition,
   reproduction formula, step halving);

@@ -193,12 +193,13 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("--splits must be at least 1")
     if any(v < 0 for v in cfg.r):
         raise ConfigError("--r entries must be non-negative")
-    # as the sweeps require: a step box 2 t that overflows is no bound
-    if not all(math.isfinite(2.0 * v) for v in cfg.t):
-        raise ConfigError("--t entries must be finite, with 2 t finite")
-    # a difference takes any step; a modulus takes step bounds
-    if cfg.command == "compute" and cfg.op != "difference" and any(v < 0 for v in cfg.t):
-        raise ConfigError("--t step bounds must be non-negative")
+    if not all(math.isfinite(v) for v in cfg.t):
+        raise ConfigError("--t entries must be finite")
+    # a difference takes any step; a modulus takes step bounds, and as the
+    # sweeps require, a step box 2 t that overflows is no bound
+    bounds = cfg.command == "compute" and cfg.op != "difference"
+    if bounds and not all(v >= 0 and math.isfinite(2.0 * v) for v in cfg.t):
+        raise ConfigError("--t step bounds must be non-negative, with 2 t finite")
 
 
 def _resolve_box(cfg: RunConfig, dim: int) -> Box:

@@ -3,15 +3,14 @@
 A :class:`TensorPolynomial` has per-axis degree strictly below r_i; the
 space of all such polynomials is the approximation target everywhere in
 this package.  :func:`best_approx` minimizes the discrete L_p
-quasi-norm of the residual on a midpoint grid with a solver ladder
-matched to the convexity of each exponent regime.  With one
-coefficient (r all ones) every p gets the exact best constant of
-:func:`best_constant`, whose error is the discrete optimum and is
-returned as its own lower bound; with more:
+quasi-norm of the residual on a midpoint grid, exact answers first.
+With one coefficient (r all ones) every p gets the exact best constant
+of :func:`best_constant`, its error returned as its own lower bound.
+With more, the orthogonal projection in a per-axis orthonormalized
+basis (thin QR per axis, no normal equations) answers p = 2, as its own
+lower bound, and data within 64 eps max|values| of P_r at every p, with
+lower bound 0.  Other data get a solver matched to the exponent regime:
 
-* p = 2        exact orthogonal projection in a per-axis
-                orthonormalized basis (thin QR per axis, no normal
-                equations);
 * p = 1         an exact vertex descent (Barrodale and Roberts): the
                 fit interpolates prod(r) nodes, and each exchange
                 releases one of them and moves along that edge to the
@@ -70,6 +69,7 @@ from .domain import (
     GridFunction,
     _bits,
     _cells,
+    _count,
     _evaluate,
     _exponent,
     _lp,
@@ -232,22 +232,26 @@ def best_approx(
 ) -> BestApproxResult:
     """Best tensor-polynomial approximation of grid samples in L_p.
 
-    Requires at least ``2 r_i`` grid points per axis.  The achieved
-    error is the discrete quasi-norm of the residual.  With r all ones
-    (k = 1), at every p, the fit is :func:`best_constant`'s exact
-    constant, method ``exact-constant``, with ``lower_bound`` equal to
-    the error and ``gap`` 0; ``seed`` is not used.  With more
-    coefficients, at p = 1 and p = inf the diagnostics carry
-    ``lower_bound``, a dual lower bound on the optimum, and the relative
-    ``gap`` to it; for 0 < p < 1 the error is an upper bound on the
-    discrete optimum, and ``converged`` says whether the returned start's
-    last (finest eps) descent stage met its stop test.  Non-convergence
-    within the iteration budget is flagged in the result, not raised.
+    Requires at least ``2 r_i`` grid points per axis.  The achieved error
+    is the discrete quasi-norm of the residual.  With r all ones (k = 1),
+    at every p, the fit is :func:`best_constant`'s exact constant, method
+    ``exact-constant``, with ``lower_bound`` equal to the error and ``gap``
+    0.  With more coefficients, at p = 2, and at every p for data whose
+    projection residual is at most 64 eps max|values| (data in P_r), the
+    fit is the projection, method ``projection``, whose ``lower_bound`` is
+    the error at p = 2 and 0 otherwise.  For other data, at p = 1 and
+    p = inf the diagnostics carry ``lower_bound``, a dual lower bound on
+    the optimum, and the relative ``gap`` to it; for 0 < p < 1, the only
+    user of ``seed``, the error is an upper bound on the discrete optimum,
+    and ``converged`` says whether the returned start's last (finest eps)
+    descent stage met its stop test.  Non-convergence within the iteration
+    budget is flagged in the result, not raised.
     """
     r = _orders(r, 1)
     if len(r) != g.box.dim:
         raise ValueError("degree vector must match the box dimension")
     p = _exponent(p)
+    seed = _count(seed, "seed", 0)
     for n, ri in zip(g.spec, r):
         if n < 2 * ri:
             raise ValueError(
@@ -259,13 +263,9 @@ def best_approx(
         return BestApproxResult(
             TensorPolynomial(np.full(r, beta)), err, True, _certified("exact-constant", 0, err, err)
         )
-    dim = g.box.dim
-    bases = []
-    monos = []
-    for i in range(dim):
-        B, M = _axis_basis(g.box.lower[i], g.box.upper[i], g.spec[i], r[i])
-        bases.append(B)
-        monos.append(M)
+    bases, monos = zip(
+        *(_axis_basis(a, b, n, ri) for a, b, n, ri in zip(g.box.lower, g.box.upper, g.spec, r))
+    )
     cv = g.cell_volume
     values = g.values
     rows = [B.T for B in bases]
@@ -274,20 +274,23 @@ def best_approx(
     weighted = [B * cw for B, cw in zip(bases, g.cell_widths)]
     c2 = _contract_stack(values[None], weighted)[0]
     res2 = values - _contract_stack(c2[None], rows)[0]
-    err2 = _lp(np.abs(res2), cv, 2.0)
     scale = float(np.abs(values).max(initial=0.0))
+    # the data's rounding level: a residual within it is a member of P_r
+    noise = 64.0 * np.finfo(float).eps * scale
 
     def finish(c, err, converged, diag):
         mono = _contract_stack(c[None], [M.T for M in monos])[0]
         return BestApproxResult(TensorPolynomial(mono), float(err), converged, diag)
 
-    if p == 2.0:
-        return finish(c2, err2, True, {"method": "projection", "iterations": 0})
+    if p == 2.0 or np.abs(res2).max() <= noise:
+        # the discrete L2 optimum; data in P_r are exact at every p, bounded below by 0
+        err = _lp(np.abs(res2), cv, p)
+        return finish(c2, err, True, _certified("projection", 0, err, err if p == 2.0 else 0.0))
 
     if p < 1.0:
         # multi-start smoothed descent, every start advancing in lockstep
         rng = np.random.default_rng(seed)
-        amp = 0.5 * (err2 + 1e-3 * max(scale, 1e-30))
+        amp = 0.5 * (_lp(np.abs(res2), cv, 2.0) + 1e-3 * max(scale, 1e-30))
         starts = [c2]
         for _ in range(_N_STARTS):
             starts.append(c2 + rng.standard_normal(c2.shape) * amp)
@@ -310,11 +313,6 @@ def best_approx(
             },
         )
 
-    if p == 1.0 and np.abs(res2).max() <= 64.0 * np.finfo(float).eps * scale:
-        # a member of the space up to rounding: the projection is exact to rounding
-        err = _lp(np.abs(res2), cv, 1.0)
-        return finish(c2, err, True, _certified("vertex-descent", 0, err, 0.0))
-
     # the dense design: column j is the basis tensor of coefficient j
     eye = np.eye(c2.size).reshape(c2.size, *r)
     design = np.ascontiguousarray(_contract_stack(eye, rows).reshape(c2.size, -1).T)
@@ -330,7 +328,7 @@ def best_approx(
         )
 
     if p == math.inf:
-        c, err, lower, iters, conv = _exchange(design, target, c_flat)
+        c, err, lower, iters, conv = _exchange(design, target, c_flat, noise)
         return finish(
             c.reshape(c2.shape), err, conv, _certified("exchange", iters, err, lower)
         )
@@ -397,8 +395,8 @@ def _start_reference(design, res):
     reference's weights nonnegative, i.e. a feasible dual basis.
     """
     size = np.abs(res)
-    top = float(size.max(initial=0.0))
-    ref = _independent_rows(design, size + (1e-3 * top if top > 0 else 1.0))
+    # best_approx's exact rule leaves only data off P_r, whose residual is not 0
+    ref = _independent_rows(design, size + 1e-3 * size.max())
     size[ref] = -1.0
     ref.append(int(np.argmax(size)))
     ref = np.array(ref)
@@ -438,7 +436,7 @@ def _golden_spread(m):
     return 0.5 + (np.arange(1, m + 1) * 0.6180339887498949) % 1.0
 
 
-def _exchange(design, target, c0):
+def _exchange(design, target, c0, floor):
     """Stiefel's exchange method for min_c max_i |t_i - (D c)_i|.
 
     This is the simplex method on the dual linear program
@@ -449,7 +447,7 @@ def _exchange(design, target, c0):
     whose bases are references: k + 1 nodes R with signs s.  The
     levelled system ``s_i (t_i - D_i c) = z`` on R gives the primal
     coefficients c and the level z; with nonnegative weights lam, z is a
-    lower bound on the optimum, so ``max |t - Dc| <= z`` certifies c.
+    lower bound on the optimum, so ``max |t - Dc| <= z + floor`` certifies c.
     Otherwise the node of largest residual enters and the ratio test
     picks the node that leaves.  The ratio test runs on weights for a
     slightly perturbed right-hand side, so every exchange raises the
@@ -460,7 +458,6 @@ def _exchange(design, target, c0):
     """
     k = design.shape[1]
     m = k + 1
-    floor = 64.0 * np.finfo(float).eps * float(np.abs(target).max(initial=0.0))
     res = target - design @ c0
     best_c, best_max = c0, float(np.abs(res).max())
     ref, sig = _start_reference(design, res)

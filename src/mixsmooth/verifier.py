@@ -96,6 +96,7 @@ class VerifierSettings:
     def __post_init__(self):
         # 2 nodes (+-t) refine only by the zero step, which every sweep drops
         object.__setattr__(self, "h_samples", _count(self.h_samples, "h_samples", 3))
+        object.__setattr__(self, "seed", _count(self.seed, "seed", 0))
 
     def grid_for(self, box: Box) -> tuple[int, ...]:
         return normalize_grid(self.grid, box.dim)
@@ -334,6 +335,7 @@ def estimate_constants(
     if not names:
         raise ValueError("corpus selection is empty")
     r = _orders(r, 1)
+    seed = _count(seed, "seed", 0)
     ps = [float(p) for p in p_values]
     ladders: list[list[dict]] = [[] for _ in ps]
     for grid in [_count(g, "grid") for g in grids]:

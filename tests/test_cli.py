@@ -333,6 +333,16 @@ def test_negative_step_bound_is_config_error(capsys):
     capsys.readouterr()
 
 
+def test_a_difference_step_is_not_a_step_bound(tmp_path, capsys):
+    # 2 t overflows, but a difference has no step box: its domain is empty
+    args = ["compute", "difference", "--fn", "linear_1d", "--r", "1"]
+    code, doc = run_json(tmp_path, args + ["--t", "1e308"])
+    assert code == 0
+    (record,) = doc["records"]
+    assert record["empty_domain"] is True and record["value"] is None
+    assert "--t entries must be finite" in _config_error(capsys, args + ["--t", "inf"])
+
+
 def test_zero_splits_is_config_error(capsys):
     args = ["approx", "piecewise", "--fn", "linear_1d", "--p", "1", "--grid", "8"]
     assert "--splits" in _config_error(capsys, args + ["--splits", "0"])

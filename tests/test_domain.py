@@ -360,6 +360,15 @@ _COUNT_CALLS = {
     "VerifierSettings": ("h_samples", 3, 3, lambda v: _records(
         whitney_report(_EXP, (1, 1), 1.0, _SQUARE, VerifierSettings(grid=8, h_samples=v))
     )),
+    "VerifierSettings-seed": ("seed", 0, 2, lambda v: _records(
+        whitney_report(_EXP, (1, 1), 1.0, _SQUARE, VerifierSettings(grid=8, seed=v))
+    )),
+    "best_approx-seed": ("seed", 0, 2, lambda v: repr(
+        best_approx(sample_on_grid(_EXP, _SQUARE, 8), (2, 2), 0.5, seed=v)
+    )),
+    "estimate_constants-seed": ("seed", 0, 2, lambda v: estimate_constants(
+        ["exp_sum_2d"], (1, 1), [1.0], [8], seed=v
+    )),
     "ModulusRequest": ("h_samples", 2, 3, lambda v: repr(
         ModulusRequest((1, 1), (0.25, 0.25), 1.0, _SQUARE, h_samples=v, density=8)
     )),

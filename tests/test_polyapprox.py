@@ -153,7 +153,8 @@ def test_best_approx_minimax_constant_is_midrange():
 
 # Discrete minimax problems for the exchange solver: d = 1 up to r = 6,
 # symmetric 2-D functions at r = (4, 4) (degenerate references in bulk),
-# exact fits (const_*, bilinear_2d, low-degree 1-D members) and d = 3.
+# members of P_r (const_*, bilinear_2d, low-degree 1-D members), whose
+# fit is the projection, and d = 3.
 MINIMAX_CASES = (
     [(e.name, 64, (r,)) for e in corpus_entries(dim=1) for r in range(1, 7)]
     + [
@@ -185,8 +186,13 @@ def _case_id(case):
 
 def _method(case, solver):
     """The method ``best_approx`` reports for the case: every fit by
-    constants is ``best_constant``'s, the others are ``solver``'s."""
-    return "exact-constant" if math.prod(case[2]) == 1 else solver
+    constants is ``best_constant``'s, every other fit of data in P_r is
+    the projection's, the others are ``solver``'s."""
+    name, _, r = case
+    if math.prod(r) == 1:
+        return "exact-constant"
+    space = get_function(name).poly_space
+    return "projection" if space and all(s <= ri for s, ri in zip(space, r)) else solver
 
 
 @pytest.mark.parametrize("case", MINIMAX_CASES, ids=_case_id)
@@ -250,9 +256,10 @@ def test_exchange_cap_returns_best_iterate_unconverged(monkeypatch):
     assert capped.diagnostics["lower_bound"] <= capped.error <= start + 1e-12
 
 
-# Discrete L1 problems for the vertex descent: the members of P_r
-# (const_2d, bilinear_2d at r = (2,2)), symmetric grids that tie
-# breakpoints, d = 1 up to r = 4 and d = 3.
+# Discrete L1 problems for the vertex descent: symmetric grids that tie
+# breakpoints, d = 1 up to r = 4 and d = 3, and members of P_r
+# (const_2d, bilinear_2d at r = (2,2), linear_1d), whose fit is the
+# projection.
 L1_CASES = (
     [
         (name, grid, r)
@@ -529,6 +536,78 @@ def test_small_p_with_one_coefficient_is_the_exact_best_constant(case):
             # the optimum: never above what the multistart reached
             error, *_ = _oracle_multistart(g, r, p, 3)
             assert res.error <= error * (1.0 + 1e-12), (name, p)
+
+
+# Members of P_r with more than one coefficient, r at or above their
+# degree bounds: the d = 1 and d = 2 corpus members and a trilinear
+# polynomial on the unit cube.
+_TRILINEAR = TensorPolynomial(
+    np.array([[[0.3, -1.0], [0.5, 0.25]], [[1.5, -0.75], [2.0, -0.5]]])
+)
+MEMBER_CASES = [
+    ("const_1d", 16, (2,)),
+    ("linear_1d", 16, (2,)),
+    ("linear_1d", 32, (3,)),
+    ("square_1d", 16, (3,)),
+    ("cubic_1d", 32, (4,)),
+    ("cubic_1d", 32, (6,)),
+    ("const_2d", 8, (2, 2)),
+    ("bilinear_2d", 16, (2, 2)),
+    ("bilinear_2d", 64, (3, 2)),
+    ("cubic_2d", 16, (4, 4)),
+    ("trilinear_3d", 8, (2, 2, 2)),
+    ("trilinear_3d", 8, (3, 2, 2)),
+]
+
+
+def _projection(g, r):
+    """The solver's p = 2 projection: its monomial coefficients and residual."""
+    axes = [
+        polyapprox._axis_basis(g.box.lower[i], g.box.upper[i], g.spec[i], r[i])
+        for i in range(g.box.dim)
+    ]
+    weighted = [B * cw for (B, _), cw in zip(axes, g.cell_widths)]
+    c2 = polyapprox._contract_stack(g.values[None], weighted)[0]
+    res2 = g.values - polyapprox._contract_stack(c2[None], [B.T for B, _ in axes])[0]
+    mono = polyapprox._contract_stack(c2[None], [M.T for _, M in axes])[0]
+    return mono, res2
+
+
+@pytest.mark.parametrize("case", MEMBER_CASES, ids=_case_id)
+def test_data_in_p_r_is_its_projection_at_every_p(case):
+    # E_r(f)_p = 0 for f in P_r: the projection is exact to rounding at
+    # every p, certified by the lower bound 0, whatever the solver seed
+    name, grid, r = case
+    fn = _TRILINEAR if name == "trilinear_3d" else get_function(name)
+    g = sample_on_grid(fn, Box.unit(len(r)), grid)
+    mono, res2 = _projection(g, r)
+    for p in (0.25, 0.5, 1.0, 1.5, 3.0, 50.0, math.inf):
+        err = polyapprox._lp(np.abs(res2), g.cell_volume, p)
+        for seed in range(4):
+            res = best_approx(g, r, p, seed=seed)
+            assert np.array_equal(res.polynomial.coeffs, mono), (name, p, seed)
+            assert _same_bits((res.error,), (err,)), (name, p, seed)
+            assert res.converged
+            assert res.diagnostics == {
+                "method": "projection",
+                "iterations": 0,
+                "lower_bound": 0.0,
+                "gap": 1.0 if err > 0 else 0.0,
+            }
+
+
+def test_the_projection_certifies_itself_at_p_two():
+    # at p = 2 the projection is the discrete optimum: its error is its
+    # own lower bound
+    for name in ("exp_sum_2d", "holder_half_2d", "bilinear_2d"):
+        g = sample_on_grid(get_function(name), Box.unit(2), 16)
+        res = best_approx(g, (2, 2), 2.0)
+        assert res.diagnostics == {
+            "method": "projection",
+            "iterations": 0,
+            "lower_bound": res.error,
+            "gap": 0.0,
+        }
 
 
 def test_small_p_constant_fits_are_invariant_under_shift_and_scale():
@@ -892,11 +971,18 @@ def test_fits_at_p_of_at_least_one_are_invariant_under_adding_p_r_and_scaling():
                     assert abs(got - factor * base[p]) <= allowance, (e.name, r, p, factor)
 
 
+def _constant_or_member(task):
+    return task["r"] == [1, 1] or (
+        task["r"] == [2, 2] and task["fn"] in ("bilinear_2d", "const_2d")
+    )
+
+
 def test_solver_tasks_of_the_benchmark_pass_its_reference(monkeypatch):
     # perfbench/ is not a package, so its task module is loaded by file
     # path (and registered while the test runs, as its dataclasses need);
     # every solve-exact fit, and every sweep workload's Whitney report by
-    # constants (r = (1, 1)), must keep within the shipped reference
+    # constants (r = (1, 1)) or of a member of P_r at r = (2, 2), must keep
+    # within the shipped reference
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tasks.py"
     spec = importlib.util.spec_from_file_location("perfbench_tasks", path)
     tasks = importlib.util.module_from_spec(spec)
@@ -907,7 +993,7 @@ def test_solver_tasks_of_the_benchmark_pass_its_reference(monkeypatch):
         ("solve-exact", kind, lambda task: True)
         for kind in ("best_approx", "best_constant", "piecewise")
     ] + [
-        (workload, "whitney", lambda task: task["r"] == [1, 1])
+        (workload, "whitney", _constant_or_member)
         for workload in ("sweep-coarse", "sweep-fine")
     ]
     failed = []
@@ -920,4 +1006,5 @@ def test_solver_tasks_of_the_benchmark_pass_its_reference(monkeypatch):
             failed += [(tid, why) for why in tasks.check_output(kind, out, reference.get(tid))]
             ran[kind] += 1
     assert failed == []
-    assert ran["whitney"] == 166
+    # 166 by constants, 8 + 12 of the members
+    assert ran["whitney"] == 186
