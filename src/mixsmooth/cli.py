@@ -34,6 +34,7 @@ from .differences import (
 )
 from .domain import Box, GridFunction, lp_quasinorm, sample_on_grid
 from .polyapprox import (
+    _check_fit_grid,
     best_approx,
     best_constant,
     piecewise_constant_approx,
@@ -248,17 +249,6 @@ def _orders_from_one(cfg: RunConfig, dim: int, what: str) -> tuple:
     return r
 
 
-def _require_fit_grid(grid: tuple, r: tuple) -> None:
-    """Reject a grid with fewer than ``2 r_i`` points on some axis, which
-    leaves a degree-bound-``r`` fit underdetermined."""
-    for n, ri in zip(grid, r):
-        if n < 2 * ri:
-            raise ConfigError(
-                f"--grid {n} is underdetermined for degree bound {ri}; "
-                f"use at least {2 * ri} points per axis"
-            )
-
-
 def _require_p(cfg: RunConfig) -> float:
     if cfg.p is None:
         raise ConfigError("--p is required for this operation")
@@ -387,7 +377,10 @@ def cmd_approx(cfg: RunConfig) -> int:
     if cfg.op == "best":
         r = _orders_from_one(cfg, fn.dim, "a best approximation")
         p = _require_p(cfg)
-        _require_fit_grid(grid, r)
+        try:  # polyapprox owns the rule; a grid it rejects is a config error
+            _check_fit_grid(grid, r)
+        except ValueError as exc:
+            raise ConfigError(f"--grid: {exc}") from None
         result = best_approx(g, r, p, seed=cfg.seed)
         record.update(
             {
@@ -464,8 +457,11 @@ def cmd_verify(cfg: RunConfig) -> int:
         kwargs["p_values"] = (_require_p(cfg),)
     grid = _per_axis(cfg, "grid", dim)
     if cfg.suite in ("whitney", "all"):  # the one suite that fits polynomials
-        for r in _SUITES["whitney"].orders(dim, kwargs.get("orders")):
-            _require_fit_grid(grid, r)
+        try:
+            for r in _SUITES["whitney"].orders(dim, kwargs.get("orders")):
+                _check_fit_grid(grid, r)
+        except ValueError as exc:
+            raise ConfigError(f"--grid: {exc}") from None
     try:  # the settings own the least number of step samples
         settings = VerifierSettings(grid=grid, h_samples=cfg.hsamples, seed=cfg.seed)
     except ValueError as exc:

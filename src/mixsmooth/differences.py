@@ -64,10 +64,11 @@ bit-identical to evaluating one step at a time, whatever the chunks;
 
 Every sweep is one pipeline: a node rule places the step nodes on each
 axis, ``_step_product`` takes their tensor grid, and ``_fields`` and
-``_step_norms`` give every step's norm for every exponent.  The sup
-sweep takes the maximum over the steps, and the mean sweep a weighted
-sum in step order.  That the p-mean modulus at p = inf is the sup
-modulus is decided in ``mean_modulus_sweep``, and again by the two
+``_step_norms`` give every step's L_p norm for every exponent by
+``domain._lp``'s rule.  The sup sweep takes the maximum of the norms,
+and the mean sweep their ``_lp`` with weight ``1 / len(steps)``: no
+sweep takes a root of its own.  That the p-mean modulus at p = inf is
+the sup modulus is decided in ``mean_modulus_sweep``, and again by the two
 callers that skip the mean sweep at p = inf: the verifier's equivalence
 check (``_equivalence_pairs`` takes the coarse sup sweep) and ``compute``
 in ``cli.py`` (which waives the step box a mean sweep needs).
@@ -128,6 +129,7 @@ from .domain import (
     _count,
     _evaluate,
     _exponent,
+    _lp,
     _midpoints,
     _orders,
     _shrunk,
@@ -369,7 +371,8 @@ def _plan(r: tuple, steps_shape: tuple, steps_bits: bytes, box_bits: bytes, dens
     density = np.asarray(density)
     stencil = _stencil(r)
     offsets = np.array([o for _, o in stencil], float).reshape(len(stencil), dim)
-    lo, hi = _shrunk(box, np.asarray(r) * steps)
+    with np.errstate(over="ignore"):  # a shift r h that overflows empties the domain
+        lo, hi = _shrunk(box, np.asarray(r) * steps)
     live = np.flatnonzero(np.all(hi > lo, axis=1))
     size = hi[live] - lo[live]
     shape = np.maximum(1, np.ceil(density * (size / box.size) - 1e-9)).astype(np.int64)
@@ -533,12 +536,16 @@ def _fields(
 
 
 def _step_norms(chunks: Iterable[_Chunk], n_steps: int, ps: Sequence[float]) -> np.ndarray:
-    """Per exponent and step: ``sum |D|^p * cell_volume``, or ``max |D|``
-    for p = inf; 0 for a step whose domain is empty.
+    """Per exponent and step: ``domain._lp`` of the step's difference field,
+    bit for bit; 0 for a step whose domain is empty.
 
     Each of a chunk's runs is summed as the rows of one matrix, which
-    numpy sums exactly as it sums each step on its own
-    (``np.add.reduceat`` does not: it adds the first element last).
+    numpy sums exactly as ``_lp`` sums each step on its own
+    (``np.add.reduceat`` does not: it adds the first element last), and
+    rooted by ``np.power``.  A chunk whose powers or sums underflow or
+    overflow, as the IEEE flags say, takes ``_lp`` step by step.  Besides
+    a field of zeros, only an exact subnormal sum raises no flag: it is
+    rooted as it stands, within rounding of ``_lp``'s units of ``max |D|``.
     """
     out = np.zeros((len(ps), n_steps))
     for ch in chunks:
@@ -547,11 +554,17 @@ def _step_norms(chunks: Iterable[_Chunk], n_steps: int, ps: Sequence[float]) -> 
             if p == math.inf:
                 out[j, ch.steps] = np.maximum.reduceat(a, ch.bounds[:-1])
                 continue
-            x = a if p == 1.0 else a**p
             sums = np.empty(ch.steps.size)
-            for u, v, start, stop in ch.runs:
-                sums[u:v] = x[start:stop].reshape(v - u, -1).sum(axis=1)
-            out[j, ch.steps] = sums * ch.cell_volume
+            try:
+                with np.errstate(under="raise", over="raise"):
+                    x = a if p == 1.0 else a**p
+                    for u, v, start, stop in ch.runs:
+                        sums[u:v] = x[start:stop].reshape(v - u, -1).sum(axis=1)
+                    sums *= ch.cell_volume
+                out[j, ch.steps] = np.power(sums, 1.0 / p)
+            except FloatingPointError:
+                for k, (lo, hi) in enumerate(zip(ch.bounds[:-1], ch.bounds[1:])):
+                    out[j, ch.steps[k]] = _lp(a[lo:hi], ch.cell_volume[k], p)
     return out
 
 
@@ -714,17 +727,9 @@ def sup_modulus_sweep(
         raise ValueError("a nested coarse sweep needs an odd h_samples")
     steps, coarse = _node_steps(False, r, _bits(t), h_samples)
     norms = _step_norms(_fields(f, r, steps, box, density), len(steps), ps)
-
-    def sup(mask):
-        out = {}
-        for p, col in zip(ps, norms):
-            top = float(col[mask].max(initial=0.0))
-            out[p] = top if p == math.inf else top ** (1.0 / p)
-        return out
-
-    if nested:
-        return sup(slice(None)), sup(coarse)
-    return sup(slice(None))
+    masks = (slice(None), coarse) if nested else (slice(None),)
+    sups = tuple({p: float(col[m].max(initial=0.0)) for p, col in zip(ps, norms)} for m in masks)
+    return sups if nested else sups[0]
 
 
 def mean_modulus_sweep(
@@ -750,19 +755,13 @@ def mean_modulus_sweep(
     finite = [p for p in ps if p != math.inf]
     out = {}
     if finite:
-        active = [i for i, ri in enumerate(r) if ri > 0]
-        for i in active:
-            if t[i] <= 0:
+        for i, (ri, ti) in enumerate(zip(r, t)):
+            if ri > 0 and ti <= 0:
                 raise ValueError(f"step bound t[{i}] must be positive on an active axis")
-        h_weight = float(np.prod([2.0 * t[i] / h_samples for i in active]))
-        volume = float(np.prod([2.0 * t[i] for i in active]))
         steps, _ = _node_steps(True, r, _bits(t), h_samples)
         norms = _step_norms(_fields(f, r, steps, box, density), len(steps), finite)
-        for p, col in zip(finite, norms):
-            acc = 0.0
-            for v in (col * h_weight).tolist():  # in step order, as the rule reads
-                acc += v
-            out[p] = (acc / volume) ** (1.0 / p)
+        # the rule weighs each step by prod(2 t_i / m) / prod(2 t_i) = 1 / len(steps)
+        out = {p: _lp(col, 1.0 / len(steps), p) for p, col in zip(finite, norms)}
     if len(finite) < len(ps):
         out[math.inf] = sup_modulus_sweep(
             f, r, t, box, density=density, h_samples=h_samples, p_values=[math.inf]

@@ -13,7 +13,7 @@ order, so reductions are reproducible bit for bit.
 
 It also owns the rules other modules share: ``_orders``, ``_count``,
 ``_axis`` and ``_exponent`` check every order vector, count, axis and
-exponent, ``_lp`` forms every L_p sum and root outside the step sweeps,
+exponent, ``_lp`` forms every L_p sum and root (the moduli's too),
 ``_shrunk`` shrinks every domain, ``_midpoints`` and ``_cells`` place
 every midpoint and subdivision, ``_evaluate`` calls every user function,
 and ``_bits`` keys every memo of f-independent geometry.
@@ -251,9 +251,9 @@ def lp_quasinorm(g: GridFunction | None, p: float) -> float:
 def _lp(a: np.ndarray, cell_volume: float, p: float) -> float:
     """``(sum a^p * cell_volume)^(1/p)`` of the magnitudes ``a`` (the root by
     ``np.power``, a square root at p = 2), ``max a`` at p = inf or when it
-    is inf, 0 for no ``a``: the one L_p sum and root outside the step
-    sweeps.  A sum that is not a normal double (0, subnormal or inf) while
-    some ``a`` is nonzero is taken in units of ``max a``."""
+    is inf, 0 for no ``a``: the one L_p sum and root.  A sum that is not a
+    normal double (0, subnormal or inf) while some ``a`` is nonzero is
+    taken in units of ``max a``."""
     if p == math.inf:
         return float(a.max(initial=0.0))
     with np.errstate(over="ignore"):

@@ -9,7 +9,7 @@ of :func:`best_constant`, its error returned as its own lower bound.
 With more, the orthogonal projection in a per-axis orthonormalized
 basis (thin QR per axis, no normal equations) answers p = 2, as its own
 lower bound, and data within 64 eps max|values| of P_r at every p, with
-lower bound 0.  Other data get a solver matched to the exponent regime:
+lower bound 0 and gap 0.  Other data get a solver for their exponent:
 
 * p = 1         an exact vertex descent (Barrodale and Roberts): the
                 fit interpolates prod(r) nodes, and each exchange
@@ -223,6 +223,13 @@ _N_STARTS = 8
 _STAGE_ITER = 100
 
 
+def _check_fit_grid(spec: Sequence[int], r: Sequence[int]) -> None:
+    """Fewer than ``2 r_i`` points on an axis leave a fit underdetermined."""
+    for n, ri in zip(spec, r):
+        if n < 2 * ri:
+            raise ValueError(f"{n} points per axis are underdetermined for degree bound {ri}")
+
+
 def best_approx(
     g: GridFunction,
     r: Sequence[int],
@@ -239,24 +246,20 @@ def best_approx(
     0.  With more coefficients, at p = 2, and at every p for data whose
     projection residual is at most 64 eps max|values| (data in P_r), the
     fit is the projection, method ``projection``, whose ``lower_bound`` is
-    the error at p = 2 and 0 otherwise.  For other data, at p = 1 and
-    p = inf the diagnostics carry ``lower_bound``, a dual lower bound on
-    the optimum, and the relative ``gap`` to it; for 0 < p < 1, the only
-    user of ``seed``, the error is an upper bound on the discrete optimum,
-    and ``converged`` says whether the returned start's last (finest eps)
-    descent stage met its stop test.  Non-convergence within the iteration
-    budget is flagged in the result, not raised.
+    the error at p = 2 and 0 otherwise, with ``gap`` 0.  Otherwise, at
+    p = 1 and p = inf the diagnostics carry ``lower_bound``, a dual lower
+    bound on the optimum, and the relative ``gap`` to it; for 0 < p < 1,
+    the only user of ``seed``, the error is an upper bound on the discrete
+    optimum, and ``converged`` says whether the returned start's last
+    (finest eps) descent stage met its stop test.  Non-convergence within
+    the iteration budget is flagged in the result, not raised.
     """
     r = _orders(r, 1)
     if len(r) != g.box.dim:
         raise ValueError("degree vector must match the box dimension")
     p = _exponent(p)
     seed = _count(seed, "seed", 0)
-    for n, ri in zip(g.spec, r):
-        if n < 2 * ri:
-            raise ValueError(
-                f"grid with {n} points per axis is underdetermined for degree bound {ri}"
-            )
+    _check_fit_grid(g.spec, r)
     if math.prod(r) == 1:
         # one coefficient: the exact best constant, so the error is the optimum
         beta, err = best_constant(g, p)
@@ -283,9 +286,10 @@ def best_approx(
         return BestApproxResult(TensorPolynomial(mono), float(err), converged, diag)
 
     if p == 2.0 or np.abs(res2).max() <= noise:
-        # the discrete L2 optimum; data in P_r are exact at every p, bounded below by 0
+        # the L2 optimum (bound: its error) and data in P_r at every p (bound 0): gap 0
         err = _lp(np.abs(res2), cv, p)
-        return finish(c2, err, True, _certified("projection", 0, err, err if p == 2.0 else 0.0))
+        lower = err if p == 2.0 else 0.0
+        return finish(c2, err, True, _certified("projection", 0, lower, lower))
 
     if p < 1.0:
         # multi-start smoothed descent, every start advancing in lockstep

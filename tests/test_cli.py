@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -341,6 +342,30 @@ def test_a_difference_step_is_not_a_step_bound(tmp_path, capsys):
     (record,) = doc["records"]
     assert record["empty_domain"] is True and record["value"] is None
     assert "--t entries must be finite" in _config_error(capsys, args + ["--t", "inf"])
+    # a shift r h that overflows empties the domain too, with no warning
+    args = ["compute", "difference", "--fn", "bilinear_2d", "--r", "2,1", "--t", "1e308,-1e308"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, doc = run_json(tmp_path, args)
+    assert code == 0 and doc["records"][0]["empty_domain"] is True
+    assert capsys.readouterr().err == ""
+
+
+def test_a_large_p_modulus_is_bracketed_by_its_p_inf_value(tmp_path):
+    # each step's domain is [0, 1 - |h|]^2 with |h| <= 0.01: 16 cells per
+    # axis, each at least 0.99 / 16 wide, so omega_p >= cv^(1/p) omega_inf.
+    # The largest |D| dominates the sum at p = 150, so the lower bound is
+    # met to within rounding: 1e-14 relative covers it
+    args = ["compute", "modulus-sup", "--fn", "holder_half_2d", "--r", "1", "--t", "0.01"]
+    value = {}
+    for p in ("50", "150", "inf"):
+        code, doc = run_json(tmp_path, args + ["--grid", "16", "--p", p], f"{p}.json")
+        assert code == 0
+        value[p] = doc["records"][0]["value"]
+    cv = (0.99 / 16) ** 2
+    assert cv ** (1 / 150) * value["inf"] <= value["150"] * (1 + 1e-14)
+    assert value["150"] <= value["inf"]
+    assert 0 < value["50"] <= value["150"]
 
 
 def test_zero_splits_is_config_error(capsys):

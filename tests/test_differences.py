@@ -1098,6 +1098,97 @@ def test_fields_whose_sum_overflows_are_finite_and_raise_no_warning(t, grid):
 
 
 # ---------------------------------------------------------------------------
+# One L_p rule: every step norm and modulus is domain._lp's
+
+# Scaling f by 2^k scales every difference field by 2^k exactly, so two
+# moduli that should scale differ only by rounding: on either side one may
+# take the plain sum and the other the sum in units of max |D|.  Per side a
+# step norm carries the p-th powers and the cell volume (2 roundings), a
+# pairwise sum of at most 2^8 nonnegative terms (8), a root that divides
+# that relative error by p >= 1/2 and adds one, and the product by max |D|
+# (1): 22 eps.  The mean re-powers the norms, which keeps their error, and
+# adds its own sum of at most 2^7 terms and root: 20 eps more.  Two sides:
+# 84 eps, and 96 covers it.
+_LP_ROUNDING = 96 * np.finfo(float).eps
+
+
+def _scaled(f, k):
+    return lambda X: 2.0**k * f(X)
+
+
+@pytest.mark.parametrize("r", [(1, 1), (2, 2)])
+@pytest.mark.parametrize("k", [0, -600])
+def test_step_norms_are_the_lp_norms_of_the_step_fields(monkeypatch, r, k):
+    # bit for bit lp_quasinorm of each step's difference_field, whether
+    # the plain sums are normal or a chunk under- or overflows into _lp
+    ps = (0.5, 2.0, 50.0, 150.0, 400.0)
+    by_lp = []
+
+    def lp(a, cell_volume, p):
+        by_lp.append(p)
+        return domain._lp(a, cell_volume, p)
+
+    monkeypatch.setattr(differences, "_lp", lp)
+    box = Box.unit(2)
+    steps = _step_product(_sup_nodes(r, (0.5, 0.25), 5))
+    for e in corpus_entries(2):
+        f = _scaled(e.f, k)
+        got = differences._step_norms(differences._fields(f, r, steps, box, 16), len(steps), ps)
+        fields = [difference_field(f, r, h, box, 16) for h in steps]
+        want = [[lp_quasinorm(g, p) if g is not None else 0.0 for g in fields] for p in ps]
+        assert np.array_equal(got, want), e.name
+    # p = 400 underflows at scale 1, and p = 2 only at 2^-600
+    assert 400.0 in by_lp and (2.0 in by_lp) == (k != 0)
+
+
+@pytest.mark.parametrize("r", [(1, 1), (2, 2)])
+def test_large_p_moduli_are_bracketed_and_nondecreasing(r):
+    # every step domain of the unit box has volume <= 1, so a step norm lies
+    # in [cv^(1/p) max |D|, max |D|] and grows with p; so does the sup.  The
+    # 4-cell mean's steps are 16 of the 9-node sup's, bit for bit, and its
+    # weights sum to at most 1: at finite p it is at most that sup, and it
+    # grows with p
+    box, t, ps = Box.unit(2), (0.25, 0.25), [50.0, 150.0, 400.0, math.inf]
+    sup_steps = differences._node_steps(False, r, _bits(t), 9)[0]
+    mean_steps = differences._node_steps(True, r, _bits(t), 4)[0]
+    assert {tuple(h) for h in mean_steps} <= {tuple(h) for h in sup_steps}
+    cv = min(difference_field(lambda X: X[..., 0], r, h, box, 16).cell_volume for h in sup_steps)
+    up = 1.0 + _LP_ROUNDING
+    for e in corpus_entries(2):
+        sup = sup_modulus_sweep(e.f, r, t, box, density=16, h_samples=9, p_values=ps)
+        mean = mean_modulus_sweep(e.f, r, t, box, density=16, h_samples=4, p_values=ps)
+        for p in ps[:-1]:
+            assert cv ** (1.0 / p) * sup[math.inf] <= sup[p] * up, (e.name, p)
+            assert sup[p] <= sup[math.inf] * up and mean[p] <= sup[p] * up, (e.name, p)
+        for lo, hi in zip(ps, ps[1:]):
+            assert sup[lo] <= sup[hi] * up, (e.name, lo)
+            assert hi == math.inf or mean[lo] <= mean[hi] * up, (e.name, lo)
+    assert sup[150.0] > 0.0
+
+
+@pytest.mark.parametrize("r", [(1, 1), (2, 2)])
+def test_moduli_scale_with_f_at_every_p_without_a_warning(r):
+    # the moduli of 2^600 f and 2^-600 f are 2^600 and 2^-600 times those of
+    # f: no power or sum of theirs reads 0 or inf
+    box, t, ps = Box.unit(2), (0.5, 0.25), [0.5, 1.0, 2.0, 50.0, 150.0, 400.0, math.inf]
+    kw = dict(density=16, h_samples=9, p_values=ps)
+    for e in corpus_entries(2):
+        moduli = {}
+        for k in (0, 600, -600):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                moduli[k] = [
+                    sweep(_scaled(e.f, k), r, t, box, **kw)
+                    for sweep in (sup_modulus_sweep, mean_modulus_sweep)
+                ]
+        for k in (600, -600):
+            for base, scaled in zip(moduli[0], moduli[k]):
+                for p in ps:
+                    want = 2.0**k * base[p]
+                    assert abs(scaled[p] - want) <= _LP_ROUNDING * want, (e.name, k, p)
+
+
+# ---------------------------------------------------------------------------
 # Malformed sweep arguments are rejected, not swept
 
 

@@ -592,7 +592,7 @@ def test_data_in_p_r_is_its_projection_at_every_p(case):
                 "method": "projection",
                 "iterations": 0,
                 "lower_bound": 0.0,
-                "gap": 1.0 if err > 0 else 0.0,
+                "gap": 0.0,
             }
 
 
@@ -981,8 +981,9 @@ def test_solver_tasks_of_the_benchmark_pass_its_reference(monkeypatch):
     # perfbench/ is not a package, so its task module is loaded by file
     # path (and registered while the test runs, as its dataclasses need);
     # every solve-exact fit, and every sweep workload's Whitney report by
-    # constants (r = (1, 1)) or of a member of P_r at r = (2, 2), must keep
-    # within the shipped reference
+    # constants (r = (1, 1)) or of a member of P_r at r = (2, 2), and every
+    # sweep-coarse equivalence and superadditivity report, must keep within
+    # the shipped reference
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tasks.py"
     spec = importlib.util.spec_from_file_location("perfbench_tasks", path)
     tasks = importlib.util.module_from_spec(spec)
@@ -995,6 +996,10 @@ def test_solver_tasks_of_the_benchmark_pass_its_reference(monkeypatch):
     ] + [
         (workload, "whitney", _constant_or_member)
         for workload in ("sweep-coarse", "sweep-fine")
+    ] + [
+        # every step norm and mean is domain._lp's: the moved mean sides
+        ("sweep-coarse", kind, lambda task: True)
+        for kind in ("equivalence", "superadditivity")
     ]
     failed = []
     ran = Counter()
@@ -1008,3 +1013,4 @@ def test_solver_tasks_of_the_benchmark_pass_its_reference(monkeypatch):
     assert failed == []
     # 166 by constants, 8 + 12 of the members
     assert ran["whitney"] == 186
+    assert (ran["equivalence"], ran["superadditivity"]) == (224, 84)
