@@ -16,6 +16,13 @@ Random entries (polynomial and trigonometric) are drawn once at import
 time from fixed seeds, so the corpus is identical in every process.
 Singular offsets are chosen away from every dyadic grid line used at
 desk scale, so midpoint samples never hit a kink exactly.
+
+Evaluation rule: the Holder and spline product entries compute in
+place, in the arrays they allocate themselves and never in their
+argument, and are bit-identical to their written formulas.  Only the
+product's start, a multiplication by exactly 1.0, is dropped; ``** alpha``
+stays an operator, so numpy's square-root path at alpha = 1/2 still
+applies; every other operation keeps its order.
 """
 
 from __future__ import annotations
@@ -56,6 +63,18 @@ class CorpusFunction:
     @property
     def has_derivatives(self) -> bool:
         return self.derivative is not None
+
+
+def _batched(kernel):
+    """``kernel`` on ``(..., d)`` points, a single point ``(d,)`` as a batch
+    of one: each coordinate column it takes is then an array, which the
+    kernel's own temporaries may be written into."""
+
+    def f(X):
+        X = np.asarray(X, float)
+        return kernel(X[None])[0] if X.ndim == 1 else kernel(X)
+
+    return f
 
 
 def _poly_entry(name, coeffs, dim, description=""):
@@ -157,11 +176,17 @@ def _trig_sum(name, terms, description):
 def _holder(name, dim, alpha, centers):
     centers = tuple(float(c) for c in centers)
 
+    @_batched
     def f(X):
-        X = np.asarray(X, float)
-        out = np.ones(X.shape[:-1])
+        out = None
         for i in range(dim):
-            out = out * np.abs(X[..., i] - centers[i]) ** alpha
+            t = X[..., i] - centers[i]
+            np.abs(t, out=t)
+            t **= alpha
+            if out is None:
+                out = t
+            else:
+                out *= t
         return out
 
     return CorpusFunction(
@@ -176,15 +201,16 @@ def _holder(name, dim, alpha, centers):
 def _quad_kink(u, c):
     """Piecewise quadratic (u-c)|u-c|: one continuous derivative, kinked second."""
     s = u - c
-    return s * np.abs(s)
+    s *= np.abs(s)
+    return s
 
 
 def _spline_prod(dim):
+    @_batched
     def f(X):
-        X = np.asarray(X, float)
-        out = np.ones(X.shape[:-1])
-        for i in range(dim):
-            out = out * _quad_kink(X[..., i], 0.5)
+        out = _quad_kink(X[..., 0], 0.5)
+        for i in range(1, dim):
+            out *= _quad_kink(X[..., i], 0.5)
         return out
 
     return CorpusFunction(

@@ -84,6 +84,8 @@ from .domain import (
 
 # Bound of the memo of per-axis bases (see the module docstring).
 _BASIS_MEMO = 64
+# The smallest normal double: the floor of the solvers' data-scaled tolerances.
+_TINY = float(np.finfo(float).tiny)
 
 __all__ = [
     "TensorPolynomial",
@@ -103,7 +105,10 @@ class TensorPolynomial:
 
     ``coeffs[s]`` multiplies ``prod_i x_i^{s_i}``; the coefficient
     tensor shape is exactly the degree-bound vector r.  Evaluation is
-    Horner's scheme folded one axis at a time.
+    Horner's scheme folded one axis at a time, in place, in numpy
+    polyval's order, so bit-identical to polyval: ``c[-1] + x*0``, then
+    ``c[-i] + acc*x`` into one accumulator per axis, signed zeros and NaN
+    included.
     """
 
     coeffs: np.ndarray
@@ -131,10 +136,16 @@ class TensorPolynomial:
         x = np.asarray(x, float)
         single = x.ndim == 1
         pts = x[None, :] if single else x
-        res = nppoly.polyval(pts[..., 0], self.coeffs, tensor=True)
-        for i in range(1, self.dim):
-            res = nppoly.polyval(pts[..., i], res, tensor=False)
-        return float(res[0]) if single else res
+        c = self.coeffs.reshape(self.coeffs.shape + (1,) * (pts.ndim - 1))
+        for i in range(self.dim):
+            xi = pts[..., i]
+            acc = c[-1] + xi * 0
+            for j in range(2, len(c) + 1):
+                acc *= xi
+                # c[-j] first, as in polyval: a NaN meeting a NaN keeps its sign
+                np.add(c[-j], acc, out=acc)
+            c = acc
+        return float(c[0]) if single else c
 
     def derivative(self, order: Sequence[int]) -> "TensorPolynomial":
         """Exact mixed derivative; orders past the degree give the zero polynomial."""
@@ -294,12 +305,13 @@ def best_approx(
     if p < 1.0:
         # multi-start smoothed descent, every start advancing in lockstep
         rng = np.random.default_rng(seed)
-        amp = 0.5 * (_lp(np.abs(res2), cv, 2.0) + 1e-3 * max(scale, 1e-30))
+        # data off P_r have scale > 0: every scale below is the data's own
+        amp = 0.5 * (_lp(np.abs(res2), cv, 2.0) + 1e-3 * scale)
         starts = [c2]
         for _ in range(_N_STARTS):
             starts.append(c2 + rng.standard_normal(c2.shape) * amp)
         coeffs, errors, iters, stopped = _lockstep_descent(
-            bases, values, np.stack(starts), p, cv, max(scale, 1e-30)
+            bases, values, np.stack(starts), p, cv, scale
         )
         best = int(np.argmin(errors))
         per_start = errors.tolist()
@@ -337,7 +349,7 @@ def best_approx(
             c.reshape(c2.shape), err, conv, _certified("exchange", iters, err, lower)
         )
 
-    eps = 1e-10 * max(scale, 1e-30)
+    eps = max(1e-10 * scale, _TINY)
     c, err, iters, conv = _irls(design, target, c_flat, p, cv, eps)
     return finish(c.reshape(c2.shape), err, conv, {"method": "irls", "iterations": iters})
 
@@ -591,7 +603,8 @@ def _lockstep_descent(bases, values, starts, p, cv, eps_scale):
 
     ``starts`` is an (S, r_1, ..., r_d) stack of coefficient tensors in
     the orthonormal axis bases.  Each start runs its own eps ladder
-    ``10^-2 ... 10^-8 * eps_scale``; a stage ends when the relative
+    ``10^-2 ... 10^-8 * eps_scale``, floored where eps^2 would leave the
+    normal range; a stage ends when the relative
     decrease of the smoothed objective meets the stop test or after
     ``_STAGE_ITER`` steps.  One tick takes one step of every start still
     on its ladder: the weighted normal equations, built axis by axis,
@@ -603,7 +616,8 @@ def _lockstep_descent(bases, values, starts, p, cv, eps_scale):
     coefficients and their error ``_lp``, the steps taken over all stages,
     and whether the last stage met its stop test.
     """
-    ladder = np.array([10.0**-k * eps_scale for k in range(2, 9)])
+    # eps^2 stays normal, so obj > 0 and the relative stop test holds
+    ladder = np.maximum([10.0**-k * eps_scale for k in range(2, 9)], math.sqrt(_TINY))
     size = starts.shape[0]
     r = starts.shape[1:]
     k = starts[0].size
@@ -637,7 +651,7 @@ def _lockstep_descent(bases, values, starts, p, cv, eps_scale):
 
     u, v, obj = smoothed(res, eps)
     while True:
-        stop = (steps > 0) & (np.abs(prev - obj) <= 1e-10 * np.maximum(obj, 1e-30))
+        stop = (steps > 0) & (np.abs(prev - obj) <= 1e-10 * obj)
         ended = stop | (steps >= _STAGE_ITER)
         if ended.any():
             out_iters[live[ended]] += steps[ended]

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
+from numpy.polynomial import polynomial as nppoly
 
 from mixsmooth import polyapprox
 from mixsmooth.corpus import corpus_entries, get_function
@@ -103,6 +104,66 @@ def test_polynomial_values_do_not_depend_on_layout(shape):
     single = phi(dense[1, 7])
     assert isinstance(single, float)
     assert np.float64(single).tobytes() == got[1, 7].tobytes()
+
+
+def _polyval_fold(coeffs, x):
+    """The oracle of tensor-polynomial values: numpy's polyval folded one
+    axis at a time, as ``TensorPolynomial`` evaluated before it went in place."""
+    x = np.asarray(x, float)
+    single = x.ndim == 1
+    pts = x[None, :] if single else x
+    res = nppoly.polyval(pts[..., 0], coeffs, tensor=True)
+    for i in range(1, coeffs.ndim):
+        res = nppoly.polyval(pts[..., i], res, tensor=False)
+    return float(res[0]) if single else res
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3))
+def test_polynomial_values_are_the_polyval_fold_bit_for_bit(dim):
+    rng = np.random.default_rng(40 + dim)
+    signed = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -2.5])
+    for _ in range(60):
+        shape = tuple(rng.integers(1, 6, dim))
+        c = rng.standard_normal(shape)
+        c[rng.random(shape) < 0.3] = 0.0
+        c[rng.random(shape) < 0.3] = -0.0
+        phi = TensorPolynomial(c)
+        inputs = [
+            rng.choice(signed, dim),  # a single point
+            rng.choice(signed, (4, 6, dim)),  # a (..., d) batch
+            rng.uniform(-2.0, 2.0, (25, dim)),
+            # inf * 0 and NaN: the NaN that comes out is polyval's, sign and all
+            rng.choice(np.array([np.inf, -np.inf, np.nan, -0.0, 1.0]), (30, dim)),
+            # the engine's (offsets, points, d) view of a (d, offsets, points) buffer
+            rng.choice(signed, (dim, 3, 40)).transpose(1, 2, 0),
+        ]
+        for x in inputs:
+            with np.errstate(invalid="ignore"):
+                got, want = phi(x), _polyval_fold(phi.coeffs, x)
+            if x.ndim == 1:
+                assert isinstance(got, float)
+                got, want = np.float64(got), np.float64(want)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (shape, x)
+
+
+def test_polynomial_values_on_an_engine_view_need_one_accumulator_per_axis():
+    # cubic_2d (r = (4, 4)) on the engine's (offsets, points, d) view of
+    # N = 8192 points: axis 0's accumulator holds r_1 = 4 rows of N, axis 1's
+    # one row and x*0 one more, so the peak is (4 + 2) N doubles; polyval's
+    # fresh (r, N) array at every Horner step peaked at about twice that
+    phi = get_function("cubic_2d").f
+    x = np.random.default_rng(3).uniform(0.0, 1.0, (2, 2, 4096)).transpose(1, 2, 0)
+    n = x.shape[0] * x.shape[1]
+    phi(x)
+    tracemalloc.start()
+    try:
+        phi(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # slack: the array headers, far below one row of 64 KB
+    assert peak <= (4 + 2) * n * 8 + 4096
 
 
 def test_best_approx_recovers_space_member():
@@ -384,6 +445,21 @@ def test_best_approx_small_p_internal_consistency():
     proj = best_approx(g, (2,), 2.0).polynomial
     resid = GridFunction(g.box, g.values - proj(g.midpoints()))
     assert res.error <= lp_quasinorm(resid, 0.5) + 1e-12
+
+
+def test_fits_of_data_far_below_one_scale_with_the_data():
+    # the p < 1 multistart and IRLS take their tolerances in the data's
+    # units, so scaling by 2^-k (exact in binary) leaves E(f) / 2^-k; with
+    # the old 1e-30 clamps on those scales it moved by up to 0.17 at p = 1/2.
+    # The limit is the smoothing ladder's floor sqrt(smallest normal) =
+    # 2^-511, which 1e-8 * max|values| (0.59 2^-k here) meets near k = 484
+    g = sample_on_grid(get_function("holder_half_2d"), Box.unit(2), 16)
+    for p, rel in ((0.5, 0.0), (1.5, 1e-13)):
+        base = best_approx(g, (2, 2), p).error
+        for k in (110, 130, 400, 480):
+            scaled = GridFunction(g.box, g.values * 2.0**-k)
+            got = best_approx(scaled, (2, 2), p).error * 2.0**k
+            assert abs(got - base) <= rel * base, (p, k, got, base)
 
 
 def test_small_p_converged_reports_the_stage_stop_test(monkeypatch):
