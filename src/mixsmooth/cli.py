@@ -216,7 +216,7 @@ def _resolve_box(cfg: RunConfig, dim: int) -> Box:
     try:
         return Box(lower, upper)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"--box: {exc}") from exc
 
 
 def _require_fn(cfg: RunConfig):
@@ -283,8 +283,6 @@ def _flatten(record: dict, prefix: str = "") -> dict:
 
 
 def _render(doc: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if fmt == "csv":
         rows = [_flatten(rec) for rec in doc["records"]]
         columns = sorted({k for row in rows for k in row})
@@ -294,7 +292,7 @@ def _render(doc: dict, fmt: str) -> str:
         for row in rows:
             writer.writerow(row)
         return buf.getvalue()
-    raise ConfigError(f"unknown output format {fmt!r}")
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _emit(cfg: RunConfig, doc: dict) -> None:

@@ -264,12 +264,8 @@ def _lattice_bases(
         n = int(density[i])
         x = steps[:, i]
         if x.any():
-            order = np.argsort(x)
-            new = np.empty(x.size, bool)
-            new[0] = True
-            np.not_equal(x[order[1:]], x[order[:-1]], out=new[1:])
-            first = order[new]  # a step with each distinct value, ascending
-            h = x[first]
+            # the distinct step values ascending, a step with each, each step's index in h
+            h, first, inverse = np.unique(x, return_index=True, return_inverse=True)
             half = np.arange(0.5, n)  # k + 0.5
             grid = _midpoints(box.lower[i], box.upper[i], n)  # grid_points' axis i
             # (offset, distinct step, k): the cloud's o*h + (lo + (k + 0.5) * width)
@@ -282,7 +278,7 @@ def _lattice_bases(
             on |= half > size[:, None]  # k past the step's grid
             if not (on.all() and (start + size).max() <= n):
                 return None
-            bases += (start * stride)[index[:, i, None], np.searchsorted(h, x)]
+            bases += (start * stride)[index[:, i, None], inverse]
         stride *= n
     return bases
 

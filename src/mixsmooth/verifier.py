@@ -854,53 +854,52 @@ def _marchaud_case(dim: int, orders) -> list[tuple]:
     return [((1,) + r[1:], r, (0.125,) * dim)]
 
 
+_D2_NAMES = tuple(e.name for e in corpus_entries(dim=2))
+
+
 class _Suite(NamedTuple):
     """One row of the suite table.
 
     ``dims`` are the dimensions of the functions the suite checks,
-    ``names`` its default functions, ``ps`` the exponents it takes from
-    the requested ones, and ``orders`` the orders it checks at a
-    function's dimension.  ``report(fn, order, ps, box, settings)`` runs
-    one (function, order) for all its exponents and returns one list of
+    ``names`` its default functions, ``takes(p)`` whether its check is
+    stated at the exponent p (its builder raises ``ValueError`` at every
+    other p), and ``orders`` the orders it checks at a function's
+    dimension.  ``report(fn, order, ps, box, settings)`` runs one
+    (function, order) for all its exponents and returns one list of
     reports per exponent.  A row with no ``dims`` checks no function:
     its ``report(settings)`` runs once.
     """
 
     dims: tuple[int, ...]
     report: Callable[..., list]
-    names: tuple[str, ...] = ()
-    ps: Callable[[list[float]], list[float]] = list
+    names: tuple[str, ...] = _D2_NAMES
+    takes: Callable[[float], bool] = lambda p: True
     orders: Callable[[int, Sequence | None], list] = _orders_for
     needs_derivatives: bool = False
 
-
-_D2_NAMES = tuple(e.name for e in corpus_entries(dim=2))
 
 # A 3-d step sweep at the default resolution is thousands of times the
 # work of a 2-d one, so the sweep suites stop at d = 2; the constant-lemma
 # form is 2-d.  "all" runs the rows in this order.
 _SUITES: dict[str, _Suite] = {
     "identities": _Suite(dims=(), report=suite_identities),
-    "whitney": _Suite(dims=(1, 2), names=_D2_NAMES, report=_whitney_pairs),
+    "whitney": _Suite(dims=(1, 2), report=_whitney_pairs),
     "equivalence": _Suite(
         dims=(1, 2),
-        names=_D2_NAMES,
         report=lambda fn, r, ps, box, s: _equivalence_pairs(
             fn, r, tuple(0.5 * v for v in box.size), ps, box, s
         ),
     ),
     "superadditivity": _Suite(
         dims=(1, 2),
-        names=_D2_NAMES,
-        ps=lambda ps: [p for p in ps if p != math.inf],
+        takes=math.isfinite,
         report=lambda fn, r, ps, box, s: _superadditivity(
             fn, r, tuple(0.125 * v for v in box.size), ps, box, 2, s
         ),
     ),
     "taylor": _Suite(
         dims=(1, 2),
-        names=_D2_NAMES,
-        ps=lambda ps: [p for p in ps if p >= 1],
+        takes=lambda p: p >= 1,
         report=lambda fn, r, ps, box, s: [
             [taylor_report(fn, r, p, (0.25, 0.125, 0.0625), s)] for p in ps
         ],
@@ -909,16 +908,15 @@ _SUITES: dict[str, _Suite] = {
     "marchaud": _Suite(
         dims=(1, 2),
         names=("exp_sum_2d", "sin_prod_2d", "holder_half_2d", "spline_prod_2d"),
-        ps=lambda ps: [p for p in ps if p != math.inf][:2] or [2.0],
         orders=_marchaud_case,
         report=lambda fn, krt, ps, box, s: [
             [rep] for rep in _marchaud(fn, krt[0], krt[1], 0, krt[2], ps, box, s)
         ],
     ),
+    # hard at p <= 1, ratio-only above, as constant_bound_report is
     "constant-lemma": _Suite(
         dims=(2,),
-        names=_D2_NAMES,
-        ps=lambda ps: [p for p in ps if p != math.inf and p <= 1] or [1.0],
+        takes=math.isfinite,
         orders=lambda dim, orders: [()],
         report=lambda fn, _, ps, box, s: [[rep] for rep in _constant_bound(fn, ps, box, s)],
     ),
@@ -937,11 +935,11 @@ def run_suite(
 ) -> list[InequalityReport]:
     """Run one named verification suite (or all of them) over the corpus.
 
-    A suite expands into one case per (function, order, exponent) and
-    reports them sorted by function name, order and exponent text.  The
-    exponents of one (function, order) are run together, so every sweep
-    row (all but the identities and Taylor) shares one sweep across
-    them.  ``names``,
+    Each row runs the requested exponents its check takes, sorted by
+    their text, over sorted function names and sorted orders, so reports
+    do not depend on the order of the requests.  The exponents of one
+    (function, order) are run together, so every sweep row (all but the
+    identities and Taylor) shares one sweep across them.  ``names``,
     ``orders`` and ``p_values`` narrow the selection; the identities
     take none of them.
     """
@@ -952,16 +950,13 @@ def run_suite(
         if not row.dims:
             reports.extend(row.report(settings))
             continue
-        ps = row.ps(list(p_values))
-        cases = []
+        ps = sorted((p for p in p_values if row.takes(p)), key=_p_str)
         for name in sorted(row.names if names is None else names):
             fn = get_function(name)
             if fn.dim not in row.dims or (row.needs_derivatives and not fn.has_derivatives):
                 continue
             box = Box.unit(fn.dim)
-            for order in row.orders(fn.dim, orders):
-                per_p = row.report(fn, order, ps, box, settings) if ps else []
-                cases.extend(((name, order, _p_str(p)), reps) for p, reps in zip(ps, per_p))
-        cases.sort(key=lambda case: case[0])
-        reports.extend(rep for _, reps in cases for rep in reps)
+            for order in sorted(row.orders(fn.dim, orders)):
+                for reps in row.report(fn, order, ps, box, settings) if ps else []:
+                    reports.extend(reps)
     return reports

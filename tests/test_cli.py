@@ -482,10 +482,43 @@ def test_verify_all_exits_zero_when_the_coarse_step_grid_samples_nothing(tmp_pat
         # a finite step bound whose step box 2 t overflows
         (["compute", "modulus-mean", "--fn", "exp_sum_1d", "--r", "1", "--p", "1",
           "--t", "1e308", "--grid", "4", "--hsamples", "5"], "with 2 t finite"),
+        (["compute", "difference", "--fn", "linear_1d", "--r", "-1", "--t", "0.1"],
+         "--r entries must be non-negative"),
+        (["compute", "modulus-mean", "--fn", "linear_1d", "--r", "1", "--p", "1", "--t", "0"],
+         "the mean modulus needs --t > 0"),
+        (["compute", "modulus-sup", "--fn", "exp_sum_2d", "--r", "1", "--p", "1", "--t", "0.1",
+          "--box", "0,1,0"], "--box needs 4 numbers"),
+        (["compute", "modulus-sup", "--fn", "exp_sum_1d", "--r", "1", "--p", "1", "--t", "0.1",
+          "--box", "1,0"], "error: --box: degenerate box side"),
+        (["approx", "taylor", "--fn", "holder_half_2d", "--r", "1"], "has no derivative data"),
     ],
 )
 def test_parameter_errors_are_config_errors(capsys, args, needle):
     assert needle in _config_error(capsys, args)
+
+
+# The exponents each function suite takes, of 0.5, 1, 2 and inf
+_SUITE_PS = {
+    "whitney": {"0.5", "1", "2", "inf"},
+    "equivalence": {"0.5", "1", "2", "inf"},
+    "marchaud": {"0.5", "1", "2", "inf"},
+    "superadditivity": {"0.5", "1", "2"},
+    "constant-lemma": {"0.5", "1", "2"},
+    "taylor": {"1", "2", "inf"},
+}
+
+
+@pytest.mark.parametrize("p", ["0.5", "1", "2", "inf"])
+@pytest.mark.parametrize("suite", sorted(_SUITE_PS))
+def test_verify_at_one_exponent_writes_that_exponent_or_no_checks(tmp_path, capsys, suite, p):
+    args = ["verify", "--suite", suite, "--fn", "exp_sum_2d", "--r", "1", "--p", p]
+    args += ["--grid", "8", "--hsamples", "3"]
+    if p not in _SUITE_PS[suite]:
+        assert "the selection has no checks" in _config_error(capsys, args)
+        return
+    code, doc = run_json(tmp_path, args)
+    assert code == 0 and doc["records"]
+    assert {rec["params"]["p"] for rec in doc["records"]} == {p}
 
 
 def test_malformed_flag_and_config_values_are_config_errors(tmp_path, capsys):

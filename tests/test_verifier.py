@@ -709,7 +709,7 @@ def test_run_suite_unknown_name():
 BOX2 = Box.unit(2)
 
 # Each suite's report calls for exp_sum_2d at r = (1, 1), as its table row
-# should make them, and the exponents it keeps from (inf, 2, 1, 0.5) in the
+# should make them, and the exponents it takes of (inf, 2, 1, 0.5) in the
 # order the suite sorts them (by their text).
 TABLE_CASES = {
     "whitney": (
@@ -728,13 +728,13 @@ TABLE_CASES = {
         (1.0, 2.0, math.inf),
         lambda fn, p, s: [taylor_report(fn, (1, 1), p, (0.25, 0.125, 0.0625), s)],
     ),
-    # the first two finite exponents requested; orders do not apply
+    # orders do not apply
     "marchaud": (
-        (1.0, 2.0),
+        (0.5, 1.0, 2.0, math.inf),
         lambda fn, p, s: [marchaud_report(fn, (1, 2), (2, 2), 0, (0.125, 0.125), p, BOX2, s)],
     ),
     "constant-lemma": (
-        (0.5, 1.0),
+        (0.5, 1.0, 2.0),
         lambda fn, p, s: [constant_bound_report(fn, p, BOX2, s)],
     ),
 }
@@ -758,6 +758,29 @@ def test_run_suite_row_matches_direct_report_calls(suite, refine_h):
     fn = get_function("exp_sum_2d")
     want = [rep for p in ps for rep in report(fn, p, settings)]
     assert _dump(got) == _dump(want)
+
+
+TINY = VerifierSettings(grid=8, h_samples=3)
+
+
+def test_run_suite_reports_do_not_depend_on_the_order_of_the_exponents():
+    kwargs = dict(names=["exp_sum_2d"], orders=((1, 1),))
+    ps = (0.5, 1.0, 2.0, math.inf)
+    got = run_suite("all", TINY, p_values=ps, **kwargs)
+    assert _dump(run_suite("all", TINY, p_values=ps[::-1], **kwargs)) == _dump(got)
+
+
+@pytest.mark.parametrize("suite", sorted(s for s, row in verifier._SUITES.items() if row.dims))
+def test_a_row_takes_exactly_the_exponents_its_builder_accepts(suite):
+    row = verifier._SUITES[suite]
+    fn = get_function("exp_sum_2d")
+    (order,) = row.orders(2, ((1, 1),))
+    for p in (0.5, 1.0, 2.0, math.inf):
+        if row.takes(p):
+            assert len(row.report(fn, order, [p], BOX2, TINY)) == 1
+        else:
+            with pytest.raises(ValueError):
+                row.report(fn, order, [p], BOX2, TINY)
 
 
 class _Counting:
