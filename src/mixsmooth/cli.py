@@ -89,7 +89,9 @@ class RunConfig:
     """Resolved run parameters; round-trips losslessly through the file format.
 
     Each field is one config-file key and, apart from ``command`` and
-    ``op`` (positional arguments), one ``--flag`` of every subcommand.
+    ``op``, one ``--flag`` of every subcommand.  ``command`` and ``op``
+    echo the command line's subcommand and op (``""`` for ``verify`` and
+    ``corpus``) in a report's header; a run takes neither from a file.
     """
 
     command: str = ""
@@ -125,19 +127,20 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_ini(cls, text: str) -> "RunConfig":
+    def from_ini(cls, text: str, command: str = "") -> "RunConfig":
+        """The ``[run]`` values, overridden by the ``[command]`` section's:
+        the caller names the running subcommand, so a ``command`` key in
+        the file picks no section."""
         # values are read raw: a '%' in a path is text, not interpolation
         parser = configparser.ConfigParser(interpolation=None)
         try:
             parser.read_string(text)
         except configparser.Error as exc:
-            raise ConfigError(f"bad config file: {exc}") from exc
+            raise ConfigError(f"bad config file: {' '.join(str(exc).splitlines())}") from exc
         data: dict[str, str] = {}
-        if parser.has_section("run"):
-            data.update(dict(parser.items("run")))
-        command = data.get("command", "")
-        if command and parser.has_section(command):
-            data.update(dict(parser.items(command)))
+        for section in ("run", command):
+            if parser.has_section(section):
+                data.update(dict(parser.items(section)))
         return cls.from_strings(data)
 
 
@@ -160,18 +163,20 @@ def _decode(key: str, text: str):
         raise ConfigError(f"bad value {text!r} for {key}: {exc}") from exc
 
 
-def _load_config(path: str) -> RunConfig:
+def _load_config(path: str, command: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return RunConfig.from_ini(fh.read())
-    except OSError as exc:
+            return RunConfig.from_ini(fh.read(), command)
+    except (OSError, UnicodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
 
 
 def _merge_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    """Apply explicitly-given CLI flags on top of the config file values."""
-    given = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
-    return replace(cfg, **{k: _decode(k, v) for k, v in given.items() if v is not None})
+    """Apply explicitly-given CLI flags on top of the config file values;
+    the subcommand and its op come from the command line alone."""
+    given = {f.name: getattr(args, f.name) for f in _FLAG_KEYS}
+    flags = {k: _decode(k, v) for k, v in given.items() if v is not None}
+    return replace(cfg, command=args.command, op=getattr(args, "op", ""), **flags)
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +314,6 @@ def _emit(cfg: RunConfig, doc: dict) -> None:
 
 
 def cmd_compute(cfg: RunConfig) -> int:
-    if cfg.op not in COMPUTE_OPS:
-        raise ConfigError(f"compute operation must be one of {COMPUTE_OPS}")
     fn = _require_fn(cfg)
     box = _resolve_box(cfg, fn.dim)
     grid = _per_axis(cfg, "grid", fn.dim)
@@ -360,8 +363,6 @@ def cmd_compute(cfg: RunConfig) -> int:
 
 
 def cmd_approx(cfg: RunConfig) -> int:
-    if cfg.op not in APPROX_OPS:
-        raise ConfigError(f"approx operation must be one of {APPROX_OPS}")
     fn = _require_fn(cfg)
     box = _resolve_box(cfg, fn.dim)
     grid = _per_axis(cfg, "grid", fn.dim)
@@ -526,7 +527,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "and inequality verification on a shipped corpus",
     )
     parser.add_argument("--version", action="version", version=f"mixsmooth {__version__}")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sp):
         sp.add_argument("--config", default=None, help="config file (key = value sections)")
@@ -548,25 +549,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if not args.command:
-        parser.print_help()
-        return 2
+    args = _build_parser().parse_args(argv)
+    handler = {
+        "compute": cmd_compute,
+        "approx": cmd_approx,
+        "verify": cmd_verify,
+        "corpus": cmd_corpus,
+    }[args.command]
     try:
-        cfg = _load_config(args.config) if args.config else RunConfig()
+        cfg = _load_config(args.config, args.command) if args.config else RunConfig()
         cfg = _merge_flags(cfg, args)
         _validate(cfg)
-        handler = {
-            "compute": cmd_compute,
-            "approx": cmd_approx,
-            "verify": cmd_verify,
-            "corpus": cmd_corpus,
-        }[cfg.command]
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         return handler(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

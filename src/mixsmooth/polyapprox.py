@@ -305,8 +305,8 @@ def best_approx(
     if p < 1.0:
         # multi-start smoothed descent, every start advancing in lockstep
         rng = np.random.default_rng(seed)
-        # data off P_r have scale > 0: every scale below is the data's own
-        amp = 0.5 * (_lp(np.abs(res2), cv, 2.0) + 1e-3 * scale)
+        # data off P_r have scale > 0; both terms carry sqrt(|Q|), as the coefficients do
+        amp = 0.5 * (_lp(np.abs(res2), cv, 2.0) + 1e-3 * scale * math.sqrt(g.box.volume))
         starts = [c2]
         for _ in range(_N_STARTS):
             starts.append(c2 + rng.standard_normal(c2.shape) * amp)

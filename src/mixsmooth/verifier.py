@@ -202,12 +202,10 @@ def _with_gap(sweep, f, r, t, box, settings: VerifierSettings, ps):
     return coarse, fine, unsampled
 
 
-def _ratio(num: float, den: float, floor: float, unsampled: bool = False):
-    """``(ratio, verdict)`` of the empirical constant ``num / den``: both None
-    when the coarse grid sampled nothing, the ratio when ``den`` is above the
-    noise floor, else no ratio, and a failed verdict if ``num`` is above it."""
-    if unsampled:
-        return None, None
+def _ratio(num: float, den: float, floor: float):
+    """``(ratio, verdict)`` of the empirical constant ``num / den``: the ratio
+    when ``den`` is above the noise floor, else no ratio, and a failed
+    verdict if ``num`` is above it."""
     if den > floor:
         return num / den, None
     return None, (False if num > floor else None)
@@ -233,7 +231,7 @@ def _report(
     ``details["coarse_grid_empty"]`` is set.
     """
     vacuous = left <= floor and right <= floor
-    constant, passed = _ratio(*ratio, floor, unsampled) if ratio else (None, None)
+    constant, passed = _ratio(*ratio, floor) if ratio and not unsampled else (None, None)
     if explicit is not None:
         passed = None if unsampled else vacuous or left <= bound + floor
     if unsampled:

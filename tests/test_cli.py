@@ -238,6 +238,52 @@ def test_config_command_section_overrides_run(tmp_path):
     assert doc["records"][0]["value"] == pytest.approx(0.2, abs=1e-12)
 
 
+@pytest.mark.parametrize("run_command", ["", "command = compute\n"], ids=["no-key", "compute-key"])
+def test_config_section_of_the_running_subcommand_always_applies(tmp_path, capsys, run_command):
+    # the command line names the subcommand, whatever [run] command says
+    out = tmp_path / "rep.json"
+    path = tmp_path / "run.cfg"
+    path.write_text(f"[run]\n{run_command}suite = identities\n\n[verify]\nout = {out}\n")
+    assert main(["verify", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(out.read_text())["config"]["suite"] == "identities"
+
+
+def test_config_file_names_neither_the_subcommand_nor_the_op(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("[run]\ncommand = compute\nop = modulus-sup\nsuite = identities\n")
+    code, doc = run_json(tmp_path, ["verify", "--config", str(path)])
+    assert code == 0
+    assert (doc["config"]["command"], doc["config"]["op"]) == ("verify", "")
+
+
+def test_a_missing_subcommand_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage: mixsmooth") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, needle",
+    [
+        (None, "cannot read config file"),
+        ("suite = identities\n", "bad config file: File contains no section headers"),
+        (b"[run]\nsuite = \xff\n", "cannot read config file"),
+    ],
+    ids=["missing", "no-section-header", "not-utf-8"],
+)
+def test_an_unreadable_config_file_is_a_config_error(tmp_path, capsys, text, needle):
+    path = tmp_path / "run.cfg"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
+        path.write_text(text)
+    err = _config_error(capsys, ["verify", "--config", str(path)])
+    assert needle in err and len(err.splitlines()) == 1
+
+
 def test_exit_code_2_on_config_errors(tmp_path, capsys):
     assert main(["compute", "modulus-sup"]) == 2  # missing --fn
     assert main(["compute", "modulus-sup", "--fn", "nope", "--r", "1", "--p", "1", "--t", ".1"]) == 2

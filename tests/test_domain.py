@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixsmooth import (
+    CorpusFunction,
     ModulusRequest,
+    PiecewiseConstant,
     TensorPolynomial,
     VerifierSettings,
     best_approx,
     best_constant,
+    constant_bound_report,
     difference_field,
     estimate_constants,
     get_function,
@@ -30,7 +34,7 @@ from mixsmooth import (
     whitney_report,
 )
 from mixsmooth.corpus import corpus_entries
-from mixsmooth.differences import mean_modulus_sweep, sup_modulus_sweep
+from mixsmooth.differences import mean_modulus_sweep, sup_modulus_sweep, total_sup_terms
 from mixsmooth.domain import (
     _CHUNK_POINTS,
     Box,
@@ -453,3 +457,69 @@ _F_CALLS = {
 def test_every_call_of_f_checks_one_value_per_point(name, f):
     with pytest.raises(ValueError, match="function returned shape"):
         _F_CALLS[name](f)
+
+
+# the input guards no other test reaches: (a call, its ValueError's message)
+_GUARD_CALLS = {
+    "best_approx-degrees": (
+        lambda: best_approx(sample_on_grid(_EXP, _SQUARE, 8), (2,), 1.0),
+        "degree vector must match the box dimension",
+    ),
+    "TensorPolynomial-nan": (
+        lambda: TensorPolynomial(np.array([1.0, math.nan])),
+        "polynomial coefficients must be finite",
+    ),
+    "PiecewiseConstant-shape": (
+        lambda: PiecewiseConstant(_SQUARE, (2, 2), np.zeros((2, 3))),
+        "betas shape must equal the per-axis split counts",
+    ),
+    "estimate_constants-empty": (
+        lambda: estimate_constants([], (1, 1), [1.0], [8]),
+        "corpus selection is empty",
+    ),
+    "taylor_report-no-derivatives": (
+        lambda: taylor_report(get_function("holder_half_2d"), (1, 1), 1.0, (0.5,), _SETTINGS),
+        "corpus entry 'holder_half_2d' carries no derivative data",
+    ),
+    "constant_bound_report-1d": (
+        lambda: constant_bound_report(get_function("exp_sum_1d"), 1.0, Box.unit(1), _SETTINGS),
+        "the explicit constant form is two-dimensional",
+    ),
+    "difference_field-step": (
+        lambda: difference_field(_EXP, (1, 1), (0.1,), _SQUARE, 8),
+        "order and steps must match the box dimension",
+    ),
+    "total_sup_terms-order": (
+        lambda: total_sup_terms(
+            _EXP, (1,), (0.1, 0.1), _SQUARE, density=8, h_samples=3, p_values=[1.0]
+        ),
+        "order must match the box dimension",
+    ),
+    "shrink_domain-shift": (
+        lambda: shrink_domain(_SQUARE, (0.1,)),
+        "shift length must match box dimension",
+    ),
+    "normalize_grid-axes": (
+        lambda: normalize_grid((8, 8, 8), 2),
+        "grid spec has 3 axes, expected 2",
+    ),
+    "GridFunction-axes": (
+        lambda: GridFunction(_SQUARE, np.zeros(4)),
+        "values have 1 axes but the box has dimension 2",
+    ),
+    "nonempty_axis_subsets-0": (
+        lambda: nonempty_axis_subsets(0),
+        "dimension must be at least 1",
+    ),
+    "CorpusFunction-tag": (
+        lambda: CorpusFunction("f", 1, _column, "smooth"),
+        "unknown smoothness tag 'smooth'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GUARD_CALLS))
+def test_every_input_guard_raises_its_message(name):
+    call, message = _GUARD_CALLS[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
