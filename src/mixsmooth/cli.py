@@ -493,7 +493,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_corpus(cfg: RunConfig) -> int:
     entries = corpus_entries(tag=cfg.tag or None)
     if cfg.fn:
-        entries = [e for e in entries if e.name == cfg.fn]
+        fn = _require_fn(cfg)
+        entries = [e for e in entries if e.name == fn.name]
     records = [
         {
             "name": e.name,

@@ -106,8 +106,8 @@ reaches.
 
 A sup sweep with an odd number ``2m - 1`` of step samples contains the
 sweep with ``m`` samples: ``linspace(-t, t, m)`` equals
-``linspace(-t, t, 2m - 1)[::2]`` bit for bit.  ``nested=True`` returns
-that coarse supremum too, read off the even-indexed nodes.
+``linspace(-t, t, 2m - 1)[::2]`` bit for bit; ``sup_modulus_sweep`` with
+``nested=True`` returns that coarse supremum too, off the even-indexed nodes.
 """
 
 from __future__ import annotations
@@ -651,19 +651,19 @@ def _sup_axis_nodes(ri: int, ti: float, m: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def _coarse_grid_empty(r: Sequence[int], t: Sequence[float], box: Box, h_samples: int) -> bool:
-    """True when no step of the sup rule with ``h_samples`` nodes (the coarse
-    grid of a nested sweep) is live in the sweep of any subset of the
-    active axes of ``r``.  A step is live only when each of its one-axis
-    parts is, so the one-axis subsets decide: does a node h of an active
-    axis i leave the shift ``r_i h`` room?"""
+    """True when the sweep of some subset of the active axes of ``r`` has no
+    live step of the sup rule with ``h_samples`` nodes (a nested sweep's
+    coarse grid), so a summed term reads 0 unsampled.  A step is live only
+    when each of its one-axis parts is, so the one-axis subsets decide: does
+    no node h of some active axis i leave the shift ``r_i h`` room?"""
     for i, (ri, ti) in enumerate(zip(r, t)):
         if ri == 0:
             continue
         nodes = _sup_axis_nodes(ri, ti, h_samples)[0]
         lo, hi = _shrunk(box, np.outer(ri * nodes, np.eye(box.dim)[i]))
-        if np.all(hi > lo, axis=1).any():
-            return False
-    return True
+        if not np.all(hi > lo, axis=1).any():
+            return True
+    return False
 
 
 def _mean_axis_nodes(ri: int, ti: float, m: int) -> np.ndarray:
@@ -811,20 +811,11 @@ def total_sup_terms(
     density,
     h_samples: int,
     p_values: Iterable[float],
-    nested: bool = False,
-):
-    """Per-axis-subset sup moduli, keyed by subset then exponent.
-
-    With ``nested=True`` the result is a pair ``(terms, coarse_terms)``,
-    the coarse terms read off every other step node as in
-    :func:`sup_modulus_sweep`.
-    """
+) -> dict[tuple[int, ...], dict[float, float]]:
+    """Per-axis-subset sup moduli, keyed by subset then exponent."""
     # a list, as every subset sweeps every exponent
-    kw = dict(density=density, h_samples=h_samples, p_values=list(p_values), nested=nested)
-    sweeps = _subset_terms(sup_modulus_sweep, f, r, t, box, **kw)
-    if nested:
-        return {e: s[0] for e, s in sweeps.items()}, {e: s[1] for e, s in sweeps.items()}
-    return sweeps
+    kw = dict(density=density, h_samples=h_samples, p_values=list(p_values))
+    return _subset_terms(sup_modulus_sweep, f, r, t, box, **kw)
 
 
 def total_mean_terms(

@@ -37,7 +37,6 @@ from .differences import (
     lower_whitney_constant,
     sup_modulus_sweep,
     total_mean_terms,
-    total_sup_terms,
 )
 from .domain import (
     Box,
@@ -175,31 +174,27 @@ def _rel_gap(coarse: float, fine: float, floor: float) -> float:
     return max(0.0, (fine - coarse) / coarse)
 
 
-def _with_gap(sweep, f, r, t, box, settings: VerifierSettings, ps):
-    """``(coarse, fine, unsampled)``: ``sweep`` at ``h_samples`` and, refined,
-    at ``2*h_samples - 1`` (the coarse one again without ``refine_h``), and
-    whether no coarse step leaves a nonempty domain (coarse values 0).
+def _with_gap(f, r, subsets, t, box, settings: VerifierSettings, ps):
+    """``(coarse, fine, unsampled)``: ``{e: {p: sup}}`` over the axis subsets
+    e of ``subsets``, in order, of the sweep of ``r`` zeroed off e at
+    ``h_samples`` and, refined, at ``2*h_samples - 1`` (the coarse one again
+    without ``refine_h``), and whether some coarse sweep has no step that
+    leaves a nonempty domain, so a term summed from it reads 0 unsampled.
 
-    ``sweep`` is :func:`total_sup_terms` or :func:`sup_modulus_sweep`.
-    The refined step grid contains the coarse one, so one refined sweep
-    yields both: the coarse values are read off its even-indexed nodes.
+    The refined step grid contains the coarse one, so one refined sweep per
+    subset yields both: the coarse values are read off its even-indexed nodes.
     """
-    density = settings.grid_for(box)
-    unsampled = _coarse_grid_empty(r, t, box, settings.h_samples)
-    if not settings.refine_h:
-        coarse = sweep(f, r, t, box, density=density, h_samples=settings.h_samples, p_values=ps)
-        return coarse, coarse, unsampled
-    fine, coarse = sweep(
-        f,
-        r,
-        t,
-        box,
-        density=density,
-        h_samples=2 * settings.h_samples - 1,
-        p_values=ps,
-        nested=True,
-    )
-    return coarse, fine, unsampled
+    m, kw = settings.h_samples, dict(density=settings.grid_for(box), p_values=ps)
+    coarse, fine = {}, {}
+    for e in subsets:
+        order = restrict_order(r, e)
+        if settings.refine_h:
+            fine[e], coarse[e] = sup_modulus_sweep(
+                f, order, t, box, h_samples=2 * m - 1, nested=True, **kw
+            )
+        else:
+            coarse[e] = fine[e] = sup_modulus_sweep(f, order, t, box, h_samples=m, **kw)
+    return coarse, fine, _coarse_grid_empty(r, t, box, m)
 
 
 def _ratio(num: float, den: float, floor: float):
@@ -226,8 +221,8 @@ def _report(
     A hard record (``explicit`` given) passes when vacuous or when ``left
     <= bound + floor``; any other record takes :func:`_ratio`'s verdict.
     The empirical constant is ``_ratio(*ratio)``, None without ``ratio``.
-    When the coarse step grid sampled nothing (``unsampled``), the record
-    is unresolved: ``passed`` and the constant are None and
+    When some summed term's coarse step grid sampled nothing (``unsampled``),
+    the record is unresolved: ``passed`` and the constant are None and
     ``details["coarse_grid_empty"]`` is set.
     """
     vacuous = left <= floor and right <= floor
@@ -262,13 +257,13 @@ def _whitney_pairs(
     ps = [float(p) for p in p_values]
     g = sample_on_grid(fn, box, settings.grid_for(box))
     t = tuple(box.size)
-    terms_c, terms_f, unsampled = _with_gap(total_sup_terms, fn, r, t, box, settings, ps)
+    sup_c, sup_f, unsampled = _with_gap(fn, r, nonempty_axis_subsets(box.dim), t, box, settings, ps)
     pairs = []
     for p in ps:
         fit = best_approx(g, r, p, seed=settings.seed)
         error = fit.error
-        omega = sum(terms_c[e][p] for e in terms_c)
-        omega_fine = sum(terms_f[e][p] for e in terms_f)
+        omega = sum(sup_c[e][p] for e in sup_c)
+        omega_fine = sum(sup_f[e][p] for e in sup_f)
         floor = _floor(g, p)
         const = lower_whitney_constant(r, p)
         params = _base_params(box, settings, r=list(r), p=_p_str(p))
@@ -304,9 +299,9 @@ def whitney_report(
     Report A (hard): the total modulus at the box size is at most the
     explicit stencil constant times the best-approximation error.
     Report B (empirical): the ratio error / total modulus, for which no
-    theoretical constant is available.  When no step of the coarse grid
-    leaves a nonempty domain, report B is unresolved (``passed`` and
-    the ratio are None, ``details["coarse_grid_empty"]`` is set).
+    theoretical constant is available.  When some subset's coarse grid has
+    no step that leaves a nonempty domain, report B is unresolved (``passed``
+    and the ratio are None, ``details["coarse_grid_empty"]`` is set).
     """
     return _whitney_pairs(fn, r, [p], box, settings)[0]
 
@@ -383,7 +378,7 @@ def _equivalence_pairs(
     ps = [float(p) for p in p_values]
     density = settings.grid_for(box)
     g = sample_on_grid(fn, box, density)
-    sup_c, sup_f, unsampled = _with_gap(total_sup_terms, fn, r, t, box, settings, ps)
+    sup_c, sup_f, unsampled = _with_gap(fn, r, nonempty_axis_subsets(box.dim), t, box, settings, ps)
     finite = [p for p in ps if p != math.inf]
     mean_terms = {}
     if finite:
@@ -428,10 +423,10 @@ def equivalence_report(
     sup total modulus (a mean cannot beat a supremum); the sup side is
     inflated by its step-grid refinement gap since it sits on the
     right.  Direction 2 records the empirical ratio sup/mean.  When no
-    step of the coarse grid leaves a nonempty domain, that gap cannot
-    be measured and the coarse sup is 0, so both reports are unresolved
-    (``passed`` and the ratio are None, ``details["coarse_grid_empty"]``
-    is set).
+    step of some subset's coarse grid leaves a nonempty domain, that
+    term of the coarse sup is 0 and its gap cannot be measured, so both
+    reports are unresolved (``passed`` and the ratio are None,
+    ``details["coarse_grid_empty"]`` is set).
     """
     return _equivalence_pairs(fn, r, t, [p], box, settings)[0]
 
@@ -542,9 +537,9 @@ def marchaud_report(
     integral over step sizes from t_axis to the box side runs on a
     geometric grid (ratio at most 2^(1/4), at least 24 cells) with
     arithmetic midpoints; for p < 1 the p-th-power form of both sides
-    is used.  The constant is empirical; its stability under doubling
-    the integration grid, which splits every cell in two, is recorded
-    (``u_nodes``, ``u_nodes_fine`` = 2 ``u_nodes``, ``u_refine_ratio``).
+    is used.  The constant is empirical; with ``refine_h``, its stability
+    under doubling the integration grid, which splits every cell in two,
+    is recorded (``u_nodes``, ``u_nodes_fine`` = 2 ``u_nodes``, ``u_refine_ratio``).
     """
     return _marchaud(fn, k, r, axis, t, [p], box, settings)[0]
 
@@ -595,9 +590,11 @@ def _marchaud(fn, k, r, axis, t, p_values, box, settings) -> list[InequalityRepo
             out[p] = (t[i] ** (k[i] * q) * bracket) ** (1.0 / q)
         return out
 
-    # ratio at most 2^(1/4), at least 24 cells; the fine rule halves every cell
+    # ratio at most 2^(1/4), at least 24 cells; the fine rule (refine_h) halves every cell
     n_nodes = max(24, math.ceil(math.log(delta_i / t[i]) / math.log(2.0**0.25)))
-    rights_c, rights_f = rights(n_nodes), rights(2 * n_nodes)
+    n_fine = 2 * n_nodes if settings.refine_h else n_nodes
+    rights_c = rights(n_nodes)
+    rights_f = rights(n_fine) if settings.refine_h else rights_c
     reports = []
     for p in ps:
         left, right = lefts[p], rights_c[p]
@@ -606,7 +603,7 @@ def _marchaud(fn, k, r, axis, t, p_values, box, settings) -> list[InequalityRepo
         details = {
             "u_nodes": n_nodes,
             "form": "p>=1" if p >= 1 else "p<1",
-            "u_nodes_fine": 2 * n_nodes,
+            "u_nodes_fine": n_fine,
             "constant_fine": c2,
         }
         params = _base_params(box, settings, k=list(k), r=list(r), axis=i, t=list(t), p=_p_str(p))
@@ -719,15 +716,12 @@ def _constant_bound(fn, p_values, box, settings) -> list[InequalityReport]:
         raise ValueError("the best-constant bound is a statement about finite p")
     g = sample_on_grid(fn, box, settings.grid_for(box))
     t = tuple(box.size)
-    orders = [restrict_order((1, 1), e) for e in ((0,), (1,))]
-    sweeps = [_with_gap(sup_modulus_sweep, fn, o, t, box, settings, ps) for o in orders]
-    # a sweep with no coarse step sampled leaves its term, and its gap, 0
-    unsampled = any(empty for _, _, empty in sweeps)
+    coarse, fine, unsampled = _with_gap(fn, (1, 1), [(0,), (1,)], t, box, settings, ps)
     reports = []
     for p in ps:
         beta, err = best_constant(g, p)
         left = err**p
-        moduli = [(coarse[p], fine[p]) for coarse, fine, _ in sweeps]
+        moduli = [(coarse[e][p], fine[e][p]) for e in coarse]
         floor = _floor(g, p)
         right_raw = 2.0 * sum(c**p for c, _ in moduli)
         gaps = [_rel_gap(c, f, floor) for c, f in moduli]

@@ -537,6 +537,7 @@ def test_verify_all_exits_zero_when_the_coarse_step_grid_samples_nothing(tmp_pat
         (["compute", "modulus-sup", "--fn", "exp_sum_1d", "--r", "1", "--p", "1", "--t", "0.1",
           "--box", "1,0"], "error: --box: degenerate box side"),
         (["approx", "taylor", "--fn", "holder_half_2d", "--r", "1"], "has no derivative data"),
+        (["corpus", "--fn", "nosuch"], "unknown corpus function 'nosuch'"),
     ],
 )
 def test_parameter_errors_are_config_errors(capsys, args, needle):

@@ -70,7 +70,7 @@ def test_warm_sweeps_equal_cold_ones(r, box, t, m, density):
         return (
             sup_modulus_sweep(f, r, t, box, nested=True, **kw),
             mean_modulus_sweep(f, r, t, box, **kw),
-            total_sup_terms(f, r, t, box, nested=True, **kw),
+            total_sup_terms(f, r, t, box, **kw),
             total_mean_terms(f, r, t, box, **kw),
         )
 

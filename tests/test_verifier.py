@@ -8,11 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixsmooth import verifier
+from mixsmooth import differences, verifier
 from mixsmooth.cli import main
 from mixsmooth.corpus import corpus_entries, get_function
-from mixsmooth.differences import total_mean_terms
-from mixsmooth.domain import Box
+from mixsmooth.differences import total_mean_terms, total_sup_terms
+from mixsmooth.domain import Box, _bits, nonempty_axis_subsets, restrict_order
 from mixsmooth.polyapprox import TensorPolynomial
 from mixsmooth.verifier import (
     VerifierSettings,
@@ -391,6 +391,27 @@ def test_marchaud_fine_rule_splits_every_coarse_cell():
                 details = rep.details
                 got = (rep.left, rep.right, details["constant_fine"], details["u_refine_ratio"])
                 assert got == MARCHAUD_RECORDS[t_axis, rep.params["p"]]
+
+
+def test_marchaud_without_refine_h_skips_the_fine_rule(monkeypatch):
+    fn = get_function("exp_sum_2d")
+    args = (fn, (1, 2), (2, 2), 0, (0.125, 0.125), [0.5, 1.0], Box.unit(2))
+    refined = _marchaud(*args, VerifierSettings(8, 3))
+    calls = []
+    sweep = verifier.sup_modulus_sweep
+    counted = lambda *a, **kw: calls.append(1) or sweep(*a, **kw)
+    monkeypatch.setattr(verifier, "sup_modulus_sweep", counted)
+    coarse = _marchaud(*args, VerifierSettings(8, 3, refine_h=False))
+    # the left side and the 24 u midpoints of the coarse rule, no 48-cell rule
+    assert len(calls) == 1 + 24
+    for rep, rep_r in zip(coarse, refined, strict=True):
+        assert (rep.left, rep.right) == (rep_r.left, rep_r.right)
+        assert rep.empirical_constant == rep_r.empirical_constant
+        details = rep.details
+        assert details["u_nodes_fine"] == details["u_nodes"] == 24
+        assert details["constant_fine"] == rep.empirical_constant
+        assert details["u_refine_ratio"] == 1.0
+        assert rep_r.details["u_nodes_fine"] == 48
 
 
 def test_marchaud_parameter_validation():
@@ -888,6 +909,73 @@ def test_constant_lemma_and_equivalence_unresolved_when_no_coarse_step_samples_a
         for rep in equivalence_report(fn, (1, 1), (0.5, 0.5), 2.0, box, coarse):
             assert rep.passed is not False and "coarse_grid_empty" not in rep.details
         assert rep.empirical_constant > 0.0
+
+
+_UNIT = Box.unit(2)
+_SIXTEEN = VerifierSettings(grid=16, h_samples=5)
+
+
+def test_whitney_ratio_unresolved_when_one_subset_samples_nothing():
+    # r = (1, 2), 5 samples: axis 1's coarse nodes +-0.5, +-1 shift by 1 or 2,
+    # which fills the unit box, so the (1,) and (0, 1) terms read 0 unsampled
+    fn = get_function("trig_rand_2d_a")
+    rep_a, rep_b = whitney_report(fn, (1, 2), 0.5, _UNIT, _SIXTEEN)
+    assert rep_b.passed is None and rep_b.empirical_constant is None
+    assert rep_b.details["coarse_grid_empty"] is True
+    # the hard record's left side is the refined modulus, which samples every term
+    fine = total_sup_terms(fn, (1, 2), (1.0, 1.0), _UNIT, density=16, h_samples=9, p_values=[0.5])
+    assert all(term[0.5] > 0.0 for term in fine.values())
+    assert rep_a.left == sum(fine[e][0.5] for e in fine)
+    assert rep_a.passed is True and "coarse_grid_empty" not in rep_a.details
+
+
+def test_equivalence_unresolved_when_one_subset_samples_nothing():
+    fn = get_function("trig_rand_2d_a")
+    for rep in _equivalence_pairs(fn, (1, 2), (1.0, 1.0), [0.5], _UNIT, _SIXTEEN)[0]:
+        assert rep.passed is None and rep.empirical_constant is None
+        assert rep.details["coarse_grid_empty"] is True
+
+
+_ALL_SUBSETS = nonempty_axis_subsets(2)
+_ONE_AXIS = [(0,), (1,)]
+
+
+@pytest.mark.parametrize(
+    "check, r, t, subsets, m, expected",
+    [
+        ("whitney", (1, 2), (1.0, 1.0), _ALL_SUBSETS, 5, True),  # (0,) alone samples
+        ("whitney", (1, 2), (1.0, 1.0), _ALL_SUBSETS, 9, False),
+        ("whitney", (1, 1), (1.0, 1.0), _ALL_SUBSETS, 3, True),  # no subset samples
+        ("equivalence", (1, 2), (0.5, 0.5), _ALL_SUBSETS, 3, True),  # (0,) alone samples
+        ("equivalence", (1, 1), (0.5, 0.5), _ALL_SUBSETS, 3, False),
+        ("constant-lemma", (1, 1), (1.0, 1.0), _ONE_AXIS, 3, True),
+        ("constant-lemma", (1, 1), (1.0, 1.0), _ONE_AXIS, 5, False),
+    ],
+)
+def test_coarse_grid_empty_is_no_live_step_in_some_subset_sweep(check, r, t, subsets, m, expected):
+    # one rule for the four record kinds that sum coarse sup terms
+    bounds = _bits(_UNIT.lower + _UNIT.upper)
+    live = []
+    for e in subsets:
+        order = restrict_order(r, e)
+        steps, _ = differences._node_steps(False, order, _bits(t), m)
+        plan = differences._plan(order, steps.shape, steps.tobytes(), bounds, (16, 16))
+        live.append(plan.live.size)
+    unsampled = 0 in live
+    assert unsampled is expected
+    fn = get_function("trig_rand_2d_a")
+    s = VerifierSettings(grid=16, h_samples=m)
+    if check == "whitney":
+        reps = [rep for pair in _whitney_pairs(fn, r, [1.0], _UNIT, s) for rep in pair]
+    elif check == "equivalence":
+        reps = list(_equivalence_pairs(fn, r, t, [1.0], _UNIT, s)[0])
+    else:
+        reps = _constant_bound(fn, [1.0], _UNIT, s)
+    for rep in reps:
+        flagged = rep.details.get("coarse_grid_empty", False)
+        assert flagged is (unsampled and rep.check != "whitney-lower"), rep.to_record()
+        if flagged:
+            assert rep.passed is None and rep.empirical_constant is None
 
 
 def test_run_suite_whitney_subset_deterministic_records():
