@@ -65,9 +65,11 @@ bit-identical to evaluating one step at a time, whatever the chunks;
 Every sweep is one pipeline: a node rule places the step nodes on each
 axis, ``_step_product`` takes their tensor grid, and ``_fields`` and
 ``_step_norms`` give every step's L_p norm for every exponent by
-``domain._lp``'s rule.  The sup sweep takes the maximum of the norms,
-and the mean sweep their ``_lp`` with weight ``1 / len(steps)``: no
-sweep takes a root of its own.  That the p-mean modulus at p = inf is
+``domain._lp``'s rule.  A sweep reads one or more step sets (one per
+step bound, or per step count) from one engine pass over them all
+(``_norm_blocks``).  The sup sweep takes the maximum of each set's
+norms, and the mean sweep their ``_lp`` with weight ``1 / len(set)``:
+no sweep takes a root of its own.  That the p-mean modulus at p = inf is
 the sup modulus is decided in ``mean_modulus_sweep``, and again by the two
 callers that skip the mean sweep at p = inf: the verifier's equivalence
 check (``_equivalence_pairs`` takes the coarse sup sweep) and ``compute``
@@ -91,8 +93,8 @@ keys.  Every array in them is read-only, and no value of ``f`` is kept:
   ``_STEPS_MEMO`` step lists of the sup and mean node rules, with the
   nested sup sweep's coarse mask.
 
-A pass of a ``perfbench`` workload or a ``verify --suite all`` run keeps
-at most 145 plans and 121 step lists, so bounds of 256 evict nothing there.
+A pass of a ``perfbench`` workload keeps at most 68 plans and 121 step lists,
+a ``verify --suite all`` run 61 and 103, so bounds of 256 evict nothing there.
 
 The contract on ``f``, here and in every sweep: it receives a float
 array of shape ``(..., d)`` that need not be C-contiguous and returns
@@ -479,16 +481,7 @@ def _fields(
     weights = plan.weights
     if plan.bases is not None:
         lattice = sample_on_grid(f, box, density).values
-    else:
-        # The midpoint lo + (k + 0.5) * width of every (step, axis, k) and
-        # the shift offset * h of every (stencil offset, step, axis).  A run
-        # adds its rows of both into one (offset, step, axis, k) table and
-        # reads axis i of it with unit axes added, which broadcasts over its
-        # block of plane i of the cloud: (offset, step, k_1, ..., k_d).
-        half = np.arange(plan.shape.max(initial=1)) + 0.5
-        mid = plan.lo[:, :, None] + half * plan.width[:, :, None]
-        move = plan.offsets[:, None, :] * plan.h
-        new_axes = (None,) * dim
+    new_axes = (None,) * dim
     buffer, scratch = np.empty(plan.buffer), np.empty(plan.scratch)
     for (a, b, bounds, runs, grids), (per_call, per_fill) in zip(plan.chunks, plan.fills):
         n_pts = int(bounds[-1])
@@ -501,13 +494,19 @@ def _fields(
                 run[...] = _blocks(lattice, grid)[plan.bases[:, a + u : a + v]]
             _stencil_sum(values, weights, evals, scratch[:n_pts])
         else:
+            # The chunk's midpoints lo + (k + 0.5) * width per (step, axis, k) and shifts
+            # offset * h per (offset, step, axis); a run adds its rows of both into one
+            # table whose axis i, unit axes added, broadcasts over its block of plane i.
+            half = np.arange(max(map(max, grids))) + 0.5
+            mid = plan.lo[a:b, :, None] + half * plan.width[a:b, :, None]
+            move = plan.offsets[:, None, :] * plan.h[a:b]
             for j in range(0, len(weights), per_fill):
                 js = slice(j, j + per_fill)
                 cloud = buffer[: dim * len(weights[js]) * n_pts].reshape(dim, -1, n_pts)
                 for grid, (u, v, start, stop) in zip(grids, runs):
                     # a reshaped basic slice is a view: the writes land in the cloud
                     run = cloud[:, :, start:stop].reshape(*cloud.shape[:2], v - u, *grid)
-                    table = move[js, a + u : a + v, :, None] + mid[a + u : a + v, :, : max(grid)]
+                    table = move[js, u:v, :, None] + mid[u:v, :, : max(grid)]
                     for i in range(dim):
                         run[i] = table[(..., i, *new_axes[:i], slice(grid[i]), *new_axes[i + 1 :])]
                 for k in range(0, cloud.shape[1], per_call):
@@ -695,6 +694,56 @@ def _node_steps(
     return steps, coarse
 
 
+def _norm_blocks(f: Callable, r, step_sets: Sequence[np.ndarray], box: Box, density, ps) -> list:
+    """Per step set, its block of ``_step_norms`` from one ``_fields`` pass over
+    all the sets, bit-equal to a pass over it alone (no norm reads another step)."""
+    steps = np.concatenate(step_sets)
+    norms = _step_norms(_fields(f, r, steps, box, density), len(steps), ps)
+    cuts = [0, *itertools.accumulate(map(len, step_sets))]
+    return [norms[:, a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _sup_sweeps(f: Callable, r, ts, box: Box, *, density, h_samples, ps, nested=False) -> list:
+    """:func:`sup_modulus_sweep` at each step bound of ``ts``, all from one
+    engine pass: per bound one ``{p: sup}``, or with ``nested`` one ``(sup,
+    coarse)`` pair, each sup the maximum over that bound's own steps."""
+    r, t, h_samples, ps = _check_sweep_args(r, ts[0], box, h_samples, ps)
+    ts = [t, *(_check_sweep_args(r, bound, box, h_samples, ps)[1] for bound in ts[1:])]
+    if nested and h_samples % 2 == 0:
+        raise ValueError("a nested coarse sweep needs an odd h_samples")
+    sets = [_node_steps(False, r, _bits(t), h_samples) for t in ts]
+    out = []
+    for (_, coarse), norms in zip(sets, _norm_blocks(f, r, [s for s, _ in sets], box, density, ps)):
+        masks = (slice(None), coarse) if nested else (slice(None),)
+        sups = tuple({p: float(col[m].max(initial=0.0)) for p, col in zip(ps, norms)} for m in masks)
+        out.append(sups if nested else sups[0])
+    return out
+
+
+def _mean_sweeps(f: Callable, r, t, box: Box, *, density, counts: Sequence[int], ps) -> list[dict]:
+    """:func:`mean_modulus_sweep` at each ``h_samples`` of ``counts``, the
+    finite exponents of all of them from one engine pass: per count one
+    ``{p: mean}``, each mean the ``_lp`` of that count's own steps."""
+    r, t, first, ps = _check_sweep_args(r, t, box, counts[0], ps)
+    counts = [first, *(_count(m, "h_samples", 2) for m in counts[1:])]
+    finite = [p for p in ps if p != math.inf]
+    outs = [{} for _ in counts]
+    if finite:
+        for i, (ri, ti) in enumerate(zip(r, t)):
+            if ri > 0 and ti <= 0:
+                raise ValueError(f"step bound t[{i}] must be positive on an active axis")
+        sets = [_node_steps(True, r, _bits(t), m)[0] for m in counts]
+        for out, steps, norms in zip(outs, sets, _norm_blocks(f, r, sets, box, density, finite)):
+            # the rule weighs each step by prod(2 t_i / m) / prod(2 t_i) = 1 / len(steps)
+            out.update({p: _lp(col, 1.0 / len(steps), p) for p, col in zip(finite, norms)})
+    if len(finite) < len(ps):
+        for out, m in zip(outs, counts):
+            out[math.inf] = sup_modulus_sweep(
+                f, r, t, box, density=density, h_samples=m, p_values=[math.inf]
+            )[math.inf]
+    return outs
+
+
 def sup_modulus_sweep(
     f: Callable,
     r: Sequence[int],
@@ -711,21 +760,15 @@ def sup_modulus_sweep(
     Returns a dict mapping each p to the maximum over the step grid of
     the L_p quasi-norm of the difference field.  The difference field
     for a given step does not depend on p, so sharing the sweep is
-    exact, not an approximation.
+    exact, not an approximation.  It is :func:`_sup_sweeps` at one bound.
 
     With ``nested=True`` (odd ``h_samples`` only) the result is a pair
     ``(sup, coarse)``: ``coarse`` is the sweep with ``(h_samples+1)//2``
     samples, whose nodes are every other node of this one, so it is
     bit-identical to sweeping them separately.
     """
-    r, t, h_samples, ps = _check_sweep_args(r, t, box, h_samples, p_values)
-    if nested and h_samples % 2 == 0:
-        raise ValueError("a nested coarse sweep needs an odd h_samples")
-    steps, coarse = _node_steps(False, r, _bits(t), h_samples)
-    norms = _step_norms(_fields(f, r, steps, box, density), len(steps), ps)
-    masks = (slice(None), coarse) if nested else (slice(None),)
-    sups = tuple({p: float(col[m].max(initial=0.0)) for p, col in zip(ps, norms)} for m in masks)
-    return sups if nested else sups[0]
+    kw = dict(density=density, h_samples=h_samples, ps=p_values, nested=nested)
+    return _sup_sweeps(f, r, [t], box, **kw)[0]
 
 
 def mean_modulus_sweep(
@@ -746,23 +789,9 @@ def mean_modulus_sweep(
     order zero carry no step variable and average out exactly.  The
     p-mean modulus at p = inf is the sup modulus: that exponent is
     swept by :func:`sup_modulus_sweep` and comes after the finite ones.
+    This is the one-count case of :func:`_mean_sweeps`.
     """
-    r, t, h_samples, ps = _check_sweep_args(r, t, box, h_samples, p_values)
-    finite = [p for p in ps if p != math.inf]
-    out = {}
-    if finite:
-        for i, (ri, ti) in enumerate(zip(r, t)):
-            if ri > 0 and ti <= 0:
-                raise ValueError(f"step bound t[{i}] must be positive on an active axis")
-        steps, _ = _node_steps(True, r, _bits(t), h_samples)
-        norms = _step_norms(_fields(f, r, steps, box, density), len(steps), finite)
-        # the rule weighs each step by prod(2 t_i / m) / prod(2 t_i) = 1 / len(steps)
-        out = {p: _lp(col, 1.0 / len(steps), p) for p, col in zip(finite, norms)}
-    if len(finite) < len(ps):
-        out[math.inf] = sup_modulus_sweep(
-            f, r, t, box, density=density, h_samples=h_samples, p_values=[math.inf]
-        )[math.inf]
-    return out
+    return _mean_sweeps(f, r, t, box, density=density, counts=[h_samples], ps=p_values)[0]
 
 
 def modulus_sup(req: ModulusRequest, f: Callable) -> float:

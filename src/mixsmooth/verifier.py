@@ -34,6 +34,8 @@ import numpy as np
 from .corpus import CorpusFunction, corpus_entries, get_function
 from .differences import (
     _coarse_grid_empty,
+    _mean_sweeps,
+    _sup_sweeps,
     lower_whitney_constant,
     sup_modulus_sweep,
     total_mean_terms,
@@ -456,7 +458,8 @@ def superadditivity_report(
 
 
 def _superadditivity(fn, r, t, p_values, box, m, settings) -> list[list[InequalityReport]]:
-    """The superadditivity reports for each p, from one set of sweeps."""
+    """The superadditivity reports for each p, from one set of sweeps; each
+    subset's parent at both step counts (refine_h) comes from one engine pass."""
     ps = [float(p) for p in p_values]
     if math.inf in ps:
         raise ValueError("superadditivity is a statement about finite p")
@@ -464,12 +467,11 @@ def _superadditivity(fn, r, t, p_values, box, m, settings) -> list[list[Inequali
     r = _orders(r, 1)
     t = tuple(float(v) for v in t)
     density = settings.grid_for(box)
-    parent_c = total_mean_terms(
-        fn, r, t, box, density=density, h_samples=settings.h_samples, p_values=ps
-    )
-    parent_f = total_mean_terms(
-        fn, r, t, box, density=density, h_samples=2 * settings.h_samples, p_values=ps
-    ) if settings.refine_h else parent_c
+    counts = (settings.h_samples, 2 * settings.h_samples)[: 2 if settings.refine_h else 1]
+    parent_c, parent_f = {}, {}
+    for e in nonempty_axis_subsets(box.dim):
+        sweeps = _mean_sweeps(fn, restrict_order(r, e), t, box, density=density, counts=counts, ps=ps)
+        parent_c[e], parent_f[e] = sweeps[0], sweeps[-1]
     child_density = tuple(max(2, int(math.ceil(n / m))) for n in density)
     children = [
         total_mean_terms(
@@ -536,7 +538,8 @@ def marchaud_report(
     Requires ``1 <= k_axis < r_axis`` and ``k_j = r_j`` elsewhere.  The
     integral over step sizes from t_axis to the box side runs on a
     geometric grid (ratio at most 2^(1/4), at least 24 cells) with
-    arithmetic midpoints; for p < 1 the p-th-power form of both sides
+    arithmetic midpoints, and the sup modulus at every midpoint comes
+    from one engine pass; for p < 1 the p-th-power form of both sides
     is used.  The constant is empirical; with ``refine_h``, its stability
     under doubling the integration grid, which splits every cell in two,
     is recorded (``u_nodes``, ``u_nodes_fine`` = 2 ``u_nodes``, ``u_refine_ratio``).
@@ -545,7 +548,8 @@ def marchaud_report(
 
 
 def _marchaud(fn, k, r, axis, t, p_values, box, settings) -> list[InequalityReport]:
-    """The Marchaud report for each p, from one sweep per step bound."""
+    """The Marchaud report for each p: the left side from one sweep, and the
+    right side's step bounds, of both rules, from one engine pass."""
     k = _orders(k)
     r = _orders(r)
     t = tuple(float(v) for v in t)
@@ -561,28 +565,26 @@ def _marchaud(fn, k, r, axis, t, p_values, box, settings) -> list[InequalityRepo
         raise ValueError("t_axis must be smaller than the box side")
     density = settings.grid_for(box)
     ps = [float(p) for p in p_values]
-
-    def omega(order, tvec):
-        return sup_modulus_sweep(
-            fn, order, tvec, box, density=density, h_samples=settings.h_samples, p_values=ps
-        )
-
-    lefts = omega(k, t)
+    kw = dict(density=density, h_samples=settings.h_samples)
+    lefts = sup_modulus_sweep(fn, k, t, box, p_values=ps, **kw)
     g = sample_on_grid(fn, box, density)
     norms = {p: lp_quasinorm(g, p) for p in ps}
+    # ratio at most 2^(1/4), at least 24 cells; the fine rule (refine_h) halves every cell
+    n_nodes = max(24, math.ceil(math.log(delta_i / t[i]) / math.log(2.0**0.25)))
+    n_fine = 2 * n_nodes if settings.refine_h else n_nodes
+    edges = {m: _geometric_nodes(t[i], delta_i, m) for m in (n_nodes, n_fine)}
+    us = [float(u) for e in edges.values() for u in 0.5 * (e[:-1] + e[1:])]
+    bounds = [t[:i] + (u,) + t[i + 1 :] for u in us]  # both rules', swept in one pass
+    oms = dict(zip(us, _sup_sweeps(fn, r, bounds, box, ps=ps, **kw)))
 
     def rights(m):
         """Per p, the right side from the u midpoints of m geometric cells,
         in the q-th-power form, q = min(p, 1) (q = 1 is the plain form)."""
-        edges = _geometric_nodes(t[i], delta_i, m)
         integrals = dict.fromkeys(ps, 0.0)
-        for u, w in zip(0.5 * (edges[:-1] + edges[1:]), np.diff(edges)):
-            tu = list(t)
-            tu[i] = float(u)
-            oms = omega(r, tu)
+        for u, w in zip(0.5 * (edges[m][:-1] + edges[m][1:]), np.diff(edges[m])):
             for p in ps:
                 q = min(p, 1.0)
-                integrals[p] += w * oms[p] ** q / u ** (k[i] * q + 1)
+                integrals[p] += w * oms[float(u)][p] ** q / u ** (k[i] * q + 1)
         out = {}
         for p in ps:
             q = min(p, 1.0)
@@ -590,9 +592,6 @@ def _marchaud(fn, k, r, axis, t, p_values, box, settings) -> list[InequalityRepo
             out[p] = (t[i] ** (k[i] * q) * bracket) ** (1.0 / q)
         return out
 
-    # ratio at most 2^(1/4), at least 24 cells; the fine rule (refine_h) halves every cell
-    n_nodes = max(24, math.ceil(math.log(delta_i / t[i]) / math.log(2.0**0.25)))
-    n_fine = 2 * n_nodes if settings.refine_h else n_nodes
     rights_c = rights(n_nodes)
     rights_f = rights(n_fine) if settings.refine_h else rights_c
     reports = []

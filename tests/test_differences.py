@@ -505,6 +505,62 @@ def test_nested_coarse_sup_equals_a_separate_coarse_sweep():
         sup_modulus_sweep(f, (1, 1), (0.5, 0.25), box, density=9, h_samples=4, p_values=ps, nested=True)
 
 
+# (corpus name, order, box, density, odd step samples, step bounds): a bound
+# of whole cells whose sweep alone reads the grid, one off the grid, one
+# whose every step leaves an empty domain, and the first again
+MULTI_BOUND_SWEEPS = [
+    ("sin_prod_1d", (2,), Box.unit(1), 512, 9, [(0.25,), (0.3,), (2.5,), (0.25,)]),
+    ("trig_rand_2d_a", (1, 1), Box.unit(2), 32, 5, [(0.5, 0.5), (0.3, 0.2), (2.5, 0.5), (0.5, 0.5)]),
+    (
+        "exp_sum_3d", (1, 0, 1), Box.unit(3), 16, 3,
+        [(0.25, 0.0, 0.5), (0.2, 0.0, 0.3), (0.25, 0.0, 1.5), (0.25, 0.0, 0.5)],
+    ),
+]
+
+
+def _reads_the_grid(r, t, box, m, density):
+    steps, _ = differences._node_steps(False, r, _bits(t), m)
+    bounds = _bits(box.lower + box.upper)
+    plan = differences._plan(r, steps.shape, steps.tobytes(), bounds, normalize_grid(density, box.dim))
+    return plan.bases is not None
+
+
+@pytest.mark.parametrize("nested", [False, True])
+@pytest.mark.parametrize("name, r, box, density, m, ts", MULTI_BOUND_SWEEPS)
+def test_sup_sweeps_over_many_bounds_equal_one_sweep_per_bound(monkeypatch, name, r, box, density, m, ts, nested):
+    f = get_function(name)
+    ps = [0.5, 1.0, 2.0, math.inf]
+    kw = dict(density=density, h_samples=m, nested=nested)
+    want = [sup_modulus_sweep(f, r, t, box, p_values=ps, **kw) for t in ts]
+    assert [_reads_the_grid(r, t, box, m, density) for t in ts] == [True, False, False, True]
+    calls = []
+    fields = differences._fields
+    monkeypatch.setattr(differences, "_fields", lambda *a: calls.append(1) or fields(*a))
+    got = differences._sup_sweeps(f, r, ts, box, ps=ps, **kw)
+    assert len(calls) == 1
+    assert got == want
+    empty = dict.fromkeys(ps, 0.0)
+    assert want[2] == ((empty, empty) if nested else empty)
+    assert want[0] != want[1]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("name, r, box, density, m_sup, ts", MULTI_BOUND_SWEEPS)
+def test_mean_sweeps_at_two_counts_equal_two_mean_sweeps(monkeypatch, name, r, box, density, m_sup, ts, m):
+    f = get_function(name)
+    ps = [0.5, 1.0, 2.0, math.inf]
+    t = ts[1]
+    kw = dict(density=min(density, 32), p_values=ps)
+    want = [mean_modulus_sweep(f, r, t, box, h_samples=n, **kw) for n in (m, 2 * m)]
+    calls = []
+    fields = differences._fields
+    monkeypatch.setattr(differences, "_fields", lambda *a: calls.append(1) or fields(*a))
+    got = differences._mean_sweeps(f, r, t, box, density=kw["density"], counts=(m, 2 * m), ps=ps)
+    # one pass for the finite exponents, and one sup sweep per count at p = inf
+    assert len(calls) == 1 + 2
+    assert got == want
+
+
 @pytest.mark.parametrize("r", [(1, 1), (2, 2), (1, 2)])
 @pytest.mark.parametrize(
     "box",

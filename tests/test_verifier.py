@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import tracemalloc
 from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -396,14 +397,17 @@ def test_marchaud_fine_rule_splits_every_coarse_cell():
 def test_marchaud_without_refine_h_skips_the_fine_rule(monkeypatch):
     fn = get_function("exp_sum_2d")
     args = (fn, (1, 2), (2, 2), 0, (0.125, 0.125), [0.5, 1.0], Box.unit(2))
+    bounds = []
+    sweeps = verifier._sup_sweeps
+    counted = lambda fn, r, ts, *a, **kw: bounds.append(len(ts)) or sweeps(fn, r, ts, *a, **kw)
+    monkeypatch.setattr(verifier, "_sup_sweeps", counted)
     refined = _marchaud(*args, VerifierSettings(8, 3))
-    calls = []
-    sweep = verifier.sup_modulus_sweep
-    counted = lambda *a, **kw: calls.append(1) or sweep(*a, **kw)
-    monkeypatch.setattr(verifier, "sup_modulus_sweep", counted)
+    # the right side sweeps the u midpoints of both rules in one call
+    assert bounds == [24 + 48]
+    bounds.clear()
     coarse = _marchaud(*args, VerifierSettings(8, 3, refine_h=False))
-    # the left side and the 24 u midpoints of the coarse rule, no 48-cell rule
-    assert len(calls) == 1 + 24
+    # the 24 u midpoints of the coarse rule, no 48-cell rule
+    assert bounds == [24]
     for rep, rep_r in zip(coarse, refined, strict=True):
         assert (rep.left, rep.right) == (rep_r.left, rep_r.right)
         assert rep.empirical_constant == rep_r.empirical_constant
@@ -412,6 +416,39 @@ def test_marchaud_without_refine_h_skips_the_fine_rule(monkeypatch):
         assert details["constant_fine"] == rep.empirical_constant
         assert details["u_refine_ratio"] == 1.0
         assert rep_r.details["u_nodes_fine"] == 48
+
+
+@pytest.mark.parametrize("refine_h", [True, False])
+def test_engine_passes_per_report(monkeypatch, refine_h):
+    # Marchaud: the left side, then every step bound of the right side in
+    # one pass; superadditivity: each of the 3 subsets' parent at both step
+    # counts in one pass, and each of the 4 sub-boxes' 3 subsets
+    calls = []
+    fields = differences._fields
+    monkeypatch.setattr(differences, "_fields", lambda *a: calls.append(1) or fields(*a))
+    fn, box = get_function("exp_sum_2d"), Box.unit(2)
+    settings = VerifierSettings(8, 3, refine_h=refine_h)
+    marchaud_report(fn, (1, 2), (2, 2), 0, (0.125, 0.125), 0.5, box, settings)
+    assert len(calls) == 2
+    calls.clear()
+    superadditivity_report(fn, (1, 1), (0.25, 0.25), 1.0, box, 2, settings)
+    assert len(calls) == 3 + 4 * 3
+
+
+def test_marchaud_report_runs_in_small_memory():
+    # its 24 + 48 step bounds share one engine pass; 13 MB when the cloud's
+    # midpoint and shift tables cover every step of that pass at once
+    fn = get_function("exp_sum_2d")
+    args = (fn, (1, 2), (2, 2), 0, (0.125, 0.125), 0.5, Box.unit(2), VerifierSettings(24, 17))
+    want = marchaud_report(*args)  # warms the memos
+    tracemalloc.start()
+    try:
+        got = marchaud_report(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 2.5e6
 
 
 def test_marchaud_parameter_validation():
