@@ -79,7 +79,7 @@ Every order vector passes ``domain._orders`` and ``h_samples`` its
 ``_count``, which own that rule: 2.0 counts as 2, and 1.5 raises.
 
 What a sweep derives from its geometry alone, never from ``f`` or p, is
-built once per process and kept in two bounded memos
+built once per process and kept in three bounded memos
 (``functools.lru_cache``, least recently used out), each keyed by the
 exact bits of its inputs (``domain._bits``), so -0.0 and 0.0 are two
 keys.  Every array in them is read-only, and no value of ``f`` is kept:
@@ -91,10 +91,14 @@ keys.  Every array in them is read-only, and no value of ``f`` is kept:
   and cell-width tables;
 * ``_node_steps``, keyed by ``(rule, r, t, h_samples)``, holds at most
   ``_STEPS_MEMO`` step lists of the sup and mean node rules, with the
-  nested sup sweep's coarse mask.
+  nested sup sweep's coarse mask;
+* ``_coarse_grid_empty_of``, keyed by ``(r, t, box bounds, h_samples)``,
+  holds at most ``_STEPS_MEMO`` of ``_coarse_grid_empty``'s flags, which
+  tell the verifier that a summed term reads 0 unsampled.
 
-A pass of a ``perfbench`` workload keeps at most 68 plans and 121 step lists,
-a ``verify --suite all`` run 61 and 103, so bounds of 256 evict nothing there.
+A pass of a ``perfbench`` workload keeps at most 68 plans, 121 step lists
+and 8 flags, a ``verify --suite all`` run 61, 103 and 4, so bounds of 256
+evict nothing there.
 
 The contract on ``f``, here and in every sweep: it receives a float
 array of shape ``(..., d)`` that need not be C-contiguous and returns
@@ -655,7 +659,16 @@ def _coarse_grid_empty(r: Sequence[int], t: Sequence[float], box: Box, h_samples
     coarse grid), so a summed term reads 0 unsampled.  A step is live only
     when each of its one-axis parts is, so the one-axis subsets decide: does
     no node h of some active axis i leave the shift ``r_i h`` room?"""
-    for i, (ri, ti) in enumerate(zip(r, t)):
+    return _coarse_grid_empty_of(tuple(r), _bits(t), _bits(box.lower + box.upper), h_samples)
+
+
+@functools.lru_cache(maxsize=_STEPS_MEMO)
+def _coarse_grid_empty_of(r: tuple, t_bits: bytes, box_bits: bytes, h_samples: int) -> bool:
+    """:func:`_coarse_grid_empty`, memoized by the exact bits of t and of the
+    box's bounds (lower then upper)."""
+    lower, upper = np.frombuffer(box_bits).reshape(2, -1)
+    box = Box(tuple(lower), tuple(upper))
+    for i, (ri, ti) in enumerate(zip(r, np.frombuffer(t_bits).tolist())):
         if ri == 0:
             continue
         nodes = _sup_axis_nodes(ri, ti, h_samples)[0]
@@ -696,9 +709,12 @@ def _node_steps(
 
 def _norm_blocks(f: Callable, r, step_sets: Sequence[np.ndarray], box: Box, density, ps) -> list:
     """Per step set, its block of ``_step_norms`` from one ``_fields`` pass over
-    all the sets, bit-equal to a pass over it alone (no norm reads another step)."""
-    steps = np.concatenate(step_sets)
+    all the sets, bit-equal to a pass over it alone (no norm reads another step).
+    A single set goes through as it is: no copy, no slicing."""
+    steps = np.concatenate(step_sets) if len(step_sets) > 1 else step_sets[0]
     norms = _step_norms(_fields(f, r, steps, box, density), len(steps), ps)
+    if len(step_sets) == 1:
+        return [norms]
     cuts = [0, *itertools.accumulate(map(len, step_sets))]
     return [norms[:, a:b] for a, b in zip(cuts, cuts[1:])]
 

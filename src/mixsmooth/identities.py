@@ -1,8 +1,11 @@
 """Exact multivariate polynomial identities behind the difference calculus.
 
-Coefficients are integers or ``fractions.Fraction``s and every check is
-exact; no rounding occurs anywhere.  The centrepiece is
-:func:`unit_decomposition`, which writes the constant 1 as
+Every identity is checked in exact integer arithmetic: the coefficients
+are Python integers, or numerators over a common power of 2 where one is
+not an integer (the halving witness's 2^-k), and ``fractions.Fraction``
+appears only in the returned objects.  No rounding occurs anywhere.
+
+The centrepiece is :func:`unit_decomposition`, which writes the constant 1 as
 
     1 = sum_{0 < k <= r} a_k x^k  +  sum_{e nonempty} b_e P_e(x),
     P_e(x) = prod_{i in e} (x_i - 1)^{r_i},
@@ -87,26 +90,25 @@ def unit_decomposition(r: Sequence[int]) -> UnitDecomposition:
 
     ``a`` lists k in lexicographic order and ``b`` the subsets in
     :func:`nonempty_axis_subsets` order.  The identity is verified
-    exactly on the dense coefficient tensor of shape ``r + 1`` before
-    the result is returned; failure indicates an implementation bug and
-    is raised, never ignored.
+    exactly, in Python integers, on the dense coefficient tensor of shape
+    ``r + 1`` before the coefficients become ``Fraction``s and the result
+    is returned; failure indicates an implementation bug and is raised,
+    never ignored.
     """
     r = _orders(r, 1)
     d = len(r)
     a = {
-        k: Fraction((-1) ** (d + sum(k)) * math.prod(map(math.comb, r, k)))
+        k: (-1) ** (d + sum(k)) * math.prod(map(math.comb, r, k))
         for k in itertools.product(*(range(1, ri + 1) for ri in r))
     }
-    b = {
-        u: Fraction(-((-1) ** (len(u) + sum(r[i] for i in u))))
-        for u in nonempty_axis_subsets(d)
-    }
+    b = {u: -((-1) ** (len(u) + sum(r[i] for i in u))) for u in nonempty_axis_subsets(d)}
 
-    # coefficient of x^k at index k; P_u is the outer product of the
-    # (x_i - 1)^{r_i} rows on u and of the constant 1 off u
+    # coefficient of x^k at index k, in Python integers (object arrays never
+    # overflow); a fills the block k >= 1 in its own product order, and P_u
+    # is the outer product of the (x_i - 1)^{r_i} rows on u and of the
+    # constant 1 off u
     total = np.zeros(tuple(ri + 1 for ri in r), dtype=object)
-    for k, c in a.items():
-        total[k] += c
+    total[(slice(1, None),) * d] = np.array(list(a.values()), dtype=object).reshape(r)
     for u, c in b.items():
         rows = [
             np.array(_power_of_binomial(ri, -1) if i in u else [1] + [0] * ri, dtype=object)
@@ -117,7 +119,9 @@ def unit_decomposition(r: Sequence[int]) -> UnitDecomposition:
     unit[(0,) * d] = 1
     if not (total == unit).all():
         raise RuntimeError(f"unit decomposition failed exact verification for r={r}")
-    return UnitDecomposition(r=r, a=a, b=b)
+    return UnitDecomposition(
+        r=r, a={k: Fraction(c) for k, c in a.items()}, b={u: Fraction(c) for u, c in b.items()}
+    )
 
 
 def _valid_sample_mask(
@@ -231,26 +235,25 @@ def halving_identity(k: int) -> dict[tuple[int], Fraction]:
 
     P is the quotient of ``1 - 2^-k (x+1)^k`` by ``x - 1`` (synthetic
     division), returned as ``{(j,): coefficient}`` for its nonzero
-    coefficients in increasing j.  A nonzero remainder or a failed final
-    identity check is an implementation bug and raises.
+    coefficients in increasing j.  The division and the final identity
+    check run on integer numerators over the common denominator 2^k, so
+    ``Fraction`` appears only in the result.  A nonzero remainder or a
+    failed final identity check is an implementation bug and raises.
     """
     k = _count(k, "k")
-    scale = Fraction(1, 2**k)
-    numerator = [-scale * c for c in _power_of_binomial(k, 1)]
-    numerator[0] += 1
-    quotient = [Fraction(0)] * k
-    carry = Fraction(0)
+    scale = 2**k
+    numerator = [-c for c in _power_of_binomial(k, 1)]
+    numerator[0] += scale
+    quotient = [0] * k
+    carry = 0
     for j in range(k, 0, -1):
         carry += numerator[j]
         quotient[j - 1] = carry
     if numerator[0] + carry != 0:
         raise RuntimeError(f"halving identity division left a remainder for k={k}")
-    lhs = _power_of_binomial(k, -1) + [0] * k
+    lhs = [scale * c for c in _power_of_binomial(k, -1)] + [0] * k
     square = _poly_mul(_power_of_binomial(k, -1), _power_of_binomial(k, 1))
-    rhs = [
-        scale * s + t
-        for s, t in zip(square, _poly_mul(quotient, _power_of_binomial(k + 1, -1)))
-    ]
+    rhs = [s + t for s, t in zip(square, _poly_mul(quotient, _power_of_binomial(k + 1, -1)))]
     if lhs != rhs:
         raise RuntimeError(f"halving identity failed exact verification for k={k}")
-    return {(j,): c for j, c in enumerate(quotient) if c != 0}
+    return {(j,): Fraction(c, scale) for j, c in enumerate(quotient) if c != 0}

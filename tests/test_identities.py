@@ -51,6 +51,41 @@ def test_unit_decomposition_exact_for_all_small_orders():
                 assert total == 1, (r, x)
 
 
+def _dump(coefficients):
+    return [(key, str(value)) for key, value in coefficients.items()]
+
+
+def test_unit_decomposition_is_its_closed_forms_as_fractions():
+    # the closed forms in Fraction arithmetic, in the documented key orders
+    for dim in (1, 2, 3):
+        for r in itertools.product(range(1, 5), repeat=dim):
+            decomp = unit_decomposition(r)
+            values = [*decomp.a.values(), *decomp.b.values()]
+            assert all(type(c) is Fraction for c in values), r
+            a = {
+                k: Fraction(-1) ** (dim + sum(k)) * math.prod(map(Fraction, map(math.comb, r, k)))
+                for k in itertools.product(*(range(1, ri + 1) for ri in r))
+            }
+            b = {
+                u: -(Fraction(-1) ** (len(u) + sum(r[i] for i in u)))
+                for u in nonempty_axis_subsets(dim)
+            }
+            assert (_dump(decomp.a), _dump(decomp.b)) == (_dump(a), _dump(b)), r
+
+
+def test_self_checks_raise_on_a_wrong_binomial_row(monkeypatch):
+    # one coefficient off in every (x + c)^n row must fail each exact check
+    row = identities._power_of_binomial
+    wrong = lambda n, c: [v + (j == 0) for j, v in enumerate(row(n, c))]
+    monkeypatch.setattr(identities, "_power_of_binomial", wrong)
+    for r in ((1,), (4,), (2, 3), (1, 1, 1), (4, 4, 4)):
+        with pytest.raises(RuntimeError, match="unit decomposition failed"):
+            unit_decomposition(r)
+    for k in (1, 2, 5, 10):
+        with pytest.raises(RuntimeError, match="halving identity"):
+            halving_identity(k)
+
+
 def test_reproduction_residual_member_and_affine():
     rng = np.random.default_rng(1)
     box = Box.unit(1)
@@ -231,6 +266,7 @@ def test_halving_identity_exact_through_ten():
     # 2k + 1 distinct rationals proves the identity.
     for k in range(1, 11):
         witness = halving_identity(k)
+        assert all(type(c) is Fraction and 2**k % c.denominator == 0 for c in witness.values())
         for n in range(2 * k + 1):
             x = Fraction(2 * n + 1, 7)
             p = sum(c * x**j for (j,), c in witness.items())

@@ -1,6 +1,7 @@
-"""The memos of f-independent geometry: sweep plans, node step lists and
-per-axis bases.  A warm memo gives the same bits as a cold one, keeps its
-arrays read-only, stays within its bound and never holds ``f``."""
+"""The memos of f-independent geometry: sweep plans, node step lists,
+per-axis bases and the coarse-grid flag.  A warm memo gives the same bits
+as a cold one, keeps its arrays read-only, stays within its bound and never
+holds ``f``."""
 
 import gc
 import math
@@ -9,7 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
-from mixsmooth import differences, polyapprox
+from mixsmooth import differences, polyapprox, verifier
 from mixsmooth.corpus import get_function
 from mixsmooth.differences import (
     difference_field,
@@ -22,7 +23,12 @@ from mixsmooth.domain import Box, sample_on_grid
 from mixsmooth.identities import annihilation_residual
 from mixsmooth.polyapprox import TensorPolynomial, best_approx
 
-MEMOS = (differences._plan, differences._node_steps, polyapprox._basis_of)
+MEMOS = (
+    differences._plan,
+    differences._node_steps,
+    polyapprox._basis_of,
+    differences._coarse_grid_empty_of,
+)
 
 
 def _clear():
@@ -76,6 +82,16 @@ def test_warm_sweeps_equal_cold_ones(r, box, t, m, density):
 
     cold, warm = _cold_then_warm(sweeps)
     assert cold == warm
+
+
+@pytest.mark.parametrize("m, unsampled", [(5, True), (9, False)])
+def test_warm_coarse_grid_flag_equals_cold(m, unsampled):
+    # Whitney's coarse sweeps of r = (1, 2) with t the box: at 5 samples some
+    # subset's sweep has no live step, so its summed term reads 0 unsampled;
+    # the flag is a bool, so there is nothing to write to
+    box = Box.unit(2)
+    cold, warm = _cold_then_warm(lambda: differences._coarse_grid_empty((1, 2), box.size, box, m))
+    assert cold is warm is unsampled
 
 
 def test_both_engine_paths_are_memoized():
@@ -133,6 +149,7 @@ def test_signed_zero_bounds_are_their_own_keys():
             sup_modulus_sweep(f, (1, 1), (0.25, t_1), box, nested=True, **kw),
             mean_modulus_sweep(f, (1, 1), (0.25, 0.25), box, **kw),
             _fit_bits(best_approx(sample_on_grid(f, box, 16), (2, 2), 1.0)),
+            differences._coarse_grid_empty((1, 1), (0.25, t_1), box, 9),
         )
 
     cases = [(0.0, 0.25), (-0.0, 0.25), (-0.0, 0.0), (-0.0, -0.0)]
@@ -144,11 +161,13 @@ def test_signed_zero_bounds_are_their_own_keys():
     for k, (case, want) in enumerate(zip(cases, cold)):
         misses = [memo.cache_info().misses for memo in MEMOS]
         assert run(*case) == want
-        if k == 1:  # a new box: new plans and bases, no hit on the other box's
+        if k == 1:  # a new box: new plans, bases and flag, no hit on the other box's
             assert differences._plan.cache_info().misses > misses[0]
             assert polyapprox._basis_of.cache_info().misses > misses[2]
-        if k == 3:  # a new step bound: a new step list
+            assert differences._coarse_grid_empty_of.cache_info().misses > misses[3]
+        if k == 3:  # a new step bound: a new step list and flag
             assert differences._node_steps.cache_info().misses > misses[1]
+            assert differences._coarse_grid_empty_of.cache_info().misses > misses[3]
 
 
 def test_memoized_arrays_are_read_only():
@@ -184,9 +203,12 @@ def test_memos_stay_within_their_bounds():
         sup_modulus_sweep(f, (1,), (0.25 + k * 1e-3,), box, density=2, h_samples=2, p_values=[1.0])
     for k in range(polyapprox._BASIS_MEMO + 10):
         polyapprox._axis_basis(0.0, 1.0 + k, 4, 2)
+    for k in range(n):
+        differences._coarse_grid_empty((1,), (0.25 + k * 1e-3,), box, 3)
     assert differences._plan.cache_info().currsize == differences._PLAN_MEMO
     assert differences._node_steps.cache_info().currsize == differences._STEPS_MEMO
     assert polyapprox._basis_of.cache_info().currsize == polyapprox._BASIS_MEMO
+    assert differences._coarse_grid_empty_of.cache_info().currsize == differences._STEPS_MEMO
 
 
 def test_no_memo_holds_f():
@@ -201,6 +223,8 @@ def test_no_memo_holds_f():
     mean_modulus_sweep(f, (1, 1), (0.5, 0.5), box, **kw)  # cloud path
     difference_field(f, (1, 1), (0.1, 0.1), box, 8)
     best_approx(sample_on_grid(f, box, 8), (2, 2), 1.0)
+    settings = verifier.VerifierSettings(grid=8, h_samples=5)
+    verifier._with_gap(f, (1, 1), [(0,), (1,), (0, 1)], (1.0, 1.0), box, settings, [1.0])
     del f
     gc.collect()
     assert alive() is None
