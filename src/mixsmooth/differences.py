@@ -65,21 +65,29 @@ bit-identical to evaluating one step at a time, whatever the chunks;
 Every sweep is one pipeline: a node rule places the step nodes on each
 axis, ``_step_product`` takes their tensor grid, and ``_fields`` and
 ``_step_norms`` give every step's L_p norm for every exponent by
-``domain._lp``'s rule.  A sweep reads one or more step sets (one per
-step bound, or per step count) from one engine pass over them all
-(``_norm_blocks``).  The sup sweep takes the maximum of each set's
-norms, and the mean sweep their ``_lp`` with weight ``1 / len(set)``:
-no sweep takes a root of its own.  That the p-mean modulus at p = inf is
+``domain._lp``'s rule.  A sweep reads a family of step sets, each a sup
+or a mean rule at one step bound and one step count, from one engine
+pass over the union of their steps (``_sweeps``).  A sup set takes the
+maximum of its steps' norms, and a mean set their ``_lp`` with weight
+``1 / len(set)``: no sweep takes a root of its own.  Each set also says
+whether any of its steps is live, so a caller that sums a sup set's value
+knows when it reads 0 unsampled.  That the p-mean modulus at p = inf is
 the sup modulus is decided in ``mean_modulus_sweep``, and again by the two
 callers that skip the mean sweep at p = inf: the verifier's equivalence
 check (``_equivalence_pairs`` takes the coarse sup sweep) and ``compute``
 in ``cli.py`` (which waives the step box a mean sweep needs).
 
+A sup set with an odd number ``2m - 1`` of step samples contains the set
+with ``m`` samples: ``linspace(-t, t, m)`` equals ``linspace(-t, t, 2m -
+1)[::2]`` bit for bit.  The union keeps each distinct step once, where it
+first appears, so the refined family ``[(t, 2m - 1), (t, m)]`` hands
+``_fields`` the 2m - 1 list alone, and its coarse set costs no field.
+
 Every order vector passes ``domain._orders`` and ``h_samples`` its
 ``_count``, which own that rule: 2.0 counts as 2, and 1.5 raises.
 
 What a sweep derives from its geometry alone, never from ``f`` or p, is
-built once per process and kept in three bounded memos
+built once per process and kept in two bounded memos
 (``functools.lru_cache``, least recently used out), each keyed by the
 exact bits of its inputs (``domain._bits``), so -0.0 and 0.0 are two
 keys.  Every array in them is read-only, and no value of ``f`` is kept:
@@ -89,15 +97,12 @@ keys.  Every array in them is read-only, and no value of ``f`` is kept:
   their shrunken grids and cell volumes, the runs, chunk bounds and
   offsets per call of ``f``, and the lattice bases or the cloud's step
   and cell-width tables;
-* ``_node_steps``, keyed by ``(rule, r, t, h_samples)``, holds at most
-  ``_STEPS_MEMO`` step lists of the sup and mean node rules, with the
-  nested sup sweep's coarse mask;
-* ``_coarse_grid_empty_of``, keyed by ``(r, t, box bounds, h_samples)``,
-  holds at most ``_STEPS_MEMO`` of ``_coarse_grid_empty``'s flags, which
-  tell the verifier that a summed term reads 0 unsampled.
+* ``_node_steps``, keyed by ``(r, family)``, the family a tuple of one
+  ``(mean, t, h_samples)`` per set, holds at most ``_STEPS_MEMO`` unions
+  of a family's steps, with each set's index into its union.
 
-A pass of a ``perfbench`` workload keeps at most 68 plans, 121 step lists
-and 8 flags, a ``verify --suite all`` run 61, 103 and 4, so bounds of 256
+A seed-1 pass of a ``perfbench`` workload keeps at most 68 plans and 50
+step lists, a ``verify --suite all`` run 61 and 32, so bounds of 256
 evict nothing there.
 
 The contract on ``f``, here and in every sweep: it receives a float
@@ -109,11 +114,6 @@ keep its argument past the call: the engine reuses its memory.  ``f``
 must be defined and finite at every midpoint of the box's ``density``
 grid, which the lattice path evaluates even where no step's cloud
 reaches.
-
-A sup sweep with an odd number ``2m - 1`` of step samples contains the
-sweep with ``m`` samples: ``linspace(-t, t, m)`` equals
-``linspace(-t, t, 2m - 1)[::2]`` bit for bit; ``sup_modulus_sweep`` with
-``nested=True`` returns that coarse supremum too, off the even-indexed nodes.
 """
 
 from __future__ import annotations
@@ -636,128 +636,88 @@ class ModulusRequest:
             object.__setattr__(self, name, value)
 
 
-def _sup_axis_nodes(ri: int, ti: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Step candidates on one axis for the sup modulus.
-
-    Inactive axes (ri == 0) contribute the single step 0.  Active axes
-    use a symmetric uniform grid including both endpoints; the exact
-    zero step is dropped there because the difference vanishes
-    identically.  The second array marks the nodes at even positions of
-    the grid, which for odd m are the nodes of the grid with (m+1)/2
-    samples.
-    """
-    if ri == 0:
-        return np.zeros(1), np.ones(1, bool)
-    nodes = np.linspace(-ti, ti, m)
-    keep = nodes != 0.0
-    return nodes[keep], (np.arange(m) % 2 == 0)[keep]
-
-
-def _coarse_grid_empty(r: Sequence[int], t: Sequence[float], box: Box, h_samples: int) -> bool:
-    """True when the sweep of some subset of the active axes of ``r`` has no
-    live step of the sup rule with ``h_samples`` nodes (a nested sweep's
-    coarse grid), so a summed term reads 0 unsampled.  A step is live only
-    when each of its one-axis parts is, so the one-axis subsets decide: does
-    no node h of some active axis i leave the shift ``r_i h`` room?"""
-    return _coarse_grid_empty_of(tuple(r), _bits(t), _bits(box.lower + box.upper), h_samples)
-
-
-@functools.lru_cache(maxsize=_STEPS_MEMO)
-def _coarse_grid_empty_of(r: tuple, t_bits: bytes, box_bits: bytes, h_samples: int) -> bool:
-    """:func:`_coarse_grid_empty`, memoized by the exact bits of t and of the
-    box's bounds (lower then upper)."""
-    lower, upper = np.frombuffer(box_bits).reshape(2, -1)
-    box = Box(tuple(lower), tuple(upper))
-    for i, (ri, ti) in enumerate(zip(r, np.frombuffer(t_bits).tolist())):
-        if ri == 0:
-            continue
-        nodes = _sup_axis_nodes(ri, ti, h_samples)[0]
-        lo, hi = _shrunk(box, np.outer(ri * nodes, np.eye(box.dim)[i]))
-        if not np.all(hi > lo, axis=1).any():
-            return True
-    return False
-
-
-def _mean_axis_nodes(ri: int, ti: float, m: int) -> np.ndarray:
-    """Step nodes on one axis for the mean modulus: the midpoints of m
-    equal cells of ``[-t, t]`` on an active axis, the single step 0 on
-    an inactive one."""
+def _axis_nodes(mean: bool, ri: int, ti: float, m: int) -> np.ndarray:
+    """Step nodes on one axis: the single step 0 on an inactive axis (ri == 0).
+    On an active one, the mean rule takes the midpoints of m equal cells of
+    ``[-t, t]``, and the sup rule a symmetric uniform grid of m nodes with
+    both endpoints, less the exact zero step, whose difference vanishes
+    identically."""
     if ri == 0:
         return np.zeros(1)
-    return _midpoints(-ti, ti, m)
+    if mean:
+        return _midpoints(-ti, ti, m)
+    nodes = np.linspace(-ti, ti, m)
+    return nodes[nodes != 0.0]
 
 
 @functools.lru_cache(maxsize=_STEPS_MEMO)
-def _node_steps(
-    mean: bool, r: tuple[int, ...], t_bits: bytes, m: int
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The steps of a sweep's node rule (the mean rule, else the sup rule)
-    in ``_step_product`` order, and for the sup rule the mask of the steps
-    of its nested coarse sweep; memoized by the exact bits of t.  Both
-    arrays are read-only."""
-    t = np.frombuffer(t_bits).tolist()
-    if mean:
-        steps = _step_product([_mean_axis_nodes(ri, ti, m) for ri, ti in zip(r, t)])
-        coarse = None
-    else:
-        axes = [_sup_axis_nodes(ri, ti, m) for ri, ti in zip(r, t)]
-        steps = _step_product([nodes for nodes, _ in axes])
-        coarse = _step_product([even for _, even in axes]).all(axis=1)
-    _frozen(steps, coarse)
-    return steps, coarse
+def _node_steps(r: tuple[int, ...], family: tuple) -> tuple[np.ndarray, tuple]:
+    """The steps of a sweep family and, per set, the index among them of
+    each of its own steps; memoized by the exact bits of every t.
+
+    Each set ``(mean, t bits, m)`` of ``family`` is a node rule (the mean
+    rule, else the sup rule) in ``_step_product`` order.  Each distinct
+    step, bit for bit, is kept once, where it first appears, so a refined
+    sup family ``[(t, 2m - 1), (t, m)]`` keeps the 2m - 1 list as it
+    stands.  A set whose steps are a run of the union, in order, is
+    indexed by a slice, which reads a view.  Every array is read-only."""
+    sets = [
+        _step_product([_axis_nodes(mean, *rt, m) for rt in zip(r, np.frombuffer(t_bits).tolist())])
+        for mean, t_bits, m in family
+    ]
+    every = np.concatenate(sets)
+    first: dict[bytes, int] = {}
+    rows = every.view(np.dtype((np.void, every.itemsize * len(r)))).ravel().tolist()
+    index = np.array([first.setdefault(row, len(first)) for row in rows], np.intp)
+    steps = np.empty((len(first), len(r)))
+    steps[index] = every
+    _frozen(steps, index)  # and so its views, each set's part
+    own = []
+    for i in np.split(index, np.cumsum([len(s) for s in sets[:-1]])):
+        a = int(i[0]) if len(i) else 0
+        own.append(slice(a, a + len(i)) if np.array_equal(i, np.arange(a, a + len(i))) else i)
+    return steps, tuple(own)
 
 
-def _norm_blocks(f: Callable, r, step_sets: Sequence[np.ndarray], box: Box, density, ps) -> list:
-    """Per step set, its block of ``_step_norms`` from one ``_fields`` pass over
-    all the sets, bit-equal to a pass over it alone (no norm reads another step).
-    A single set goes through as it is: no copy, no slicing."""
-    steps = np.concatenate(step_sets) if len(step_sets) > 1 else step_sets[0]
-    norms = _step_norms(_fields(f, r, steps, box, density), len(steps), ps)
-    if len(step_sets) == 1:
-        return [norms]
-    cuts = [0, *itertools.accumulate(map(len, step_sets))]
-    return [norms[:, a:b] for a, b in zip(cuts, cuts[1:])]
+def _sweeps(f: Callable, r, sets, box: Box, *, density, ps) -> list[tuple[dict, bool]]:
+    """Per set ``(mean, t, h_samples)`` of a sweep family, its ``{p: value}``
+    and whether any of its steps is live, all from one engine pass over the
+    family's steps (``_node_steps``).
 
-
-def _sup_sweeps(f: Callable, r, ts, box: Box, *, density, h_samples, ps, nested=False) -> list:
-    """:func:`sup_modulus_sweep` at each step bound of ``ts``, all from one
-    engine pass: per bound one ``{p: sup}``, or with ``nested`` one ``(sup,
-    coarse)`` pair, each sup the maximum over that bound's own steps."""
-    r, t, h_samples, ps = _check_sweep_args(r, ts[0], box, h_samples, ps)
-    ts = [t, *(_check_sweep_args(r, bound, box, h_samples, ps)[1] for bound in ts[1:])]
-    if nested and h_samples % 2 == 0:
-        raise ValueError("a nested coarse sweep needs an odd h_samples")
-    sets = [_node_steps(False, r, _bits(t), h_samples) for t in ts]
-    out = []
-    for (_, coarse), norms in zip(sets, _norm_blocks(f, r, [s for s, _ in sets], box, density, ps)):
-        masks = (slice(None), coarse) if nested else (slice(None),)
-        sups = tuple({p: float(col[m].max(initial=0.0)) for p, col in zip(ps, norms)} for m in masks)
-        out.append(sups if nested else sups[0])
-    return out
-
-
-def _mean_sweeps(f: Callable, r, t, box: Box, *, density, counts: Sequence[int], ps) -> list[dict]:
-    """:func:`mean_modulus_sweep` at each ``h_samples`` of ``counts``, the
-    finite exponents of all of them from one engine pass: per count one
-    ``{p: mean}``, each mean the ``_lp`` of that count's own steps."""
-    r, t, first, ps = _check_sweep_args(r, t, box, counts[0], ps)
-    counts = [first, *(_count(m, "h_samples", 2) for m in counts[1:])]
-    finite = [p for p in ps if p != math.inf]
-    outs = [{} for _ in counts]
-    if finite:
+    A sup set's value is the maximum of its steps' norms; a mean set's, at
+    finite p only, their ``_lp`` with weight ``1 / len(set)``.  No norm reads
+    another step, so each set's value is bit-equal to a pass over it alone.
+    A set samples a step when the step is live in the plan (its domain is
+    not empty); a sup set of no live step reads 0.
+    """
+    family = []
+    for mean, t, m in sets:
+        r, t, m, ps = _check_sweep_args(r, t, box, m, ps)
+        if mean and math.inf in ps:
+            raise ValueError("a mean set takes finite p only")
         for i, (ri, ti) in enumerate(zip(r, t)):
-            if ri > 0 and ti <= 0:
+            if mean and ri > 0 and ti <= 0:
                 raise ValueError(f"step bound t[{i}] must be positive on an active axis")
-        sets = [_node_steps(True, r, _bits(t), m)[0] for m in counts]
-        for out, steps, norms in zip(outs, sets, _norm_blocks(f, r, sets, box, density, finite)):
+        family.append((mean, _bits(t), m))
+    steps, index = _node_steps(r, tuple(family))
+    live = np.zeros(len(steps), bool)
+
+    def chunks():
+        for ch in _fields(f, r, steps, box, density):
+            live[ch.steps] = True
+            yield ch
+
+    norms = _step_norms(chunks(), len(steps), ps)
+    out = []
+    for (mean, _, _), own in zip(family, index):
+        cols = norms[:, own]
+        if mean:
             # the rule weighs each step by prod(2 t_i / m) / prod(2 t_i) = 1 / len(steps)
-            out.update({p: _lp(col, 1.0 / len(steps), p) for p, col in zip(finite, norms)})
-    if len(finite) < len(ps):
-        for out, m in zip(outs, counts):
-            out[math.inf] = sup_modulus_sweep(
-                f, r, t, box, density=density, h_samples=m, p_values=[math.inf]
-            )[math.inf]
-    return outs
+            value = {p: _lp(col, 1.0 / cols.shape[1], p) for p, col in zip(ps, cols)}
+        else:
+            value = dict(zip(ps, cols.max(axis=1, initial=0.0).tolist()))
+        out.append((value, bool(live[own].any())))
+    return out
 
 
 def sup_modulus_sweep(
@@ -769,22 +729,15 @@ def sup_modulus_sweep(
     density,
     h_samples: int,
     p_values: Iterable[float],
-    nested: bool = False,
-):
+) -> dict[float, float]:
     """Sup-type modulus for several exponents in one sweep over steps.
 
     Returns a dict mapping each p to the maximum over the step grid of
     the L_p quasi-norm of the difference field.  The difference field
     for a given step does not depend on p, so sharing the sweep is
-    exact, not an approximation.  It is :func:`_sup_sweeps` at one bound.
-
-    With ``nested=True`` (odd ``h_samples`` only) the result is a pair
-    ``(sup, coarse)``: ``coarse`` is the sweep with ``(h_samples+1)//2``
-    samples, whose nodes are every other node of this one, so it is
-    bit-identical to sweeping them separately.
+    exact, not an approximation.  It is :func:`_sweeps` of one sup set.
     """
-    kw = dict(density=density, h_samples=h_samples, ps=p_values, nested=nested)
-    return _sup_sweeps(f, r, [t], box, **kw)[0]
+    return _sweeps(f, r, [(False, t, h_samples)], box, density=density, ps=p_values)[0][0]
 
 
 def mean_modulus_sweep(
@@ -804,10 +757,16 @@ def mean_modulus_sweep(
     genuine mean (integral divided by the step-box volume); axes with
     order zero carry no step variable and average out exactly.  The
     p-mean modulus at p = inf is the sup modulus: that exponent is
-    swept by :func:`sup_modulus_sweep` and comes after the finite ones.
-    This is the one-count case of :func:`_mean_sweeps`.
+    swept by :func:`sup_modulus_sweep` and comes after the finite ones;
+    the finite ones are :func:`_sweeps` of one mean set.
     """
-    return _mean_sweeps(f, r, t, box, density=density, counts=[h_samples], ps=p_values)[0]
+    r, t, m, ps = _check_sweep_args(r, t, box, h_samples, p_values)
+    finite = [p for p in ps if p != math.inf]
+    out = _sweeps(f, r, [(True, t, m)], box, density=density, ps=finite)[0][0] if finite else {}
+    if len(finite) < len(ps):
+        sup = sup_modulus_sweep(f, r, t, box, density=density, h_samples=m, p_values=[math.inf])
+        out[math.inf] = sup[math.inf]
+    return out
 
 
 def modulus_sup(req: ModulusRequest, f: Callable) -> float:

@@ -217,17 +217,22 @@ def annihilation_residual(phi, axes: Iterable[int], h, box: Box, grid) -> float:
     runs over every step, from one pass of the difference engine.
     ``phi`` is a tensor polynomial; its degree bounds give the order r,
     so the contract is a residual at rounding level (<= 1e-9 * max|phi|).
-    Every axis must be one of phi's (``restrict_order`` checks it).
+    Every axis must be one of phi's (``restrict_order`` checks it).  A step
+    whose domain is empty samples nothing; it is an error for every step
+    to sample nothing, as for :func:`reproduction_residual`.
     """
     axes = tuple(axes)
     if not axes:
         raise ValueError("axis subset must be nonempty")
     r_e = restrict_order(phi.degrees, axes)
     steps = np.atleast_2d(np.asarray(h, float))
-    return max(
+    worst = max(
         (float(np.abs(ch.values).max()) for ch in _fields(phi, r_e, steps, box, grid)),
-        default=0.0,
+        default=None,
     )
+    if worst is None:
+        raise ValueError("every sample point violated the domain for every step")
+    return worst
 
 
 def halving_identity(k: int) -> dict[tuple[int], Fraction]:

@@ -33,9 +33,7 @@ import numpy as np
 
 from .corpus import CorpusFunction, corpus_entries, get_function
 from .differences import (
-    _coarse_grid_empty,
-    _mean_sweeps,
-    _sup_sweeps,
+    _sweeps,
     lower_whitney_constant,
     sup_modulus_sweep,
     total_mean_terms,
@@ -180,23 +178,20 @@ def _with_gap(f, r, subsets, t, box, settings: VerifierSettings, ps):
     """``(coarse, fine, unsampled)``: ``{e: {p: sup}}`` over the axis subsets
     e of ``subsets``, in order, of the sweep of ``r`` zeroed off e at
     ``h_samples`` and, refined, at ``2*h_samples - 1`` (the coarse one again
-    without ``refine_h``), and whether some coarse sweep has no step that
-    leaves a nonempty domain, so a term summed from it reads 0 unsampled.
+    without ``refine_h``), and whether some coarse sweep sampled no step
+    that leaves a nonempty domain, so a term summed from it reads 0 unsampled.
 
-    The refined step grid contains the coarse one, so one refined sweep per
-    subset yields both: the coarse values are read off its even-indexed nodes.
+    Both sweeps of a subset are one family, read from the refined one's pass.
     """
-    m, kw = settings.h_samples, dict(density=settings.grid_for(box), p_values=ps)
-    coarse, fine = {}, {}
+    m, density = settings.h_samples, settings.grid_for(box)
+    family = [(False, t, 2 * m - 1), (False, t, m)] if settings.refine_h else [(False, t, m)]
+    coarse, fine, unsampled = {}, {}, False
     for e in subsets:
-        order = restrict_order(r, e)
-        if settings.refine_h:
-            fine[e], coarse[e] = sup_modulus_sweep(
-                f, order, t, box, h_samples=2 * m - 1, nested=True, **kw
-            )
-        else:
-            coarse[e] = fine[e] = sup_modulus_sweep(f, order, t, box, h_samples=m, **kw)
-    return coarse, fine, _coarse_grid_empty(r, t, box, m)
+        sweeps = _sweeps(f, restrict_order(r, e), family, box, density=density, ps=ps)
+        fine[e] = sweeps[0][0]
+        coarse[e], sampled = sweeps[-1]
+        unsampled |= not sampled
+    return coarse, fine, unsampled
 
 
 def _ratio(num: float, den: float, floor: float):
@@ -467,11 +462,11 @@ def _superadditivity(fn, r, t, p_values, box, m, settings) -> list[list[Inequali
     r = _orders(r, 1)
     t = tuple(float(v) for v in t)
     density = settings.grid_for(box)
-    counts = (settings.h_samples, 2 * settings.h_samples)[: 2 if settings.refine_h else 1]
+    family = [(True, t, k * settings.h_samples) for k in ((1, 2) if settings.refine_h else (1,))]
     parent_c, parent_f = {}, {}
     for e in nonempty_axis_subsets(box.dim):
-        sweeps = _mean_sweeps(fn, restrict_order(r, e), t, box, density=density, counts=counts, ps=ps)
-        parent_c[e], parent_f[e] = sweeps[0], sweeps[-1]
+        sweeps = _sweeps(fn, restrict_order(r, e), family, box, density=density, ps=ps)
+        parent_c[e], parent_f[e] = sweeps[0][0], sweeps[-1][0]
     child_density = tuple(max(2, int(math.ceil(n / m))) for n in density)
     children = [
         total_mean_terms(
@@ -575,7 +570,8 @@ def _marchaud(fn, k, r, axis, t, p_values, box, settings) -> list[InequalityRepo
     edges = {m: _geometric_nodes(t[i], delta_i, m) for m in (n_nodes, n_fine)}
     us = [float(u) for e in edges.values() for u in 0.5 * (e[:-1] + e[1:])]
     bounds = [t[:i] + (u,) + t[i + 1 :] for u in us]  # both rules', swept in one pass
-    oms = dict(zip(us, _sup_sweeps(fn, r, bounds, box, ps=ps, **kw)))
+    family = [(False, b, settings.h_samples) for b in bounds]
+    oms = {u: sup for u, (sup, _) in zip(us, _sweeps(fn, r, family, box, density=density, ps=ps))}
 
     def rights(m):
         """Per p, the right side from the u midpoints of m geometric cells,

@@ -13,8 +13,8 @@ import time
 
 import numpy as np
 import pytest
+from conftest import geometry_memos
 
-from mixsmooth import differences, polyapprox
 from mixsmooth.cli import main
 from mixsmooth.corpus import corpus_entries, get_function
 from mixsmooth.differences import ModulusRequest, modulus_sup
@@ -295,7 +295,7 @@ def test_criterion_7_determinism(tmp_path):
         "--grid", "16", "--hsamples", "9", "--out", str(out),
     ]
     # the first run starts from empty geometry memos, the second from full ones
-    for memo in (differences._plan, differences._node_steps, polyapprox._basis_of):
+    for memo in geometry_memos():
         memo.cache_clear()
     code_first = main(args)
     first = out.read_bytes()

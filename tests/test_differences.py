@@ -5,8 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import refined_sups
 
-from mixsmooth import differences, domain
+from mixsmooth import differences, domain, verifier
 from mixsmooth.corpus import corpus_entries, get_function
 from mixsmooth.differences import (
     _step_product,
@@ -479,30 +480,56 @@ def test_linspace_nesting_premise():
             assert np.array_equal(np.linspace(-t, t, m), np.linspace(-t, t, 2 * m - 1)[::2])
 
 
-def test_nested_coarse_sup_equals_a_separate_coarse_sweep():
+def _suite_bounds():
+    """The step bounds of the verifier's suites on unit boxes: the box side,
+    half of it, 1/8, and Marchaud's u midpoints of both rules from 1/8."""
+    edges = [verifier._geometric_nodes(0.125, 1.0, n) for n in (24, 48)]
+    return [1.0, 0.5, 0.125, *(float(u) for e in edges for u in 0.5 * (e[:-1] + e[1:]))]
+
+
+@pytest.mark.parametrize("m", range(3, 18))
+def test_a_refined_family_hands_the_engine_the_refined_list(monkeypatch, m):
+    # the rows of linspace(-t, t, m) are rows of linspace(-t, t, 2m - 1), bit
+    # for bit, so the family [(t, 2m - 1), (t, m)] sweeps no step the 2m - 1
+    # sweep alone does not, and in the same order
+    handed = []
+
+    def recorded(f, r, steps, box, density):
+        handed.append(steps.tobytes())
+        return iter(())
+
+    monkeypatch.setattr(differences, "_fields", recorded)
+    f = get_function("exp_sum_2d")
+    box = Box.unit(2)
+    for u in _suite_bounds():
+        for r, t in (((1, 1), (u, u)), ((2, 0), (u, 0.5)), ((1, 2), (0.125, u))):
+            refined_sups(f, r, t, box, 2 * m - 1, density=8, ps=[1.0])
+            sup_modulus_sweep(f, r, t, box, density=8, h_samples=2 * m - 1, p_values=[1.0])
+            own = _step_product(_sup_nodes(r, t, 2 * m - 1)).tobytes()
+            assert handed == [own, own], (u, r, m)
+            handed.clear()
+
+
+def test_refined_family_coarse_sup_equals_a_separate_coarse_sweep():
     ps = [0.5, 1.0, 2.0, math.inf]
     box = Box((0.0, 0.0), (1.0, 0.5))
     for name, r in (("trig_rand_2d_b", (1, 1)), ("holder_half_2d", (2, 0)), ("cubic_2d", (1, 2))):
         f = get_function(name)
         for m in (2, 4, 5, 9):
-            fine, coarse = sup_modulus_sweep(
-                f, r, (0.5, 0.25), box, density=9, h_samples=2 * m - 1, p_values=ps, nested=True
-            )
+            fine, coarse = refined_sups(f, r, (0.5, 0.25), box, 2 * m - 1, density=9, ps=ps)
             assert fine == sup_modulus_sweep(
                 f, r, (0.5, 0.25), box, density=9, h_samples=2 * m - 1, p_values=ps
             )
             assert coarse == sup_modulus_sweep(
                 f, r, (0.5, 0.25), box, density=9, h_samples=m, p_values=ps
             )
-    # the verifier's per-subset nested sweeps give the total terms at 5 and 9 samples
+    # the verifier's per-subset refined families give the total terms at 5 and 9 samples
     settings = VerifierSettings(grid=9, h_samples=5)
     subsets = nonempty_axis_subsets(2)
     coarse, fine, _ = _with_gap(f, (1, 1), subsets, (0.5, 0.25), box, settings, ps)
     kw = dict(density=9, p_values=ps)
     assert coarse == total_sup_terms(f, (1, 1), (0.5, 0.25), box, h_samples=5, **kw)
     assert fine == total_sup_terms(f, (1, 1), (0.5, 0.25), box, h_samples=9, **kw)
-    with pytest.raises(ValueError):
-        sup_modulus_sweep(f, (1, 1), (0.5, 0.25), box, density=9, h_samples=4, p_values=ps, nested=True)
 
 
 # (corpus name, order, box, density, odd step samples, step bounds): a bound
@@ -518,47 +545,69 @@ MULTI_BOUND_SWEEPS = [
 ]
 
 
+def _sup_steps(r, t, m):
+    """The step list of one sup sweep, from the family memo."""
+    return differences._node_steps(r, ((False, _bits(t), m),))[0]
+
+
 def _reads_the_grid(r, t, box, m, density):
-    steps, _ = differences._node_steps(False, r, _bits(t), m)
+    steps = _sup_steps(r, t, m)
     bounds = _bits(box.lower + box.upper)
     plan = differences._plan(r, steps.shape, steps.tobytes(), bounds, normalize_grid(density, box.dim))
     return plan.bases is not None
 
 
-@pytest.mark.parametrize("nested", [False, True])
+@pytest.mark.parametrize("refined", [False, True])
 @pytest.mark.parametrize("name, r, box, density, m, ts", MULTI_BOUND_SWEEPS)
-def test_sup_sweeps_over_many_bounds_equal_one_sweep_per_bound(monkeypatch, name, r, box, density, m, ts, nested):
+def test_a_family_of_many_bounds_equals_one_sweep_per_set(monkeypatch, name, r, box, density, m, ts, refined):
+    # per bound the sup set at m samples and, refined, at (m + 1) // 2
     f = get_function(name)
     ps = [0.5, 1.0, 2.0, math.inf]
-    kw = dict(density=density, h_samples=m, nested=nested)
-    want = [sup_modulus_sweep(f, r, t, box, p_values=ps, **kw) for t in ts]
+    counts = (m, (m + 1) // 2) if refined else (m,)
+    family = [(False, t, n) for t in ts for n in counts]
+    kw = dict(density=density, p_values=ps)
+    want = [sup_modulus_sweep(f, r, t, box, h_samples=n, **kw) for _, t, n in family]
     assert [_reads_the_grid(r, t, box, m, density) for t in ts] == [True, False, False, True]
     calls = []
     fields = differences._fields
     monkeypatch.setattr(differences, "_fields", lambda *a: calls.append(1) or fields(*a))
-    got = differences._sup_sweeps(f, r, ts, box, ps=ps, **kw)
+    got = differences._sweeps(f, r, family, box, density=density, ps=ps)
     assert len(calls) == 1
-    assert got == want
-    empty = dict.fromkeys(ps, 0.0)
-    assert want[2] == ((empty, empty) if nested else empty)
-    assert want[0] != want[1]
+    assert [value for value, _ in got] == want
+    # the third bound's every step leaves an empty domain: it samples nothing and reads 0
+    assert [live for _, live in got] == [t != ts[2] for _, t, _ in family]
+    k = len(counts)
+    assert want[2 * k : 3 * k] == [dict.fromkeys(ps, 0.0)] * k
+    assert want[0] != want[k]
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 @pytest.mark.parametrize("name, r, box, density, m_sup, ts", MULTI_BOUND_SWEEPS)
-def test_mean_sweeps_at_two_counts_equal_two_mean_sweeps(monkeypatch, name, r, box, density, m_sup, ts, m):
+def test_a_mean_family_at_two_counts_equals_two_mean_sweeps(monkeypatch, name, r, box, density, m_sup, ts, m):
     f = get_function(name)
     ps = [0.5, 1.0, 2.0, math.inf]
     t = ts[1]
     kw = dict(density=min(density, 32), p_values=ps)
-    want = [mean_modulus_sweep(f, r, t, box, h_samples=n, **kw) for n in (m, 2 * m)]
     calls = []
     fields = differences._fields
     monkeypatch.setattr(differences, "_fields", lambda *a: calls.append(1) or fields(*a))
-    got = differences._mean_sweeps(f, r, t, box, density=kw["density"], counts=(m, 2 * m), ps=ps)
-    # one pass for the finite exponents, and one sup sweep per count at p = inf
-    assert len(calls) == 1 + 2
-    assert got == want
+    want = [mean_modulus_sweep(f, r, t, box, h_samples=n, **kw) for n in (m, 2 * m)]
+    # per count one pass for the finite exponents and one sup sweep at p = inf
+    assert len(calls) == 2 * 2
+    calls.clear()
+    family = [(True, t, m), (True, t, 2 * m)]
+    got = differences._sweeps(f, r, family, box, density=kw["density"], ps=ps[:3])
+    # one pass for the finite exponents of both counts
+    assert len(calls) == 1
+    assert [value for value, _ in got] == [{p: w[p] for p in ps[:3]} for w in want]
+    assert all(live for _, live in got)
+    # p = inf is the sup sweep, which mean_modulus_sweep alone adds
+    kw["p_values"] = [math.inf]
+    assert [w[math.inf] for w in want] == [
+        sup_modulus_sweep(f, r, t, box, h_samples=n, **kw)[math.inf] for n in (m, 2 * m)
+    ]
+    with pytest.raises(ValueError, match="finite p"):
+        differences._sweeps(f, r, family, box, density=kw["density"], ps=ps)
 
 
 @pytest.mark.parametrize("r", [(1, 1), (2, 2), (1, 2)])
@@ -568,32 +617,40 @@ def test_mean_sweeps_at_two_counts_equal_two_mean_sweeps(monkeypatch, name, r, b
     ids=["unit", "half", "0.3x1"],
 )
 @pytest.mark.parametrize("m", [3, 5, 9])
-def test_coarse_grid_empty_is_no_live_step_in_any_subset_sweep(r, box, m):
-    # Whitney's coarse sweeps, t the box size: empty when some subset's sweep
-    # has no live step, so its summed term reads 0; (2, 2), unit, 5 is the
+def test_a_coarse_set_samples_when_its_plan_has_a_live_step(r, box, m):
+    # Whitney's refined families, t the box size: a coarse set samples when
+    # its own sweep's plan has a live step, and the verifier's sum is
+    # unsampled when some subset's does not; (2, 2), unit, 5 is the
     # unresolved case of verify --grid 12 --hsamples 5, and (1, 2), unit, 5
     # one whose (0,) term alone samples
+    f = get_function("trig_rand_2d_a")
     t = tuple(box.size)
     bounds = _bits(box.lower + box.upper)
-    live = []
+    family = [(False, t, 2 * m - 1), (False, t, m)]
+    live, sampled = [], []
     for e in nonempty_axis_subsets(2):
         order = restrict_order(r, e)
-        steps, _ = differences._node_steps(False, order, _bits(t), m)
+        steps = _sup_steps(order, t, m)
         plan = differences._plan(order, steps.shape, steps.tobytes(), bounds, (12, 12))
         live.append(plan.live.size)
-    assert differences._coarse_grid_empty(r, t, box, m) == (0 in live)
+        sampled.append(differences._sweeps(f, order, family, box, density=12, ps=[1.0])[1][1])
+    assert sampled == [n > 0 for n in live]
+    settings = VerifierSettings(grid=12, h_samples=m)
+    assert _with_gap(f, r, nonempty_axis_subsets(2), t, box, settings, [1.0])[2] == (0 in live)
 
 
 @pytest.mark.parametrize("r", [(1, 0), (0, 1), (2, 0)])
 @pytest.mark.parametrize("m", [3, 5])
-def test_coarse_grid_empty_reads_only_the_active_axes(r, m):
+def test_a_set_flag_reads_only_the_active_axes(r, m):
     # the constant lemma's one-axis sweeps: an inactive axis's step 0 samples nothing
     box = Box.unit(2)
     t = tuple(box.size)
-    steps, _ = differences._node_steps(False, r, _bits(t), m)
+    steps = _sup_steps(r, t, m)
     bounds = _bits(box.lower + box.upper)
     live = differences._plan(r, steps.shape, steps.tobytes(), bounds, (8, 8)).live.size
-    assert differences._coarse_grid_empty(r, t, box, m) == (live == 0)
+    f = get_function("exp_sum_2d")
+    [(_, sampled)] = differences._sweeps(f, r, [(False, t, m)], box, density=8, ps=[1.0])
+    assert sampled == (live > 0)
 
 
 def test_f_calls_per_sweep_at_most_the_chunks(monkeypatch):
@@ -831,7 +888,7 @@ def _cloud_calls(sizes, stencil, cap):
 
 def _sup_nodes(r, t, m):
     """Per-axis step nodes of a sup sweep with m samples."""
-    return [differences._sup_axis_nodes(ri, ti, m)[0] for ri, ti in zip(r, t)]
+    return [differences._axis_nodes(False, ri, ti, m) for ri, ti in zip(r, t)]
 
 
 def _mean_nodes(r, t, m):
@@ -921,7 +978,7 @@ def test_sweeps_equal_the_per_point_oracle(monkeypatch, name, r, box, t, density
 
     def sweeps():
         return (
-            sup_modulus_sweep(f, r, t, box, nested=True, **kw),
+            refined_sups(f, r, t, box, 5, density=density, ps=ps),
             mean_modulus_sweep(f, r, t, box, **{**kw, "p_values": ps[:3]}),
         )
 
@@ -1051,7 +1108,7 @@ def test_the_chunk_cap_changes_no_bit(monkeypatch, name, r, box, t, density, m_s
         fields = [_per_step(differences._fields(f, r, s, box, density)) for s in step_lists]
         kw = dict(density=density, p_values=ps)
         norms = (
-            sup_modulus_sweep(f, r, t, box, h_samples=m_sup, nested=True, **kw),
+            refined_sups(f, r, t, box, m_sup, density=density, ps=ps),
             mean_modulus_sweep(f, r, t, box, h_samples=m_mean, **kw),
         )
         return fields, norms
@@ -1210,8 +1267,8 @@ def test_large_p_moduli_are_bracketed_and_nondecreasing(r):
     # weights sum to at most 1: at finite p it is at most that sup, and it
     # grows with p
     box, t, ps = Box.unit(2), (0.25, 0.25), [50.0, 150.0, 400.0, math.inf]
-    sup_steps = differences._node_steps(False, r, _bits(t), 9)[0]
-    mean_steps = differences._node_steps(True, r, _bits(t), 4)[0]
+    sup_steps = _sup_steps(r, t, 9)
+    mean_steps = differences._node_steps(r, ((True, _bits(t), 4),))[0]
     assert {tuple(h) for h in mean_steps} <= {tuple(h) for h in sup_steps}
     cv = min(difference_field(lambda X: X[..., 0], r, h, box, 16).cell_volume for h in sup_steps)
     up = 1.0 + _LP_ROUNDING

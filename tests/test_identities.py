@@ -174,6 +174,18 @@ def test_annihilation_examples_and_property():
                 assert resid <= 1e-9 * scale
 
 
+def test_annihilation_all_steps_unsampled_raises():
+    # shifting axis 0 by 2 * 0.9 leaves the unit box empty: nothing was
+    # sampled, which is no evidence of a zero residual
+    phi = TensorPolynomial.random((2, 2), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="every sample point violated"):
+        annihilation_residual(phi, (0,), (0.9, 0.1), Box.unit(2), 8)
+    with pytest.raises(ValueError, match="every sample point violated"):
+        annihilation_residual(phi, (0, 1), [(0.9, 0.1), (0.1, -0.6)], Box.unit(2), 8)
+    # one step that samples is enough
+    assert annihilation_residual(phi, (0,), [(0.9, 0.1), (0.2, 0.1)], Box.unit(2), 8) <= 1e-9
+
+
 @pytest.mark.parametrize("axis", [0.7, 1.5, -1, 2, 5])
 def test_annihilation_residual_rejects_axes_phi_does_not_have(axis):
     # axis 5 used to zero every order, and the "residual" was max|phi|

@@ -1,7 +1,6 @@
-"""The memos of f-independent geometry: sweep plans, node step lists,
-per-axis bases and the coarse-grid flag.  A warm memo gives the same bits
-as a cold one, keeps its arrays read-only, stays within its bound and never
-holds ``f``."""
+"""The memos of f-independent geometry: sweep plans, sweep families' step
+lists and per-axis bases.  A warm memo gives the same bits as a cold one,
+keeps its arrays read-only, stays within its bound and never holds ``f``."""
 
 import gc
 import math
@@ -9,6 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
+from conftest import geometry_memos, refined_sups
 
 from mixsmooth import differences, polyapprox, verifier
 from mixsmooth.corpus import get_function
@@ -23,12 +23,11 @@ from mixsmooth.domain import Box, sample_on_grid
 from mixsmooth.identities import annihilation_residual
 from mixsmooth.polyapprox import TensorPolynomial, best_approx
 
-MEMOS = (
-    differences._plan,
-    differences._node_steps,
-    polyapprox._basis_of,
-    differences._coarse_grid_empty_of,
-)
+MEMOS = geometry_memos()
+
+
+def test_the_memos_are_found():
+    assert set(MEMOS) == {differences._plan, differences._node_steps, polyapprox._basis_of}
 
 
 def _clear():
@@ -74,7 +73,7 @@ def test_warm_sweeps_equal_cold_ones(r, box, t, m, density):
 
     def sweeps():
         return (
-            sup_modulus_sweep(f, r, t, box, nested=True, **kw),
+            refined_sups(f, r, t, box, m, density=density, ps=ps),
             mean_modulus_sweep(f, r, t, box, **kw),
             total_sup_terms(f, r, t, box, **kw),
             total_mean_terms(f, r, t, box, **kw),
@@ -85,13 +84,24 @@ def test_warm_sweeps_equal_cold_ones(r, box, t, m, density):
 
 
 @pytest.mark.parametrize("m, unsampled", [(5, True), (9, False)])
-def test_warm_coarse_grid_flag_equals_cold(m, unsampled):
-    # Whitney's coarse sweeps of r = (1, 2) with t the box: at 5 samples some
-    # subset's sweep has no live step, so its summed term reads 0 unsampled;
-    # the flag is a bool, so there is nothing to write to
+def test_warm_coarse_set_flags_equal_cold(m, unsampled):
+    # Whitney's refined families of r = (1, 2) with t the box: at 5 samples
+    # some subset's coarse set has no live step, so its summed term reads 0
+    # unsampled
+    f = get_function("trig_rand_2d_a")
     box = Box.unit(2)
-    cold, warm = _cold_then_warm(lambda: differences._coarse_grid_empty((1, 2), box.size, box, m))
-    assert cold is warm is unsampled
+    family = [(False, box.size, 2 * m - 1), (False, box.size, m)]
+
+    def flags():
+        return [
+            [live for _, live in differences._sweeps(f, order, family, box, density=16, ps=[1.0])]
+            for order in ((1, 0), (0, 2), (1, 2))
+        ]
+
+    cold, warm = _cold_then_warm(flags)
+    assert cold == warm
+    assert all(fine for fine, _ in cold)
+    assert (not all(coarse for _, coarse in cold)) is unsampled
 
 
 def test_both_engine_paths_are_memoized():
@@ -100,7 +110,7 @@ def test_both_engine_paths_are_memoized():
     f = get_function("exp_sum_2d")
     for t, lattice in (((0.5, 0.5), True), ((np.nextafter(0.5, 1.0), 0.5), False)):
         sup_modulus_sweep(f, (1, 1), t, Box.unit(2), density=16, h_samples=17, p_values=[1.0])
-        steps, _ = differences._node_steps(False, (1, 1), np.asarray(t).tobytes(), 17)
+        steps, _ = differences._node_steps((1, 1), ((False, np.asarray(t).tobytes(), 17),))
         plan = differences._plan(
             (1, 1), steps.shape, steps.tobytes(), np.array([0.0, 0.0, 1.0, 1.0]).tobytes(), (16, 16)
         )
@@ -145,11 +155,11 @@ def test_signed_zero_bounds_are_their_own_keys():
 
     def run(lower, t_1):
         box = Box((lower, 0.0), (1.0, 1.0))
+        family = [(False, (0.25, t_1), 9), (False, (0.25, t_1), 5)]
         return (
-            sup_modulus_sweep(f, (1, 1), (0.25, t_1), box, nested=True, **kw),
+            differences._sweeps(f, (1, 1), family, box, density=16, ps=[1.0, math.inf]),
             mean_modulus_sweep(f, (1, 1), (0.25, 0.25), box, **kw),
             _fit_bits(best_approx(sample_on_grid(f, box, 16), (2, 2), 1.0)),
-            differences._coarse_grid_empty((1, 1), (0.25, t_1), box, 9),
         )
 
     cases = [(0.0, 0.25), (-0.0, 0.25), (-0.0, 0.0), (-0.0, -0.0)]
@@ -159,27 +169,27 @@ def test_signed_zero_bounds_are_their_own_keys():
         cold.append(run(*case))
     _clear()
     for k, (case, want) in enumerate(zip(cases, cold)):
-        misses = [memo.cache_info().misses for memo in MEMOS]
+        misses = {memo: memo.cache_info().misses for memo in MEMOS}
         assert run(*case) == want
-        if k == 1:  # a new box: new plans, bases and flag, no hit on the other box's
-            assert differences._plan.cache_info().misses > misses[0]
-            assert polyapprox._basis_of.cache_info().misses > misses[2]
-            assert differences._coarse_grid_empty_of.cache_info().misses > misses[3]
-        if k == 3:  # a new step bound: a new step list and flag
-            assert differences._node_steps.cache_info().misses > misses[1]
-            assert differences._coarse_grid_empty_of.cache_info().misses > misses[3]
+        if k == 1:  # a new box: new plans and bases, no hit on the other box's
+            assert differences._plan.cache_info().misses > misses[differences._plan]
+            assert polyapprox._basis_of.cache_info().misses > misses[polyapprox._basis_of]
+        if k == 3:  # a new step bound: a new step list
+            assert differences._node_steps.cache_info().misses > misses[differences._node_steps]
 
 
 def test_memoized_arrays_are_read_only():
     f = get_function("exp_sum_2d")
     box = Box.unit(2)
     for t in ((0.5, 0.5), (0.3, 0.3)):  # the lattice path, then the cloud path
-        steps, coarse = differences._node_steps(False, (1, 1), np.asarray(t).tobytes(), 9)
+        t_bits = np.asarray(t).tobytes()
+        steps, index = differences._node_steps((1, 1), ((False, t_bits, 9), (False, t_bits, 5)))
         chunks = list(differences._fields(f, (1, 1), steps, box, 16))
         plan = differences._plan(
             (1, 1), steps.shape, steps.tobytes(), np.array([0.0, 0.0, 1.0, 1.0]).tobytes(), (16, 16)
         )
-        arrays = [steps, coarse, plan.live, plan.lo, plan.hi, plan.shape, plan.cell_volume]
+        assert index[0] == slice(0, len(steps))  # the 9-node list is the union
+        arrays = [steps, index[1], plan.live, plan.lo, plan.hi, plan.shape, plan.cell_volume]
         arrays += [a for a in (plan.bases, plan.h, plan.width) if a is not None]
         arrays += [bounds for _, _, bounds, _, _ in plan.chunks]
         ch = chunks[0]
@@ -203,12 +213,9 @@ def test_memos_stay_within_their_bounds():
         sup_modulus_sweep(f, (1,), (0.25 + k * 1e-3,), box, density=2, h_samples=2, p_values=[1.0])
     for k in range(polyapprox._BASIS_MEMO + 10):
         polyapprox._axis_basis(0.0, 1.0 + k, 4, 2)
-    for k in range(n):
-        differences._coarse_grid_empty((1,), (0.25 + k * 1e-3,), box, 3)
     assert differences._plan.cache_info().currsize == differences._PLAN_MEMO
     assert differences._node_steps.cache_info().currsize == differences._STEPS_MEMO
     assert polyapprox._basis_of.cache_info().currsize == polyapprox._BASIS_MEMO
-    assert differences._coarse_grid_empty_of.cache_info().currsize == differences._STEPS_MEMO
 
 
 def test_no_memo_holds_f():

@@ -398,9 +398,9 @@ def test_marchaud_without_refine_h_skips_the_fine_rule(monkeypatch):
     fn = get_function("exp_sum_2d")
     args = (fn, (1, 2), (2, 2), 0, (0.125, 0.125), [0.5, 1.0], Box.unit(2))
     bounds = []
-    sweeps = verifier._sup_sweeps
-    counted = lambda fn, r, ts, *a, **kw: bounds.append(len(ts)) or sweeps(fn, r, ts, *a, **kw)
-    monkeypatch.setattr(verifier, "_sup_sweeps", counted)
+    sweeps = verifier._sweeps
+    counted = lambda fn, r, sets, *a, **kw: bounds.append(len(sets)) or sweeps(fn, r, sets, *a, **kw)
+    monkeypatch.setattr(verifier, "_sweeps", counted)
     refined = _marchaud(*args, VerifierSettings(8, 3))
     # the right side sweeps the u midpoints of both rules in one call
     assert bounds == [24 + 48]
@@ -989,18 +989,22 @@ _ONE_AXIS = [(0,), (1,)]
         ("constant-lemma", (1, 1), (1.0, 1.0), _ONE_AXIS, 5, False),
     ],
 )
-def test_coarse_grid_empty_is_no_live_step_in_some_subset_sweep(check, r, t, subsets, m, expected):
-    # one rule for the four record kinds that sum coarse sup terms
+def test_unsampled_is_a_coarse_set_with_no_live_step_in_some_subset(check, r, t, subsets, m, expected):
+    # one rule for the four record kinds that sum coarse sup terms: a
+    # subset's coarse set samples when its own sweep's plan has a live step
+    fn = get_function("trig_rand_2d_a")
     bounds = _bits(_UNIT.lower + _UNIT.upper)
-    live = []
+    family = [(False, t, 2 * m - 1), (False, t, m)]
+    live, sampled = [], []
     for e in subsets:
         order = restrict_order(r, e)
-        steps, _ = differences._node_steps(False, order, _bits(t), m)
+        steps = differences._node_steps(order, ((False, _bits(t), m),))[0]
         plan = differences._plan(order, steps.shape, steps.tobytes(), bounds, (16, 16))
         live.append(plan.live.size)
+        sampled.append(verifier._sweeps(fn, order, family, _UNIT, density=16, ps=[1.0])[1][1])
+    assert sampled == [n > 0 for n in live]
     unsampled = 0 in live
     assert unsampled is expected
-    fn = get_function("trig_rand_2d_a")
     s = VerifierSettings(grid=16, h_samples=m)
     if check == "whitney":
         reps = [rep for pair in _whitney_pairs(fn, r, [1.0], _UNIT, s) for rep in pair]
