@@ -32,14 +32,15 @@ of ``f`` at those points in one of two ways, and picks one per call:
   cloud coordinate, computed as the cloud computes it, is bit-equal to a
   midpoint ``lower_i + (m + 0.5)*(size_i/n_i)`` of the box's own
   ``density`` grid (as ``grid_points`` computes it).  Second, that grid
-  has fewer points than the cloud, and the cloud takes more than one
-  call of ``f``.  This is the case for sup sweeps whose steps are whole
-  numbers of cells, as on dyadic boxes.  The check runs per axis, once
-  per distinct step value.  ``f`` is then called once on that grid,
-  through ``sample_on_grid``.  A chunk holds at most ``_CHUNK_POINTS``
-  field points.  Each (offset, step) block of a chunk is a block of that
-  grid, and each run reads its blocks from a strided view of the grid
-  values in one gather.
+  has fewer points than the cloud.  This is the case for sup sweeps
+  whose steps are whole numbers of cells, as on dyadic boxes.  The check
+  runs per axis, once per distinct step value.  ``f`` is then called
+  once on that grid, through ``sample_on_grid``, or not at all when the
+  caller hands over its own sample of that grid (``grid``, as the
+  verifier's reports do).  A chunk holds at most ``_CHUNK_POINTS`` field
+  points.  Each (offset, step) block of a chunk is a block of that grid,
+  and each run reads its blocks from a strided view of the grid values
+  in one gather.
 * **The cloud path.**  Otherwise a chunk holds at most
   ``min(_CHUNK_POINTS, 4 * _CHUNK_POINTS // len(stencil))`` field
   points, so its cloud is at most four caps.  The cloud is stored
@@ -55,12 +56,13 @@ of ``f`` at those points in one of two ways, and picks one per call:
   index arithmetic.
 
 The choice rests only on the input, and on the rule below that a value
-of ``f`` does not depend on the call it is computed in; so both paths
-give the same bits.  Each point, stencil sum and per-step quadrature sum
-is computed in the same order as a step-by-step loop, with operations
-that give the same bits (``_stencil_sum``), so the values are
-bit-identical to evaluating one step at a time, whatever the chunks;
-``difference_field`` is the one-step case.
+of ``f`` does not depend on the call it is computed in; so both paths,
+and a caller's sample of the grid, give the same bits.  Each point,
+stencil sum and per-step quadrature sum is computed in the same order
+as a step-by-step loop, with operations that give the same bits
+(``_stencil_sum``), so the values are bit-identical to evaluating one
+step at a time, whatever the chunks; ``difference_field`` is the
+one-step case.
 
 Every sweep is one pipeline: a node rule places the step nodes on each
 axis, ``_step_product`` takes their tensor grid, and ``_fields`` and
@@ -391,13 +393,11 @@ def _plan(r: tuple, steps_shape: tuple, steps_bits: bytes, box_bits: bytes, dens
     new_run[1:] = np.any(shape[1:] != shape[:-1], axis=1)
     run_starts = np.flatnonzero(new_run).tolist()
     run_grids = [tuple(g) for g in shape[run_starts].tolist()]
-    # The grid pays when it has fewer points than the cloud and the cloud
-    # takes more than one call of f; for a cloud of one call, the check
-    # cost about what the grid saved when it ran on every call.
+    # The grid pays when it has fewer points than the cloud: f is called on
+    # fewer points, or on none when the caller hands over its sample.
     bases = None
     n_offsets = len(stencil)
-    cloud_points = n_offsets * offset_of[-1]
-    if math.prod(density.tolist()) < cloud_points and cloud_points > _CHUNK_POINTS:
+    if math.prod(density.tolist()) < n_offsets * offset_of[-1]:
         bases = _lattice_bases(r, offsets, steps, lo, width, shape, box, density)
     # greedy packing by field points (see _Plan)
     room = _CHUNK_POINTS
@@ -441,7 +441,7 @@ def _plan(r: tuple, steps_shape: tuple, steps_bits: bytes, box_bits: bytes, dens
 
 
 def _fields(
-    f: Callable, r: Sequence[int], steps: np.ndarray, box: Box, density
+    f: Callable, r: Sequence[int], steps: np.ndarray, box: Box, density, grid=None
 ) -> Iterator[_Chunk]:
     """Mixed differences of order ``r`` for every row of ``steps``.
 
@@ -460,20 +460,21 @@ def _fields(
     :func:`_plan`; only the values come from ``f``.
 
     When every cloud point is bit-equal to a midpoint of the box's
-    ``density`` grid, that grid has fewer points than the cloud, and the
-    cloud takes more than one call, ``f`` is called on the grid only
-    (:func:`sample_on_grid`) and each run in a chunk reads its
-    ``(offset, step)`` values as blocks of it, in one gather
-    (:func:`_blocks`).  Otherwise ``f`` is called on each chunk's cloud a
-    few stencil offsets at a time, as many as fit ``_CHUNK_POINTS``
-    points, and one offset of a larger field.  The chunk's cloud (a
-    larger field's, call by call) is then a ``(d, offsets, points)``
-    buffer, and ``f`` gets the ``(offsets, points, d)`` transposed view of
-    its slice, not C-contiguous, whose coordinate planes ``X[..., i]``
-    are.  Each run in a chunk fills its part of plane i by
-    broadcasting the table ``shift + midpoint`` of its ``(offset, step,
-    k_i)`` triples, the one add each point coordinate takes.  The
-    stencil sum is :func:`_stencil_sum`.  A chunk with a value that is not
+    ``density`` grid and that grid has fewer points than the cloud, ``f``
+    is called on the grid only (:func:`sample_on_grid`), or not at all
+    when ``grid`` is given: the caller's sample of ``f`` on ``(box,
+    density)``, which must be of that box, bit for bit, and of that spec,
+    else ``ValueError``.  Each run in a chunk reads its ``(offset, step)``
+    values as blocks of the grid, in one gather (:func:`_blocks`).
+    Otherwise ``f`` is called on each chunk's cloud a few stencil offsets
+    at a time, as many as fit ``_CHUNK_POINTS`` points, and one offset of
+    a larger field.  The chunk's cloud (a larger field's, call by call) is
+    then a ``(d, offsets, points)`` buffer, and ``f`` gets the ``(offsets,
+    points, d)`` transposed view of its slice, not C-contiguous, whose
+    coordinate planes ``X[..., i]`` are.  Each run in a chunk fills its
+    part of plane i by broadcasting the table ``shift + midpoint`` of its
+    ``(offset, step, k_i)`` triples, the one add each point coordinate
+    takes.  The stencil sum is :func:`_stencil_sum`.  A chunk with a value that is not
     finite raises ``ValueError``; one sum of the chunk's values settles
     it, unless that sum is not finite, which a large finite field can
     make it.  A NaN or infinite step is rejected, not swept.
@@ -481,10 +482,13 @@ def _fields(
     dim = box.dim
     steps = np.asarray(steps, float)
     box_bits = _bits(box.lower + box.upper)
-    plan = _plan(_orders(r), steps.shape, steps.tobytes(), box_bits, normalize_grid(density, dim))
+    spec = normalize_grid(density, dim)
+    if grid is not None and (_bits(grid.box.lower + grid.box.upper), grid.spec) != (box_bits, spec):
+        raise ValueError("the grid sample must be taken on the sweep's box and density")
+    plan = _plan(_orders(r), steps.shape, steps.tobytes(), box_bits, spec)
     weights = plan.weights
     if plan.bases is not None:
-        lattice = sample_on_grid(f, box, density).values
+        lattice = (sample_on_grid(f, box, spec) if grid is None else grid).values
     new_axes = (None,) * dim
     buffer, scratch = np.empty(plan.buffer), np.empty(plan.scratch)
     for (a, b, bounds, runs, grids), (per_call, per_fill) in zip(plan.chunks, plan.fills):
@@ -596,21 +600,29 @@ def difference_field(
 
 
 def _check_sweep_args(
-    r: Sequence[int], t: Sequence[float], box: Box, h_samples: int, p_values: Iterable[float]
-) -> tuple[tuple[int, ...], tuple[float, ...], int, list[float]]:
-    """``(r, t, h_samples, ps)`` as ints, floats, an int and floats, once they
-    pass every sweep's checks: per axis of ``box`` one whole order >= 0 and
-    one bound >= 0 with ``2 t_i`` finite; a whole h_samples >= 2; every p > 0."""
+    r: Sequence[int], box: Box, p_values: Iterable[float]
+) -> tuple[tuple[int, ...], list[float]]:
+    """``(r, ps)`` of a sweep family as ints and floats, once they pass every
+    sweep's checks: one whole order >= 0 per axis of ``box``, and every p > 0."""
     r = _orders(r)
-    t = tuple(float(v) for v in t)
-    h_samples = _count(h_samples, "h_samples", 2)
     ps = [_exponent(p) for p in p_values]
-    if len(r) != box.dim or len(t) != box.dim:
+    if len(r) != box.dim:
+        raise ValueError("r and t must match the box dimension")
+    return r, ps
+
+
+def _check_set(t: Sequence[float], h_samples: int, dim: int) -> tuple[tuple[float, ...], int]:
+    """``(t, h_samples)`` of one step set as floats and an int, once they pass
+    every sweep's checks: one bound >= 0 with ``2 t_i`` finite per axis of a
+    ``dim``-dimensional box, and a whole h_samples >= 2."""
+    t = tuple(map(float, t))
+    h_samples = _count(h_samples, "h_samples", 2)
+    if len(t) != dim:
         raise ValueError("r and t must match the box dimension")
     # NaN fails the first comparison; a bound whose step box 2 t overflows, the second
     if not all(0 <= 2.0 * v < math.inf for v in t):
         raise ValueError("step bounds must be non-negative, with 2 t finite")
-    return r, t, h_samples, ps
+    return t, h_samples
 
 
 @dataclass(frozen=True)
@@ -631,8 +643,9 @@ class ModulusRequest:
     density: tuple[int, ...] | int = 32
 
     def __post_init__(self):
-        checked = _check_sweep_args(self.r, self.t, self.box, self.h_samples, [self.p])
-        for name, value in zip(("r", "t", "h_samples"), checked):
+        r, _ = _check_sweep_args(self.r, self.box, [self.p])
+        t, h_samples = _check_set(self.t, self.h_samples, self.box.dim)
+        for name, value in (("r", r), ("t", t), ("h_samples", h_samples)):
             object.__setattr__(self, name, value)
 
 
@@ -679,20 +692,23 @@ def _node_steps(r: tuple[int, ...], family: tuple) -> tuple[np.ndarray, tuple]:
     return steps, tuple(own)
 
 
-def _sweeps(f: Callable, r, sets, box: Box, *, density, ps) -> list[tuple[dict, bool]]:
+def _sweeps(f: Callable, r, sets, box: Box, *, density, ps, grid=None) -> list[tuple[dict, bool]]:
     """Per set ``(mean, t, h_samples)`` of a sweep family, its ``{p: value}``
     and whether any of its steps is live, all from one engine pass over the
-    family's steps (``_node_steps``).
+    family's steps (``_node_steps``).  ``r``, ``box`` and ``ps`` are checked
+    once for the family, and each set's ``t`` and count once.
 
     A sup set's value is the maximum of its steps' norms; a mean set's, at
     finite p only, their ``_lp`` with weight ``1 / len(set)``.  No norm reads
     another step, so each set's value is bit-equal to a pass over it alone.
     A set samples a step when the step is live in the plan (its domain is
-    not empty); a sup set of no live step reads 0.
+    not empty); a sup set of no live step reads 0.  ``grid``, the caller's
+    sample of ``f`` on ``(box, density)``, is handed to ``_fields``.
     """
+    r, ps = _check_sweep_args(r, box, ps)
     family = []
     for mean, t, m in sets:
-        r, t, m, ps = _check_sweep_args(r, t, box, m, ps)
+        t, m = _check_set(t, m, box.dim)
         if mean and math.inf in ps:
             raise ValueError("a mean set takes finite p only")
         for i, (ri, ti) in enumerate(zip(r, t)):
@@ -703,7 +719,7 @@ def _sweeps(f: Callable, r, sets, box: Box, *, density, ps) -> list[tuple[dict, 
     live = np.zeros(len(steps), bool)
 
     def chunks():
-        for ch in _fields(f, r, steps, box, density):
+        for ch in _fields(f, r, steps, box, density, grid):
             live[ch.steps] = True
             yield ch
 
@@ -760,12 +776,17 @@ def mean_modulus_sweep(
     swept by :func:`sup_modulus_sweep` and comes after the finite ones;
     the finite ones are :func:`_sweeps` of one mean set.
     """
-    r, t, m, ps = _check_sweep_args(r, t, box, h_samples, p_values)
+    ps = [_exponent(p) for p in p_values]
     finite = [p for p in ps if p != math.inf]
-    out = _sweeps(f, r, [(True, t, m)], box, density=density, ps=finite)[0][0] if finite else {}
+    out = {}
+    if finite:
+        out = _sweeps(f, r, [(True, t, h_samples)], box, density=density, ps=finite)[0][0]
     if len(finite) < len(ps):
-        sup = sup_modulus_sweep(f, r, t, box, density=density, h_samples=m, p_values=[math.inf])
-        out[math.inf] = sup[math.inf]
+        kw = dict(density=density, h_samples=h_samples, p_values=[math.inf])
+        out[math.inf] = sup_modulus_sweep(f, r, t, box, **kw)[math.inf]
+    elif not ps:  # no sweep runs to check the other arguments
+        _check_sweep_args(r, box, ps)
+        _check_set(t, h_samples, box.dim)
     return out
 
 

@@ -32,12 +32,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .corpus import CorpusFunction, corpus_entries, get_function
-from .differences import (
-    _sweeps,
-    lower_whitney_constant,
-    sup_modulus_sweep,
-    total_mean_terms,
-)
+from .differences import _sweeps, lower_whitney_constant, total_mean_terms
 from .domain import (
     Box,
     GridFunction,
@@ -174,7 +169,7 @@ def _rel_gap(coarse: float, fine: float, floor: float) -> float:
     return max(0.0, (fine - coarse) / coarse)
 
 
-def _with_gap(f, r, subsets, t, box, settings: VerifierSettings, ps):
+def _with_gap(f, r, subsets, t, box, settings: VerifierSettings, ps, grid=None):
     """``(coarse, fine, unsampled)``: ``{e: {p: sup}}`` over the axis subsets
     e of ``subsets``, in order, of the sweep of ``r`` zeroed off e at
     ``h_samples`` and, refined, at ``2*h_samples - 1`` (the coarse one again
@@ -182,12 +177,14 @@ def _with_gap(f, r, subsets, t, box, settings: VerifierSettings, ps):
     that leaves a nonempty domain, so a term summed from it reads 0 unsampled.
 
     Both sweeps of a subset are one family, read from the refined one's pass.
+    ``grid``, the report's sample of ``f`` on its box and grid, is read by
+    every sweep on the lattice.
     """
     m, density = settings.h_samples, settings.grid_for(box)
     family = [(False, t, 2 * m - 1), (False, t, m)] if settings.refine_h else [(False, t, m)]
     coarse, fine, unsampled = {}, {}, False
     for e in subsets:
-        sweeps = _sweeps(f, restrict_order(r, e), family, box, density=density, ps=ps)
+        sweeps = _sweeps(f, restrict_order(r, e), family, box, density=density, ps=ps, grid=grid)
         fine[e] = sweeps[0][0]
         coarse[e], sampled = sweeps[-1]
         unsampled |= not sampled
@@ -254,7 +251,8 @@ def _whitney_pairs(
     ps = [float(p) for p in p_values]
     g = sample_on_grid(fn, box, settings.grid_for(box))
     t = tuple(box.size)
-    sup_c, sup_f, unsampled = _with_gap(fn, r, nonempty_axis_subsets(box.dim), t, box, settings, ps)
+    subsets = nonempty_axis_subsets(box.dim)
+    sup_c, sup_f, unsampled = _with_gap(fn, r, subsets, t, box, settings, ps, g)
     pairs = []
     for p in ps:
         fit = best_approx(g, r, p, seed=settings.seed)
@@ -375,13 +373,14 @@ def _equivalence_pairs(
     ps = [float(p) for p in p_values]
     density = settings.grid_for(box)
     g = sample_on_grid(fn, box, density)
-    sup_c, sup_f, unsampled = _with_gap(fn, r, nonempty_axis_subsets(box.dim), t, box, settings, ps)
+    subsets = nonempty_axis_subsets(box.dim)
+    sup_c, sup_f, unsampled = _with_gap(fn, r, subsets, t, box, settings, ps, g)
     finite = [p for p in ps if p != math.inf]
     mean_terms = {}
     if finite:
-        mean_terms = total_mean_terms(
-            fn, r, t, box, density=density, h_samples=settings.h_samples, p_values=finite
-        )
+        family, sweep = [(True, t, settings.h_samples)], dict(density=density, ps=finite, grid=g)
+        for e in subsets:
+            mean_terms[e] = _sweeps(fn, restrict_order(r, e), family, box, **sweep)[0][0]
     pairs = []
     for p in ps:
         omega = sum(sup_c[e][p] for e in sup_c)
@@ -462,10 +461,11 @@ def _superadditivity(fn, r, t, p_values, box, m, settings) -> list[list[Inequali
     r = _orders(r, 1)
     t = tuple(float(v) for v in t)
     density = settings.grid_for(box)
+    g = sample_on_grid(fn, box, density)
     family = [(True, t, k * settings.h_samples) for k in ((1, 2) if settings.refine_h else (1,))]
     parent_c, parent_f = {}, {}
     for e in nonempty_axis_subsets(box.dim):
-        sweeps = _sweeps(fn, restrict_order(r, e), family, box, density=density, ps=ps)
+        sweeps = _sweeps(fn, restrict_order(r, e), family, box, density=density, ps=ps, grid=g)
         parent_c[e], parent_f[e] = sweeps[0][0], sweeps[-1][0]
     child_density = tuple(max(2, int(math.ceil(n / m))) for n in density)
     children = [
@@ -474,7 +474,6 @@ def _superadditivity(fn, r, t, p_values, box, m, settings) -> list[list[Inequali
         )
         for _, sub in _cells(box, m)
     ]
-    g = sample_on_grid(fn, box, density)
     out = []
     for p in ps:
         floor = _floor(g, p)
@@ -560,9 +559,9 @@ def _marchaud(fn, k, r, axis, t, p_values, box, settings) -> list[InequalityRepo
         raise ValueError("t_axis must be smaller than the box side")
     density = settings.grid_for(box)
     ps = [float(p) for p in p_values]
-    kw = dict(density=density, h_samples=settings.h_samples)
-    lefts = sup_modulus_sweep(fn, k, t, box, p_values=ps, **kw)
     g = sample_on_grid(fn, box, density)
+    sweep = dict(density=density, ps=ps, grid=g)
+    lefts = _sweeps(fn, k, [(False, t, settings.h_samples)], box, **sweep)[0][0]
     norms = {p: lp_quasinorm(g, p) for p in ps}
     # ratio at most 2^(1/4), at least 24 cells; the fine rule (refine_h) halves every cell
     n_nodes = max(24, math.ceil(math.log(delta_i / t[i]) / math.log(2.0**0.25)))
@@ -571,7 +570,7 @@ def _marchaud(fn, k, r, axis, t, p_values, box, settings) -> list[InequalityRepo
     us = [float(u) for e in edges.values() for u in 0.5 * (e[:-1] + e[1:])]
     bounds = [t[:i] + (u,) + t[i + 1 :] for u in us]  # both rules', swept in one pass
     family = [(False, b, settings.h_samples) for b in bounds]
-    oms = {u: sup for u, (sup, _) in zip(us, _sweeps(fn, r, family, box, density=density, ps=ps))}
+    oms = {u: sup for u, (sup, _) in zip(us, _sweeps(fn, r, family, box, **sweep))}
 
     def rights(m):
         """Per p, the right side from the u midpoints of m geometric cells,
@@ -711,7 +710,7 @@ def _constant_bound(fn, p_values, box, settings) -> list[InequalityReport]:
         raise ValueError("the best-constant bound is a statement about finite p")
     g = sample_on_grid(fn, box, settings.grid_for(box))
     t = tuple(box.size)
-    coarse, fine, unsampled = _with_gap(fn, (1, 1), [(0,), (1,)], t, box, settings, ps)
+    coarse, fine, unsampled = _with_gap(fn, (1, 1), [(0,), (1,)], t, box, settings, ps, g)
     reports = []
     for p in ps:
         beta, err = best_constant(g, p)

@@ -494,7 +494,7 @@ def test_a_refined_family_hands_the_engine_the_refined_list(monkeypatch, m):
     # sweep alone does not, and in the same order
     handed = []
 
-    def recorded(f, r, steps, box, density):
+    def recorded(f, r, steps, box, density, grid):
         handed.append(steps.tobytes())
         return iter(())
 
@@ -674,8 +674,9 @@ def test_f_calls_per_sweep_at_most_the_chunks(monkeypatch):
             grids = [_grid_shape(r, h, box, density) for h in itertools.product(*nodes(r, t, m))]
             cloud = stencil * sum(math.prod(g) for g in grids if g is not None)
             # every sup step here is a whole number of cells, so its cloud is
-            # on the grid; the (2, 0) cloud fits one call and stays a cloud
-            if sweep is sup_modulus_sweep and cloud > cap:
+            # on the grid, which has fewer points than each cloud; the (2, 0)
+            # cloud fits one call and reads the grid all the same
+            if sweep is sup_modulus_sweep and cloud > density**2:
                 # the grid's points, once, in one call on contiguous planes
                 assert [shape for shape, _ in calls] == [(density**2, 2)]
                 assert all(all(planes) for _, planes in calls)
@@ -753,13 +754,64 @@ def test_the_refused_sweeps_twins_read_the_grid():
     assert _per_step(chunks) == _per_step(_oracle_fields(f, (2,), steps, Box((0.0,), (1.5,)), 1024))
 
 
+def test_a_whole_cell_cloud_reads_the_grid_when_the_grid_is_smaller():
+    # (2, 0) at 16^2 with 9 samples: 6 live steps of whole cells, a cloud of
+    # one call of f, 2,304 points, against the 256-point grid
+    f = get_function("exp_sum_2d")
+    r, box = (2, 0), Box.unit(2)
+    steps = _step_product(_sup_nodes(r, (0.5, 0.5), 9))
+    oracle = list(_oracle_fields(f, r, steps, box, 16))
+    cloud = len(differences._stencil(r)) * sum(int(c.bounds[-1]) for c in oracle)
+    assert 16**2 < cloud <= differences._CHUNK_POINTS
+    oracle = _per_step(oracle)
+    calls = []
+    chunks = list(differences._fields(_recording(f, calls), r, steps, box, 16))
+    assert calls == [(256, 2)]
+    assert _per_step(chunks) == oracle
+    # handed the grid's sample, the engine calls f not at all
+    calls.clear()
+    grid = sample_on_grid(f, box, 16)
+    chunks = list(differences._fields(_recording(f, calls), r, steps, box, 16, grid))
+    assert calls == []
+    assert _per_step(chunks) == oracle
+    # one whole-cell step whose cloud, 2 x 1,024 points, is smaller than
+    # the 64^2 grid keeps the cloud
+    steps = np.array([[0.75, 0.0]])
+    chunks = list(differences._fields(_recording(f, calls), (1, 0), steps, box, 64))
+    assert calls == [(2, 1024, 2)]
+    assert _per_step(chunks) == _per_step(_oracle_fields(f, (1, 0), steps, box, 64))
+
+
+def test_a_grid_sample_of_another_box_or_spec_is_refused():
+    f = get_function("exp_sum_2d")
+    box = Box.unit(2)
+    sets = [(False, (0.5, 0.5), 9)]
+    want = differences._sweeps(f, (1, 1), sets, box, density=16, ps=[1.0])
+    grid = sample_on_grid(f, box, 16)
+    assert differences._sweeps(f, (1, 1), sets, box, density=16, ps=[1.0], grid=grid) == want
+    others = [
+        sample_on_grid(f, box, 8),
+        sample_on_grid(f, box, (16, 8)),
+        sample_on_grid(f, Box((0.0, 0.0), (1.0, 0.5)), 16),
+        # equal as floats, not bit for bit: the memos key boxes by their bits
+        sample_on_grid(f, Box((-0.0, 0.0), (1.0, 1.0)), 16),
+    ]
+    for other in others:
+        # on the lattice path and on the cloud path alike
+        for t in ((0.5, 0.5), (0.3, 0.3)):
+            with pytest.raises(ValueError, match="box and density"):
+                kw = dict(density=16, ps=[1.0], grid=other)
+                differences._sweeps(f, (1, 1), [(False, t, 9)], box, **kw)
+
+
 # ---------------------------------------------------------------------------
 # The broadcast cloud builder against the per-point builder it replaced
 
 
-def _oracle_fields(f, r, steps, box, density):
+def _oracle_fields(f, r, steps, box, density, grid=None):
     """The per-point chunk builder the broadcast one replaced, verbatim:
-    every point's grid index comes from divmod on its row-major index."""
+    every point's grid index comes from divmod on its row-major index.
+    It calls ``f`` on every cloud and reads no ``grid`` sample."""
     dim = box.dim
     steps = np.asarray(steps, float)
     if len(r) != dim or steps.ndim != 2 or steps.shape[1] != dim:
@@ -1002,11 +1054,10 @@ def test_interleaved_equal_size_shapes_share_a_chunk():
 
 # (corpus name, order, box, step bound, density): d = 1, 2 and 3, and
 # cubic_2d's clouds beyond the cap, which take a few offsets per call;
-# none reads the grid (trig_rand_2d_b's steps are whole cells, but its
-# cloud fits one call)
+# none reads the grid (trig_rand_2d_b's steps are not whole cells)
 LAYOUT_CASES = [
     ("sin_prod_1d", (2,), Box((0.2,), (1.7,)), (0.9,), 33),
-    ("trig_rand_2d_b", (1, 1), Box((0.0, 0.0), (1.0, 0.5)), (0.5, 0.25), (16, 8)),
+    ("trig_rand_2d_b", (1, 1), Box((0.0, 0.0), (1.0, 0.5)), (0.3, 0.15), (16, 8)),
     ("cubic_2d", (2, 2), Box.unit(2), (0.3, 0.3), 64),
     ("exp_sum_3d", (1, 0, 2), Box((0.0, -0.5, 0.0), (1.0, 0.0, 0.8)), (0.3, 0.2, 0.5), (9, 6, 5)),
 ]
@@ -1036,12 +1087,13 @@ def test_f_gets_contiguous_coordinate_planes(name, r, box, t, density):
 
 
 # (corpus name, order, box, step bound, density): sup sweeps with 5
-# samples whose steps are whole numbers of cells and whose clouds take
-# more than one call: d = 1, 2 and 3, and grids of one call and of two
-# (128^2 points)
+# samples whose steps are whole numbers of cells and whose clouds have
+# more points than the grid: d = 1, 2 and 3, grids of one call and of two
+# (128^2 points), and a cloud of one call (trig_rand_2d_b at (16, 8))
 GRID_LAYOUT_CASES = [
     ("exp_sum_1d", (2,), Box.unit(1), (0.5,), 4096),
     ("trig_rand_2d_b", (1, 1), Box((0.0, 0.0), (1.0, 0.5)), (0.5, 0.25), (64, 32)),
+    ("trig_rand_2d_b", (1, 1), Box((0.0, 0.0), (1.0, 0.5)), (0.5, 0.25), (16, 8)),
     ("exp_sum_2d", (1, 0), Box.unit(2), (0.5, 0.5), 128),
     ("exp_sum_3d", (1, 1, 1), Box.unit(3), (0.5, 0.5, 0.5), 8),
 ]

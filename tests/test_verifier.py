@@ -13,7 +13,7 @@ from mixsmooth import differences, verifier
 from mixsmooth.cli import main
 from mixsmooth.corpus import corpus_entries, get_function
 from mixsmooth.differences import total_mean_terms, total_sup_terms
-from mixsmooth.domain import Box, _bits, nonempty_axis_subsets, restrict_order
+from mixsmooth.domain import Box, _bits, grid_points, nonempty_axis_subsets, restrict_order
 from mixsmooth.polyapprox import TensorPolynomial
 from mixsmooth.verifier import (
     VerifierSettings,
@@ -402,12 +402,13 @@ def test_marchaud_without_refine_h_skips_the_fine_rule(monkeypatch):
     counted = lambda fn, r, sets, *a, **kw: bounds.append(len(sets)) or sweeps(fn, r, sets, *a, **kw)
     monkeypatch.setattr(verifier, "_sweeps", counted)
     refined = _marchaud(*args, VerifierSettings(8, 3))
-    # the right side sweeps the u midpoints of both rules in one call
-    assert bounds == [24 + 48]
+    # the left side's one set, then the right side sweeps the u midpoints
+    # of both rules in one call
+    assert bounds == [1, 24 + 48]
     bounds.clear()
     coarse = _marchaud(*args, VerifierSettings(8, 3, refine_h=False))
     # the 24 u midpoints of the coarse rule, no 48-cell rule
-    assert bounds == [24]
+    assert bounds == [1, 24]
     for rep, rep_r in zip(coarse, refined, strict=True):
         assert (rep.left, rep.right) == (rep_r.left, rep_r.right)
         assert rep.empirical_constant == rep_r.empirical_constant
@@ -433,6 +434,66 @@ def test_engine_passes_per_report(monkeypatch, refine_h):
     calls.clear()
     superadditivity_report(fn, (1, 1), (0.25, 0.25), 1.0, box, 2, settings)
     assert len(calls) == 3 + 4 * 3
+
+
+def _sampling_twice(monkeypatch):
+    """Every sweep samples ``f`` on its grid for itself, as if handed no
+    report sample."""
+    fields = differences._fields
+    sample = lambda f, r, steps, box, density, grid=None: fields(f, r, steps, box, density)
+    monkeypatch.setattr(differences, "_fields", sample)
+
+
+# (report, the sweeps of the report that read its grid): Whitney's and
+# equivalence's 3 axis subsets, the constant lemma's 2 one-axis sweeps and
+# Marchaud's left side; equivalence's mean sweeps and Marchaud's right side
+# (its coarse rule only, to keep the test small) are off the grid
+ONE_SAMPLE_REPORTS = {
+    "whitney": (lambda f, s: whitney_report(f, (1, 2), 1.0, Box.unit(2), s), 3),
+    "equivalence": (lambda f, s: equivalence_report(f, (1, 1), (0.5, 0.5), 1.0, Box.unit(2), s), 3),
+    "constant": (lambda f, s: [constant_bound_report(f, 0.5, Box.unit(2), s)], 2),
+    "marchaud": (
+        lambda f, s: [
+            marchaud_report(
+                f, (1, 2), (2, 2), 0, (0.125, 0.125), 1.0, Box.unit(2), replace(s, refine_h=False)
+            )
+        ],
+        1,
+    ),
+}
+
+
+# Marchaud's left side at 16^2 has steps of half a cell
+@pytest.mark.parametrize(
+    "name, grid",
+    [("whitney", 16), ("equivalence", 16), ("constant", 16)]
+    + [(name, 64) for name in ONE_SAMPLE_REPORTS],
+)
+def test_a_report_samples_f_on_its_grid_once(monkeypatch, name, grid):
+    # at 16^2 and 64^2 with 9 samples every sup step of these sweeps is a
+    # whole number of cells, so each sweep reads the report's own sample;
+    # every other call of f is a mean or Marchaud cloud, (offsets, points, 2)
+    fn = get_function("exp_sum_2d")
+    settings = VerifierSettings(grid=grid, h_samples=9)
+    points = grid_points(Box.unit(2), grid).reshape(-1, 2)
+    calls = []
+
+    def counted(X):
+        calls.append("grid" if X.shape == points.shape and np.array_equal(X, points) else X.ndim)
+        return fn(X)
+
+    counted.name = fn.name
+    report, reading = ONE_SAMPLE_REPORTS[name]
+    got = [json.dumps(rep.to_record()) for rep in report(counted, settings)]
+    assert calls.count("grid") == 1 and set(calls) <= {"grid", 3}
+    if name in ("whitney", "constant"):
+        assert calls == ["grid"]
+    # the same records, bit for bit, when every sweep samples f again
+    _sampling_twice(monkeypatch)
+    calls.clear()
+    want = [json.dumps(rep.to_record()) for rep in report(counted, settings)]
+    assert calls.count("grid") == 1 + reading
+    assert got == want
 
 
 def test_marchaud_report_runs_in_small_memory():
@@ -654,10 +715,14 @@ def test_every_numeric_record_follows_the_one_verdict_rule():
 def test_equivalence_ratio_takes_its_vacuous_flag_from_its_own_sides(monkeypatch):
     # with every mean 0 and the coarse sup grid empty, the ratio's sides
     # (coarse sup, mean) are both 0 while the hard record's refined sup is not
-    zero_means = lambda fn, r, t, box, *, p_values, **kw: {
-        e: dict.fromkeys(p_values, 0.0) for e in [(0,), (1,), (0, 1)]
-    }
-    monkeypatch.setattr(verifier, "total_mean_terms", zero_means)
+    sweeps = verifier._sweeps
+
+    def zero_means(fn, r, sets, box, *, ps, **kw):
+        if all(mean for mean, _, _ in sets):
+            return [(dict.fromkeys(ps, 0.0), True) for _ in sets]
+        return sweeps(fn, r, sets, box, ps=ps, **kw)
+
+    monkeypatch.setattr(verifier, "_sweeps", zero_means)
     coarse = VerifierSettings(grid=8, h_samples=3)
     hard, ratio = equivalence_report(
         get_function("exp_sum_2d"), (2, 2), (0.5, 0.5), 1.0, Box.unit(2), coarse
@@ -671,10 +736,10 @@ def test_marchaud_right_side_at_the_floor_fails_its_ratio(monkeypatch):
     # the zero function's norm is 0, and a sweep that reads 1 for the lower
     # order k and 0 for r leaves the left side above the floor, the right at 0
     k = (1, 2)
-    sweep = lambda fn, order, t, box, *, p_values, **kw: dict.fromkeys(
-        p_values, 1.0 if tuple(order) == k else 0.0
-    )
-    monkeypatch.setattr(verifier, "sup_modulus_sweep", sweep)
+    sweep = lambda fn, order, sets, box, *, ps, **kw: [
+        (dict.fromkeys(ps, 1.0 if tuple(order) == k else 0.0), True) for _ in sets
+    ]
+    monkeypatch.setattr(verifier, "_sweeps", sweep)
     zero = lambda X: np.zeros(X.shape[:-1])
     rep = marchaud_report(zero, k, (2, 2), 0, (0.125, 0.125), 1.0, Box.unit(2), SMALL)
     assert (rep.left, rep.right) == (1.0, 0.0) and not rep.vacuous
