@@ -12,17 +12,21 @@ smoothness class:
 * ``holder-singular`` products of |x_i - c_i|^alpha with fractional
                       alpha.
 
-Random entries (polynomial and trigonometric) are drawn once at import
-time from fixed seeds, so the corpus is identical in every process.
+The random entries (``cubic_1d``, ``cubic_2d``, ``trig_rand_2d_a`` and
+``trig_rand_2d_b``) are literals: the values their seeded draws gave,
+written out, because numpy's random policy (NEP 19) keeps no Generator
+stream fixed across releases.  So the corpus is identical in every
+process and under every numpy, and importing it loads no ``numpy.random``.
 Singular offsets are chosen away from every dyadic grid line used at
 desk scale, so midpoint samples never hit a kink exactly.
 
-Evaluation rule: the Holder and spline product entries compute in
-place, in the arrays they allocate themselves and never in their
-argument, and are bit-identical to their written formulas.  Only the
-product's start, a multiplication by exactly 1.0, is dropped; ``** alpha``
-stays an operator, so numpy's square-root path at alpha = 1/2 still
-applies; every other operation keeps its order.
+Evaluation rule: the Holder, spline product and trigonometric entries
+compute in place, in the arrays they allocate themselves and never in
+their argument, and are bit-identical to their written formulas.  Only
+the product's start, a multiplication by exactly 1.0, is dropped;
+``** alpha`` stays an operator, so numpy's square-root path at
+alpha = 1/2 still applies; every other operation keeps its order, the
+``0 +`` start of each trigonometric phase sum included.
 """
 
 from __future__ import annotations
@@ -129,20 +133,6 @@ def _sin_prod(dim):
     )
 
 
-def _trig_random(seed, dim):
-    """Seeded terms ``(amplitude, frequency vector, phase)`` over every
-    nonzero frequency vector with entries up to 2."""
-    rng = np.random.default_rng(seed)
-    terms = []
-    for fm in np.ndindex(*((3,) * dim)):
-        if all(v == 0 for v in fm):
-            continue
-        amp = float(rng.standard_normal()) / (1.0 + sum(fm))
-        phase = float(rng.uniform(0.0, 2.0 * math.pi))
-        terms.append((amp, tuple(float(v) for v in fm), phase))
-    return terms
-
-
 def _trig_sum(name, terms, description):
     """Sum of ``amp * cos(2 pi <fm, x> + phase)`` over the terms."""
     dim = len(terms[0][1])
@@ -150,15 +140,24 @@ def _trig_sum(name, terms, description):
     def deriv(s):
         s = tuple(s)
 
+        @_batched
         def g(X):
-            X = np.asarray(X, float)
             out = np.zeros(X.shape[:-1])
+            theta, tmp = np.empty_like(out), np.empty_like(out)
             for amp, fm, phase in terms:
                 a = amp
                 for i in range(dim):
                     a *= (2.0 * math.pi * fm[i]) ** s[i]
-                theta = 2.0 * math.pi * sum(fm[i] * X[..., i] for i in range(dim))
-                out = out + a * np.cos(theta + phase + sum(s) * math.pi / 2.0)
+                # sum()'s start: 0 + -0.0 is +0.0
+                np.add(0, np.multiply(fm[0], X[..., 0], out=theta), out=theta)
+                for i in range(1, dim):
+                    theta += np.multiply(fm[i], X[..., i], out=tmp)
+                theta *= 2.0 * math.pi
+                theta += phase
+                theta += sum(s) * math.pi / 2.0
+                np.cos(theta, out=theta)
+                theta *= a
+                out += theta
             return out
 
         return g
@@ -222,17 +221,48 @@ def _spline_prod(dim):
     )
 
 
+# The random entries' coefficients as numpy's default_rng drew them: the
+# cubics from seed 20240801, each trig_rand_2d from the seed its
+# description names (tests/test_corpus.py redraws them).
+_CUBIC_1D = (1.6023018542954852, 0.7800900003043146, -1.277618755163973, -0.4851801800792451)
+_CUBIC_2D = (
+    (-0.15942132346348278, -0.96820423720596, 0.19260626522368088, -0.45567237879562034),
+    (-0.6663678291235396, -0.014168840455155797, -0.19659473530200894, -0.7863113394960325),
+    (-0.5027936334384554, -0.009029151513546888, -0.4756989194960066, 0.04578996040100947),
+    (0.5946506828222571, -0.2822249100879267, -0.6942822907804168, -0.5388535851823988),
+)
+_TRIG_RAND_2D = {
+    8571: (
+        (-0.5853149255889997, (0.0, 1.0), 4.873517008944148),
+        (-0.456233673266812, (0.0, 2.0), 3.118643165137726),
+        (0.16973806114015322, (1.0, 0.0), 4.271974179167249),
+        (-0.016663652773754385, (1.0, 1.0), 1.1025542190716315),
+        (-0.24000520667304867, (1.0, 2.0), 5.89214152837123),
+        (0.4219085563482356, (2.0, 0.0), 1.6773789609709175),
+        (-0.16186857344135536, (2.0, 1.0), 5.480807423406128),
+        (-0.07259349115094106, (2.0, 2.0), 4.617135333230596),
+    ),
+    9038: (
+        (-0.22759947137807626, (0.0, 1.0), 0.3236471720110789),
+        (0.16437813476799737, (0.0, 2.0), 1.77486734455964),
+        (-0.17566374321589656, (1.0, 0.0), 3.488307150790815),
+        (-0.030301962429603636, (1.0, 1.0), 4.185088824042552),
+        (-0.1724569688835771, (1.0, 2.0), 4.708790379779554),
+        (-0.3136133347358344, (2.0, 0.0), 4.4243116825802815),
+        (-0.22432451129689068, (2.0, 1.0), 5.746075984349471),
+        (0.15039812253156504, (2.0, 2.0), 5.725699896738197),
+    ),
+}
+
+
 def _build_corpus() -> dict[str, CorpusFunction]:
     entries: list[CorpusFunction] = []
-    rng = np.random.default_rng(20240801)
 
     # --- d = 1 ---
     entries.append(_poly_entry("const_1d", [0.7], 1))
     entries.append(_poly_entry("linear_1d", [0.0, 1.0], 1, "f(x) = x"))
     entries.append(_poly_entry("square_1d", [0.0, 0.0, 1.0], 1, "f(x) = x^2"))
-    entries.append(
-        _poly_entry("cubic_1d", rng.standard_normal(4) * 0.8, 1, "random cubic")
-    )
+    entries.append(_poly_entry("cubic_1d", _CUBIC_1D, 1, "random cubic"))
     entries.append(_exp_sum(1))
     entries.append(_sin_prod(1))
     entries.append(_holder("holder_half_1d", 1, 0.5, (0.37,)))
@@ -251,7 +281,7 @@ def _build_corpus() -> dict[str, CorpusFunction]:
     entries.append(_poly_entry("const_2d", [[0.7]], 2))
     # (2x - 1)(1 - y) + 1/2 in monomial coefficients
     entries.append(_poly_entry("bilinear_2d", [[-0.5, 1.0], [2.0, -2.0]], 2))
-    entries.append(_poly_entry("cubic_2d", rng.standard_normal((4, 4)) * 0.5, 2))
+    entries.append(_poly_entry("cubic_2d", _CUBIC_2D, 2))
     entries.append(_exp_sum(2))
     entries.append(_sin_prod(2))
     entries.append(
@@ -263,7 +293,7 @@ def _build_corpus() -> dict[str, CorpusFunction]:
     )
     for name, seed in (("trig_rand_2d_a", 8571), ("trig_rand_2d_b", 9038)):
         entries.append(
-            _trig_sum(name, _trig_random(seed, 2), f"random trigonometric polynomial, seed {seed}")
+            _trig_sum(name, _TRIG_RAND_2D[seed], f"random trigonometric polynomial, seed {seed}")
         )
     entries.append(_holder("holder_half_2d", 2, 0.5, (0.37, 0.61)))
     entries.append(_holder("holder_one_2d", 2, 1.0, (0.37, 0.61)))

@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+from mixsmooth import corpus
 from mixsmooth.corpus import corpus_entries, get_function
 from mixsmooth.domain import Box, sample_on_grid
 from mixsmooth.polyapprox import TensorPolynomial
@@ -132,3 +138,89 @@ def test_no_entry_writes_into_its_input():
         for f in fs:
             for X in _inputs(e.dim):
                 f(X)
+
+
+def _old_trig_sum(terms, s):
+    """The trigonometric entries' derivative of order ``s`` as written before
+    they evaluated in place."""
+
+    def g(X):
+        X = np.asarray(X, float)
+        out = np.zeros(X.shape[:-1])
+        for amp, fm, phase in terms:
+            a = amp
+            for i in range(2):
+                a *= (2.0 * math.pi * fm[i]) ** s[i]
+            theta = 2.0 * math.pi * sum(fm[i] * X[..., i] for i in range(2))
+            out = out + a * np.cos(theta + phase + sum(s) * math.pi / 2.0)
+        return out
+
+    return g
+
+
+def test_every_trig_entry_is_its_old_formula_bit_for_bit():
+    terms = {
+        "cos_ripple_2d": [(1.0, (1.0, 2.0), 0.3)],
+        "trig_rand_2d_a": corpus._TRIG_RAND_2D[8571],
+        "trig_rand_2d_b": corpus._TRIG_RAND_2D[9038],
+    }
+    view, grid, point = _inputs(2)
+    assert not view.flags.c_contiguous and view.shape == (2, 4096, 2)
+    for name, entry_terms in terms.items():
+        e = get_function(name)
+        for s in np.ndindex(3, 3):
+            f = e.f if s == (0, 0) else e.derivative(s)
+            want = _old_trig_sum(entry_terms, s)
+            for X in (view, grid, point):
+                got = f(X)
+                assert type(got) is type(want(X)), (name, s)
+                assert np.asarray(got).tobytes() == np.asarray(want(X)).tobytes(), (name, s)
+
+
+def test_the_random_literals_are_the_seeded_draws_bit_for_bit():
+    """The literals, not a generator, define the corpus: numpy keeps no
+    Generator stream fixed across releases (NEP 19).  This redraws them as
+    the corpus once drew them at import, to show where they came from."""
+    rng = np.random.default_rng(20240801)
+    cubic_1d = rng.standard_normal(4) * 0.8
+    cubic_2d = rng.standard_normal((4, 4)) * 0.5
+    assert np.array(corpus._CUBIC_1D).tobytes() == cubic_1d.tobytes()
+    assert np.array(corpus._CUBIC_2D).tobytes() == cubic_2d.tobytes()
+    assert get_function("cubic_1d").f.coeffs.tobytes() == cubic_1d.tobytes()
+    assert get_function("cubic_2d").f.coeffs.tobytes() == cubic_2d.tobytes()
+    for seed in (8571, 9038):
+        rng = np.random.default_rng(seed)
+        drawn = []
+        for fm in np.ndindex(3, 3):
+            if all(v == 0 for v in fm):
+                continue
+            amp = float(rng.standard_normal()) / (1.0 + sum(fm))
+            phase = float(rng.uniform(0.0, 2.0 * math.pi))
+            drawn.append((amp, tuple(float(v) for v in fm), phase))
+        literal = corpus._TRIG_RAND_2D[seed]
+        assert [fm for _, fm, _ in literal] == [fm for _, fm, _ in drawn]
+        values = [[amp, phase] for amp, _, phase in literal]
+        want = [[amp, phase] for amp, _, phase in drawn]
+        assert np.array(values).tobytes() == np.array(want).tobytes(), seed
+
+
+def test_importing_the_package_leaves_numpy_random_unloaded():
+    # numpy >= 2 loads numpy.random on first use; the corpus draws nothing
+    # at import, so only a p < 1 multistart, TensorPolynomial.random or
+    # suite_identities loads it
+    code = (
+        "import sys, numpy\n"
+        "before = 'numpy.random' in sys.modules\n"
+        "import mixsmooth\n"
+        "print(numpy.__version__, before, 'numpy.random' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(corpus.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    version, before, after = done.stdout.split()
+    if int(version.split(".")[0]) < 2:
+        assert before == "True"
+        pytest.skip("numpy 1.x: `import numpy` loads numpy.random itself, nothing to check")
+    assert (before, after) == ("False", "False")
